@@ -19,12 +19,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .forms import (
     BihermitianForm,
     HermitianForm,
     SubspaceBasis,
+    cholesky_frame,
     norm_h,
     require_real,
     unit_sphere_samples,
@@ -56,16 +56,6 @@ def k_ricci_on(S: BihermitianForm, h: HermitianForm, basis: SubspaceBasis) -> fl
     return require_real(val, scale=abs(val), what="k-Ricci value")
 
 
-def _metric_factors(h: HermitianForm):
-    """Cholesky factor L (H = L L^H) and the h-unitary frame E = L^{-T}."""
-    try:
-        L = np.linalg.cholesky(h.entries)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("metric must be positive definite") from exc
-    E = solve_triangular(L, np.eye(h.n, dtype=complex), trans="T", lower=True)
-    return L, E
-
-
 def _orthocomplement_batch(L: np.ndarray, E: np.ndarray, X: np.ndarray) -> np.ndarray:
     """h-orthonormal frames of the orthocomplements of the unit rows of X.
 
@@ -92,7 +82,7 @@ def h_orthocomplement(h: HermitianForm, X) -> np.ndarray:
     nrm = norm_h(X, h)
     if nrm <= 1e-300:
         raise ValueError("orthocomplement is undefined at X = 0")
-    L, E = _metric_factors(h)
+    L, E = cholesky_frame(h)
     return _orthocomplement_batch(L, E, (X / nrm)[None, :])[0]
 
 
@@ -254,7 +244,7 @@ def certify_k_ricci(
     bound = float(bound)
     T = S.entries
     H = h.entries
-    L, E = _metric_factors(h)
+    L, E = cholesky_frame(h)
 
     sweep = unit_sphere_samples(h, opts.presweep, rng)
     scores = np.empty(opts.presweep)

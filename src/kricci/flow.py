@@ -12,8 +12,10 @@ and the potential satisfies
 
 Time stepping is explicit midpoint (second order), with the step bounded by
 an explicit-diffusion limit proportional to the smallest metric eigenvalue.
-When a substep loses positivity the step is retried with half the step size
-a bounded number of times before the flow is declared degenerate.
+A step starts from the dphi/dt it ended on (first same as last, as in
+Dormand-Prince), so it reconstructs and checks two metrics: the midpoint and
+the end.  When either loses positivity the step is retried with half the
+step size a bounded number of times before the flow is declared degenerate.
 
 The checks in this module compare the recorded trajectory against the
 structural consequences of the equation: the volume-ratio and twisted scalar
@@ -37,9 +39,9 @@ from .grid import (
     PeriodicGrid,
     curvature_field,
     dbar_hessian,
+    g_trace,
     laplacian,
     metric_from_potential,
-    positivity_margin,
     ricci_field,
 )
 
@@ -65,6 +67,9 @@ __all__ = [
     "run_flow",
 ]
 
+# Relative tolerance for the imaginary part of g-traces of Hermitian fields.
+TRACE_REAL_TOL = 1e-9
+
 
 @dataclass
 class TwistSpec:
@@ -85,7 +90,6 @@ class FlowConfig:
     diagnostics_every: int = 10
     alpha: float = 1.0
     beta: float = 1.0
-    sigma_init: float | None = None
     max_halvings: int = 10
     max_steps: int = 200_000
 
@@ -102,15 +106,6 @@ class FlowConfig:
             raise ValueError("alpha and beta must be positive")
 
 
-def _real_trace_pair(ginv: np.ndarray, other: np.ndarray) -> np.ndarray:
-    """tr_g of a Hermitian matrix field, checked real."""
-    out = np.einsum("...ji,...ij->...", ginv, other)
-    worst = float(np.max(np.abs(out.imag)))
-    if worst > 1e-9 * (1.0 + float(np.max(np.abs(out.real)))):
-        raise ValueError(f"metric trace must be real; got imaginary part {worst:.3e}")
-    return out.real
-
-
 class FlowModel:
     """Background data and metric reconstruction for one flow configuration."""
 
@@ -125,7 +120,8 @@ class FlowModel:
         )
         if bg.shape != grid.shape:
             raise ValueError(f"background potential must have shape {grid.shape}")
-        self.h = metric_from_potential(grid, bg).require_positive("background metric")
+        self.h = metric_from_potential(grid, bg)
+        self.h_margin = self.h.require_positive("background metric")
         self.ric_h = ricci_field(grid, self.h)
         u = (
             np.zeros(grid.shape)
@@ -148,6 +144,7 @@ class FlowModel:
         return g.log_determinant() - self._logdet_h
 
     def rhs(self, t: float, phi: np.ndarray) -> np.ndarray:
+        """dphi/dt at (t, phi); raises DegeneracyError if g(t) is not positive."""
         g = self.reconstruct(t, phi)
         g.require_positive("flow metric")
         return self.phidot_of(g)
@@ -193,25 +190,23 @@ def _initial_sigma(model: FlowModel) -> float:
     for sigma = n / (-m0); a nonnegative infimum never forces a barrier, so
     sigma is infinite there and both bounds degenerate gracefully.
     """
-    grid = model.grid
-    g0 = model.h
-    ginv = g0.inverse()
-    scal = _real_trace_pair(ginv, ricci_field(grid, g0).values)
-    treta = _real_trace_pair(ginv, model.eta)
+    ginv = model.h.inverse()
+    scal = g_trace(ginv, model.ric_h.values, real_tol=TRACE_REAL_TOL)
+    treta = g_trace(ginv, model.eta, real_tol=TRACE_REAL_TOL)
     m0 = float((scal + treta).min())
     if m0 < 0:
-        return grid.n / (-m0)
+        return model.grid.n / (-m0)
     return math.inf
 
 
-def _rk2_step(model: FlowModel, t: float, phi: np.ndarray, dt: float):
-    """One explicit midpoint step; returns (phi_new, phidot_new, margin_new)."""
-    k1 = model.rhs(t, phi)
-    k2 = model.rhs(t + 0.5 * dt, phi + (0.5 * dt) * k1)
+def _rk2_step(model: FlowModel, t: float, phi: np.ndarray, dt: float, phidot: np.ndarray):
+    """One explicit midpoint step from (t, phi), where dphi/dt is ``phidot``;
+    returns (phi_new, phidot_new, margin_new)."""
+    k2 = model.rhs(t + 0.5 * dt, phi + (0.5 * dt) * phidot)
     phi_new = phi + dt * k2
     g_new = model.reconstruct(t + dt, phi_new)
-    g_new.require_positive("flow metric")
-    return phi_new, model.phidot_of(g_new), positivity_margin(g_new)
+    margin = g_new.require_positive("flow metric")
+    return phi_new, model.phidot_of(g_new), margin
 
 
 def run_flow(config: FlowConfig) -> FlowResult:
@@ -228,8 +223,9 @@ def run_flow(config: FlowConfig) -> FlowResult:
     sigma = _initial_sigma(model)
     phi = np.zeros(grid.shape)
     t = 0.0
-    phidot = model.phidot_of(model.h)
-    margin = positivity_margin(model.h)
+    # g(0) = h, so dphi/dt starts at log det h - log det h = 0.
+    phidot = np.zeros(grid.shape)
+    margin = model.h_margin
     snapshots = [FlowSnapshot(t=0.0, phi=phi.copy(), phidot=phidot.copy())]
     steps = 0
     dt_floor = config.dt_initial * 2.0**-40
@@ -251,7 +247,7 @@ def run_flow(config: FlowConfig) -> FlowResult:
         accepted = None
         for _ in range(config.max_halvings + 1):
             try:
-                accepted = _rk2_step(model, t, phi, dt)
+                accepted = _rk2_step(model, t, phi, dt, phidot)
                 break
             except DegeneracyError as err:
                 last_margin = err.margin
@@ -318,14 +314,18 @@ def monotone_quantities(
     """
     if t <= 0:
         raise ValueError("monotone quantities are defined for t > 0 only")
-    grid = model.grid
     g = model.reconstruct(t, phi)
     g.require_positive("flow metric")
-    lam = _real_trace_pair(g.inverse(), model.h.values)
+    log_lam = np.log(g_trace(g.inverse(), model.h.values, real_tol=TRACE_REAL_TOL))
+    return _monotone_fields(model, t, log_lam, phidot, alpha, beta, twist_potential)
+
+
+def _monotone_fields(model, t, log_lam, phidot, alpha, beta, twist_potential=None):
+    """F and G of :func:`monotone_quantities` from log tr_g h at time t."""
     phi_twist = model.u if twist_potential is None else twist_potential
     r = alpha / beta
-    F = np.log(lam) + (1.0 + r) * model.u - r * (phidot + phi_twist)
-    G = F + (1.0 + r * grid.n) * math.log(t)
+    F = log_lam + (1.0 + r) * model.u - r * (phidot + phi_twist)
+    G = F + (1.0 + r * model.grid.n) * math.log(t)
     return F, G
 
 
@@ -346,15 +346,15 @@ def _diagnostics(result: FlowResult) -> list[DiagnosticsRow]:
     rows_partial = []
     for snap in result.snapshots:
         g = model.reconstruct(snap.t, snap.phi)
-        g.require_positive("flow metric")
+        margin = g.require_positive("flow metric")
         ginv = g.inverse()
-        scal = _real_trace_pair(ginv, ricci_field(grid, g).values)
-        treta = _real_trace_pair(ginv, model.eta)
-        lam = _real_trace_pair(ginv, model.h.values)
-        lam_logs.append(np.log(lam))
+        scal = g_trace(ginv, ricci_field(grid, g).values, real_tol=TRACE_REAL_TOL)
+        treta = g_trace(ginv, model.eta, real_tol=TRACE_REAL_TOL)
+        log_lam = np.log(g_trace(ginv, model.h.values, real_tol=TRACE_REAL_TOL))
+        lam_logs.append(log_lam)
         if snap.t > 0:
-            _, G = monotone_quantities(
-                model, snap.t, snap.phi, snap.phidot, config.alpha, config.beta
+            _, G = _monotone_fields(
+                model, snap.t, log_lam, snap.phidot, config.alpha, config.beta
             )
             sup_G = float(G.max())
         else:
@@ -365,7 +365,7 @@ def _diagnostics(result: FlowResult) -> list[DiagnosticsRow]:
                 sup_phidot=float(snap.phidot.max()),
                 inf_scalar_plus_tr_eta=float((scal + treta).min()),
                 bound_volume_upper=_volume_upper_bound(n, result.sigma, snap.t),
-                positivity_margin=positivity_margin(g),
+                positivity_margin=margin,
                 sup_G=sup_G,
                 schwarz_min_margin=math.nan,
             )
@@ -397,7 +397,7 @@ def _schwarz_margins(result: FlowResult, lam_logs: list[np.ndarray]) -> list[flo
         ginv = g.inverse()
         lam = np.exp(lam_logs[i])
         lhs = dlog - laplacian(grid, g, lam_logs[i])
-        double_trace = np.einsum("...ji,...lk,...ijkl->...", ginv, ginv, R_h, optimize=True)
+        double_trace = g_trace(ginv, g_trace(ginv, R_h))
         twist_trace = np.einsum(
             "...li,...jk,...ij,...kl->...",
             ginv,
@@ -472,8 +472,7 @@ def check_potential_identities(result: FlowResult) -> PotentialIdentityReport:
             snaps[i - 1].phidot, snaps[i].phidot, snaps[i + 1].phidot, a, b
         )
         g = model.reconstruct(snaps[i].t, snaps[i].phi)
-        g.require_positive("flow metric")
-        drift = _real_trace_pair(g.inverse(), model.ric_h.values + model.eta)
+        drift = g_trace(g.inverse(), model._drift, real_tol=TRACE_REAL_TOL)
         rhs = -drift + laplacian(grid, g, snaps[i].phidot)
         res_phi = max(res_phi, float(np.max(np.abs(dphi - snaps[i].phidot))))
         res_phidot = max(res_phidot, float(np.max(np.abs(dphidot - rhs))))
@@ -577,8 +576,7 @@ def check_trace_evolution(
     fields = []
     for snap in result.snapshots:
         g = model.reconstruct(snap.t, snap.phi)
-        g.require_positive("flow metric")
-        lam = _real_trace_pair(g.inverse(), model.h.values)
+        lam = g_trace(g.inverse(), model.h.values, real_tol=TRACE_REAL_TOL)
         w = snap.t * snap.phidot - snap.phi - n * snap.t
         Q = (
             -B * w

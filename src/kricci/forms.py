@@ -33,6 +33,7 @@ __all__ = [
     "SubspaceBasis",
     "SymmetryReport",
     "b_form",
+    "cholesky_frame",
     "hermitian_eval",
     "hsc",
     "norm_h",
@@ -281,17 +282,19 @@ def norm_h(X, h: HermitianForm) -> float:
     return float(np.sqrt(val))
 
 
-def _cholesky(h: HermitianForm) -> np.ndarray:
+def cholesky_frame(h: HermitianForm) -> tuple[np.ndarray, np.ndarray]:
+    """Cholesky factor L (H = L L^H) and the h-unitary frame E = L^{-T}."""
     try:
-        return np.linalg.cholesky(h.entries)
+        L = np.linalg.cholesky(h.entries)
     except np.linalg.LinAlgError as exc:
         raise ValueError("metric must be positive definite") from exc
+    E = solve_triangular(L, np.eye(h.n, dtype=complex), trans="T", lower=True)
+    return L, E
 
 
 def unitary_frame(h: HermitianForm) -> np.ndarray:
     """Columns of an h-unitary frame (h(E_i, Ē_j) = δ_ij)."""
-    L = _cholesky(h)
-    return solve_triangular(L, np.eye(h.n, dtype=complex), trans="T", lower=True)
+    return cholesky_frame(h)[1]
 
 
 def unit_sphere_samples(h: HermitianForm, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -300,7 +303,7 @@ def unit_sphere_samples(h: HermitianForm, count: int, rng: np.random.Generator) 
         raise ValueError("count must be positive")
     n = h.n
     W = rng.standard_normal((count, n)) + 1j * rng.standard_normal((count, n))
-    L = _cholesky(h)
+    L, _ = cholesky_frame(h)
     X = solve_triangular(L, W.T, trans="T", lower=True).T
     return X / np.linalg.norm(W, axis=1)[:, None]
 

@@ -35,11 +35,11 @@ __all__ = [
     "curvature_field",
     "dbar_hessian",
     "flat_metric",
+    "g_trace",
     "grid_mean",
     "holomorphic_derivative",
     "laplacian",
     "metric_from_potential",
-    "positivity_margin",
     "ricci_field",
     "ricci_potential",
     "scalar_from_modes",
@@ -196,12 +196,6 @@ class MetricField:
     def inverse(self) -> np.ndarray:
         return np.linalg.inv(self.values)
 
-    def determinant(self) -> np.ndarray:
-        sign, logabs = np.linalg.slogdet(self.values)
-        if np.max(np.abs(sign - 1.0)) > 1e-8:
-            raise DegeneracyError("metric determinant is not positive everywhere")
-        return np.exp(logabs)
-
     def log_determinant(self) -> np.ndarray:
         sign, logabs = np.linalg.slogdet(self.values)
         if np.max(np.abs(sign - 1.0)) > 1e-8:
@@ -211,7 +205,8 @@ class MetricField:
     def smallest_eigenvalues(self) -> np.ndarray:
         return np.linalg.eigvalsh(self.values)[..., 0]
 
-    def require_positive(self, what: str = "metric") -> "MetricField":
+    def require_positive(self, what: str = "metric") -> float:
+        """The smallest eigenvalue over the grid; raises unless it is positive."""
         eig = self.smallest_eigenvalues()
         margin = float(eig.min())
         if margin <= 0.0:
@@ -222,12 +217,26 @@ class MetricField:
                 worst_point=worst,
                 margin=margin,
             )
-        return self
+        return margin
 
 
-def positivity_margin(metric: MetricField) -> float:
-    """Smallest eigenvalue of the metric over the whole grid."""
-    return float(metric.smallest_eigenvalues().min())
+def g_trace(ginv: np.ndarray, A: np.ndarray, real_tol: float | None = None) -> np.ndarray:
+    """The g-trace sum_{k,l} g^{l k} A[..., k, l] over the last two axes of A.
+
+    ``ginv`` is the inverse metric field; axes of ``A`` between the grid axes
+    and the traced pair ride along.  With ``real_tol`` the trace is checked
+    real to that relative tolerance and returned as a real field.
+    """
+    extra = A.ndim - ginv.ndim
+    if extra:
+        ginv = ginv.reshape(ginv.shape[:-2] + (1,) * extra + ginv.shape[-2:])
+    out = np.einsum("...lk,...kl->...", ginv, A)
+    if real_tol is None:
+        return out
+    worst = float(np.max(np.abs(out.imag)))
+    if worst > real_tol * (1.0 + float(np.max(np.abs(out.real)))):
+        raise ValueError(f"g-trace must be real; got imaginary part {worst:.3e}")
+    return out.real
 
 
 def flat_metric(grid: PeriodicGrid) -> MetricField:
@@ -278,8 +287,8 @@ def curvature_field(grid: PeriodicGrid, g: MetricField) -> np.ndarray:
         R_{i jbar k lbar} = -d_k dbar_l g_{i jbar}
                             + g^{p qbar} (d_k g_{i qbar}) (dbar_l g_{p jbar})
 
-    with dbar_l g_{p jbar} = conj(d_l g_{j pbar}).  The g-trace over (k, l)
-    reproduces :func:`ricci_field` up to discretization error.
+    with dbar_l g_{p jbar} = conj(d_l g_{j pbar}).  Its :func:`g_trace` over
+    (k, l) reproduces :func:`ricci_field` up to discretization error.
     """
     g.require_positive("metric")
     n = grid.n
@@ -295,11 +304,7 @@ def curvature_field(grid: PeriodicGrid, g: MetricField) -> np.ndarray:
 def laplacian(grid: PeriodicGrid, g: MetricField, f: np.ndarray) -> np.ndarray:
     """The metric Laplacian g^{i jbar} d_i dbar_j f of a real field."""
     hess = dbar_hessian(grid, np.asarray(f, dtype=float))
-    out = np.einsum("...ji,...ij->...", g.inverse(), hess)
-    worst = float(np.max(np.abs(out.imag)))
-    if worst > 1e-10 * (1.0 + float(np.max(np.abs(out.real)))):
-        raise ValueError(f"Laplacian of a real field must be real; got {worst:.3e}")
-    return out.real
+    return g_trace(g.inverse(), hess, real_tol=1e-10)
 
 
 @dataclass
@@ -320,14 +325,11 @@ def ricci_potential(grid: PeriodicGrid, g: MetricField) -> RicciPotentialReport:
     curvature tensor instead, which differs by discretization error and
     decays at second order under grid refinement.
     """
-    g.require_positive("metric")
+    direct = ricci_field(grid, g).values
     logdet = g.log_determinant()
     potential = -(logdet - logdet.mean())
     hess = dbar_hessian(grid, potential)
-    direct = ricci_field(grid, g).values
-    ginv = g.inverse()
-    R = curvature_field(grid, g)
-    traced = np.einsum("...ijkl,...kl->...ij", R, ginv)
+    traced = g_trace(g.inverse(), curvature_field(grid, g))
     scale = 1.0 + float(np.max(np.abs(traced)))
     return RicciPotentialReport(
         potential=potential,

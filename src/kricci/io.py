@@ -28,6 +28,7 @@ from .grid import (
 )
 
 __all__ = [
+    "FLOW_CONFIG_KEYS",
     "FLOW_CSV_COLUMNS",
     "FlowJob",
     "LoadedTensor",
@@ -227,9 +228,19 @@ def _potential_from_spec(spec, grid: PeriodicGrid, base: Path) -> np.ndarray | N
     raise ValueError("potential spec must carry 'modes' or 'file'")
 
 
+FLOW_CONFIG_KEYS = (
+    "grid", "background", "twist", "dt", "t_end", "cadence", "alpha", "beta", "mu", "checks",
+)
+
+
 def load_flow_config(path, discretization: str | None = None) -> FlowJob:
     path = Path(path)
     data = load_json(path)
+    if not isinstance(data, dict):
+        raise ValueError(f"{path}: flow config must be a JSON object")
+    for key in data:
+        if key not in FLOW_CONFIG_KEYS:
+            raise ValueError(f"{path}: unknown flow config key {key!r}")
     try:
         grid_spec = data["grid"]
         grid = PeriodicGrid(
@@ -253,7 +264,6 @@ def load_flow_config(path, discretization: str | None = None) -> FlowJob:
         diagnostics_every=int(data.get("cadence", 10)),
         alpha=float(data.get("alpha", 1.0)),
         beta=float(data.get("beta", 1.0)),
-        sigma_init=data.get("sigma_init"),
     )
     mu = data.get("mu")
     checks = {str(k): float(v) for k, v in data.get("checks", {}).items()}

@@ -21,6 +21,7 @@ from .forms import (
     BihermitianForm,
     CurvatureParams,
     HermitianForm,
+    cholesky_frame,
     quartic_values,
     require_real,
     ricci_trace,
@@ -53,17 +54,16 @@ def g_unitary_h_diagonal_frame(
     """A frame E with g(E_i, Ē_j) = δ_ij and h(E_i, Ē_j) = tau_i δ_ij.
 
     Returns ``(tau, E)`` with tau ascending; E's columns are the frame
-    vectors.  Both forms must be positive definite.
+    vectors.  Both forms must be positive definite.  E = E_g conj(V) with
+    E_g g's unitary frame and V the eigenvectors of h in that frame.
     """
     if g.n != h.n:
         raise ValueError("g and h must have the same dimension")
-    g.require_positive("g")
     h.require_positive("h")
-    L = np.linalg.cholesky(g.entries)
-    Ht = np.linalg.solve(L, np.linalg.solve(L, h.entries).conj().T).conj().T
+    _, Eg = cholesky_frame(g)
+    Ht = Eg.T @ h.entries @ np.conj(Eg)
     tau, V = np.linalg.eigh(0.5 * (Ht + Ht.conj().T))
-    E = scipy.linalg.solve_triangular(L, np.conj(V), trans="T", lower=True)
-    return tau, E
+    return tau, Eg @ np.conj(V)
 
 
 def _phase_rows(n: int) -> np.ndarray:

@@ -2,9 +2,9 @@
 
 Each suite draws a deterministic stream of instances from its seed, runs one
 lemma check per instance, and reduces the outcomes into a report with
-per-case records and a summary.  Cases execute concurrently; every case owns
-an independent generator keyed by (seed, case index), so scheduling cannot
-change the numbers, and the report is assembled in case order.
+per-case records and a summary.  Cases run one after another in case order;
+every case owns an independent generator keyed by (seed, case index), so a
+case's numbers do not depend on which other cases run.
 
 A case passes when its margin is at least minus the suite tolerance.  Margins
 are oriented so that positive means "inequality satisfied with room" and are
@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -287,73 +286,47 @@ def _rigidity_case(config: SuiteConfig, case_id: str, n: int, index: int, rng) -
     )
 
 
-def _build_cases(config: SuiteConfig):
-    """Deterministically ordered (case id, thunk) pairs for the suite."""
-    cases = []
-    index = 0
+def _run_cases(config: SuiteConfig) -> list[CaseRecord]:
+    """Run the suite's cases one after another in their deterministic order."""
+    suite = config.suite
+    records: list[CaseRecord] = []
 
-    def rng_for(i: int) -> np.random.Generator:
-        return np.random.default_rng([config.seed, i])
+    def rng() -> np.random.Generator:
+        # The next case's own generator, keyed by (seed, case index).
+        return np.random.default_rng([config.seed, len(records)])
 
-    if config.suite in ("royden", "mixed-trace", "berger"):
+    if suite in ("royden", "mixed-trace", "berger"):
         builder = {
             "royden": _royden_case,
             "mixed-trace": _mixed_trace_case,
             "berger": _berger_case,
-        }[config.suite]
+        }[suite]
         for n in config.n_values:
             for i in range(config.count):
-                case_id = f"{config.suite}-n{n}-{i:03d}"
-                cases.append(
-                    (case_id, lambda cid=case_id, nn=n, ii=index: builder(config, cid, nn, rng_for(ii)))
-                )
-                index += 1
-    elif config.suite in ("interpolation", "ric-scalar"):
+                records.append(builder(config, f"{suite}-n{n}-{i:03d}", n, rng()))
+    elif suite in ("interpolation", "ric-scalar"):
         builder = {
             "interpolation": _interpolation_case,
             "ric-scalar": _ric_scalar_case,
-        }[config.suite]
-        min_k = 2 if config.suite == "ric-scalar" else 1
+        }[suite]
+        min_k = 2 if suite == "ric-scalar" else 1
         for n in config.n_values:
             for k in config.k_values:
                 if k > n or k < min_k:
                     continue
                 for i in range(config.count):
-                    case_id = f"{config.suite}-n{n}-k{k}-{i:03d}"
-                    cases.append(
-                        (
-                            case_id,
-                            lambda cid=case_id, nn=n, kk=k, ii=index: builder(
-                                config, cid, nn, kk, rng_for(ii)
-                            ),
-                        )
-                    )
-                    index += 1
-    elif config.suite == "rigidity-model":
+                    records.append(builder(config, f"{suite}-n{n}-k{k}-{i:03d}", n, k, rng()))
+    elif suite == "rigidity-model":
         for n in config.n_values:
             for i in range(config.count):
-                case_id = f"{config.suite}-n{n}-{i:03d}"
-                cases.append(
-                    (
-                        case_id,
-                        lambda cid=case_id, nn=n, ii=index: _rigidity_case(
-                            config, cid, nn, ii, rng_for(ii)
-                        ),
-                    )
-                )
-                index += 1
-    return cases
+                index = len(records)
+                records.append(_rigidity_case(config, f"{suite}-n{n}-{i:03d}", n, index, rng()))
+    return records
 
 
 def run_suite(config: SuiteConfig) -> SuiteReport:
     start = time.perf_counter()
-    cases = _build_cases(config)
-    if cases:
-        workers = min(8, len(cases))
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(lambda pair: pair[1](), cases))
-    else:
-        records = []
+    records = _run_cases(config)
     tolerance = config.resolved_tolerance
     pass_count = sum(record.passed for record in records)
     worst = min((record.margin for record in records), default=math.inf)

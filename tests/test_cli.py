@@ -146,6 +146,14 @@ class TestFlow:
         err = capsys.readouterr().err
         assert "line 2" in err and "column" in err
 
+    def test_unknown_config_key_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "typo.json"
+        save_json(config, {"grid": {"n": 1, "N": 8}, "t_final": 0.2})
+        out = tmp_path / "out"
+        assert run_cli("flow", config, "--out", out) == 2
+        assert "unknown flow config key 't_final'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_trace_evolution_hypothesis_rejection_fails_run(self, tmp_path):
         config = tmp_path / "twisted.json"
         save_json(

@@ -5,7 +5,6 @@ from numpy.testing import assert_allclose
 from kricci.extremes import (
     CertifyOptions,
     _batch_eval,
-    _metric_factors,
     certify_k_ricci,
     h_orthocomplement,
     k_ricci_extreme_at,
@@ -14,6 +13,7 @@ from kricci.extremes import (
 from kricci.forms import (
     HermitianForm,
     b_form,
+    cholesky_frame,
     hsc,
     random_bihermitian,
     random_hermitian,
@@ -130,7 +130,7 @@ class TestBatchEval:
         h = random_hermitian(n, rng(20), positive=True)
         S = random_bihermitian(n, rng(21))
         X = unit_sphere_samples(h, 9, rng(22))
-        L, E = _metric_factors(h)
+        L, E = cholesky_frame(h)
         (fb,) = _batch_eval(S.entries, h.entries, L, E, X, k)
         singles = [k_ricci_extreme_at(S, h, x, k)[0] for x in X]
         assert_allclose(fb, singles, rtol=1e-10)
@@ -141,7 +141,7 @@ class TestBatchEval:
         h = random_hermitian(n, rng(30 + k), positive=True)
         S = random_bihermitian(n, rng(40 + k))
         H = h.entries
-        L, E = _metric_factors(h)
+        L, E = cholesky_frame(h)
         X = unit_sphere_samples(h, 1, rng(50 + k))
 
         def value(x):
@@ -195,7 +195,7 @@ class TestCertify:
             h = random_hermitian(n, rng(80 + seed), positive=True)
             S = random_bihermitian(n, rng(90 + seed))
             cert = certify_k_ricci(S, h, k, bound=np.inf, options=opts, rng=rng(seed))
-            L, E = _metric_factors(h)
+            L, E = cholesky_frame(h)
             sample = unit_sphere_samples(h, 20_000, rng(100 + seed))
             vals = _batch_eval(S.entries, h.entries, L, E, sample, k)[0]
             assert cert.value >= vals.max() - 1e-7

@@ -9,11 +9,11 @@ from kricci.grid import (
     curvature_field,
     dbar_hessian,
     flat_metric,
+    g_trace,
     grid_mean,
     holomorphic_derivative,
     laplacian,
     metric_from_potential,
-    positivity_margin,
     ricci_field,
     ricci_potential,
     scalar_from_modes,
@@ -117,8 +117,7 @@ class TestMetricField:
     def test_flat_metric_margin(self):
         grid = PeriodicGrid(n=2, N=8)
         g = flat_metric(grid)
-        assert positivity_margin(g) == pytest.approx(1.0)
-        g.require_positive()
+        assert g.require_positive() == pytest.approx(1.0)
 
     def test_rejects_non_hermitian(self):
         grid = PeriodicGrid(n=2, N=8)
@@ -178,16 +177,31 @@ class TestRicci:
 
 class TestCurvatureTensor:
     def test_trace_matches_ricci_to_discretization_error(self):
-        gap = {}
-        for N in (16, 32):
-            grid = PeriodicGrid(n=1, N=N)
-            x = grid.coordinates()[0]
-            g = metric_from_potential(grid, 0.02 * np.cos(2 * np.pi * x))
-            R = curvature_field(grid, g)
-            traced = np.einsum("...ijkl,...kl->...ij", R, g.inverse())
-            ric = ricci_field(grid, g).values
-            gap[N] = np.max(np.abs(traced - ric))
-        assert 0 < gap[32] <= gap[16] / 3.0
+        # n=1 on fd2 (second order), and n=2 spectral with a complex g_12,
+        # where the order of the traced index pair matters.
+        for n, coarse, fine in ((1, 16, 32), (2, 8, 16)):
+            gap = {}
+            for N in (coarse, fine):
+                if n == 1:
+                    grid = PeriodicGrid(n=1, N=N)
+                    x = grid.coordinates()[0]
+                    g = metric_from_potential(grid, 0.02 * np.cos(2 * np.pi * x))
+                else:
+                    grid, g = self._n2_complex_offdiagonal_metric(N)
+                traced = g_trace(g.inverse(), curvature_field(grid, g))
+                ric = ricci_field(grid, g).values
+                gap[N] = np.max(np.abs(traced - ric))
+            assert 0 < gap[fine] <= gap[coarse] / 3.0
+
+    @staticmethod
+    def _n2_complex_offdiagonal_metric(N):
+        """Spectral n=2 metric from mixed wavevectors (1,0,0,1), (0,1,1,0):
+        each pairs x of one complex coordinate with y of the other, so g_12
+        is complex and g^{lk} differs from g^{kl}."""
+        grid = PeriodicGrid(n=2, N=N, discretization="spectral")
+        x1, y1, x2, y2 = grid.coordinates()
+        phi = 0.01 * (np.cos(2 * np.pi * (x1 + y2)) + np.sin(2 * np.pi * (y1 + x2)))
+        return grid, metric_from_potential(grid, phi)
 
     @staticmethod
     def _n2_potential_metric(N, disc):
@@ -233,6 +247,18 @@ class TestCurvatureTensor:
             residuals[N] = report.residual_vs_trace
         order = np.log2(residuals[16] / residuals[32])
         assert order >= 1.8
+
+    def test_ricci_potential_trace_converges_n2_complex_offdiagonal(self):
+        residuals = {}
+        for N in (8, 16):
+            grid, g = self._n2_complex_offdiagonal_metric(N)
+            assert np.max(np.abs(g.values[..., 0, 1].imag)) > 0.1
+            report = ricci_potential(grid, g)
+            assert report.residual_vs_direct <= 1e-12
+            residuals[N] = report.residual_vs_trace
+        # Spectral accuracy: the gap falls by orders of magnitude.
+        assert residuals[16] <= 1e-5
+        assert residuals[16] <= residuals[8] / 100.0
 
 
 class TestLaplacian:

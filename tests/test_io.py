@@ -255,3 +255,37 @@ class TestFlowConfig:
         save_json(path, {"grid": {"n": 1, "N": 8}, "background": {"surprise": 1}})
         with pytest.raises(ValueError, match="'modes' or 'file'"):
             load_flow_config(path)
+
+    def test_every_config_key_loads(self, tmp_path):
+        path = tmp_path / "flow.json"
+        modes = {"modes": [{"k": [1, 0], "amp": 0.01}]}
+        save_json(
+            path,
+            {
+                "grid": {"n": 1, "N": 8},
+                "background": modes,
+                "twist": {"c": 0.0, "u": modes},
+                "dt": 1e-3,
+                "t_end": 0.1,
+                "cadence": 2,
+                "alpha": 2.0,
+                "beta": 0.5,
+                "mu": 1.0,
+                "checks": {"schwarz": 1e-2},
+            },
+        )
+        job = load_flow_config(path)
+        assert (job.config.alpha, job.config.beta, job.mu) == (2.0, 0.5, 1.0)
+
+    def test_non_object_rejected(self, tmp_path):
+        path = tmp_path / "flow.json"
+        save_json(path, 5)
+        with pytest.raises(ValueError, match="JSON object"):
+            load_flow_config(path)
+
+    @pytest.mark.parametrize("key", ["sigma_init", "t_final"])
+    def test_unknown_key_rejected(self, tmp_path, key):
+        path = tmp_path / "flow.json"
+        save_json(path, {"grid": {"n": 1, "N": 8}, key: 0.5})
+        with pytest.raises(ValueError, match=f"unknown flow config key '{key}'"):
+            load_flow_config(path)
