@@ -14,9 +14,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import HypothesisError
+from .errors import FlowDegenerateError, HypothesisError
 from .extremes import CertifyOptions, certify_k_ricci
 from .flow import (
+    CENTERED_SNAPSHOTS,
     check_potential_identities,
     check_scalar_bound,
     check_schwarz,
@@ -195,7 +196,11 @@ def _cmd_certify(args) -> int:
 
 def _cmd_flow(args) -> int:
     job = load_flow_config(args.config, discretization=args.discretization)
-    result = run_flow(job.config)
+    degenerate = None
+    try:
+        result = run_flow(job.config)
+    except FlowDegenerateError as err:
+        degenerate, result = err, err.result
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / "flow.csv"
@@ -222,7 +227,22 @@ def _cmd_flow(args) -> int:
         "ok": bool(vol_min >= -tol_volume * vol_scale),
     }
 
-    if "schwarz" in job.checks:
+    snapshots = len(result.snapshots)
+    skipped = (
+        f"needs {CENTERED_SNAPSHOTS} snapshots, the run has {snapshots}"
+        if snapshots < CENTERED_SNAPSHOTS
+        else None
+    )
+    for name in ("schwarz", "potential_identities"):
+        if skipped and name in job.checks:
+            checks[name] = {
+                "enabled": True,
+                "tolerance": job.checks[name],
+                "skipped": skipped,
+                "ok": False,
+            }
+
+    if "schwarz" in job.checks and not skipped:
         schwarz_rep = check_schwarz(result)
         checks["schwarz"] = {
             "enabled": True,
@@ -231,7 +251,7 @@ def _cmd_flow(args) -> int:
             "ok": bool(schwarz_rep.worst_negative <= job.checks["schwarz"]),
         }
 
-    if "potential_identities" in job.checks:
+    if "potential_identities" in job.checks and not skipped:
         tol_pot = job.checks["potential_identities"]
         pot_rep = check_potential_identities(result)
         checks["potential_identities"] = {
@@ -260,7 +280,7 @@ def _cmd_flow(args) -> int:
                 "ok": False,
             }
 
-    ok = all(entry["ok"] for entry in checks.values())
+    ok = degenerate is None and all(entry["ok"] for entry in checks.values())
     record = {
         "kind": "flow",
         "config": str(job.source),
@@ -273,12 +293,17 @@ def _cmd_flow(args) -> int:
         "checks": checks,
         "ok": ok,
     }
+    if degenerate is not None:
+        record["degenerate_at"] = degenerate.t
+        record["degenerate_reason"] = str(degenerate)
     report_path = out / "flow_report.json"
     append_report(report_path, record)
     print(f"time series written to {csv_path}")
     print(f"report appended to {report_path}")
     for name, entry in checks.items():
         print(f"{name:<24} {'PASS' if entry['ok'] else 'FAIL'}")
+    if degenerate is not None:
+        print(f"flow degenerate: {degenerate}")
     print(f"flow: t={result.final.t:.6g} steps={result.steps} ok={ok}")
     return 0 if ok else 1
 

@@ -15,12 +15,16 @@ class DegeneracyError(RuntimeError):
 
 
 class FlowDegenerateError(RuntimeError):
-    """The flow could not be continued past the reported time."""
+    """The flow could not be continued past the reported time.
 
-    def __init__(self, message, t=None, margin=None):
+    ``result`` is the partial flow result up to that time, when there is one.
+    """
+
+    def __init__(self, message, t=None, margin=None, result=None):
         super().__init__(message)
         self.t = t
         self.margin = margin
+        self.result = result
 
 
 class ResourceLimitError(RuntimeError):

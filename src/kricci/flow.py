@@ -70,6 +70,10 @@ __all__ = [
 # Relative tolerance for the imaginary part of g-traces of Hermitian fields.
 TRACE_REAL_TOL = 1e-9
 
+# Snapshots a centered time difference needs; the checks that take one
+# (potential identities, Schwarz) have nothing to check with fewer.
+CENTERED_SNAPSHOTS = 3
+
 
 @dataclass
 class TwistSpec:
@@ -215,7 +219,8 @@ def run_flow(config: FlowConfig) -> FlowResult:
     Raises :class:`FlowDegenerateError` when the metric cannot be kept
     positive even after halving the step ``max_halvings`` times, when the
     step collapses below dt_initial * 2^-40, or when the step budget runs
-    out before t_final.
+    out before t_final.  The error carries the partial result, whose last
+    snapshot is the last accepted state.
     """
     model = FlowModel(config)
     grid = config.grid
@@ -228,21 +233,31 @@ def run_flow(config: FlowConfig) -> FlowResult:
     margin = model.h_margin
     snapshots = [FlowSnapshot(t=0.0, phi=phi.copy(), phidot=phidot.copy())]
     steps = 0
+
+    def snapshot():
+        if not np.isclose(snapshots[-1].t, t, rtol=0, atol=1e-15):
+            snapshots.append(FlowSnapshot(t=t, phi=phi.copy(), phidot=phidot.copy()))
+
+    def finish():
+        result = FlowResult(
+            config=config, model=model, sigma=sigma, snapshots=snapshots, rows=[], steps=steps
+        )
+        result.rows = _diagnostics(result)
+        return result
+
+    def degenerate(message, stop_margin):
+        snapshot()
+        return FlowDegenerateError(message, t=t, margin=stop_margin, result=finish())
+
     dt_floor = config.dt_initial * 2.0**-40
     cfl = config.cfl_safety * grid.spacing**2 / (2.0 * n)
     while t < config.t_final * (1.0 - 1e-12):
         if steps >= config.max_steps:
-            raise FlowDegenerateError(
-                f"step budget {config.max_steps} exhausted at t={t:.6g}",
-                t=t,
-                margin=margin,
-            )
+            raise degenerate(f"step budget {config.max_steps} exhausted at t={t:.6g}", margin)
         dt = min(config.dt_initial, cfl * margin, config.t_final - t)
         if dt <= dt_floor:
-            raise FlowDegenerateError(
-                f"step size collapsed at t={t:.6g} (metric margin {margin:.3e})",
-                t=t,
-                margin=margin,
+            raise degenerate(
+                f"step size collapsed at t={t:.6g} (metric margin {margin:.3e})", margin
             )
         accepted = None
         for _ in range(config.max_halvings + 1):
@@ -253,27 +268,16 @@ def run_flow(config: FlowConfig) -> FlowResult:
                 last_margin = err.margin
                 dt *= 0.5
         if accepted is None:
-            raise FlowDegenerateError(
+            raise degenerate(
                 f"flow degenerate at t={t:.6g} after {config.max_halvings} halvings",
-                t=t,
-                margin=last_margin,
+                last_margin,
             )
         phi, phidot, margin = accepted
         t += dt
         steps += 1
         if steps % config.diagnostics_every == 0 or t >= config.t_final * (1.0 - 1e-12):
-            if not np.isclose(snapshots[-1].t, t, rtol=0, atol=1e-15):
-                snapshots.append(FlowSnapshot(t=t, phi=phi.copy(), phidot=phidot.copy()))
-    result = FlowResult(
-        config=config,
-        model=model,
-        sigma=sigma,
-        snapshots=snapshots,
-        rows=[],
-        steps=steps,
-    )
-    result.rows = _diagnostics(result)
-    return result
+            snapshot()
+    return finish()
 
 
 def homogeneous_phi(n: int, c: float, t) -> np.ndarray:
@@ -459,7 +463,7 @@ def check_potential_identities(result: FlowResult) -> PotentialIdentityReport:
     model = result.model
     grid = model.grid
     snaps = result.snapshots
-    if len(snaps) < 3:
+    if len(snaps) < CENTERED_SNAPSHOTS:
         raise ValueError("need at least three snapshots for centered differences")
     res_phi = 0.0
     res_phidot = 0.0
@@ -558,7 +562,7 @@ def check_trace_evolution(
     v = (2.0 * beta / alpha) * model.u
     rho = model.ric_h.values + dbar_hessian(grid, phi_twist)
     gap = mu * model.h.values + dbar_hessian(grid, v) - rho
-    gap_margin = float(np.linalg.eigvalsh(gap)[..., 0].min())
+    gap_margin = float(MetricField(grid, gap).smallest_eigenvalues().min())
     if gap_margin <= 0:
         raise HypothesisError(
             "rho < mu omega_h + d dbar v",

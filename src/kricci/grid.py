@@ -13,10 +13,15 @@ difference on a repeated axis and compositions of centered first differences
 across axes; all shifts commute, so Hermiticity of the complex Hessian and
 the curvature tensor symmetries hold exactly, not just to truncation order.
 ``spectral`` differentiates in Fourier space with the Nyquist mode zeroed for
-odd derivatives.  On the fd2 grid a single cosine mode eps*cos(2 pi x) has
-discrete complex Hessian -s_N * eps * cos(2 pi x) with
-s_N = sin(pi/N)^2 N^2; the spectral operator reproduces the continuum
-factor pi^2 exactly.
+odd derivatives; its complex Hessian transforms each field once over the
+grid axes and applies every entry's symbol before one inverse transform.
+On the fd2 grid a single cosine mode eps*cos(2 pi x) has discrete complex
+Hessian -s_N * eps * cos(2 pi x) with s_N = sin(pi/N)^2 N^2; the spectral
+operator reproduces the continuum factor pi^2 exactly.
+
+Because n <= 2, the metric kernels (smallest eigenvalue, log determinant,
+inverse) are closed forms in the entries of the 1x1 or 2x2 matrix at each
+point rather than batched LAPACK calls.
 """
 
 from __future__ import annotations
@@ -80,62 +85,89 @@ class PeriodicGrid:
         return list(np.meshgrid(*([ticks] * 2 * self.n), indexing="ij"))
 
 
-def _spectral_wavenumbers(N: int, zero_nyquist: bool) -> np.ndarray:
+def _spectral_factor(N: int, order: int) -> np.ndarray:
+    """Fourier symbol of d/dx (Nyquist zeroed) or d^2/dx^2 along one axis."""
     k = np.fft.fftfreq(N, d=1.0 / N)
-    if zero_nyquist:
-        k = k.copy()
-        k[N // 2] = 0.0
-    return k
+    if order == 2:
+        return -((2.0 * np.pi * k) ** 2)
+    k[N // 2] = 0.0
+    return 2j * np.pi * k
 
 
-def _spectral_apply(f: np.ndarray, axis: int, N: int, factor: np.ndarray) -> np.ndarray:
-    shape = [1] * f.ndim
-    shape[axis] = N
-    out = np.fft.ifft(np.fft.fft(f, axis=axis) * factor.reshape(shape), axis=axis)
-    return out if np.iscomplexobj(f) else out.real
+def _along(factor: np.ndarray, axis: int, ndim: int) -> np.ndarray:
+    """A per-axis factor shaped to broadcast along ``axis`` of an ndim array."""
+    shape = [1] * ndim
+    shape[axis] = factor.size
+    return factor.reshape(shape)
 
 
 def _d1(grid: PeriodicGrid, f: np.ndarray, axis: int) -> np.ndarray:
     """Centered (or spectral) first derivative along a real axis."""
     if grid.discretization == "fd2":
         return (np.roll(f, -1, axis=axis) - np.roll(f, 1, axis=axis)) * (grid.N / 2.0)
-    k = _spectral_wavenumbers(grid.N, zero_nyquist=True)
-    return _spectral_apply(f, axis, grid.N, 2j * np.pi * k)
-
-
-def _d2(grid: PeriodicGrid, f: np.ndarray, axis: int) -> np.ndarray:
-    """Second derivative along a single real axis."""
-    if grid.discretization == "fd2":
-        return (
-            np.roll(f, -1, axis=axis) + np.roll(f, 1, axis=axis) - 2.0 * f
-        ) * float(grid.N) ** 2
-    k = _spectral_wavenumbers(grid.N, zero_nyquist=False)
-    return _spectral_apply(f, axis, grid.N, -((2.0 * np.pi * k) ** 2))
+    factor = _along(_spectral_factor(grid.N, 1), axis, f.ndim)
+    out = np.fft.ifft(np.fft.fft(f, axis=axis) * factor, axis=axis)
+    return out if np.iscomplexobj(f) else out.real
 
 
 def _dd(grid: PeriodicGrid, f: np.ndarray, a: int, b: int) -> np.ndarray:
-    """Mixed second derivative along real axes a, b."""
+    """fd2 mixed second derivative along real axes a, b."""
     if a == b:
-        return _d2(grid, f, a)
+        return (np.roll(f, -1, axis=a) + np.roll(f, 1, axis=a) - 2.0 * f) * float(grid.N) ** 2
     return _d1(grid, _d1(grid, f, b), a)
+
+
+def _spectral_symbol(N: int, ndim: int, a: int, b: int) -> np.ndarray:
+    """Fourier symbol of the mixed second derivative along real axes a, b."""
+    if a == b:
+        return _along(_spectral_factor(N, 2), a, ndim)
+    d1 = _spectral_factor(N, 1)
+    return _along(d1, a, ndim) * _along(d1, b, ndim)
 
 
 def dbar_hessian(grid: PeriodicGrid, f: np.ndarray) -> np.ndarray:
     """The complex Hessian d_i dbar_j f, appended as two trailing axes.
 
     ``f`` may carry trailing component axes beyond the grid axes (they ride
-    along), and may be complex.  For real input the output is Hermitian in
-    its two new axes exactly, by commutativity of the shift operators.
+    along), and may be complex.  Entry (i, j) is (even + i odd) / 4 with
+    even = dx_i dx_j + dy_i dy_j and odd = dx_i dy_j - dy_i dx_j; odd is
+    identically zero on the diagonal.  For real input only i <= j is computed
+    and (j, i) is its conjugate, so the output is exactly Hermitian.
     """
     n = grid.n
+    real = not np.iscomplexobj(f)
+    if grid.discretization == "spectral":
+        axes = tuple(range(2 * n))
+        spectrum = np.fft.fftn(f, axes=axes)
+
+        def dd(a, b):
+            return _spectral_symbol(grid.N, f.ndim, a, b)
+
+        def finish(symbol):
+            return np.fft.ifftn(spectrum * symbol, axes=axes)
+
+    else:
+
+        def dd(a, b):
+            return _dd(grid, f, a, b)
+
+        def finish(value):
+            return value
+
     out = np.empty(f.shape + (n, n), dtype=complex)
     for i in range(n):
+        xi, yi = 2 * i, 2 * i + 1
+        diagonal = finish(0.25 * (dd(xi, xi) + dd(yi, yi)))
+        out[..., i, i] = diagonal.real if real else diagonal
         for j in range(n):
-            xi, yi = 2 * i, 2 * i + 1
+            if j == i or (real and j < i):
+                continue
             xj, yj = 2 * j, 2 * j + 1
-            even = _dd(grid, f, xi, xj) + _dd(grid, f, yi, yj)
-            odd = _dd(grid, f, xi, yj) - _dd(grid, f, yi, xj)
-            out[..., i, j] = 0.25 * (even + 1j * odd)
+            even = dd(xi, xj) + dd(yi, yj)
+            odd = dd(xi, yj) - dd(yi, xj)
+            out[..., i, j] = finish(0.25 * (even + 1j * odd))
+            if real:
+                out[..., j, i] = np.conj(out[..., i, j])
     return out
 
 
@@ -193,17 +225,58 @@ class MetricField:
     def n(self) -> int:
         return self.grid.n
 
+    def _entries(self):
+        """(a, d, b, det) with g = [[a, b], [conj(b), d]] at every point.
+
+        At n=1, d and b are None and det = a = g_00.
+        """
+        v = self.values
+        a = v[..., 0, 0].real
+        if self.n == 1:
+            return a, None, None, a
+        d = v[..., 1, 1].real
+        b = v[..., 0, 1]
+        return a, d, b, a * d - (b.real**2 + b.imag**2)
+
     def inverse(self) -> np.ndarray:
-        return np.linalg.inv(self.values)
+        """g^{-1} = adj(g) / det g (no positivity check)."""
+        a, d, b, det = self._entries()
+        out = np.empty_like(self.values)
+        inv_det = 1.0 / det
+        if self.n == 1:
+            out[..., 0, 0] = inv_det
+            return out
+        out[..., 0, 0] = d * inv_det
+        out[..., 1, 1] = a * inv_det
+        out[..., 0, 1] = -b * inv_det
+        out[..., 1, 0] = np.conj(out[..., 0, 1])
+        return out
 
     def log_determinant(self) -> np.ndarray:
-        sign, logabs = np.linalg.slogdet(self.values)
-        if np.max(np.abs(sign - 1.0)) > 1e-8:
+        det = self._entries()[3]
+        if not np.all(det > 0.0):
             raise DegeneracyError("metric determinant is not positive everywhere")
-        return logabs
+        # xlogy(1, x) is the C library's log, the one LAPACK's slogdet used:
+        # numpy's vectorised log differs from it in the last bit on some
+        # inputs, which the flow's Schwarz margins turn into relative changes
+        # near 1e-6.  Imported here so that runs without grid metrics (the
+        # certifier, the suites) do not load scipy.special.
+        from scipy.special import xlogy
+
+        return xlogy(1.0, det)
 
     def smallest_eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.values)[..., 0]
+        """lambda_min, as det / lambda_max where the mean eigenvalue is
+        positive: this avoids cancellation and keeps the sign of det."""
+        a, d, b, det = self._entries()
+        if self.n == 1:
+            return a.copy()
+        half_trace = 0.5 * (a + d)
+        radius = np.hypot(0.5 * (a - d), np.abs(b))
+        # Elsewhere lambda_min = mean - radius has no cancellation.
+        out = half_trace - radius
+        np.divide(det, half_trace + radius, out=out, where=half_trace > 0.0)
+        return out
 
     def require_positive(self, what: str = "metric") -> float:
         """The smallest eigenvalue over the grid; raises unless it is positive."""

@@ -8,11 +8,14 @@ import numpy as np
 import pytest
 
 from kricci.cli import main
+from kricci.errors import DegeneracyError
+from kricci.flow import FlowModel
 from kricci.forms import BihermitianForm, HermitianForm, b_form
 from kricci.io import (
     FLOW_CSV_COLUMNS,
     load_report,
     load_tensor,
+    read_flow_csv,
     save_json,
     save_tensor,
 )
@@ -173,6 +176,64 @@ class TestFlow:
         entry = record["checks"]["trace_evolution"]
         assert entry["ok"] is False
         assert "Hessian" in entry["hypothesis_rejected"]
+
+
+    def test_degenerate_run_records_partial_rows(self, tmp_path, capsys):
+        config = tmp_path / "horizon.json"
+        save_json(
+            config,
+            {
+                "grid": {"n": 1, "N": 8},
+                "twist": {"c": 2.0},
+                "dt": 1e-2,
+                "t_end": 1.0,
+                "cadence": 50,
+                "checks": {"schwarz": 1e-2, "potential_identities": 1e-2},
+            },
+        )
+        out = tmp_path / "out"
+        assert run_cli("flow", config, "--out", out) == 1
+        assert "step size collapsed" in capsys.readouterr().out
+        record = load_report(out / "flow_report.json")["runs"][0]
+        assert record["ok"] is False
+        assert record["degenerate_at"] == pytest.approx(0.5, abs=1e-2)
+        assert "step size collapsed" in record["degenerate_reason"]
+        assert record["t_final"] == record["degenerate_at"]
+        assert sorted(record["checks"]) == [
+            "potential_identities", "scalar_bound", "schwarz", "volume_bound"
+        ]
+        assert all("skipped" not in entry for entry in record["checks"].values())
+        rows = read_flow_csv(out / "flow.csv")
+        assert rows[0].t == 0.0
+        assert rows[-1].t == record["degenerate_at"]
+        assert len(rows) == 2 + record["steps"] // 50
+
+    def test_degenerate_at_start_skips_centered_checks(self, tmp_path, monkeypatch):
+        def always_degenerate(self, t, phi):
+            raise DegeneracyError("forced failure", margin=-1.0)
+
+        monkeypatch.setattr(FlowModel, "rhs", always_degenerate)
+        config = tmp_path / "stuck.json"
+        save_json(
+            config,
+            {
+                "grid": {"n": 1, "N": 8},
+                "dt": 1e-2,
+                "t_end": 0.2,
+                "checks": {"schwarz": 1e-2, "potential_identities": 1e-2},
+            },
+        )
+        out = tmp_path / "out"
+        assert run_cli("flow", config, "--out", out) == 1
+        record = load_report(out / "flow_report.json")["runs"][0]
+        assert record["degenerate_at"] == 0.0
+        assert record["steps"] == 0
+        for name in ("schwarz", "potential_identities"):
+            entry = record["checks"][name]
+            assert entry["ok"] is False
+            assert entry["skipped"] == "needs 3 snapshots, the run has 1"
+        assert record["checks"]["scalar_bound"]["ok"] is True
+        assert len(read_flow_csv(out / "flow.csv")) == 1
 
 
 class TestReportCommand:

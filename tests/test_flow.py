@@ -153,6 +153,73 @@ class TestDegeneracy:
         assert excinfo.value.margin == -1.0
 
 
+    def test_degenerate_error_carries_partial_result(self):
+        config = homogeneous_config(c=2.0, t_final=1.0, dt=1e-2)
+        with pytest.raises(FlowDegenerateError) as excinfo:
+            run_flow(config)
+        err = excinfo.value
+        result = err.result
+        assert result.steps > 0
+        assert len(result.rows) == len(result.snapshots) > 3
+        # The last accepted state is the final snapshot and row.
+        assert result.final.t == err.t
+        assert result.rows[-1].t == err.t
+        assert result.rows[-1].positivity_margin == pytest.approx(err.margin, rel=1e-12)
+        times = [row.t for row in result.rows]
+        assert times == sorted(times) and times[0] == 0.0
+        assert all(row.positivity_margin > 0 for row in result.rows)
+        # g(t) = (1 - 2t) h: the rows follow the closed form up to the end.
+        for snap in result.snapshots:
+            assert np.max(np.abs(snap.phidot - homogeneous_phidot(1, 2.0, snap.t))) < 1e-9
+        assert check_schwarz(result).times.size == len(result.snapshots) - 2
+
+    def test_halvings_exhausted_keeps_initial_row(self, monkeypatch):
+        config = homogeneous_config(c=0.0, t_final=0.1, dt=1e-2, max_halvings=3)
+
+        def always_degenerate(self, t, phi):
+            raise DegeneracyError("forced failure", margin=-1.0)
+
+        monkeypatch.setattr(FlowModel, "rhs", always_degenerate)
+        with pytest.raises(FlowDegenerateError) as excinfo:
+            run_flow(config)
+        result = excinfo.value.result
+        assert result.steps == 0
+        assert [row.t for row in result.rows] == [0.0]
+        assert result.rows[0].positivity_margin == pytest.approx(1.0)
+
+
+class TestNoLapackOnFlowPath:
+    """The flow's step and diagnostics use the closed-form n <= 2 kernels."""
+
+    @pytest.fixture(autouse=True)
+    def forbid_lapack(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("LAPACK call on the flow path")
+
+        for name in ("eigvalsh", "slogdet", "inv"):
+            monkeypatch.setattr(np.linalg, name, forbidden)
+
+    @pytest.mark.parametrize(
+        "n, N, disc, wavevector",
+        [(1, 16, "fd2", (1, 0)), (2, 8, "spectral", (1, 0, 0, 1))],
+    )
+    def test_flow_and_checks_run(self, n, N, disc, wavevector):
+        grid = PeriodicGrid(n, N, disc)
+        config = FlowConfig(
+            grid=grid,
+            background=perturbed_potential(grid, 0.01, wavevector),
+            twist=TwistSpec(c=0.0, potential=perturbed_potential(grid, 0.005, wavevector)),
+            t_final=0.004,
+            dt_initial=1e-3,
+            diagnostics_every=1,
+        )
+        result = run_flow(config)
+        assert result.steps >= 4
+        assert check_scalar_bound(result).ok
+        check_potential_identities(result)
+        check_schwarz(result)
+
+
 class TestHorizonEstimate:
     def test_contracting_twist_extrapolates_exactly(self):
         result = run_flow(homogeneous_config(c=0.5, t_final=1.0, dt=1e-3, every=20))

@@ -98,6 +98,85 @@ class TestDbarHessian:
         assert_allclose(hess[..., 0, 0, 0], dbar_hessian(grid, f[..., 0])[..., 0, 0])
 
 
+def per_axis_hessian(grid, f):
+    """All n^2 entries of d_i dbar_j f from one-axis derivatives, as reference."""
+    n = grid.n
+    k = np.fft.fftfreq(grid.N, d=1.0 / grid.N)
+    k_odd = np.where(np.abs(k) == grid.N // 2, 0.0, k)
+
+    def spectral(g, axis, symbol):
+        shape = [1] * f.ndim
+        shape[axis] = grid.N
+        return np.fft.ifft(np.fft.fft(g, axis=axis) * symbol.reshape(shape), axis=axis)
+
+    def d1(g, axis):
+        if grid.discretization == "fd2":
+            return (np.roll(g, -1, axis) - np.roll(g, 1, axis)) * (grid.N / 2)
+        return spectral(g, axis, 2j * np.pi * k_odd)
+
+    def d2(g, axis):
+        if grid.discretization == "fd2":
+            return (np.roll(g, -1, axis) + np.roll(g, 1, axis) - 2.0 * g) * grid.N**2
+        return spectral(g, axis, -((2.0 * np.pi * k) ** 2))
+
+    def dd(a, b):
+        return d2(f, a) if a == b else d1(d1(f, b), a)
+
+    out = np.empty(f.shape + (n, n), dtype=complex)
+    for i in range(n):
+        for j in range(n):
+            even = dd(2 * i, 2 * j) + dd(2 * i + 1, 2 * j + 1)
+            odd = dd(2 * i, 2 * j + 1) - dd(2 * i + 1, 2 * j)
+            out[..., i, j] = 0.25 * (even + 1j * odd)
+    return out
+
+
+class TestHessianAgainstPerAxis:
+    """The one-transform spectral Hessian and the Hermitian-half fd2 Hessian
+    against the composition of one-axis derivatives."""
+
+    @staticmethod
+    def inputs(grid):
+        rng = np.random.default_rng([grid.n, grid.N])
+        real = rng.standard_normal(grid.shape)
+        complex_ = real + 1j * rng.standard_normal(grid.shape)
+        trailing = rng.standard_normal(grid.shape + (2, 2)) + 1j * rng.standard_normal(
+            grid.shape + (2, 2)
+        )
+        return {"real": real, "complex": complex_, "trailing": trailing,
+                "real-trailing": trailing.real.copy()}
+
+    @pytest.mark.parametrize("disc", ["fd2", "spectral"])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_matches_per_axis_composition(self, n, disc):
+        grid = PeriodicGrid(n=n, N=8, discretization=disc)
+        for kind, f in self.inputs(grid).items():
+            hess = dbar_hessian(grid, f)
+            ref = per_axis_hessian(grid, f)
+            assert hess.shape == ref.shape, kind
+            scale = np.max(np.abs(ref))
+            assert np.max(np.abs(hess - ref)) <= 1e-12 * scale, kind
+
+    @pytest.mark.parametrize("disc", ["fd2", "spectral"])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_real_input_is_bitwise_hermitian(self, n, disc):
+        grid = PeriodicGrid(n=n, N=8, discretization=disc)
+        f = self.inputs(grid)["real"]
+        hess = dbar_hessian(grid, f)
+        assert np.array_equal(hess, np.conj(np.swapaxes(hess, -1, -2)))
+
+    def test_fd2_hermitian_half_equals_full_computation(self):
+        # The lower triangle is the conjugate of the upper one instead of
+        # its own difference chain; both agree to roundoff.
+        grid = PeriodicGrid(n=2, N=8)
+        f = self.inputs(grid)["real"]
+        hess = dbar_hessian(grid, f)
+        ref = per_axis_hessian(grid, f)
+        assert np.array_equal(hess[..., 0, 1], ref[..., 0, 1])
+        assert np.array_equal(hess.real[..., 0, 0], ref.real[..., 0, 0])
+        assert np.max(np.abs(hess - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
 class TestHolomorphicDerivative:
     def test_spectral_cosine(self):
         grid = PeriodicGrid(n=1, N=16, discretization="spectral")
@@ -146,6 +225,113 @@ class TestMetricField:
             g.require_positive()
         assert err.value.margin == pytest.approx(-1.0, abs=1e-12)
         assert err.value.worst_point == (0, 0)
+
+
+def random_metric_values(n, shape, rng, near_singular_every=0):
+    """Hermitian (n x n) fields with random eigenvalues and frames; every
+    ``near_singular_every``-th point gets lambda_min = 1e-10 tr g."""
+    count = int(np.prod(shape))
+    lam = rng.uniform(0.3, 3.0, size=(count, n))
+    if near_singular_every:
+        lam[::near_singular_every, 0] = 1e-10 * lam[::near_singular_every].sum(axis=1)
+    z = rng.standard_normal((count, n, n)) + 1j * rng.standard_normal((count, n, n))
+    U, _ = np.linalg.qr(z)
+    values = np.einsum("pij,pj,pkj->pik", U, lam, np.conj(U))
+    values = 0.5 * (values + np.conj(np.swapaxes(values, -1, -2)))
+    return values.reshape(tuple(shape) + (n, n))
+
+
+class TestClosedFormKernels:
+    """lambda_min, log det and g^-1 against LAPACK.  Where g is nearly
+    singular every double-precision method carries an error of order
+    eps * cond(g), so the tolerance is 1e-12 relative plus that."""
+
+    EPS = np.finfo(float).eps
+
+    @pytest.fixture(params=[1, 2])
+    def field(self, request):
+        n = request.param
+        grid = PeriodicGrid(n=n, N=8)
+        rng = np.random.default_rng(n)
+        g = MetricField(grid, random_metric_values(n, grid.shape, rng, near_singular_every=7))
+        eig = np.linalg.eigvalsh(g.values)
+        cond = eig[..., -1] / eig[..., 0]
+        return g, eig, cond
+
+    def test_offdiagonal_is_complex_and_some_points_near_singular(self, field):
+        g, eig, cond = field
+        if g.n == 2:
+            assert np.max(np.abs(g.values[..., 0, 1].imag)) > 0.1
+            assert np.max(cond) > 1e9
+        else:
+            assert np.min(eig) < 1e-9
+
+    def test_smallest_eigenvalue(self, field):
+        g, eig, cond = field
+        diff = np.abs(g.smallest_eigenvalues() - eig[..., 0])
+        assert np.all(diff <= 1e-12 * eig[..., 0] + 16 * self.EPS * eig[..., -1])
+
+    def test_log_determinant(self, field):
+        g, eig, cond = field
+        _, ref = np.linalg.slogdet(g.values)
+        diff = np.abs(g.log_determinant() - ref)
+        assert np.all(diff <= 1e-12 * np.maximum(1.0, np.abs(ref)) + 16 * self.EPS * cond)
+
+    def test_inverse(self, field):
+        g, eig, cond = field
+        ref = np.linalg.inv(g.values)
+        inv = g.inverse()
+        assert np.array_equal(inv, np.conj(np.swapaxes(inv, -1, -2)))
+        diff = np.max(np.abs(inv - ref), axis=(-2, -1))
+        scale = np.max(np.abs(ref), axis=(-2, -1))
+        assert np.all(diff <= (1e-12 + 16 * self.EPS * cond) * scale)
+
+    def test_smallest_eigenvalue_has_no_cancellation(self):
+        # Exact entries with det = 2^-30: lambda_min = 2^-31 (1 - 2^-32) + O(2^-95),
+        # which mean - radius would get wrong in the tenth digit.
+        grid = PeriodicGrid(n=2, N=8)
+        values = np.zeros(grid.shape + (2, 2), dtype=complex)
+        values[...] = [[1.0, 1j], [-1j, 1.0 + 2.0**-30]]
+        lam = MetricField(grid, values).smallest_eigenvalues()
+        assert_allclose(lam, 2.0**-31 * (1.0 - 2.0**-32), rtol=1e-15, atol=0)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_indefinite_field_is_rejected_at_worst_point(self, n):
+        grid = PeriodicGrid(n=n, N=8)
+        rng = np.random.default_rng(10 + n)
+        values = random_metric_values(n, grid.shape, rng)
+        worst = (3, 5) if n == 1 else (1, 6, 2, 7)
+        other = (6, 0) if n == 1 else (4, 4, 0, 1)
+        values[worst] = np.diag([-0.5] + [2.0] * (n - 1))
+        values[other] = np.diag([-0.25] + [1.0] * (n - 1))
+        if n == 2:
+            # A negative definite point has det > 0 but is not the worst.
+            values[0, 0, 0, 0] = np.diag([-0.1, -0.2])
+        g = MetricField(grid, values)
+        with pytest.raises(DegeneracyError):
+            g.log_determinant()
+        with pytest.raises(DegeneracyError) as err:
+            g.require_positive()
+        assert err.value.worst_point == worst
+        assert err.value.margin == pytest.approx(-0.5, abs=1e-15)
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [[[-1.0, 0.5j], [-0.5j, -2.0]], [[0.0, 0.0], [0.0, -1.0]]],
+        ids=["negative-definite", "largest-eigenvalue-zero"],
+    )
+    def test_nonpositive_mean_eigenvalue_point(self, matrix):
+        # det > 0 or det = lambda_max = 0 here: lambda_min must not come from
+        # det / lambda_max.
+        grid = PeriodicGrid(n=2, N=8)
+        values = random_metric_values(2, grid.shape, np.random.default_rng(3))
+        values[2, 3, 4, 5] = matrix
+        g = MetricField(grid, values)
+        with pytest.raises(DegeneracyError) as err:
+            g.require_positive()
+        assert err.value.worst_point == (2, 3, 4, 5)
+        expected = np.linalg.eigvalsh(values[2, 3, 4, 5])[0]
+        assert err.value.margin == pytest.approx(expected, rel=1e-12)
 
 
 class TestRicci:
