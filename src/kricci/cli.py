@@ -186,7 +186,8 @@ def _cmd_certify(args) -> int:
     print(
         f"status={cert.status} k={cert.k} value={cert.value:+.12e} "
         f"bound={cert.bound:+.6e} margin={cert.margin:+.3e} "
-        f"converged={cert.n_converged} iterations={cert.iterations}"
+        f"converged={cert.n_converged} small_gradient={cert.n_small_gradient} "
+        f"stalled={cert.n_stalled} iterations={cert.iterations}"
     )
     if args.out:
         save_certificate(args.out, cert)

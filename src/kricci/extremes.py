@@ -26,6 +26,8 @@ from .forms import (
     SubspaceBasis,
     cholesky_frame,
     norm_h,
+    pair_products,
+    pairing_matrix,
     require_real,
     unit_sphere_samples,
 )
@@ -97,30 +99,39 @@ def _batch_eval(T, H, L, E, X, k, with_grad=False):
     Rows of X must be h-unit.  Returns (f,) or (f, G) where
     G[b, j] = df/d conj(X[b, j]) by the envelope rule for the eigenvalue sum,
     with the witnesses transported so they stay h-orthogonal to X.
+
+    The contractions are matmuls of the rows P = vec(X ⊗ X̄) against the
+    pairing matrix A[(p, q), (r, s)] = T[p, q, r, s], so no call plans an
+    einsum path.
     """
-    cX = np.conj(X)
-    T1 = np.einsum("pqrs,bp,bq->brs", T, X, cX, optimize=True)
-    quart = np.einsum("brs,br,bs->b", T1, X, cX).real
+    b, n = X.shape
+    A = pairing_matrix(T)
+    P = pair_products(X)
+    PA = P @ A
+    quart = np.einsum("bi,bi->b", PA, P).real
+    T1 = PA.reshape(b, n, n)
     if k == 1:
         f = quart
         u = None
     else:
         Q = _orthocomplement_batch(L, E, X)
-        M = np.einsum("brs,brP,bsQ->bPQ", T1, Q, np.conj(Q), optimize=True)
+        M = np.swapaxes(Q, 1, 2) @ T1 @ np.conj(Q)
         M = 0.5 * (M + np.conj(np.swapaxes(M, 1, 2)))
         w, V = np.linalg.eigh(M)
         sel = slice(M.shape[1] - (k - 1), M.shape[1])
         f = quart + w[:, sel].sum(axis=1)
-        u = np.einsum("bnP,bPi->bni", Q, np.conj(V[:, :, sel]))
+        u = Q @ np.conj(V[:, :, sel])
     if not with_grad:
         return (f,)
-    G = 2.0 * np.einsum("pjrs,bp,br,bs->bj", T, X, X, cX, optimize=True)
+    # G[b, j] = sum_p X[b, p] sum_rs T[p, j, r, s] D[b, r, s] with
+    # D = 2 X X̄ᵀ + u ūᵀ: the quartic term and the witnesses' subspace term.
+    D = 2.0 * P
     if u is not None:
-        W = np.einsum("bri,bsi->brs", u, np.conj(u))
-        G += np.einsum("pjrs,bp,brs->bj", T, X, W, optimize=True)
-        Hu = np.einsum("aj,bai->bji", H, u)
-        val = np.einsum("brs,br,bsi->bi", T1, X, np.conj(u))
-        G -= np.einsum("bji,bi->bj", Hu, val)
+        D += (u @ np.conj(np.swapaxes(u, 1, 2))).reshape(b, n * n)
+    G = (X[:, None, :] @ (D @ A.T).reshape(b, n, n))[:, 0, :]
+    if u is not None:
+        val = X[:, None, :] @ T1 @ np.conj(u)
+        G -= (H.T @ u @ np.swapaxes(val, 1, 2))[:, :, 0]
     return f, G
 
 
@@ -188,7 +199,6 @@ class CertifyOptions:
     step_init: float = 0.5
     armijo_c: float = 1e-4
     backtrack_max: int = 30
-    chunk: int = 256
 
     def __post_init__(self):
         if self.starts < 1 or self.presweep < self.starts:
@@ -204,6 +214,11 @@ class Certificate:
     reported witness) and ``margin = bound - value``, so a violation has a
     negative margin beyond the value tolerance.  ``witness`` attains ``value``
     via :func:`k_ricci_on`.
+
+    Each start ends in one of three ways: its projected gradient became small
+    (``n_small_gradient``), its line search backtracked to exhaustion without
+    an admissible increase (``n_stalled``), or the iteration budget ran out.
+    ``n_converged`` is the first-order exits, ``n_small_gradient + n_stalled``.
     """
 
     status: str
@@ -214,6 +229,8 @@ class Certificate:
     witness: SubspaceBasis | None
     n_converged: int
     iterations: int
+    n_small_gradient: int
+    n_stalled: int
 
 
 def certify_k_ricci(
@@ -247,10 +264,7 @@ def certify_k_ricci(
     L, E = cholesky_frame(h)
 
     sweep = unit_sphere_samples(h, opts.presweep, rng)
-    scores = np.empty(opts.presweep)
-    for lo in range(0, opts.presweep, opts.chunk):
-        sl = slice(lo, lo + opts.chunk)
-        scores[sl] = _batch_eval(T, H, L, E, sweep[sl], k)[0]
+    scores = _batch_eval(T, H, L, E, sweep, k)[0]
     X = sweep[np.argsort(scores)[::-1][: opts.starts]].copy()
 
     b = X.shape[0]
@@ -308,7 +322,9 @@ def certify_k_ricci(
     # gradient never becomes small.  A start whose line search backtracked to
     # exhaustion without an admissible increase is first-order terminal there,
     # so it counts as converged alongside the small-gradient exits.
-    n_conv = int((converged | stalled).sum())
+    n_small_gradient = int(converged.sum())
+    n_stalled = int(stalled.sum())
+    n_conv = n_small_gradient + n_stalled
     if value > bound + opts.value_tol:
         status = "violated"
     elif n_conv > 0:
@@ -324,4 +340,6 @@ def certify_k_ricci(
         witness=witness,
         n_converged=n_conv,
         iterations=iterations,
+        n_small_gradient=n_small_gradient,
+        n_stalled=n_stalled,
     )

@@ -37,6 +37,8 @@ __all__ = [
     "hermitian_eval",
     "hsc",
     "norm_h",
+    "pair_products",
+    "pairing_matrix",
     "quartic_values",
     "random_bihermitian",
     "random_hermitian",
@@ -308,21 +310,36 @@ def unit_sphere_samples(h: HermitianForm, count: int, rng: np.random.Generator) 
     return X / np.linalg.norm(W, axis=1)[:, None]
 
 
+def pairing_matrix(T: np.ndarray) -> np.ndarray:
+    """The (n², n²) view A[(i, j), (k, l)] = T[i, j, k, l] of a rank-4 tensor.
+
+    Row pairs are (unbarred, barred) slots 0 and 1, column pairs slots 2 and 3,
+    so S(X, Ȳ, Z, W̄) = vec(X ⊗ Ȳ) A vec(Z ⊗ W̄)ᵀ with vec as in
+    :func:`pair_products`.
+    """
+    n = T.shape[0]
+    return T.reshape(n * n, n * n)
+
+
+def pair_products(X: np.ndarray) -> np.ndarray:
+    """Rows vec(x ⊗ x̄), with x[i] conj(x[j]) at column i n + j, for each row x of X."""
+    return (X[:, :, None] * np.conj(X)[:, None, :]).reshape(X.shape[0], -1)
+
+
 def quartic_values(S: BihermitianForm, X: np.ndarray, chunk: int = 8192) -> np.ndarray:
     """S(X,X̄,X,X̄) for each row of X, batched and checked real.
 
-    Chunked so that million-sample Monte Carlo sweeps stay within memory.
+    Each chunk is sum (P A) P over the pairing matrix A and the rows
+    P = vec(X ⊗ X̄).  Chunked so that million-sample Monte Carlo sweeps stay
+    within memory.
     """
     X = np.asarray(X, dtype=complex)
     out = np.empty(X.shape[0])
-    T = S.entries
+    A = pairing_matrix(S.entries)
     for lo in range(0, X.shape[0], chunk):
-        sl = slice(lo, lo + chunk)
-        Xc = X[sl]
-        vals = np.einsum(
-            "ijkl,ai,aj,ak,al->a", T, Xc, np.conj(Xc), Xc, np.conj(Xc), optimize=True
-        )
-        out[sl] = _require_real_array(vals, what="diagonal quartic value")
+        P = pair_products(X[lo : lo + chunk])
+        vals = np.einsum("ai,ai->a", P @ A, P)
+        out[lo : lo + chunk] = _require_real_array(vals, what="diagonal quartic value")
     return out
 
 

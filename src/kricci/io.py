@@ -176,6 +176,8 @@ def save_certificate(path, cert: Certificate) -> None:
             "margin": cert.margin,
             "k": cert.k,
             "n_converged": cert.n_converged,
+            "n_small_gradient": cert.n_small_gradient,
+            "n_stalled": cert.n_stalled,
             "iterations": cert.iterations,
             "witness": {
                 "n": witness.n,

@@ -22,6 +22,8 @@ from .forms import (
     CurvatureParams,
     HermitianForm,
     cholesky_frame,
+    pair_products,
+    pairing_matrix,
     quartic_values,
     require_real,
     ricci_trace,
@@ -122,11 +124,14 @@ def royden_sum_bruteforce(
 
 
 def _frame_components(S: BihermitianForm, E: np.ndarray):
-    """Mixed diagonal S̃[i,i,k,k] and full diagonal S̃[i,i,i,i] in frame E."""
-    T = S.entries
-    mixed = np.einsum("pqrs,pi,qi,rk,sk->ik", T, E, np.conj(E), E, np.conj(E), optimize=True)
-    diag = np.einsum("pqrs,pi,qi,ri,si->i", T, E, np.conj(E), E, np.conj(E), optimize=True)
-    return mixed, diag
+    """Mixed diagonal S̃[i,i,k,k] and full diagonal S̃[i,i,i,i] in frame E.
+
+    The mixed diagonal is F A Fᵀ on the pairing matrix A, where row i of F is
+    vec(E_i ⊗ Ē_i) for the frame column E_i.
+    """
+    F = pair_products(E.T)
+    mixed = F @ pairing_matrix(S.entries) @ F.T
+    return mixed, np.diagonal(mixed)
 
 
 @dataclass

@@ -15,13 +15,16 @@ from kricci.forms import (
     b_form,
     cholesky_frame,
     hsc,
+    quartic_values,
     random_bihermitian,
     random_hermitian,
     ricci_trace,
     require_real,
     shift_sigma,
     unit_sphere_samples,
+    unitary_frame,
 )
+from kricci.royden import _frame_components
 
 
 def rng(seed=0):
@@ -124,46 +127,86 @@ class TestKRicciValues:
             k_ricci_extreme_at(S, h, np.array([1.0, 0.0]), 0)
 
 
+# Every (n, k) with n in {2, 3, 4} and 1 <= k <= n.
+BATCH_CASES = [(n, k) for n in (2, 3, 4) for k in range(1, n + 1)]
+
+
 class TestBatchEval:
     def test_matches_single_point_route(self):
-        n, k = 4, 3
-        h = random_hermitian(n, rng(20), positive=True)
-        S = random_bihermitian(n, rng(21))
-        X = unit_sphere_samples(h, 9, rng(22))
-        L, E = cholesky_frame(h)
-        (fb,) = _batch_eval(S.entries, h.entries, L, E, X, k)
-        singles = [k_ricci_extreme_at(S, h, x, k)[0] for x in X]
-        assert_allclose(fb, singles, rtol=1e-10)
+        for n, k in BATCH_CASES:
+            h = random_hermitian(n, rng(20 + n), positive=True)
+            S = random_bihermitian(n, rng(21 + n))
+            X = unit_sphere_samples(h, 9, rng(22 + n))
+            L, E = cholesky_frame(h)
+            (fb,) = _batch_eval(S.entries, h.entries, L, E, X, k)
+            singles = [k_ricci_extreme_at(S, h, x, k)[0] for x in X]
+            assert_allclose(fb, singles, rtol=1e-10, err_msg=f"n={n} k={k}")
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_gradient_against_finite_differences(self, k):
+        for n in range(max(k, 2), 5):
+            h = random_hermitian(n, rng(30 + k + 10 * n), positive=True)
+            S = random_bihermitian(n, rng(40 + k + 10 * n))
+            H = h.entries
+            L, E = cholesky_frame(h)
+            X = unit_sphere_samples(h, 1, rng(50 + k + 10 * n))
+
+            def value(x):
+                return _batch_eval(S.entries, H, L, E, x[None, :], k)[0][0]
+
+            f0, G = _batch_eval(S.entries, H, L, E, X, k, with_grad=True)
+            G = G[0]
+            x0 = X[0]
+            r = rng(60 + k + 10 * n)
+            for _ in range(4):
+                d = r.standard_normal(n) + 1j * r.standard_normal(n)
+                # Tangent of the normalised curve t -> (x0 + t d)/|x0 + t d|_h.
+                proj = np.einsum("i,ij,j->", d, H, np.conj(x0)).real
+                d_tan = d - proj * x0
+                t = 1e-6
+                xp = x0 + t * d
+                xm = x0 - t * d
+                xp = xp / np.sqrt(np.einsum("i,ij,j->", xp, H, np.conj(xp)).real)
+                xm = xm / np.sqrt(np.einsum("i,ij,j->", xm, H, np.conj(xm)).real)
+                fd = (value(xp) - value(xm)) / (2 * t)
+                predicted = 2.0 * np.einsum("j,j->", np.conj(G), d_tan).real
+                assert_allclose(fd, predicted, rtol=5e-5, atol=5e-7, err_msg=f"n={n}")
+
+
+class TestNoEinsumPathPlanning:
+    """The certifier's and the quartic sweep's kernels are plain matmuls."""
+
+    @pytest.fixture(autouse=True)
+    def forbid_planner(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("einsum path planned on a hot kernel")
+
+        # np.einsum plans a contraction path through its module's einsum_path
+        # whenever it is called with optimize set.
+        monkeypatch.setitem(np.einsum.__wrapped__.__globals__, "einsum_path", forbidden)
+        with pytest.raises(AssertionError, match="path planned"):
+            np.einsum("ij,jk,kl->il", *[np.eye(2)] * 3, optimize=True)
 
     @pytest.mark.parametrize("k", [1, 2, 3])
-    def test_gradient_against_finite_differences(self, k):
+    @pytest.mark.parametrize("with_grad", [False, True])
+    def test_batch_eval(self, k, with_grad):
         n = 3
-        h = random_hermitian(n, rng(30 + k), positive=True)
-        S = random_bihermitian(n, rng(40 + k))
-        H = h.entries
+        h = random_hermitian(n, rng(120 + k), positive=True)
+        S = random_bihermitian(n, rng(130 + k))
         L, E = cholesky_frame(h)
-        X = unit_sphere_samples(h, 1, rng(50 + k))
+        X = unit_sphere_samples(h, 11, rng(140 + k))
+        out = _batch_eval(S.entries, h.entries, L, E, X, k, with_grad=with_grad)
+        assert len(out) == (2 if with_grad else 1)
+        assert np.all(np.isfinite(out[0]))
 
-        def value(x):
-            return _batch_eval(S.entries, H, L, E, x[None, :], k)[0][0]
-
-        f0, G = _batch_eval(S.entries, H, L, E, X, k, with_grad=True)
-        G = G[0]
-        x0 = X[0]
-        r = rng(60 + k)
-        for _ in range(4):
-            d = r.standard_normal(n) + 1j * r.standard_normal(n)
-            # Tangent of the normalised curve t -> (x0 + t d)/|x0 + t d|_h.
-            proj = np.einsum("i,ij,j->", d, H, np.conj(x0)).real
-            d_tan = d - proj * x0
-            t = 1e-6
-            xp = x0 + t * d
-            xm = x0 - t * d
-            xp = xp / np.sqrt(np.einsum("i,ij,j->", xp, H, np.conj(xp)).real)
-            xm = xm / np.sqrt(np.einsum("i,ij,j->", xm, H, np.conj(xm)).real)
-            fd = (value(xp) - value(xm)) / (2 * t)
-            predicted = 2.0 * np.einsum("j,j->", np.conj(G), d_tan).real
-            assert_allclose(fd, predicted, rtol=5e-5, atol=5e-7)
+    def test_quartic_values_and_frame_components(self):
+        n = 3
+        h = random_hermitian(n, rng(150), positive=True)
+        S = random_bihermitian(n, rng(151))
+        X = unit_sphere_samples(h, 11, rng(152))
+        assert np.all(np.isfinite(quartic_values(S, X)))
+        mixed, diag = _frame_components(S, unitary_frame(h))
+        assert mixed.shape == (n, n) and diag.shape == (n,)
 
 
 class TestCertify:
@@ -218,3 +261,27 @@ class TestCertify:
         sample = unit_sphere_samples(h, 5000, rng(115))
         best = max(hsc(S, h, x) for x in sample)
         assert cert.value >= best - 1e-7
+
+    def test_model_form_exits_by_small_gradient_from_every_start(self):
+        # The objective is constant on a model form, so every start stops at
+        # its first gradient evaluation.
+        n, k, sigma = 3, 2, 0.6
+        h = random_hermitian(n, rng(160), positive=True)
+        S = shift_sigma(random_bihermitian(n, rng(161), scale=0.0), h, -sigma)
+        opts = CertifyOptions()
+        cert = certify_k_ricci(S, h, k, bound=-(k + 1) * sigma, options=opts, rng=rng(162))
+        assert cert.n_small_gradient == opts.starts
+        assert cert.n_stalled == 0
+        assert cert.n_converged == opts.starts
+        assert cert.iterations == 1
+
+    def test_random_form_reports_both_exit_reasons(self):
+        n, k = 3, 2
+        r = rng(0)
+        h = random_hermitian(n, r, positive=True)
+        S = random_bihermitian(n, r)
+        cert = certify_k_ricci(S, h, k, bound=np.inf, rng=rng(0))
+        assert cert.n_small_gradient > 0
+        assert cert.n_stalled > 0
+        assert cert.n_small_gradient + cert.n_stalled == cert.n_converged
+        assert cert.n_converged <= CertifyOptions().starts

@@ -14,6 +14,8 @@ from kricci.forms import (
     hermitian_eval,
     hsc,
     norm_h,
+    pair_products,
+    pairing_matrix,
     quartic_values,
     random_bihermitian,
     random_hermitian,
@@ -205,6 +207,22 @@ class TestQuarticValues:
             require_real(S(x, x, x, x), scale=abs(S(x, x, x, x)), tol=1e-12) for x in X
         ]
         assert_allclose(vals, expected, rtol=1e-12)
+
+    def test_pairing_matrix_contracts_like_the_form(self):
+        S = random_bihermitian(3, rng(76))
+        X = rng(77).standard_normal((4, 3)) + 1j * rng(78).standard_normal((4, 3))
+        Z = rng(79).standard_normal((5, 3)) + 1j * rng(80).standard_normal((5, 3))
+        paired = pair_products(X) @ pairing_matrix(S.entries) @ pair_products(Z).T
+        expected = [[S(x, x, z, z) for z in Z] for x in X]
+        assert_allclose(paired, expected, rtol=1e-12)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_matches_pointwise_on_nonunit_rows(self, n):
+        S = random_bihermitian(n, rng(76 + n))
+        X = 2.5 * (rng(81 + n).standard_normal((13, n)) + 1j * rng(86 + n).standard_normal((13, n)))
+        expected = [S(x, x, x, x) for x in X]
+        assert_allclose(quartic_values(S, X), np.real(expected), rtol=1e-12)
+        assert_allclose(np.imag(expected), 0.0, atol=1e-12 * np.max(np.abs(expected)))
 
     def test_chunking_is_invisible(self):
         S = random_bihermitian(2, rng(73))

@@ -186,6 +186,17 @@ class TestCertificates:
         assert data["value"] == pytest.approx(cert.value)
         assert data["witness"]["columns"].shape == (2, 2)
 
+    def test_exit_reasons_written(self, tmp_path):
+        h = HermitianForm(np.eye(3))
+        S = random_bihermitian(3, np.random.default_rng(1))
+        cert = certify_k_ricci(S, h, 2, bound=np.inf, rng=np.random.default_rng(1))
+        path = tmp_path / "cert.json"
+        save_certificate(path, cert)
+        data = load_certificate(path)
+        assert data["n_small_gradient"] == cert.n_small_gradient
+        assert data["n_stalled"] == cert.n_stalled
+        assert data["n_converged"] == cert.n_small_gradient + cert.n_stalled
+
 
 class TestFlowConfig:
     def test_inline_modes(self, tmp_path):
