@@ -24,11 +24,16 @@ time derivative, the Schwarz-type inequality for log tr_g h, the telescoped
 trace evolution bound, and the monotone combinations of log tr_g h with the
 potentials.  Time derivatives are taken with the second-order nonuniform
 3-point formula, so all residuals shrink at order dt^2.
+
+Snapshots are analysed in one pass after the run: each snapshot metric is
+reconstructed, checked and inverted once, and a sliding window of three
+snapshots gives the centered derivatives the Schwarz and identity checks need.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -70,8 +75,9 @@ __all__ = [
 # Relative tolerance for the imaginary part of g-traces of Hermitian fields.
 TRACE_REAL_TOL = 1e-9
 
-# Snapshots a centered time difference needs; the checks that take one
-# (potential identities, Schwarz) have nothing to check with fewer.
+# Snapshots a centered time difference needs, and the window the analysis
+# pass keeps; the checks that take one (potential identities, Schwarz,
+# differential trace evolution) have nothing to check with fewer.
 CENTERED_SNAPSHOTS = 3
 
 
@@ -173,6 +179,13 @@ class DiagnosticsRow:
 
 
 @dataclass
+class PotentialIdentityReport:
+    times: np.ndarray
+    residual_phi: float
+    residual_phidot: float
+
+
+@dataclass
 class FlowResult:
     config: FlowConfig
     model: FlowModel
@@ -180,6 +193,8 @@ class FlowResult:
     snapshots: list[FlowSnapshot]
     rows: list[DiagnosticsRow]
     steps: int
+    # None when the run has fewer than CENTERED_SNAPSHOTS snapshots.
+    identities: PotentialIdentityReport | None = None
 
     @property
     def final(self) -> FlowSnapshot:
@@ -242,7 +257,7 @@ def run_flow(config: FlowConfig) -> FlowResult:
         result = FlowResult(
             config=config, model=model, sigma=sigma, snapshots=snapshots, rows=[], steps=steps
         )
-        result.rows = _diagnostics(result)
+        result.rows, result.identities = _diagnostics(result)
         return result
 
     def degenerate(message, stop_margin):
@@ -341,21 +356,29 @@ def _nonuniform_dt(f_prev, f_mid, f_next, a: float, b: float):
     return (f_next * a**2 - f_prev * b**2 + f_mid * (b**2 - a**2)) / (a * b * (a + b))
 
 
-def _diagnostics(result: FlowResult) -> list[DiagnosticsRow]:
+def _diagnostics(result: FlowResult):
+    """(rows, identity report or None) from one pass over the snapshots.
+
+    Each full window of CENTERED_SNAPSHOTS entries gives its middle row the
+    Schwarz margin and adds the middle snapshot to the identity residuals;
+    endpoint rows keep a NaN margin.
+    """
     model = result.model
     grid = model.grid
     config = result.config
     n = grid.n
-    lam_logs = []
-    rows_partial = []
-    for snap in result.snapshots:
+    snaps = result.snapshots
+    R_h = curvature_field(grid, model.h) if len(snaps) >= CENTERED_SNAPSHOTS else None
+    rows = []
+    window = deque(maxlen=CENTERED_SNAPSHOTS)
+    res_phi = res_phidot = 0.0
+    for snap in snaps:
         g = model.reconstruct(snap.t, snap.phi)
         margin = g.require_positive("flow metric")
         ginv = g.inverse()
         scal = g_trace(ginv, ricci_field(grid, g).values, real_tol=TRACE_REAL_TOL)
         treta = g_trace(ginv, model.eta, real_tol=TRACE_REAL_TOL)
         log_lam = np.log(g_trace(ginv, model.h.values, real_tol=TRACE_REAL_TOL))
-        lam_logs.append(log_lam)
         if snap.t > 0:
             _, G = _monotone_fields(
                 model, snap.t, log_lam, snap.phidot, config.alpha, config.beta
@@ -363,7 +386,7 @@ def _diagnostics(result: FlowResult) -> list[DiagnosticsRow]:
             sup_G = float(G.max())
         else:
             sup_G = -math.inf
-        rows_partial.append(
+        rows.append(
             DiagnosticsRow(
                 t=snap.t,
                 sup_phidot=float(snap.phidot.max()),
@@ -374,45 +397,44 @@ def _diagnostics(result: FlowResult) -> list[DiagnosticsRow]:
                 schwarz_min_margin=math.nan,
             )
         )
-    margins = _schwarz_margins(result, lam_logs)
-    for row, margin in zip(rows_partial, margins):
-        row.schwarz_min_margin = margin
-    return rows_partial
+        window.append((snap, ginv, log_lam))
+        if len(window) < CENTERED_SNAPSHOTS:
+            continue
+        (prev, _, log_prev), (mid, ginv_mid, log_mid), (nxt, _, log_next) = window
+        a, b = mid.t - prev.t, nxt.t - mid.t
+        dlog = _nonuniform_dt(log_prev, log_mid, log_next, a, b)
+        rows[-2].schwarz_min_margin = _schwarz_margins(model, ginv_mid, dlog, log_mid, R_h)
+        dphi = _nonuniform_dt(prev.phi, mid.phi, nxt.phi, a, b)
+        dphidot = _nonuniform_dt(prev.phidot, mid.phidot, nxt.phidot, a, b)
+        drift = g_trace(ginv_mid, model._drift, real_tol=TRACE_REAL_TOL)
+        rhs = -drift + laplacian(grid, ginv_mid, mid.phidot)
+        res_phi = max(res_phi, float(np.max(np.abs(dphi - mid.phidot))))
+        res_phidot = max(res_phidot, float(np.max(np.abs(dphidot - rhs))))
+    if R_h is None:
+        return rows, None
+    times = np.array([snap.t for snap in snaps[1:-1]])
+    return rows, PotentialIdentityReport(times, res_phi, res_phidot)
 
 
-def _schwarz_margins(result: FlowResult, lam_logs: list[np.ndarray]) -> list[float]:
-    """Min-over-grid margins of the Schwarz-type inequality per interior snapshot.
+def _schwarz_margins(
+    model: FlowModel, ginv: np.ndarray, dlog: np.ndarray, log_lam: np.ndarray, R_h: np.ndarray
+) -> float:
+    """Min-over-grid margin of the Schwarz-type inequality at one snapshot.
 
         (d/dt - Lap_g) log tr_g h  >=  (1/Lam) tr_g tr_g R_h
                                        + (1/Lam) tr(h g^-1 eta g^-1)
 
-    Endpoint snapshots have no centered time derivative and report NaN.
+    ``ginv`` is g^-1 at the snapshot, ``dlog`` the centered d/dt of
+    ``log_lam`` = log tr_g h, and ``R_h`` the background curvature tensor.
     """
-    model = result.model
-    grid = model.grid
-    snaps = result.snapshots
-    R_h = curvature_field(grid, model.h)
-    margins = [math.nan] * len(snaps)
-    for i in range(1, len(snaps) - 1):
-        t_prev, t_mid, t_next = snaps[i - 1].t, snaps[i].t, snaps[i + 1].t
-        a, b = t_mid - t_prev, t_next - t_mid
-        dlog = _nonuniform_dt(lam_logs[i - 1], lam_logs[i], lam_logs[i + 1], a, b)
-        g = model.reconstruct(t_mid, snaps[i].phi)
-        ginv = g.inverse()
-        lam = np.exp(lam_logs[i])
-        lhs = dlog - laplacian(grid, g, lam_logs[i])
-        double_trace = g_trace(ginv, g_trace(ginv, R_h))
-        twist_trace = np.einsum(
-            "...li,...jk,...ij,...kl->...",
-            ginv,
-            ginv,
-            model.h.values,
-            model.eta,
-            optimize=True,
-        )
-        rhs = (double_trace.real + twist_trace.real) / lam
-        margins[i] = float((lhs - rhs).min())
-    return margins
+    lam = np.exp(log_lam)
+    lhs = dlog - laplacian(model.grid, ginv, log_lam)
+    double_trace = g_trace(ginv, g_trace(ginv, R_h))
+    twist_trace = np.einsum(
+        "...li,...jk,...ij,...kl->...", ginv, ginv, model.h.values, model.eta, optimize=True
+    )
+    rhs = (double_trace.real + twist_trace.real) / lam
+    return float((lhs - rhs).min())
 
 
 @dataclass
@@ -445,47 +467,18 @@ def check_scalar_bound(result: FlowResult, tol: float = 1e-8) -> ScalarBoundRepo
     )
 
 
-@dataclass
-class PotentialIdentityReport:
-    times: np.ndarray
-    residual_phi: float
-    residual_phidot: float
-
-
 def check_potential_identities(result: FlowResult) -> PotentialIdentityReport:
     """Residuals of d phi/dt = phidot and the evolution of phidot itself.
 
     The second identity, d phidot/dt = -tr_g(Ric(h) + eta) + Lap_g phidot,
     holds exactly for the semi-discrete system with the same discrete
     operators, so both residuals measure pure time-discretization error and
-    shrink at second order in the step size.
+    shrink at second order in the step size.  The residuals are maxima over
+    the interior snapshots, computed by the analysis pass of :func:`run_flow`.
     """
-    model = result.model
-    grid = model.grid
-    snaps = result.snapshots
-    if len(snaps) < CENTERED_SNAPSHOTS:
+    if result.identities is None:
         raise ValueError("need at least three snapshots for centered differences")
-    res_phi = 0.0
-    res_phidot = 0.0
-    times = []
-    for i in range(1, len(snaps) - 1):
-        a = snaps[i].t - snaps[i - 1].t
-        b = snaps[i + 1].t - snaps[i].t
-        dphi = _nonuniform_dt(snaps[i - 1].phi, snaps[i].phi, snaps[i + 1].phi, a, b)
-        dphidot = _nonuniform_dt(
-            snaps[i - 1].phidot, snaps[i].phidot, snaps[i + 1].phidot, a, b
-        )
-        g = model.reconstruct(snaps[i].t, snaps[i].phi)
-        drift = g_trace(g.inverse(), model._drift, real_tol=TRACE_REAL_TOL)
-        rhs = -drift + laplacian(grid, g, snaps[i].phidot)
-        res_phi = max(res_phi, float(np.max(np.abs(dphi - snaps[i].phidot))))
-        res_phidot = max(res_phidot, float(np.max(np.abs(dphidot - rhs))))
-        times.append(snaps[i].t)
-    return PotentialIdentityReport(
-        times=np.array(times),
-        residual_phi=res_phi,
-        residual_phidot=res_phidot,
-    )
+    return result.identities
 
 
 @dataclass
@@ -576,11 +569,11 @@ def check_trace_evolution(
         )
     B = alpha * mu * (n - 1) / (2.0 * n * beta)
     sup_vals = []
-    times = []
-    fields = []
+    diff_margin = math.inf
+    window = deque(maxlen=CENTERED_SNAPSHOTS)
     for snap in result.snapshots:
-        g = model.reconstruct(snap.t, snap.phi)
-        lam = g_trace(g.inverse(), model.h.values, real_tol=TRACE_REAL_TOL)
+        ginv = model.reconstruct(snap.t, snap.phi).inverse()
+        lam = g_trace(ginv, model.h.values, real_tol=TRACE_REAL_TOL)
         w = snap.t * snap.phidot - snap.phi - n * snap.t
         Q = (
             -B * w
@@ -588,21 +581,18 @@ def check_trace_evolution(
             + (alpha / beta) * (snap.phidot + phi_twist - model.u)
         )
         field_val = np.log(lam) - Q
-        fields.append(field_val)
         sup_vals.append(float(field_val.max()))
-        times.append(snap.t)
+        window.append((snap.t, ginv, field_val))
+        if len(window) < CENTERED_SNAPSHOTS:
+            continue
+        (t_prev, _, f_prev), (t_mid, ginv_mid, f_mid), (t_next, _, f_next) = window
+        dfield = _nonuniform_dt(f_prev, f_mid, f_next, t_mid - t_prev, t_next - t_mid)
+        heat = dfield - laplacian(grid, ginv_mid, f_mid)
+        diff_margin = min(diff_margin, float((-heat).min()))
     sup_vals = np.array(sup_vals)
-    times = np.array(times)
+    times = np.array([snap.t for snap in result.snapshots])
     increases = np.diff(sup_vals)
     max_increase = float(increases.max()) if increases.size else 0.0
-    diff_margin = math.inf
-    for i in range(1, len(result.snapshots) - 1):
-        a = times[i] - times[i - 1]
-        b = times[i + 1] - times[i]
-        dfield = _nonuniform_dt(fields[i - 1], fields[i], fields[i + 1], a, b)
-        g = model.reconstruct(times[i], result.snapshots[i].phi)
-        heat = dfield - laplacian(grid, g, fields[i])
-        diff_margin = min(diff_margin, float((-heat).min()))
     scale = 1.0 + float(np.max(np.abs(sup_vals)))
     return TraceEvolutionReport(
         times=times,

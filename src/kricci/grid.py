@@ -211,15 +211,25 @@ class MetricField:
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=complex)
-        expected = self.grid.shape + (self.grid.n, self.grid.n)
+        n = self.grid.n
+        expected = self.grid.shape + (n, n)
         if v.shape != expected:
             raise ValueError(f"expected shape {expected}, got {v.shape}")
-        vH = np.conj(np.swapaxes(v, -1, -2))
-        scale = 1.0 + float(np.max(np.abs(v)))
-        worst = float(np.max(np.abs(v - vH)))
-        if worst > 1e-10 * scale:
+        # max |v - v^H| and 0.5 (v + v^H) entry by entry: a diagonal entry
+        # deviates by 2 |Im v_ii| and keeps its real part.
+        out = np.empty(expected, dtype=complex)
+        worst = 0.0
+        for i in range(n):
+            worst = max(worst, 2.0 * float(np.max(np.abs(v[..., i, i].imag))))
+            out[..., i, i] = v[..., i, i].real
+            for j in range(i + 1, n):
+                vij, vji = v[..., i, j], v[..., j, i]
+                worst = max(worst, float(np.max(np.abs(vij - np.conj(vji)))))
+                out[..., i, j] = 0.5 * (vij + np.conj(vji))
+                out[..., j, i] = 0.5 * (vji + np.conj(vij))
+        if worst > 1e-10 * (1.0 + float(np.max(np.abs(v)))):
             raise ValueError(f"metric field is not Hermitian; deviation {worst:.3e}")
-        self.values = 0.5 * (v + vH)
+        self.values = out
 
     @property
     def n(self) -> int:
@@ -374,10 +384,10 @@ def curvature_field(grid: PeriodicGrid, g: MetricField) -> np.ndarray:
     return term1 + term2
 
 
-def laplacian(grid: PeriodicGrid, g: MetricField, f: np.ndarray) -> np.ndarray:
-    """The metric Laplacian g^{i jbar} d_i dbar_j f of a real field."""
+def laplacian(grid: PeriodicGrid, ginv: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """The metric Laplacian g^{i jbar} d_i dbar_j f of a real field; ``ginv`` is g^-1."""
     hess = dbar_hessian(grid, np.asarray(f, dtype=float))
-    return g_trace(g.inverse(), hess, real_tol=1e-10)
+    return g_trace(ginv, hess, real_tol=1e-10)
 
 
 @dataclass

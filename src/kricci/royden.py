@@ -91,35 +91,28 @@ def royden_sum_bruteforce(
     g: HermitianForm,
     h: HermitianForm,
     rho: HermitianForm | None = None,
-    chunk: int = 8192,
 ) -> BruteSums:
     """Sum S(Z,Z̄,Z,Z̄), h(Z,Z̄)^2, and optionally h(Z,Z̄)rho(Z,Z̄) over all Z.
 
     Z ranges over the 4^n combinations sum_i eps_i E_i in the g-unitary
-    h-diagonal frame.  Enumeration is explicit (chunked for memory) and guarded
-    to n <= 8.
+    h-diagonal frame.  Enumeration is explicit and guarded to n <= 8, where Z
+    holds 4^8 rows (8 MB); :func:`quartic_values` chunks its rows for memory.
     """
     n = S.n
     if g.n != n or h.n != n or (rho is not None and rho.n != n):
         raise ValueError("dimension mismatch")
     _, E = g_unitary_h_diagonal_frame(g, h)
-    eps = _phase_rows(n)
-    quartic = 0.0
-    metric = 0.0
-    rho_weighted = 0.0 if rho is not None else None
-    for lo in range(0, eps.shape[0], chunk):
-        Z = eps[lo : lo + chunk] @ E.T
-        quartic += float(quartic_values(S, Z, chunk=chunk).sum())
-        hz = np.einsum("ai,ij,aj->a", Z, h.entries, np.conj(Z)).real
-        metric += float((hz**2).sum())
-        if rho is not None:
-            rz = np.einsum("ai,ij,aj->a", Z, rho.entries, np.conj(Z)).real
-            rho_weighted += float((hz * rz).sum())
+    Z = _phase_rows(n) @ E.T
+    hz = np.einsum("ai,ij,aj->a", Z, h.entries, np.conj(Z)).real
+    rho_weighted = None
+    if rho is not None:
+        rz = np.einsum("ai,ij,aj->a", Z, rho.entries, np.conj(Z)).real
+        rho_weighted = float((hz * rz).sum())
     return BruteSums(
-        quartic=quartic,
-        metric_quartic=metric,
+        quartic=float(quartic_values(S, Z).sum()),
+        metric_quartic=float((hz**2).sum()),
         rho_weighted=rho_weighted,
-        n_terms=eps.shape[0],
+        n_terms=Z.shape[0],
     )
 
 
@@ -161,7 +154,6 @@ def royden_identity_check(
     h: HermitianForm,
     rho: HermitianForm | None = None,
     tol: float = 1e-10,
-    chunk: int = 8192,
 ) -> RoydenReport:
     """Compare the 4^n enumeration against its closed form.
 
@@ -174,7 +166,7 @@ def royden_identity_check(
     in the g-unitary h-diagonal frame, because only phase-cancelling index
     patterns survive the average.
     """
-    brute = royden_sum_bruteforce(S, g, h, rho=rho, chunk=chunk)
+    brute = royden_sum_bruteforce(S, g, h, rho=rho)
     tau, E = g_unitary_h_diagonal_frame(g, h)
     mixed, diag = _frame_components(S, E)
     scale = 4.0 ** S.n

@@ -14,9 +14,12 @@ from numpy.testing import assert_allclose
 
 from kricci.errors import DegeneracyError, FlowDegenerateError, HypothesisError
 from kricci.flow import (
+    TRACE_REAL_TOL,
     FlowConfig,
     FlowModel,
     TwistSpec,
+    _diagnostics,
+    _nonuniform_dt,
     check_potential_identities,
     check_scalar_bound,
     check_schwarz,
@@ -27,7 +30,14 @@ from kricci.flow import (
     monotone_quantities,
     run_flow,
 )
-from kricci.grid import PeriodicGrid, scalar_from_modes
+from kricci.grid import (
+    MetricField,
+    PeriodicGrid,
+    curvature_field,
+    dbar_hessian,
+    g_trace,
+    scalar_from_modes,
+)
 
 
 def homogeneous_config(c, n=1, N=8, t_final=0.5, dt=1e-3, every=10, **kwargs):
@@ -344,3 +354,154 @@ class TestTraceEvolution:
             tol=1e-6,
         )
         assert report.ok
+
+
+def _laplacian_of_metric(grid, g, f):
+    """The Laplacian as computed before it took g^-1: inverting g itself."""
+    return g_trace(g.inverse(), dbar_hessian(grid, np.asarray(f, dtype=float)), real_tol=1e-10)
+
+
+def _reference_schwarz_margins(result):
+    """Schwarz margins snapshot by snapshot, reconstructing g at every use."""
+    model = result.model
+    grid = model.grid
+    snaps = result.snapshots
+
+    def log_trace(snap):
+        ginv = model.reconstruct(snap.t, snap.phi).inverse()
+        return np.log(g_trace(ginv, model.h.values, real_tol=TRACE_REAL_TOL))
+
+    lam_logs = [log_trace(s) for s in snaps]
+    R_h = curvature_field(grid, model.h)
+    margins = [math.nan] * len(snaps)
+    for i in range(1, len(snaps) - 1):
+        a, b = snaps[i].t - snaps[i - 1].t, snaps[i + 1].t - snaps[i].t
+        dlog = _nonuniform_dt(lam_logs[i - 1], lam_logs[i], lam_logs[i + 1], a, b)
+        g = model.reconstruct(snaps[i].t, snaps[i].phi)
+        ginv = g.inverse()
+        lhs = dlog - _laplacian_of_metric(grid, g, lam_logs[i])
+        double_trace = g_trace(ginv, g_trace(ginv, R_h))
+        twist_trace = np.einsum(
+            "...li,...jk,...ij,...kl->...", ginv, ginv, model.h.values, model.eta, optimize=True
+        )
+        rhs = (double_trace.real + twist_trace.real) / np.exp(lam_logs[i])
+        margins[i] = float((lhs - rhs).min())
+    return margins
+
+
+def _reference_identities(result):
+    """(times, residual_phi, residual_phidot) snapshot by snapshot."""
+    model = result.model
+    snaps = result.snapshots
+    res_phi = res_phidot = 0.0
+    for i in range(1, len(snaps) - 1):
+        a, b = snaps[i].t - snaps[i - 1].t, snaps[i + 1].t - snaps[i].t
+        dphi = _nonuniform_dt(snaps[i - 1].phi, snaps[i].phi, snaps[i + 1].phi, a, b)
+        dphidot = _nonuniform_dt(snaps[i - 1].phidot, snaps[i].phidot, snaps[i + 1].phidot, a, b)
+        g = model.reconstruct(snaps[i].t, snaps[i].phi)
+        drift = g_trace(g.inverse(), model._drift, real_tol=TRACE_REAL_TOL)
+        rhs = -drift + _laplacian_of_metric(model.grid, g, snaps[i].phidot)
+        res_phi = max(res_phi, float(np.max(np.abs(dphi - snaps[i].phidot))))
+        res_phidot = max(res_phidot, float(np.max(np.abs(dphidot - rhs))))
+    return np.array([s.t for s in snaps[1:-1]]), res_phi, res_phidot
+
+
+def _reference_trace_evolution(result, mu, twist_potential):
+    """(times, sup values, max increase, differential margin) in two passes."""
+    model = result.model
+    grid = model.grid
+    n = grid.n
+    alpha, beta = result.config.alpha, result.config.beta
+    v = (2.0 * beta / alpha) * model.u
+    B = alpha * mu * (n - 1) / (2.0 * n * beta)
+    fields = []
+    for snap in result.snapshots:
+        g = model.reconstruct(snap.t, snap.phi)
+        lam = g_trace(g.inverse(), model.h.values, real_tol=TRACE_REAL_TOL)
+        w = snap.t * snap.phidot - snap.phi - n * snap.t
+        Q = (
+            -B * w
+            - (alpha / (2.0 * beta)) * v
+            + (alpha / beta) * (snap.phidot + twist_potential - model.u)
+        )
+        fields.append(np.log(lam) - Q)
+    times = np.array([snap.t for snap in result.snapshots])
+    sup_vals = np.array([float(f.max()) for f in fields])
+    diff_margin = math.inf
+    for i in range(1, len(fields) - 1):
+        a, b = times[i] - times[i - 1], times[i + 1] - times[i]
+        dfield = _nonuniform_dt(fields[i - 1], fields[i], fields[i + 1], a, b)
+        g = model.reconstruct(times[i], result.snapshots[i].phi)
+        heat = dfield - _laplacian_of_metric(grid, g, fields[i])
+        diff_margin = min(diff_margin, float((-heat).min()))
+    return times, sup_vals, float(np.diff(sup_vals).max()), diff_margin
+
+
+class TestOnePassAnalysis:
+    """Rows, Schwarz margins and identities come from one pass over the snapshots."""
+
+    # Touches both complex coordinates, so g_12 has real and imaginary parts.
+    MIXED = (1, 1, 1, 0)
+
+    def mixed_config(self, background_amplitude):
+        grid = PeriodicGrid(2, 8, "spectral")
+        return FlowConfig(
+            grid=grid,
+            background=perturbed_potential(grid, background_amplitude, self.MIXED),
+            twist=TwistSpec(c=0.0, potential=perturbed_potential(grid, 0.01, self.MIXED)),
+            t_final=0.006,
+            dt_initial=1e-3,
+            diagnostics_every=1,
+        )
+
+    def test_each_snapshot_metric_is_reconstructed_and_inverted_once(self, monkeypatch):
+        result = run_flow(self.mixed_config(0.02))
+        reconstruct, inverse = FlowModel.reconstruct, MetricField.inverse
+        reconstructed, inverted = [], []
+
+        def counting_reconstruct(self, t, phi):
+            reconstructed.append(reconstruct(self, t, phi))
+            return reconstructed[-1]
+
+        def counting_inverse(self):
+            inverted.append(self)
+            return inverse(self)
+
+        monkeypatch.setattr(FlowModel, "reconstruct", counting_reconstruct)
+        monkeypatch.setattr(MetricField, "inverse", counting_inverse)
+        _diagnostics(result)
+        assert len(reconstructed) == len(result.snapshots) >= 5
+        # Apart from the snapshot metrics only h is inverted, once, for R_h.
+        h = result.model.h
+        assert [id(g) for g in inverted if g is not h] == [id(g) for g in reconstructed]
+        assert sum(g is h for g in inverted) == 1
+
+    def test_matches_snapshot_by_snapshot_reference(self):
+        result = run_flow(self.mixed_config(0.02))
+        g12 = result.model.reconstruct(result.final.t, result.final.phi).values[..., 0, 1]
+        assert np.abs(g12.real).max() > 1e-3 and np.abs(g12.imag).max() > 1e-3
+        np.testing.assert_array_equal(
+            [row.schwarz_min_margin for row in result.rows], _reference_schwarz_margins(result)
+        )
+        report = check_potential_identities(result)
+        times, res_phi, res_phidot = _reference_identities(result)
+        np.testing.assert_array_equal(report.times, times)
+        assert (report.residual_phi, report.residual_phidot) == (res_phi, res_phidot)
+
+    def test_trace_evolution_matches_reference(self):
+        result = run_flow(self.mixed_config(0.0))
+        zeros = np.zeros(result.config.grid.shape)
+        report = check_trace_evolution(result, mu=1.0, twist_potential=zeros, tol=1e-6)
+        times, sup_vals, max_increase, diff_margin = _reference_trace_evolution(
+            result, 1.0, zeros
+        )
+        np.testing.assert_array_equal(report.times, times)
+        np.testing.assert_array_equal(report.sup_values, sup_vals)
+        assert report.max_increase == max_increase
+        assert report.differential_min_margin == diff_margin
+
+    def test_identities_need_three_snapshots(self):
+        result = run_flow(homogeneous_config(c=0.0, t_final=0.01, dt=1e-2))
+        assert len(result.snapshots) == 2 and result.identities is None
+        with pytest.raises(ValueError, match="three snapshots"):
+            check_potential_identities(result)

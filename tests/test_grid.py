@@ -205,6 +205,26 @@ class TestMetricField:
         with pytest.raises(ValueError):
             MetricField(grid, values)
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_rejects_complex_diagonal(self, n):
+        grid = PeriodicGrid(n=n, N=8)
+        values = np.zeros(grid.shape + (n, n), dtype=complex)
+        values[...] = np.eye(n)
+        values[1, 2, ..., n - 1, n - 1] += 1e-6j
+        with pytest.raises(ValueError, match="not Hermitian"):
+            MetricField(grid, values)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_symmetrizes_like_half_sum_with_adjoint(self, n):
+        grid = PeriodicGrid(n=n, N=8)
+        rng = np.random.default_rng(7)
+        shape = grid.shape + (n, n)
+        values = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        values = 0.5 * (values + np.conj(np.swapaxes(values, -1, -2)))
+        values += 1e-12 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        expected = 0.5 * (values + np.conj(np.swapaxes(values, -1, -2)))
+        assert MetricField(grid, values).values.tobytes() == expected.tobytes()
+
     def test_metric_from_potential_mode(self):
         grid = PeriodicGrid(n=2, N=16)
         x = grid.coordinates()[0]
@@ -453,7 +473,7 @@ class TestLaplacian:
         x = grid.coordinates()[0]
         f = np.cos(2 * np.pi * x)
         assert_allclose(
-            laplacian(grid, flat_metric(grid), f), -mode_factor(16) * f, atol=1e-12
+            laplacian(grid, flat_metric(grid).inverse(), f), -mode_factor(16) * f, atol=1e-12
         )
 
     def test_n2_flat_sums_over_directions(self):
@@ -461,7 +481,7 @@ class TestLaplacian:
         coords = grid.coordinates()
         f = np.cos(2 * np.pi * coords[0]) + np.cos(2 * np.pi * coords[2])
         assert_allclose(
-            laplacian(grid, flat_metric(grid), f), -mode_factor(8) * f, atol=1e-12
+            laplacian(grid, flat_metric(grid).inverse(), f), -mode_factor(8) * f, atol=1e-12
         )
 
 

@@ -81,16 +81,6 @@ class TestRoydenIdentity:
         assert report.rho_bruteforce is None
         assert report.rho_closed is None
 
-    def test_chunking_is_invisible(self):
-        n = 3
-        g = random_hermitian(n, rng(63), positive=True)
-        h = random_hermitian(n, rng(64), positive=True)
-        S = random_bihermitian(n, rng(65))
-        a = royden_sum_bruteforce(S, g, h, chunk=7)
-        b = royden_sum_bruteforce(S, g, h)
-        assert_allclose(a.quartic, b.quartic, rtol=1e-12)
-        assert_allclose(a.metric_quartic, b.metric_quartic, rtol=1e-12)
-
     def test_dimension_guard(self):
         n = 9
         g = HermitianForm.identity(n)
