@@ -39,11 +39,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegeneracyError, FlowDegenerateError, HypothesisError
+from .forms import pairing_matrix
 from .grid import (
     MetricField,
     PeriodicGrid,
+    clib_log,
     curvature_field,
     dbar_hessian,
+    g_pair_trace,
     g_trace,
     laplacian,
     metric_from_potential,
@@ -152,6 +155,10 @@ class FlowModel:
 
     def phidot_of(self, g: MetricField) -> np.ndarray:
         return g.log_determinant() - self._logdet_h
+
+    def log_trace_h(self, ginv: np.ndarray) -> np.ndarray:
+        """log tr_g h from g^-1, through the same C-library log as log det g."""
+        return clib_log(g_trace(ginv, self.h.values, real_tol=TRACE_REAL_TOL))
 
     def rhs(self, t: float, phi: np.ndarray) -> np.ndarray:
         """dphi/dt at (t, phi); raises DegeneracyError if g(t) is not positive."""
@@ -335,7 +342,7 @@ def monotone_quantities(
         raise ValueError("monotone quantities are defined for t > 0 only")
     g = model.reconstruct(t, phi)
     g.require_positive("flow metric")
-    log_lam = np.log(g_trace(g.inverse(), model.h.values, real_tol=TRACE_REAL_TOL))
+    log_lam = model.log_trace_h(g.inverse())
     return _monotone_fields(model, t, log_lam, phidot, alpha, beta, twist_potential)
 
 
@@ -362,6 +369,11 @@ def _diagnostics(result: FlowResult):
     Each full window of CENTERED_SNAPSHOTS entries gives its middle row the
     Schwarz margin and adds the middle snapshot to the identity residuals;
     endpoint rows keep a NaN margin.
+
+    The twisted scalar curvature needs no Ricci form of g: phidot is
+    log det g - log det h, so Ric(g) = Ric(h) - d dbar phidot and
+    scal + tr_g eta = tr_g(Ric(h) + eta) - Lap_g phidot, the same two
+    fields the phidot identity compares against.
     """
     model = result.model
     grid = model.grid
@@ -376,9 +388,9 @@ def _diagnostics(result: FlowResult):
         g = model.reconstruct(snap.t, snap.phi)
         margin = g.require_positive("flow metric")
         ginv = g.inverse()
-        scal = g_trace(ginv, ricci_field(grid, g).values, real_tol=TRACE_REAL_TOL)
-        treta = g_trace(ginv, model.eta, real_tol=TRACE_REAL_TOL)
-        log_lam = np.log(g_trace(ginv, model.h.values, real_tol=TRACE_REAL_TOL))
+        drift = g_trace(ginv, model._drift, real_tol=TRACE_REAL_TOL)
+        lap_phidot = laplacian(grid, ginv, snap.phidot)
+        log_lam = model.log_trace_h(ginv)
         if snap.t > 0:
             _, G = _monotone_fields(
                 model, snap.t, log_lam, snap.phidot, config.alpha, config.beta
@@ -390,24 +402,24 @@ def _diagnostics(result: FlowResult):
             DiagnosticsRow(
                 t=snap.t,
                 sup_phidot=float(snap.phidot.max()),
-                inf_scalar_plus_tr_eta=float((scal + treta).min()),
+                inf_scalar_plus_tr_eta=float((drift - lap_phidot).min()),
                 bound_volume_upper=_volume_upper_bound(n, result.sigma, snap.t),
                 positivity_margin=margin,
                 sup_G=sup_G,
                 schwarz_min_margin=math.nan,
             )
         )
-        window.append((snap, ginv, log_lam))
+        window.append((snap, ginv, log_lam, drift, lap_phidot))
         if len(window) < CENTERED_SNAPSHOTS:
             continue
-        (prev, _, log_prev), (mid, ginv_mid, log_mid), (nxt, _, log_next) = window
+        (prev, _, log_prev, *_), (mid, ginv_mid, log_mid, drift_mid, lap_mid), (
+            nxt, _, log_next, *_) = window
         a, b = mid.t - prev.t, nxt.t - mid.t
         dlog = _nonuniform_dt(log_prev, log_mid, log_next, a, b)
         rows[-2].schwarz_min_margin = _schwarz_margins(model, ginv_mid, dlog, log_mid, R_h)
         dphi = _nonuniform_dt(prev.phi, mid.phi, nxt.phi, a, b)
         dphidot = _nonuniform_dt(prev.phidot, mid.phidot, nxt.phidot, a, b)
-        drift = g_trace(ginv_mid, model._drift, real_tol=TRACE_REAL_TOL)
-        rhs = -drift + laplacian(grid, ginv_mid, mid.phidot)
+        rhs = -drift_mid + lap_mid
         res_phi = max(res_phi, float(np.max(np.abs(dphi - mid.phidot))))
         res_phidot = max(res_phidot, float(np.max(np.abs(dphidot - rhs))))
     if R_h is None:
@@ -430,9 +442,7 @@ def _schwarz_margins(
     lam = np.exp(log_lam)
     lhs = dlog - laplacian(model.grid, ginv, log_lam)
     double_trace = g_trace(ginv, g_trace(ginv, R_h))
-    twist_trace = np.einsum(
-        "...li,...jk,...ij,...kl->...", ginv, ginv, model.h.values, model.eta, optimize=True
-    )
+    twist_trace = g_pair_trace(ginv, model.h.values, model.eta)
     rhs = (double_trace.real + twist_trace.real) / lam
     return float((lhs - rhs).min())
 
@@ -573,14 +583,13 @@ def check_trace_evolution(
     window = deque(maxlen=CENTERED_SNAPSHOTS)
     for snap in result.snapshots:
         ginv = model.reconstruct(snap.t, snap.phi).inverse()
-        lam = g_trace(ginv, model.h.values, real_tol=TRACE_REAL_TOL)
         w = snap.t * snap.phidot - snap.phi - n * snap.t
         Q = (
             -B * w
             - (alpha / (2.0 * beta)) * v
             + (alpha / beta) * (snap.phidot + phi_twist - model.u)
         )
-        field_val = np.log(lam) - Q
+        field_val = model.log_trace_h(ginv) - Q
         sup_vals.append(float(field_val.max()))
         window.append((snap.t, ginv, field_val))
         if len(window) < CENTERED_SNAPSHOTS:
@@ -614,27 +623,33 @@ def _mixed_level_estimate(model: FlowModel, rho: np.ndarray, alpha: float, beta:
     """
     grid = model.grid
     n = grid.n
-    Lh = np.linalg.cholesky(model.h.values)
-    rho_flat = np.linalg.solve(Lh, np.conj(np.swapaxes(np.linalg.solve(Lh, rho), -1, -2)))
+    axes = 2 * n
+    E = _unitary_frame(np.linalg.cholesky(model.h.values))
+    E_T = np.swapaxes(E, -1, -2)
+    rho_flat = E_T @ rho @ np.conj(E)
     rho_flat = 0.5 * (rho_flat + np.conj(np.swapaxes(rho_flat, -1, -2)))
     rho_top = np.linalg.eigvalsh(rho_flat)[..., -1]
-    E = np.linalg.inv(np.swapaxes(Lh, -1, -2))
+    # Pairing matrix over (unbarred, unbarred) x (barred, barred) slots,
+    # A[(i, k), (j, l)] = R[i, j, k, l], moved to the frame by F = E (x) E:
+    # (F^T A conj(F))[(a, c), (b, d)] = R(E_a, conj E_b, E_c, conj E_d).
     R = curvature_field(grid, model.h)
-    R_frame = np.einsum(
-        "...ijkl,...ia,...jb,...kc,...ld->...abcd",
-        R,
-        E,
-        np.conj(E),
-        E,
-        np.conj(E),
-        optimize=True,
-    )
-    paired = R_frame.transpose(
-        tuple(range(2 * grid.n)) + (2 * grid.n, 2 * grid.n + 2, 2 * grid.n + 1, 2 * grid.n + 3)
-    ).reshape(grid.shape + (n * n, n * n))
+    A = pairing_matrix(R.transpose(tuple(range(axes)) + (axes, axes + 2, axes + 1, axes + 3)))
+    F = (E[..., :, None, :, None] * E[..., None, :, None, :]).reshape(grid.shape + (n * n,) * 2)
+    paired = np.swapaxes(F, -1, -2) @ A @ np.conj(F)
     paired = 0.5 * (paired + np.conj(np.swapaxes(paired, -1, -2)))
     curv_top = np.linalg.eigvalsh(paired)[..., -1]
     return float((alpha * rho_top + beta * curv_top).max())
+
+
+def _unitary_frame(L: np.ndarray) -> np.ndarray:
+    """The h-unitary frame E = L^{-T} from a lower-triangular Cholesky factor
+    field L of h (n <= 2), by the triangular closed form."""
+    E = np.zeros_like(L)
+    E[..., 0, 0] = 1.0 / L[..., 0, 0]
+    if L.shape[-1] == 2:
+        E[..., 1, 1] = 1.0 / L[..., 1, 1]
+        E[..., 0, 1] = -L[..., 1, 0] * E[..., 0, 0] * E[..., 1, 1]
+    return E
 
 
 def horizon_estimate(result: FlowResult, window: int = 10) -> float:

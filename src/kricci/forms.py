@@ -311,14 +311,14 @@ def unit_sphere_samples(h: HermitianForm, count: int, rng: np.random.Generator) 
 
 
 def pairing_matrix(T: np.ndarray) -> np.ndarray:
-    """The (n², n²) view A[(i, j), (k, l)] = T[i, j, k, l] of a rank-4 tensor.
+    """The (n², n²) view A[(i, j), (k, l)] = T[..., i, j, k, l] of a rank-4 tensor.
 
     Row pairs are (unbarred, barred) slots 0 and 1, column pairs slots 2 and 3,
     so S(X, Ȳ, Z, W̄) = vec(X ⊗ Ȳ) A vec(Z ⊗ W̄)ᵀ with vec as in
-    :func:`pair_products`.
+    :func:`pair_products`.  Leading axes, as of a tensor field, ride along.
     """
-    n = T.shape[0]
-    return T.reshape(n * n, n * n)
+    n = T.shape[-1]
+    return T.reshape(T.shape[:-4] + (n * n, n * n))
 
 
 def pair_products(X: np.ndarray) -> np.ndarray:

@@ -13,19 +13,26 @@ difference on a repeated axis and compositions of centered first differences
 across axes; all shifts commute, so Hermiticity of the complex Hessian and
 the curvature tensor symmetries hold exactly, not just to truncation order.
 ``spectral`` differentiates in Fourier space with the Nyquist mode zeroed for
-odd derivatives; its complex Hessian transforms each field once over the
-grid axes and applies every entry's symbol before one inverse transform.
-On the fd2 grid a single cosine mode eps*cos(2 pi x) has discrete complex
-Hessian -s_N * eps * cos(2 pi x) with s_N = sin(pi/N)^2 N^2; the spectral
-operator reproduces the continuum factor pi^2 exactly.
+odd derivatives.  Its derivatives of a real field take one real forward
+transform (``scipy.fft.rfftn``) over the grid axes; every derivative field
+is a real-symbol combination, finished by one real inverse transform, so the
+complex Hessian of a real field costs n^2 of them (the even and the odd part
+of each off-diagonal entry separately).  Complex input is differentiated as
+its real and imaginary parts.  On the fd2 grid a single cosine mode
+eps*cos(2 pi x) has discrete complex Hessian -s_N * eps * cos(2 pi x) with
+s_N = sin(pi/N)^2 N^2; the spectral operator reproduces the continuum
+factor pi^2 exactly.
 
 Because n <= 2, the metric kernels (smallest eigenvalue, log determinant,
 inverse) are closed forms in the entries of the 1x1 or 2x2 matrix at each
-point rather than batched LAPACK calls.
+point rather than batched LAPACK calls, and the contractions in the
+curvature tensor and the twist trace are written out entry by entry.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,9 +44,11 @@ __all__ = [
     "PeriodicGrid",
     "RicciPotentialReport",
     "ScalarField",
+    "clib_log",
     "curvature_field",
     "dbar_hessian",
     "flat_metric",
+    "g_pair_trace",
     "g_trace",
     "grid_mean",
     "holomorphic_derivative",
@@ -85,11 +94,9 @@ class PeriodicGrid:
         return list(np.meshgrid(*([ticks] * 2 * self.n), indexing="ij"))
 
 
-def _spectral_factor(N: int, order: int) -> np.ndarray:
-    """Fourier symbol of d/dx (Nyquist zeroed) or d^2/dx^2 along one axis."""
+def _spectral_factor(N: int) -> np.ndarray:
+    """Fourier symbol of d/dx along one axis, Nyquist mode zeroed."""
     k = np.fft.fftfreq(N, d=1.0 / N)
-    if order == 2:
-        return -((2.0 * np.pi * k) ** 2)
     k[N // 2] = 0.0
     return 2j * np.pi * k
 
@@ -105,7 +112,7 @@ def _d1(grid: PeriodicGrid, f: np.ndarray, axis: int) -> np.ndarray:
     """Centered (or spectral) first derivative along a real axis."""
     if grid.discretization == "fd2":
         return (np.roll(f, -1, axis=axis) - np.roll(f, 1, axis=axis)) * (grid.N / 2.0)
-    factor = _along(_spectral_factor(grid.N, 1), axis, f.ndim)
+    factor = _along(_spectral_factor(grid.N), axis, f.ndim)
     out = np.fft.ifft(np.fft.fft(f, axis=axis) * factor, axis=axis)
     return out if np.iscomplexobj(f) else out.real
 
@@ -117,12 +124,121 @@ def _dd(grid: PeriodicGrid, f: np.ndarray, a: int, b: int) -> np.ndarray:
     return _d1(grid, _d1(grid, f, b), a)
 
 
-def _spectral_symbol(N: int, ndim: int, a: int, b: int) -> np.ndarray:
-    """Fourier symbol of the mixed second derivative along real axes a, b."""
-    if a == b:
-        return _along(_spectral_factor(N, 2), a, ndim)
-    d1 = _spectral_factor(N, 1)
-    return _along(d1, a, ndim) * _along(d1, b, ndim)
+@functools.lru_cache(maxsize=16)
+def _rfft_factors(N: int, axes: int, ndim: int) -> tuple[tuple[np.ndarray, ...], ...]:
+    """Per-axis factors over the ``rfftn`` spectrum of an ndim array whose
+    first ``axes`` axes are grid axes, each shaped to broadcast along its axis.
+
+    Returns (wave, second): wave[a] is 2 pi k along axis a with the Nyquist
+    mode zeroed (odd derivatives), second[a] = -(2 pi k)^2.  The last grid
+    axis carries the halved rfft frequencies.  Read-only, as the cache hands
+    the same arrays to every caller.
+    """
+    full, half = np.fft.fftfreq(N, d=1.0 / N), np.fft.rfftfreq(N, d=1.0 / N)
+    wave, second = [], []
+    for axis in range(axes):
+        freq = half if axis == axes - 1 else full
+        k = 2.0 * np.pi * freq
+        for factor, values in ((wave, np.where(np.abs(freq) == N // 2, 0.0, k)), (second, -k * k)):
+            values = _along(values, axis, ndim)
+            values.flags.writeable = False
+            factor.append(values)
+    return tuple(wave), tuple(second)
+
+
+def _real_derivatives(grid: PeriodicGrid, f: np.ndarray, gradient: bool = False):
+    """Derivative fields of one real field, all from one transform.
+
+    Returns (hess, grad).  ``hess`` maps (k, l) with k <= l to the real and
+    imaginary parts of d_k dbar_l f: (dx_k^2 + dy_k^2) f / 4 and 0 on the
+    diagonal, (dx_k dx_l + dy_k dy_l) f / 4 and (dx_k dy_l - dy_k dx_l) f / 4
+    off it.  With ``gradient``, grad[k] is (dx_k f / 2, dy_k f / 2).
+
+    Each field is a linear combination of the terms ``d1(a)`` and ``dd(a, b)``
+    (first and mixed second derivatives along real axes) turned into a field
+    by ``finish``.  On the spectral grid the terms are real-valued Fourier
+    symbols (i times one for ``d1``) on one shared ``rfftn`` of f, so each
+    field costs one ``irfftn``; on fd2 they are the differenced fields.
+    """
+    if grid.discretization == "fd2":
+
+        def d1(a):
+            return _d1(grid, f, a)
+
+        def dd(a, b):
+            return _dd(grid, f, a, b)
+
+        def finish(value):
+            return value
+
+    else:
+        # Imported here so that runs without a spectral grid do not load scipy.fft.
+        from scipy import fft
+
+        axes = tuple(range(2 * grid.n))
+        spectrum = fft.rfftn(f, axes=axes)
+        wave, second = _rfft_factors(grid.N, len(axes), f.ndim)
+
+        def d1(a):
+            return 1j * wave[a]
+
+        def dd(a, b):
+            return second[a] if a == b else -(wave[a] * wave[b])
+
+        def finish(symbol):
+            return fft.irfftn(spectrum * symbol, s=grid.shape, axes=axes)
+
+    hess, grad = {}, []
+    for k in range(grid.n):
+        xk, yk = 2 * k, 2 * k + 1
+        hess[k, k] = (finish(0.25 * (dd(xk, xk) + dd(yk, yk))), 0.0)
+        for l in range(k + 1, grid.n):
+            xl, yl = 2 * l, 2 * l + 1
+            hess[k, l] = (
+                finish(0.25 * (dd(xk, xl) + dd(yk, yl))),
+                finish(0.25 * (dd(xk, yl) - dd(yk, xl))),
+            )
+        if gradient:
+            grad.append((finish(0.5 * d1(xk)), finish(0.5 * d1(yk))))
+    return hess, grad
+
+
+def _hessian_parts(re: dict, im: dict | None = None) -> dict:
+    """(real, imaginary) parts of d_k dbar_l f for every (k, l), where
+    f = re + i im and ``re``, ``im`` are the Hessians of
+    :func:`_real_derivatives`.  For real f entry (l, k) is exactly the
+    conjugate of (k, l)."""
+    out = {}
+    for (k, l), (even, odd) in re.items():
+        if im is None:
+            out[k, l] = (even, odd)
+            if k != l:
+                out[l, k] = (even, -odd)
+        elif k == l:
+            out[k, k] = (even, im[k, k][0])
+        else:
+            im_even, im_odd = im[k, l]
+            out[k, l] = (even - im_odd, odd + im_even)
+            out[l, k] = (even + im_odd, im_even - odd)
+    return out
+
+
+def _gradient_part(re, im=None, sign: float = 1.0):
+    """(real, imaginary) parts of d_k f for f = re + sign i im, from one
+    entry of the gradients of :func:`_real_derivatives`."""
+    dx, dy = re
+    if im is None:
+        return dx, -dy
+    im_dx, im_dy = im
+    return dx + sign * im_dy, sign * im_dx - dy
+
+
+def _complex(real, imag) -> np.ndarray:
+    """A complex field from its real and imaginary parts."""
+    out = np.empty(np.shape(real), dtype=complex)
+    out.real = real
+    out.imag = imag
+    return out
 
 
 def dbar_hessian(grid: PeriodicGrid, f: np.ndarray) -> np.ndarray:
@@ -132,42 +248,21 @@ def dbar_hessian(grid: PeriodicGrid, f: np.ndarray) -> np.ndarray:
     along), and may be complex.  Entry (i, j) is (even + i odd) / 4 with
     even = dx_i dx_j + dy_i dy_j and odd = dx_i dy_j - dy_i dx_j; odd is
     identically zero on the diagonal.  For real input only i <= j is computed
-    and (j, i) is its conjugate, so the output is exactly Hermitian.
+    and (j, i) is its conjugate, so the output is exactly Hermitian; complex
+    input is H(Re f) + i H(Im f), from one transform of each part.
     """
-    n = grid.n
-    real = not np.iscomplexobj(f)
-    if grid.discretization == "spectral":
-        axes = tuple(range(2 * n))
-        spectrum = np.fft.fftn(f, axes=axes)
-
-        def dd(a, b):
-            return _spectral_symbol(grid.N, f.ndim, a, b)
-
-        def finish(symbol):
-            return np.fft.ifftn(spectrum * symbol, axes=axes)
-
+    f = np.asarray(f)
+    if np.iscomplexobj(f):
+        parts = _hessian_parts(
+            _real_derivatives(grid, f.real)[0], _real_derivatives(grid, f.imag)[0]
+        )
     else:
-
-        def dd(a, b):
-            return _dd(grid, f, a, b)
-
-        def finish(value):
-            return value
-
-    out = np.empty(f.shape + (n, n), dtype=complex)
-    for i in range(n):
-        xi, yi = 2 * i, 2 * i + 1
-        diagonal = finish(0.25 * (dd(xi, xi) + dd(yi, yi)))
-        out[..., i, i] = diagonal.real if real else diagonal
-        for j in range(n):
-            if j == i or (real and j < i):
-                continue
-            xj, yj = 2 * j, 2 * j + 1
-            even = dd(xi, xj) + dd(yi, yj)
-            odd = dd(xi, yj) - dd(yi, xj)
-            out[..., i, j] = finish(0.25 * (even + 1j * odd))
-            if real:
-                out[..., j, i] = np.conj(out[..., i, j])
+        parts = _hessian_parts(_real_derivatives(grid, f.astype(float, copy=False))[0])
+    out = np.empty(f.shape + (grid.n, grid.n), dtype=complex)
+    for (i, j), (real, imag) in parts.items():
+        entry = out[..., i, j]
+        entry.real = real
+        entry.imag = imag
     return out
 
 
@@ -181,6 +276,21 @@ def holomorphic_derivative(grid: PeriodicGrid, f: np.ndarray, i: int) -> np.ndar
 def grid_mean(f: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
     """Average over the grid axes, keeping any trailing component axes."""
     return f.mean(axis=tuple(range(2 * grid.n)))
+
+
+def clib_log(x: np.ndarray) -> np.ndarray:
+    """Natural log through the C library, as ``scipy.special.xlogy(1, x)``.
+
+    This is the log LAPACK's slogdet used.  numpy's vectorised log differs
+    from it in the last bit on some inputs and CPUs, which the flow's Schwarz
+    margins turn into relative changes near 1e-6, so flow outputs would
+    depend on the host.
+    """
+    # Imported here so that runs without grid metrics (the certifier, the
+    # suites) do not load scipy.special.
+    from scipy.special import xlogy
+
+    return xlogy(1.0, x)
 
 
 @dataclass
@@ -266,14 +376,7 @@ class MetricField:
         det = self._entries()[3]
         if not np.all(det > 0.0):
             raise DegeneracyError("metric determinant is not positive everywhere")
-        # xlogy(1, x) is the C library's log, the one LAPACK's slogdet used:
-        # numpy's vectorised log differs from it in the last bit on some
-        # inputs, which the flow's Schwarz margins turn into relative changes
-        # near 1e-6.  Imported here so that runs without grid metrics (the
-        # certifier, the suites) do not load scipy.special.
-        from scipy.special import xlogy
-
-        return xlogy(1.0, det)
+        return clib_log(det)
 
     def smallest_eigenvalues(self) -> np.ndarray:
         """lambda_min, as det / lambda_max where the mean eigenvalue is
@@ -364,6 +467,32 @@ def ricci_field(grid: PeriodicGrid, g: MetricField) -> MetricField:
     return MetricField(grid, -dbar_hessian(grid, g.log_determinant()))
 
 
+def _dot(xs, ys):
+    """sum_p xs[p] ys[p] over per-point entry arrays of one dtype: one entry
+    of a matrix product written out for n <= 2, in place of a batched
+    contraction."""
+    total = xs[0] * ys[0]
+    for x, y in zip(xs[1:], ys[1:]):
+        total += x * y
+    return total
+
+
+def g_pair_trace(ginv: np.ndarray, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """tr(g^-1 A g^-1 B) = sum g^{li} A_ij g^{jk} B_kl at every point.
+
+    ``ginv``, ``A`` and ``B`` are (n x n)-matrix fields of the same shape;
+    the products g^-1 A and g^-1 B are formed entry by entry.
+    """
+    rows = range(ginv.shape[-1])
+    ginv_rows = [[ginv[..., i, p] for p in rows] for i in rows]
+
+    def times_ginv(M):
+        return [[_dot(ginv_rows[i], [M[..., p, j] for p in rows]) for j in rows] for i in rows]
+
+    GA, GB = times_ginv(A), times_ginv(B)
+    return _dot([GA[i][j] for i in rows for j in rows], [GB[j][i] for i in rows for j in rows])
+
+
 def curvature_field(grid: PeriodicGrid, g: MetricField) -> np.ndarray:
     """Full curvature tensor field R[..., i, j, k, l] of the metric field.
 
@@ -372,16 +501,57 @@ def curvature_field(grid: PeriodicGrid, g: MetricField) -> np.ndarray:
 
     with dbar_l g_{p jbar} = conj(d_l g_{j pbar}).  Its :func:`g_trace` over
     (k, l) reproduces :func:`ricci_field` up to discretization error.
+
+    Each real component of g = [[a, b], [conj b, d]] (a, d, Re b, Im b) is
+    transformed once, which serves both its Hessian and its gradient.  The
+    second term is (d_k g) W_l with W_l = g^-1 conj(d_l g)^T, from
+    closed-form entry products.  Only entries with i < j, or i = j and
+    k <= l, are computed; R_{j i l k} is their conjugate, so the field is
+    exactly conjugation symmetric.
     """
     g.require_positive("metric")
     n = grid.n
-    term1 = -dbar_hessian(grid, g.values)
-    dg = np.stack([holomorphic_derivative(grid, g.values, k) for k in range(n)])
+    rows = range(n)
     ginv = g.inverse()
-    term2 = np.einsum(
-        "...qp,k...iq,l...jp->...ijkl", ginv, dg, np.conj(dg), optimize=True
-    )
-    return term1 + term2
+    ginv_rows = [[ginv[..., q, p] for p in rows] for q in rows]
+    a, d, b, _ = g._entries()
+    components = [(0, 0, a, None)]
+    if n == 2:
+        components += [(1, 1, d, None), (0, 1, b.real, b.imag)]
+    # Each (i, j, k, l) entry is one contiguous block, first holding
+    # d_k dbar_l g_{i jbar}; the returned field is a view with the tensor
+    # axes last.
+    blocks = np.empty((n,) * 4 + grid.shape, dtype=complex)
+    dg = {}  # dg[k, i, q] = d_k g_{i qbar}
+    for i, j, re, im in components:
+        re_hess, re_grad = _real_derivatives(grid, re, gradient=True)
+        im_hess, im_grad = None, [None] * n
+        if im is not None:
+            im_hess, im_grad = _real_derivatives(grid, im, gradient=True)
+        for (k, l), (real, imag) in _hessian_parts(re_hess, im_hess).items():
+            blocks[i, j, k, l].real = real
+            blocks[i, j, k, l].imag = imag
+        for k in rows:
+            dg[k, i, j] = _complex(*_gradient_part(re_grad[k], im_grad[k]))
+            if i != j:
+                dg[k, j, i] = _complex(*_gradient_part(re_grad[k], im_grad[k], -1.0))
+    for l in rows:
+        conj_dl = {jp: np.conj(dg[(l,) + jp]) for jp in itertools.product(rows, rows)}
+        # W[q, j] = g^{-1}_{qp} conj(d_l g_{j pbar})
+        W = {
+            (q, j): _dot(ginv_rows[q], [conj_dl[j, p] for p in rows])
+            for q, j in itertools.product(rows, rows)
+        }
+        for i, j, k in itertools.product(rows, rows, rows):
+            if j < i or (i == j and k > l):
+                continue
+            block = blocks[i, j, k, l]
+            np.subtract(_dot([dg[k, i, q] for q in rows], [W[q, j] for q in rows]), block, out=block)
+            if (i, k) == (j, l):
+                block.imag = 0.0  # self-conjugate, so real
+            else:
+                np.conjugate(block, out=blocks[j, i, l, k])
+    return np.moveaxis(blocks, (0, 1, 2, 3), (-4, -3, -2, -1))
 
 
 def laplacian(grid: PeriodicGrid, ginv: np.ndarray, f: np.ndarray) -> np.ndarray:

@@ -231,7 +231,7 @@ def test_criterion_05_sphere_average_consistency():
         S, _identity(n), samples=1_000_000, rng=np.random.default_rng([41, 1]), z=3.0
     )
     deviation = abs(rep.scalar - rep.estimate)
-    ok = rep.ok and rep.n_samples == 1_000_000
+    ok = rep.ok and rep.within_z and rep.n_samples == 1_000_000
     _report(
         5,
         "sphere-average scalar consistency",

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import kricci.flow
 from kricci.errors import DegeneracyError, FlowDegenerateError, HypothesisError
 from kricci.flow import (
     TRACE_REAL_TOL,
@@ -35,7 +36,9 @@ from kricci.grid import (
     PeriodicGrid,
     curvature_field,
     dbar_hessian,
+    g_pair_trace,
     g_trace,
+    ricci_field,
     scalar_from_modes,
 )
 
@@ -367,11 +370,7 @@ def _reference_schwarz_margins(result):
     grid = model.grid
     snaps = result.snapshots
 
-    def log_trace(snap):
-        ginv = model.reconstruct(snap.t, snap.phi).inverse()
-        return np.log(g_trace(ginv, model.h.values, real_tol=TRACE_REAL_TOL))
-
-    lam_logs = [log_trace(s) for s in snaps]
+    lam_logs = [model.log_trace_h(model.reconstruct(s.t, s.phi).inverse()) for s in snaps]
     R_h = curvature_field(grid, model.h)
     margins = [math.nan] * len(snaps)
     for i in range(1, len(snaps) - 1):
@@ -381,9 +380,7 @@ def _reference_schwarz_margins(result):
         ginv = g.inverse()
         lhs = dlog - _laplacian_of_metric(grid, g, lam_logs[i])
         double_trace = g_trace(ginv, g_trace(ginv, R_h))
-        twist_trace = np.einsum(
-            "...li,...jk,...ij,...kl->...", ginv, ginv, model.h.values, model.eta, optimize=True
-        )
+        twist_trace = g_pair_trace(ginv, model.h.values, model.eta)
         rhs = (double_trace.real + twist_trace.real) / np.exp(lam_logs[i])
         margins[i] = float((lhs - rhs).min())
     return margins
@@ -416,15 +413,14 @@ def _reference_trace_evolution(result, mu, twist_potential):
     B = alpha * mu * (n - 1) / (2.0 * n * beta)
     fields = []
     for snap in result.snapshots:
-        g = model.reconstruct(snap.t, snap.phi)
-        lam = g_trace(g.inverse(), model.h.values, real_tol=TRACE_REAL_TOL)
+        log_lam = model.log_trace_h(model.reconstruct(snap.t, snap.phi).inverse())
         w = snap.t * snap.phidot - snap.phi - n * snap.t
         Q = (
             -B * w
             - (alpha / (2.0 * beta)) * v
             + (alpha / beta) * (snap.phidot + twist_potential - model.u)
         )
-        fields.append(np.log(lam) - Q)
+        fields.append(log_lam - Q)
     times = np.array([snap.t for snap in result.snapshots])
     sup_vals = np.array([float(f.max()) for f in fields])
     diff_margin = math.inf
@@ -500,8 +496,59 @@ class TestOnePassAnalysis:
         assert report.max_increase == max_increase
         assert report.differential_min_margin == diff_margin
 
+    def test_twisted_scalar_needs_no_ricci_pass(self, monkeypatch):
+        # Ric(g) = Ric(h) - d dbar phidot: the rows match the route through
+        # Ric(g) = -d dbar log det g at roundoff, without calling ricci_field.
+        result = run_flow(self.mixed_config(0.02))
+        model = result.model
+        expected = []
+        for snap in result.snapshots:
+            g = model.reconstruct(snap.t, snap.phi)
+            ginv = g.inverse()
+            scal = g_trace(ginv, ricci_field(model.grid, g).values, real_tol=TRACE_REAL_TOL)
+            treta = g_trace(ginv, model.eta, real_tol=TRACE_REAL_TOL)
+            expected.append(float((scal + treta).min()))
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("Ricci form computed in the diagnostics")
+
+        monkeypatch.setattr(kricci.flow, "ricci_field", forbidden)
+        rows, _ = _diagnostics(result)
+        assert_allclose([row.inf_scalar_plus_tr_eta for row in rows], expected, rtol=1e-12, atol=0)
+
     def test_identities_need_three_snapshots(self):
         result = run_flow(homogeneous_config(c=0.0, t_final=0.01, dt=1e-2))
         assert len(result.snapshots) == 2 and result.identities is None
         with pytest.raises(ValueError, match="three snapshots"):
             check_potential_identities(result)
+
+
+class TestNoEinsumPathPlanning:
+    """The n=2 flow, its diagnostics and every check run without planning an
+    einsum contraction path: their kernels are closed-form products."""
+
+    @pytest.fixture(autouse=True)
+    def forbid_planner(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("einsum path planned on the flow path")
+
+        # np.einsum plans a contraction path through its module's einsum_path
+        # whenever it is called with optimize set.
+        monkeypatch.setitem(np.einsum.__wrapped__.__globals__, "einsum_path", forbidden)
+        with pytest.raises(AssertionError, match="path planned"):
+            np.einsum("ij,jk,kl->il", *[np.eye(2)] * 3, optimize=True)
+
+    def test_flow_and_every_check(self):
+        result = run_flow(TestOnePassAnalysis().mixed_config(0.0))
+        final = result.final
+        assert check_scalar_bound(result).ok
+        check_potential_identities(result)
+        check_schwarz(result)
+        monotone_quantities(result.model, final.t, final.phi, final.phidot)
+        zeros = np.zeros(result.config.grid.shape)
+        assert check_trace_evolution(result, mu=1.0, twist_potential=zeros, tol=1e-6).ok
+
+    def test_curved_background_reaches_mixed_level_estimate(self):
+        result = run_flow(TestOnePassAnalysis().mixed_config(0.02))
+        with pytest.raises(HypothesisError, match="level"):
+            check_trace_evolution(result, mu=20.0)

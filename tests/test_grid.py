@@ -9,6 +9,7 @@ from kricci.grid import (
     curvature_field,
     dbar_hessian,
     flat_metric,
+    g_pair_trace,
     g_trace,
     grid_mean,
     holomorphic_derivative,
@@ -465,6 +466,69 @@ class TestCurvatureTensor:
         # Spectral accuracy: the gap falls by orders of magnitude.
         assert residuals[16] <= 1e-5
         assert residuals[16] <= residuals[8] / 100.0
+
+
+def reference_curvature(grid, g):
+    """The curvature tensor by its earlier formula: the n^2-entry complex
+    Hessian of the whole metric field plus one contraction of the
+    holomorphic derivatives with g^-1."""
+    dg = np.stack([holomorphic_derivative(grid, g.values, k) for k in range(grid.n)])
+    term2 = np.einsum(
+        "...qp,k...iq,l...jp->...ijkl", g.inverse(), dg, np.conj(dg), optimize=True
+    )
+    return -per_axis_hessian(grid, g.values) + term2
+
+
+class TestCurvatureKernel:
+    """The per-component, closed-form curvature kernel against the earlier
+    formula, on metrics whose g_12 has real and imaginary parts."""
+
+    @staticmethod
+    def metric(n, disc):
+        grid = PeriodicGrid(n=n, N=8, discretization=disc)
+        coords = grid.coordinates()
+        if n == 1:
+            phi = 0.02 * np.cos(2 * np.pi * coords[0]) + 0.01 * np.sin(2 * np.pi * (coords[0] + coords[1]))
+        else:
+            x1, y1, x2, y2 = coords
+            phi = 0.01 * (
+                np.cos(2 * np.pi * (x1 + y2))
+                + np.sin(2 * np.pi * (y1 + x2))
+                + np.cos(2 * np.pi * (x1 + y1 + x2))
+            )
+        return grid, metric_from_potential(grid, phi)
+
+    @pytest.mark.parametrize("disc", ["fd2", "spectral"])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_matches_earlier_formula(self, n, disc):
+        grid, g = self.metric(n, disc)
+        if n == 2:
+            g12 = g.values[..., 0, 1]
+            assert np.abs(g12.real).max() > 1e-2 and np.abs(g12.imag).max() > 1e-2
+        R = curvature_field(grid, g)
+        ref = reference_curvature(grid, g)
+        assert np.max(np.abs(R - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_conjugation_symmetry_is_bitwise(self, n):
+        grid, g = self.metric(n, "spectral")
+        R = curvature_field(grid, g)
+        k = 2 * n
+        swapped = R.transpose(tuple(range(k)) + (k + 1, k, k + 3, k + 2))
+        assert np.array_equal(np.conj(R), swapped)
+
+
+class TestPairTrace:
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_matches_four_operand_contraction(self, n):
+        grid = PeriodicGrid(n=n, N=8)
+        rng = np.random.default_rng(20 + n)
+        ginv = MetricField(grid, random_metric_values(n, grid.shape, rng)).inverse()
+        A = random_metric_values(n, grid.shape, rng)
+        B = random_metric_values(n, grid.shape, rng)
+        ref = np.einsum("...li,...jk,...ij,...kl->...", ginv, ginv, A, B, optimize=True)
+        out = g_pair_trace(ginv, A, B)
+        assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 class TestLaplacian:

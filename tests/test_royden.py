@@ -6,13 +6,16 @@ from numpy.testing import assert_allclose
 
 from kricci.errors import ResourceLimitError
 from kricci.extremes import certify_k_ricci
+import kricci.royden
 from kricci.forms import (
     BihermitianForm,
     CurvatureParams,
     HermitianForm,
+    quartic_values,
     random_bihermitian,
     random_hermitian,
     ricci_trace,
+    scalar,
     shift_sigma,
     symmetrize,
 )
@@ -24,6 +27,7 @@ from kricci.royden import (
     ric_scalar_matrix,
     royden_identity_check,
     royden_sum_bruteforce,
+    sphere_quadrature,
 )
 
 
@@ -212,3 +216,30 @@ class TestBerger:
         assert report.ok
         assert report.std_error > 0
         assert abs(report.estimate - report.scalar) <= 3.0 * report.std_error + 1e-12
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_quadrature_is_exact(self, n):
+        h = random_hermitian(n, rng(125 + n), positive=True)
+        S = random_bihermitian(n, rng(130 + n))
+        points, weights = sphere_quadrature(h)
+        assert points.shape == (n + 2 * n * (n - 1), n)
+        assert weights.sum() == pytest.approx(1.0, abs=1e-15)
+        quadrature = n * (n + 1) / 2 * float(weights @ quartic_values(S, points))
+        assert quadrature == pytest.approx(scalar(S, h), rel=1e-12, abs=1e-12)
+
+    def test_gate_is_exact_where_three_sigma_failed(self):
+        # Suite seed 14 draws a correct n=3 instance whose Monte Carlo
+        # estimate lies outside 3 standard errors.
+        from kricci.suites import SuiteConfig, run_suite
+
+        report = run_suite(SuiteConfig(suite="berger", n_values=(2, 3), count=1, seed=14))
+        assert report.ok and report.pass_count == 2
+
+    def test_perturbed_scalar_fails(self, monkeypatch):
+        h = random_hermitian(3, rng(140), positive=True)
+        S = random_bihermitian(3, rng(141))
+        exact = scalar(S, h)
+        monkeypatch.setattr(kricci.royden, "scalar", lambda S, h: exact + 1e-9)
+        report = berger_check(S, h, samples=1000, rng=rng(142))
+        assert report.within_z
+        assert not report.ok
