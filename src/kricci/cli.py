@@ -78,7 +78,12 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--count", type=int, default=5)
     verify.add_argument("--seed", type=int, default=0)
     verify.add_argument("--tol", type=float, default=None)
-    verify.add_argument("--samples", type=int, default=100_000)
+    verify.add_argument(
+        "--samples",
+        type=int,
+        default=100_000,
+        help="Monte Carlo points per berger case, reported as mc_within_z",
+    )
     verify.add_argument("--out", default=None, help="append the report to this JSON file")
     verify.set_defaults(func=_cmd_verify)
 
@@ -150,7 +155,10 @@ def _cmd_verify(args) -> int:
     report = run_suite(config)
     for case in report.cases:
         status = "PASS" if case.passed else "FAIL"
-        print(f"{case.case_id:<32} {case.lemma:<32} margin={case.margin:+.3e}  {status}")
+        evidence = "" if case.within_z is None else f"  mc_within_z={case.within_z}"
+        print(
+            f"{case.case_id:<32} {case.lemma:<32} margin={case.margin:+.3e}  {status}{evidence}"
+        )
     print(
         f"{report.suite}: {report.pass_count}/{len(report.cases)} passed, "
         f"worst margin {report.worst_margin:+.3e}, tol {report.tolerance:.1e}, "

@@ -624,7 +624,7 @@ def _mixed_level_estimate(model: FlowModel, rho: np.ndarray, alpha: float, beta:
     grid = model.grid
     n = grid.n
     axes = 2 * n
-    E = _unitary_frame(np.linalg.cholesky(model.h.values))
+    E = model.h.unitary_frame()
     E_T = np.swapaxes(E, -1, -2)
     rho_flat = E_T @ rho @ np.conj(E)
     rho_flat = 0.5 * (rho_flat + np.conj(np.swapaxes(rho_flat, -1, -2)))
@@ -639,17 +639,6 @@ def _mixed_level_estimate(model: FlowModel, rho: np.ndarray, alpha: float, beta:
     paired = 0.5 * (paired + np.conj(np.swapaxes(paired, -1, -2)))
     curv_top = np.linalg.eigvalsh(paired)[..., -1]
     return float((alpha * rho_top + beta * curv_top).max())
-
-
-def _unitary_frame(L: np.ndarray) -> np.ndarray:
-    """The h-unitary frame E = L^{-T} from a lower-triangular Cholesky factor
-    field L of h (n <= 2), by the triangular closed form."""
-    E = np.zeros_like(L)
-    E[..., 0, 0] = 1.0 / L[..., 0, 0]
-    if L.shape[-1] == 2:
-        E[..., 1, 1] = 1.0 / L[..., 1, 1]
-        E[..., 0, 1] = -L[..., 1, 0] * E[..., 0, 0] * E[..., 1, 1]
-    return E
 
 
 def horizon_estimate(result: FlowResult, window: int = 10) -> float:

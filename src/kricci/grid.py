@@ -24,9 +24,9 @@ s_N = sin(pi/N)^2 N^2; the spectral operator reproduces the continuum
 factor pi^2 exactly.
 
 Because n <= 2, the metric kernels (smallest eigenvalue, log determinant,
-inverse) are closed forms in the entries of the 1x1 or 2x2 matrix at each
-point rather than batched LAPACK calls, and the contractions in the
-curvature tensor and the twist trace are written out entry by entry.
+inverse, unitary frame) are closed forms in the entries of the 1x1 or 2x2
+matrix at each point rather than batched LAPACK calls, and the contractions
+in the curvature tensor and the twist trace are written out entry by entry.
 """
 
 from __future__ import annotations
@@ -370,6 +370,22 @@ class MetricField:
         out[..., 1, 1] = a * inv_det
         out[..., 0, 1] = -b * inv_det
         out[..., 1, 0] = np.conj(out[..., 0, 1])
+        return out
+
+    def unitary_frame(self) -> np.ndarray:
+        """The g-unitary frame E = L^{-T} at every point, g = L L^H the
+        Cholesky factorization, so that E^T g conj(E) = 1 (no positivity
+        check).  Both L and its inverse are triangular closed forms."""
+        a, d, b, det = self._entries()
+        out = np.zeros_like(self.values)
+        l00 = np.sqrt(a)
+        out[..., 0, 0] = 1.0 / l00
+        if self.n == 1:
+            return out
+        # L = [[l00, 0], [conj(b) / l00, l11]] with l11 = sqrt(det / a).
+        l11 = np.sqrt(det / a)
+        out[..., 1, 1] = 1.0 / l11
+        out[..., 0, 1] = -np.conj(b) / (a * l11)
         return out
 
     def log_determinant(self) -> np.ndarray:

@@ -122,6 +122,10 @@ class CaseRecord:
     rhs: float
     margin: float
     passed: bool
+    # Berger cases only: whether the Monte Carlo sphere average from
+    # ``SuiteConfig.samples`` points lies within 3 standard errors of the
+    # scalar curvature.  Reported evidence; ``passed`` does not depend on it.
+    within_z: bool | None = None
 
 
 @dataclass
@@ -253,6 +257,7 @@ def _berger_case(config: SuiteConfig, case_id: str, n: int, rng) -> CaseRecord:
         rhs=report.scalar,
         margin=BERGER_TOL - deviation,
         passed=report.ok,
+        within_z=report.within_z,
     )
 
 

@@ -70,6 +70,16 @@ class TestVerify:
         assert run_cli("verify", "royden", "--n", 2, "--count", 1, "--tol", 1e-300) == 1
         assert "FAIL" in capsys.readouterr().out
 
+    def test_berger_prints_monte_carlo_verdict(self, capsys):
+        # Suite seed 14's n=3 case misses 3 standard errors at 1e5 samples.
+        argv = ("verify", "berger", "--n", 2, 3, "--count", 1, "--seed", 14)
+        assert run_cli(*argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1].startswith("berger-n3-000") and lines[1].endswith("PASS  mc_within_z=False")
+        assert run_cli(*argv, "--samples", 1000) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1].endswith("PASS  mc_within_z=True")
+
     def test_report_is_appended(self, tmp_path):
         report = tmp_path / "runs.json"
         run_cli("verify", "rigidity-model", "--n", 2, "--count", 1, "--out", report)

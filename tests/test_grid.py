@@ -263,7 +263,7 @@ def random_metric_values(n, shape, rng, near_singular_every=0):
 
 
 class TestClosedFormKernels:
-    """lambda_min, log det and g^-1 against LAPACK.  Where g is nearly
+    """lambda_min, log det, g^-1 and the unitary frame against LAPACK.  Where g is nearly
     singular every double-precision method carries an error of order
     eps * cond(g), so the tolerance is 1e-12 relative plus that."""
 
@@ -304,6 +304,18 @@ class TestClosedFormKernels:
         inv = g.inverse()
         assert np.array_equal(inv, np.conj(np.swapaxes(inv, -1, -2)))
         diff = np.max(np.abs(inv - ref), axis=(-2, -1))
+        scale = np.max(np.abs(ref), axis=(-2, -1))
+        assert np.all(diff <= (1e-12 + 16 * self.EPS * cond) * scale)
+
+    def test_unitary_frame(self, field):
+        g, eig, cond = field
+        L = np.linalg.cholesky(g.values)
+        ref = np.linalg.inv(np.swapaxes(L, -1, -2))
+        E = g.unitary_frame()
+        assert np.all(np.triu(E) == E)
+        diagonal = np.diagonal(E, axis1=-2, axis2=-1)
+        assert np.all(diagonal.imag == 0) and np.all(diagonal.real > 0)
+        diff = np.max(np.abs(E - ref), axis=(-2, -1))
         scale = np.max(np.abs(ref), axis=(-2, -1))
         assert np.all(diff <= (1e-12 + 16 * self.EPS * cond) * scale)
 

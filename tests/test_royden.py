@@ -234,6 +234,7 @@ class TestBerger:
 
         report = run_suite(SuiteConfig(suite="berger", n_values=(2, 3), count=1, seed=14))
         assert report.ok and report.pass_count == 2
+        assert [case.within_z for case in report.cases] == [True, False]
 
     def test_perturbed_scalar_fails(self, monkeypatch):
         h = random_hermitian(3, rng(140), positive=True)

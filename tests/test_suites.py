@@ -50,6 +50,20 @@ class TestSuiteRuns:
         report = run_suite(small_config("berger", n_values=(2,), count=1))
         assert report.ok
 
+    def test_berger_records_monte_carlo_verdict(self):
+        # Suite seed 14's n=3 case: its 1e5-point estimate lies outside 3
+        # standard errors, a 1e3-point one inside; the exact gate passes both.
+        config = dict(n_values=(2, 3), count=1, seed=14)
+        coarse = run_suite(SuiteConfig(suite="berger", samples=1000, **config)).cases[1]
+        fine = run_suite(SuiteConfig(suite="berger", samples=100_000, **config)).cases[1]
+        assert (coarse.within_z, fine.within_z) == (True, False)
+        assert coarse.passed and fine.passed
+        assert (coarse.lhs, coarse.rhs, coarse.margin) == (fine.lhs, fine.rhs, fine.margin)
+
+    def test_only_berger_records_monte_carlo_verdict(self):
+        report = run_suite(small_config("royden", n_values=(2,), count=1))
+        assert report.cases[0].within_z is None
+
     def test_infeasible_k_yields_no_cases(self):
         report = run_suite(small_config("ric-scalar", n_values=(2,), k_values=(5,)))
         assert report.cases == []
