@@ -32,6 +32,7 @@ snapshots gives the centered derivatives the Schwarz and identity checks need.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import deque
 from dataclasses import dataclass, field
@@ -45,7 +46,7 @@ from .grid import (
     PeriodicGrid,
     clib_log,
     curvature_field,
-    dbar_hessian,
+    dbar_hessian_field,
     g_pair_trace,
     g_trace,
     laplacian,
@@ -120,7 +121,12 @@ class FlowConfig:
 
 
 class FlowModel:
-    """Background data and metric reconstruction for one flow configuration."""
+    """Background data and metric reconstruction for one flow configuration.
+
+    h, Ric(h), eta and Ric(h) + eta are kept in entry form only (see
+    :class:`MetricField`), and :meth:`reconstruct` sums entry fields, so a
+    flow step never builds or validates a full (..., n, n) field.
+    """
 
     def __init__(self, config: FlowConfig):
         grid = config.grid
@@ -145,20 +151,32 @@ class FlowModel:
             raise ValueError(f"twist potential must have shape {grid.shape}")
         self.u = u
         self.c = float(config.twist.c)
-        self.eta = self.c * self.h.values + dbar_hessian(grid, u)
+        self.eta = self.c * self.h + dbar_hessian_field(grid, u)
         self._logdet_h = self.h.log_determinant()
-        self._drift = self.ric_h.values + self.eta
+        self._drift = self.ric_h + self.eta
+
+    @functools.cached_property
+    def curvature_h(self) -> np.ndarray:
+        """The background curvature tensor R_h, computed on first use and kept."""
+        return curvature_field(self.grid, self.h)
 
     def reconstruct(self, t: float, phi: np.ndarray) -> MetricField:
-        values = self.h.values - t * self._drift + dbar_hessian(self.grid, phi)
-        return MetricField(self.grid, values)
+        """g(t) = h - t (Ric(h) + eta) + d dbar phi, summed entry by entry
+        into the fresh entries of d dbar phi."""
+        g = dbar_hessian_field(self.grid, phi)
+        for entry, h, drift in zip(g.entries, self.h.entries, self._drift.entries):
+            if entry is not None:
+                background = t * drift
+                np.subtract(h, background, out=background)
+                entry += background
+        return g
 
     def phidot_of(self, g: MetricField) -> np.ndarray:
         return g.log_determinant() - self._logdet_h
 
     def log_trace_h(self, ginv: np.ndarray) -> np.ndarray:
         """log tr_g h from g^-1, through the same C-library log as log det g."""
-        return clib_log(g_trace(ginv, self.h.values, real_tol=TRACE_REAL_TOL))
+        return clib_log(g_trace(ginv, self.h, real_tol=TRACE_REAL_TOL))
 
     def rhs(self, t: float, phi: np.ndarray) -> np.ndarray:
         """dphi/dt at (t, phi); raises DegeneracyError if g(t) is not positive."""
@@ -217,7 +235,7 @@ def _initial_sigma(model: FlowModel) -> float:
     sigma is infinite there and both bounds degenerate gracefully.
     """
     ginv = model.h.inverse()
-    scal = g_trace(ginv, model.ric_h.values, real_tol=TRACE_REAL_TOL)
+    scal = g_trace(ginv, model.ric_h, real_tol=TRACE_REAL_TOL)
     treta = g_trace(ginv, model.eta, real_tol=TRACE_REAL_TOL)
     m0 = float((scal + treta).min())
     if m0 < 0:
@@ -380,7 +398,7 @@ def _diagnostics(result: FlowResult):
     config = result.config
     n = grid.n
     snaps = result.snapshots
-    R_h = curvature_field(grid, model.h) if len(snaps) >= CENTERED_SNAPSHOTS else None
+    R_h = model.curvature_h if len(snaps) >= CENTERED_SNAPSHOTS else None
     rows = []
     window = deque(maxlen=CENTERED_SNAPSHOTS)
     res_phi = res_phidot = 0.0
@@ -442,7 +460,7 @@ def _schwarz_margins(
     lam = np.exp(log_lam)
     lhs = dlog - laplacian(model.grid, ginv, log_lam)
     double_trace = g_trace(ginv, g_trace(ginv, R_h))
-    twist_trace = g_pair_trace(ginv, model.h.values, model.eta)
+    twist_trace = g_pair_trace(ginv, model.h, model.eta)
     rhs = (double_trace.real + twist_trace.real) / lam
     return float((lhs - rhs).min())
 
@@ -563,9 +581,9 @@ def check_trace_evolution(
         )
     phi_twist = model.u if twist_potential is None else np.asarray(twist_potential, dtype=float)
     v = (2.0 * beta / alpha) * model.u
-    rho = model.ric_h.values + dbar_hessian(grid, phi_twist)
-    gap = mu * model.h.values + dbar_hessian(grid, v) - rho
-    gap_margin = float(MetricField(grid, gap).smallest_eigenvalues().min())
+    rho = model.ric_h + dbar_hessian_field(grid, phi_twist)
+    gap = mu * model.h + dbar_hessian_field(grid, v) - rho
+    gap_margin = float(gap.smallest_eigenvalues().min())
     if gap_margin <= 0:
         raise HypothesisError(
             "rho < mu omega_h + d dbar v",
@@ -613,7 +631,7 @@ def check_trace_evolution(
     )
 
 
-def _mixed_level_estimate(model: FlowModel, rho: np.ndarray, alpha: float, beta: float) -> float:
+def _mixed_level_estimate(model: FlowModel, rho: MetricField, alpha: float, beta: float) -> float:
     """Upper bound for the pointwise level of alpha h rho + beta R_h.
 
     In an h-unitary frame the level is at most alpha lambda_max(rho relative
@@ -626,13 +644,13 @@ def _mixed_level_estimate(model: FlowModel, rho: np.ndarray, alpha: float, beta:
     axes = 2 * n
     E = model.h.unitary_frame()
     E_T = np.swapaxes(E, -1, -2)
-    rho_flat = E_T @ rho @ np.conj(E)
+    rho_flat = E_T @ rho.values @ np.conj(E)
     rho_flat = 0.5 * (rho_flat + np.conj(np.swapaxes(rho_flat, -1, -2)))
     rho_top = np.linalg.eigvalsh(rho_flat)[..., -1]
     # Pairing matrix over (unbarred, unbarred) x (barred, barred) slots,
     # A[(i, k), (j, l)] = R[i, j, k, l], moved to the frame by F = E (x) E:
     # (F^T A conj(F))[(a, c), (b, d)] = R(E_a, conj E_b, E_c, conj E_d).
-    R = curvature_field(grid, model.h)
+    R = model.curvature_h
     A = pairing_matrix(R.transpose(tuple(range(axes)) + (axes, axes + 2, axes + 1, axes + 3)))
     F = (E[..., :, None, :, None] * E[..., None, :, None, :]).reshape(grid.shape + (n * n,) * 2)
     paired = np.swapaxes(F, -1, -2) @ A @ np.conj(F)

@@ -23,17 +23,29 @@ eps*cos(2 pi x) has discrete complex Hessian -s_N * eps * cos(2 pi x) with
 s_N = sin(pi/N)^2 N^2; the spectral operator reproduces the continuum
 factor pi^2 exactly.
 
+A metric field is stored as its Hermitian upper triangle: the real field a
+at n=1, and at n=2 the real fields a, d and the complex field b with
+g = [[a, b], [conj(b), d]].  Fields are validated (shape, Hermiticity to
+1e-10) and symmetrized only where they enter from outside, by the public
+``MetricField(grid, values)``; fields that are Hermitian by construction
+(complex Hessians of real fields and real combinations of Hermitian fields)
+are assembled from their entries with no check, so the flow's step path
+never builds or re-validates a full (..., n, n) field.  The full field
+``values`` is built on demand.
+
 Because n <= 2, the metric kernels (smallest eigenvalue, log determinant,
-inverse, unitary frame) are closed forms in the entries of the 1x1 or 2x2
-matrix at each point rather than batched LAPACK calls, and the contractions
-in the curvature tensor and the twist trace are written out entry by entry.
+inverse, unitary frame) are closed forms in the entries a, d, b rather than
+batched LAPACK calls; they share one determinant per field.  The g-traces,
+the contractions in the curvature tensor and the twist trace are written out
+entry by entry.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,6 +59,7 @@ __all__ = [
     "clib_log",
     "curvature_field",
     "dbar_hessian",
+    "dbar_hessian_field",
     "flat_metric",
     "g_pair_trace",
     "g_trace",
@@ -241,29 +254,37 @@ def _complex(real, imag) -> np.ndarray:
     return out
 
 
+def dbar_hessian_field(grid: PeriodicGrid, f: np.ndarray) -> MetricField:
+    """The complex Hessian d_i dbar_j f of a real field f in entry form.
+
+    Its entries with i <= j come out as separate fields, a = d_1 dbar_1 f,
+    and at n=2 d = d_2 dbar_2 f and b = d_1 dbar_2 f, with no interleaving
+    into the (..., n, n) layout; the field is Hermitian by construction and
+    is not checked.  ``f`` may carry trailing component axes beyond the grid
+    axes (they ride along).
+    """
+    hess = _real_derivatives(grid, np.asarray(f).astype(float, copy=False))[0]
+    if grid.n == 1:
+        return MetricField._from_entries(grid, hess[0, 0][0])
+    return MetricField._from_entries(grid, hess[0, 0][0], hess[1, 1][0], _complex(*hess[0, 1]))
+
+
 def dbar_hessian(grid: PeriodicGrid, f: np.ndarray) -> np.ndarray:
     """The complex Hessian d_i dbar_j f, appended as two trailing axes.
 
     ``f`` may carry trailing component axes beyond the grid axes (they ride
     along), and may be complex.  Entry (i, j) is (even + i odd) / 4 with
     even = dx_i dx_j + dy_i dy_j and odd = dx_i dy_j - dy_i dx_j; odd is
-    identically zero on the diagonal.  For real input only i <= j is computed
-    and (j, i) is its conjugate, so the output is exactly Hermitian; complex
-    input is H(Re f) + i H(Im f), from one transform of each part.
+    identically zero on the diagonal.  For real input this is
+    :func:`dbar_hessian_field` assembled into the full layout: only i <= j is
+    computed and (j, i) is its conjugate, so the output is exactly Hermitian.
+    Complex input is H(Re f) + i H(Im f), from one transform of each part.
     """
     f = np.asarray(f)
     if np.iscomplexobj(f):
-        parts = _hessian_parts(
-            _real_derivatives(grid, f.real)[0], _real_derivatives(grid, f.imag)[0]
-        )
-    else:
-        parts = _hessian_parts(_real_derivatives(grid, f.astype(float, copy=False))[0])
-    out = np.empty(f.shape + (grid.n, grid.n), dtype=complex)
-    for (i, j), (real, imag) in parts.items():
-        entry = out[..., i, j]
-        entry.real = real
-        entry.imag = imag
-    return out
+        real, imag = dbar_hessian_field(grid, f.real), dbar_hessian_field(grid, f.imag)
+        return real.values + 1j * imag.values
+    return dbar_hessian_field(grid, f).values
 
 
 def holomorphic_derivative(grid: PeriodicGrid, f: np.ndarray, i: int) -> np.ndarray:
@@ -312,84 +333,138 @@ class ScalarField:
         self.values = v.astype(float)
 
 
-@dataclass
 class MetricField:
-    """A Hermitian (n x n)-matrix field g[..., i, j] = g(e_i, conj(e_j))."""
+    """A Hermitian (n x n)-matrix field g[..., i, j] = g(e_i, conj(e_j)),
+    stored as its upper triangle.
 
-    grid: PeriodicGrid
-    values: np.ndarray
+    At n=1 that is the real field ``a`` = g_00 (``d`` and ``b`` are None); at
+    n=2 the real fields ``a`` = g_00, ``d`` = g_11 and the complex field
+    ``b`` = g_01, so g = [[a, b], [conj(b), d]].
 
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=complex)
+    ``MetricField(grid, values)`` takes a full (..., n, n) field from outside
+    (files, configs, callers): it checks the shape and Hermiticity to 1e-10,
+    symmetrizes to 0.5 (v + v^H) and keeps the triangle.  Fields that are
+    Hermitian by construction come from :meth:`_from_entries` with no check:
+    complex Hessians of real fields (:func:`dbar_hessian_field`) and sums,
+    differences and real multiples of fields, which the arithmetic operators
+    form entry by entry.  ``values`` builds the full field on each access and
+    does not keep it.  ``det`` is computed once per field and shared by the
+    kernels.  The field may be indefinite (a Ricci form, a twist); the
+    kernels that need positivity say so.
+    """
+
+    # Leaves "scalar * field" to __rmul__ when the scalar is a numpy float.
+    __array_ufunc__ = None
+
+    def __init__(self, grid: PeriodicGrid, values: np.ndarray):
+        self.grid = grid
+        self.__post_init__(values)
+
+    def __post_init__(self, values: np.ndarray) -> None:
+        """Check the full field ``values`` and keep the triangle of 0.5 (v + v^H).
+
+        The validation keeps the name it had when this class was a dataclass:
+        ``bench/tracing.py`` counts validated fields by wrapping it.
+        """
+        v = np.asarray(values, dtype=complex)
         n = self.grid.n
         expected = self.grid.shape + (n, n)
         if v.shape != expected:
             raise ValueError(f"expected shape {expected}, got {v.shape}")
-        # max |v - v^H| and 0.5 (v + v^H) entry by entry: a diagonal entry
-        # deviates by 2 |Im v_ii| and keeps its real part.
-        out = np.empty(expected, dtype=complex)
-        worst = 0.0
-        for i in range(n):
-            worst = max(worst, 2.0 * float(np.max(np.abs(v[..., i, i].imag))))
-            out[..., i, i] = v[..., i, i].real
-            for j in range(i + 1, n):
-                vij, vji = v[..., i, j], v[..., j, i]
-                worst = max(worst, float(np.max(np.abs(vij - np.conj(vji)))))
-                out[..., i, j] = 0.5 * (vij + np.conj(vji))
-                out[..., j, i] = 0.5 * (vji + np.conj(vij))
+        # max |v - v^H| entry by entry: a diagonal entry deviates by 2 |Im v_ii|.
+        worst = max(2.0 * float(np.max(np.abs(v[..., i, i].imag))) for i in range(n))
+        if n == 2:
+            worst = max(worst, float(np.max(np.abs(v[..., 0, 1] - np.conj(v[..., 1, 0])))))
         if worst > 1e-10 * (1.0 + float(np.max(np.abs(v)))):
             raise ValueError(f"metric field is not Hermitian; deviation {worst:.3e}")
-        self.values = out
+        self.a = np.ascontiguousarray(v[..., 0, 0].real)
+        self.d = self.b = None
+        if n == 2:
+            self.d = np.ascontiguousarray(v[..., 1, 1].real)
+            self.b = 0.5 * (v[..., 0, 1] + np.conj(v[..., 1, 0]))
+
+    @classmethod
+    def _from_entries(cls, grid: PeriodicGrid, a, d=None, b=None) -> MetricField:
+        """The field with triangle (a, d, b), unchecked: only for entries that
+        are Hermitian by construction (a, d real)."""
+        g = cls.__new__(cls)
+        g.grid, g.a, g.d, g.b = grid, a, d, b
+        return g
 
     @property
     def n(self) -> int:
         return self.grid.n
 
-    def _entries(self):
-        """(a, d, b, det) with g = [[a, b], [conj(b), d]] at every point.
+    @property
+    def entries(self) -> tuple:
+        """(a, d, b); d and b are None at n=1."""
+        return self.a, self.d, self.b
 
-        At n=1, d and b are None and det = a = g_00.
-        """
-        v = self.values
-        a = v[..., 0, 0].real
+    @property
+    def values(self) -> np.ndarray:
+        """The full (..., n, n) field, built on each access."""
+        out = np.zeros(self.a.shape + (self.n, self.n), dtype=complex)
+        out[..., 0, 0] = self.a
+        if self.n == 2:
+            out[..., 1, 1] = self.d
+            out[..., 0, 1] = self.b
+            out[..., 1, 0] = np.conj(self.b)
+        return out
+
+    def _entrywise(self, op, *others: MetricField) -> MetricField:
+        """op of the entries of this field (and of ``others``): a real
+        combination of Hermitian fields, so it is not checked."""
+        columns = zip(self.entries, *(other.entries for other in others))
+        entries = [None if column[0] is None else op(*column) for column in columns]
+        return MetricField._from_entries(self.grid, *entries)
+
+    def __add__(self, other: MetricField) -> MetricField:
+        return self._entrywise(operator.add, other)
+
+    def __sub__(self, other: MetricField) -> MetricField:
+        return self._entrywise(operator.sub, other)
+
+    def __neg__(self) -> MetricField:
+        return self._entrywise(operator.neg)
+
+    def __rmul__(self, scale: float) -> MetricField:
+        return self._entrywise(lambda entry: scale * entry)
+
+    @functools.cached_property
+    def det(self) -> np.ndarray:
+        """det g = a d - |b|^2 (a at n=1), computed once."""
         if self.n == 1:
-            return a, None, None, a
-        d = v[..., 1, 1].real
-        b = v[..., 0, 1]
-        return a, d, b, a * d - (b.real**2 + b.imag**2)
+            return self.a
+        b = self.b
+        return self.a * self.d - (b.real**2 + b.imag**2)
 
     def inverse(self) -> np.ndarray:
-        """g^{-1} = adj(g) / det g (no positivity check)."""
-        a, d, b, det = self._entries()
-        out = np.empty_like(self.values)
-        inv_det = 1.0 / det
+        """g^{-1} = adj(g) / det g as a full field (no positivity check)."""
+        inv_det = 1.0 / self.det
         if self.n == 1:
-            out[..., 0, 0] = inv_det
-            return out
-        out[..., 0, 0] = d * inv_det
-        out[..., 1, 1] = a * inv_det
-        out[..., 0, 1] = -b * inv_det
-        out[..., 1, 0] = np.conj(out[..., 0, 1])
-        return out
+            entries = (inv_det,)
+        else:
+            entries = self.d * inv_det, self.a * inv_det, -self.b * inv_det
+        return MetricField._from_entries(self.grid, *entries).values
 
     def unitary_frame(self) -> np.ndarray:
         """The g-unitary frame E = L^{-T} at every point, g = L L^H the
         Cholesky factorization, so that E^T g conj(E) = 1 (no positivity
         check).  Both L and its inverse are triangular closed forms."""
-        a, d, b, det = self._entries()
-        out = np.zeros_like(self.values)
+        a, b = self.a, self.b
+        out = np.zeros(a.shape + (self.n, self.n), dtype=complex)
         l00 = np.sqrt(a)
         out[..., 0, 0] = 1.0 / l00
         if self.n == 1:
             return out
         # L = [[l00, 0], [conj(b) / l00, l11]] with l11 = sqrt(det / a).
-        l11 = np.sqrt(det / a)
+        l11 = np.sqrt(self.det / a)
         out[..., 1, 1] = 1.0 / l11
         out[..., 0, 1] = -np.conj(b) / (a * l11)
         return out
 
     def log_determinant(self) -> np.ndarray:
-        det = self._entries()[3]
+        det = self.det
         if not np.all(det > 0.0):
             raise DegeneracyError("metric determinant is not positive everywhere")
         return clib_log(det)
@@ -397,14 +472,14 @@ class MetricField:
     def smallest_eigenvalues(self) -> np.ndarray:
         """lambda_min, as det / lambda_max where the mean eigenvalue is
         positive: this avoids cancellation and keeps the sign of det."""
-        a, d, b, det = self._entries()
+        a, d = self.a, self.d
         if self.n == 1:
             return a.copy()
         half_trace = 0.5 * (a + d)
-        radius = np.hypot(0.5 * (a - d), np.abs(b))
+        radius = np.hypot(0.5 * (a - d), np.abs(self.b))
         # Elsewhere lambda_min = mean - radius has no cancellation.
         out = half_trace - radius
-        np.divide(det, half_trace + radius, out=out, where=half_trace > 0.0)
+        np.divide(self.det, half_trace + radius, out=out, where=half_trace > 0.0)
         return out
 
     def require_positive(self, what: str = "metric") -> float:
@@ -422,17 +497,32 @@ class MetricField:
         return margin
 
 
-def g_trace(ginv: np.ndarray, A: np.ndarray, real_tol: float | None = None) -> np.ndarray:
+def _entry_rows(M) -> list[list[np.ndarray]]:
+    """The entry fields M[i][j] of an (n x n)-matrix field: views into a full
+    (..., n, n) array, or the entries of a :class:`MetricField`."""
+    if isinstance(M, MetricField):
+        if M.n == 1:
+            return [[M.a]]
+        return [[M.a, M.b], [np.conj(M.b), M.d]]
+    rows = range(M.shape[-1])
+    return [[M[..., i, j] for j in rows] for i in rows]
+
+
+def g_trace(ginv: np.ndarray, A, real_tol: float | None = None) -> np.ndarray:
     """The g-trace sum_{k,l} g^{l k} A[..., k, l] over the last two axes of A.
 
-    ``ginv`` is the inverse metric field; axes of ``A`` between the grid axes
-    and the traced pair ride along.  With ``real_tol`` the trace is checked
-    real to that relative tolerance and returned as a real field.
+    ``ginv`` is the inverse metric field; ``A`` is a full matrix field, whose
+    axes between the grid axes and the traced pair ride along, or a
+    :class:`MetricField`.  The sum is written out entry by entry.  With
+    ``real_tol`` the trace is checked real to that relative tolerance and
+    returned as a real field.
     """
-    extra = A.ndim - ginv.ndim
-    if extra:
+    if not isinstance(A, MetricField) and A.ndim > ginv.ndim:
+        extra = A.ndim - ginv.ndim
         ginv = ginv.reshape(ginv.shape[:-2] + (1,) * extra + ginv.shape[-2:])
-    out = np.einsum("...lk,...kl->...", ginv, A)
+    G, A = _entry_rows(ginv), _entry_rows(A)
+    rows = range(len(G))
+    out = _dot([G[l][k] for l in rows for k in rows], [A[k][l] for l in rows for k in rows])
     if real_tol is None:
         return out
     worst = float(np.max(np.abs(out.imag)))
@@ -452,9 +542,9 @@ def metric_from_potential(grid: PeriodicGrid, potential: np.ndarray) -> MetricFi
     potential = np.asarray(potential, dtype=float)
     if potential.shape != grid.shape:
         raise ValueError(f"expected shape {grid.shape}, got {potential.shape}")
-    values = dbar_hessian(grid, potential)
-    values[...] += np.eye(grid.n)
-    return MetricField(grid, values)
+    hess = dbar_hessian_field(grid, potential)
+    diagonal = (None if entry is None else entry + 1.0 for entry in (hess.a, hess.d))
+    return MetricField._from_entries(grid, *diagonal, hess.b)
 
 
 def scalar_from_modes(grid: PeriodicGrid, modes) -> np.ndarray:
@@ -480,7 +570,7 @@ def ricci_field(grid: PeriodicGrid, g: MetricField) -> MetricField:
     discrete total Ricci class vanishes identically, matching the torus.
     """
     g.require_positive("metric")
-    return MetricField(grid, -dbar_hessian(grid, g.log_determinant()))
+    return -dbar_hessian_field(grid, g.log_determinant())
 
 
 def _dot(xs, ys):
@@ -496,14 +586,16 @@ def _dot(xs, ys):
 def g_pair_trace(ginv: np.ndarray, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """tr(g^-1 A g^-1 B) = sum g^{li} A_ij g^{jk} B_kl at every point.
 
-    ``ginv``, ``A`` and ``B`` are (n x n)-matrix fields of the same shape;
-    the products g^-1 A and g^-1 B are formed entry by entry.
+    ``ginv``, ``A`` and ``B`` are (n x n)-matrix fields over the same grid,
+    full arrays or :class:`MetricField`; the products g^-1 A and g^-1 B are
+    formed entry by entry.
     """
-    rows = range(ginv.shape[-1])
-    ginv_rows = [[ginv[..., i, p] for p in rows] for i in rows]
+    ginv_rows = _entry_rows(ginv)
+    rows = range(len(ginv_rows))
 
     def times_ginv(M):
-        return [[_dot(ginv_rows[i], [M[..., p, j] for p in rows]) for j in rows] for i in rows]
+        M = _entry_rows(M)
+        return [[_dot(ginv_rows[i], [M[p][j] for p in rows]) for j in rows] for i in rows]
 
     GA, GB = times_ginv(A), times_ginv(B)
     return _dot([GA[i][j] for i in rows for j in rows], [GB[j][i] for i in rows for j in rows])
@@ -528,9 +620,8 @@ def curvature_field(grid: PeriodicGrid, g: MetricField) -> np.ndarray:
     g.require_positive("metric")
     n = grid.n
     rows = range(n)
-    ginv = g.inverse()
-    ginv_rows = [[ginv[..., q, p] for p in rows] for q in rows]
-    a, d, b, _ = g._entries()
+    ginv_rows = _entry_rows(g.inverse())
+    a, d, b = g.entries
     components = [(0, 0, a, None)]
     if n == 2:
         components += [(1, 1, d, None), (0, 1, b.real, b.imag)]
@@ -572,8 +663,7 @@ def curvature_field(grid: PeriodicGrid, g: MetricField) -> np.ndarray:
 
 def laplacian(grid: PeriodicGrid, ginv: np.ndarray, f: np.ndarray) -> np.ndarray:
     """The metric Laplacian g^{i jbar} d_i dbar_j f of a real field; ``ginv`` is g^-1."""
-    hess = dbar_hessian(grid, np.asarray(f, dtype=float))
-    return g_trace(ginv, hess, real_tol=1e-10)
+    return g_trace(ginv, dbar_hessian_field(grid, f), real_tol=1e-10)
 
 
 @dataclass

@@ -452,6 +452,9 @@ class TestOnePassAnalysis:
 
     def test_each_snapshot_metric_is_reconstructed_and_inverted_once(self, monkeypatch):
         result = run_flow(self.mixed_config(0.02))
+        # The run's own pass cached R_h on the model; drop it so this pass
+        # computes it again.
+        del result.model.curvature_h
         reconstruct, inverse = FlowModel.reconstruct, MetricField.inverse
         reconstructed, inverted = [], []
 
@@ -552,3 +555,69 @@ class TestNoEinsumPathPlanning:
         result = run_flow(TestOnePassAnalysis().mixed_config(0.02))
         with pytest.raises(HypothesisError, match="level"):
             check_trace_evolution(result, mu=20.0)
+
+
+class TestHermitianHalfStepPath:
+    """The step path assembles metrics from entries that are Hermitian by
+    construction: it never runs the validating constructor, and its metrics
+    equal the validated full-field route bit for bit."""
+
+    # At n=2 the mixed wavevector makes g_12 complex.
+    WAVEVECTORS = {1: (1, 1), 2: (1, 1, 1, 0)}
+
+    def config(self, n, N, disc, t_final=0.004):
+        grid = PeriodicGrid(n, N, disc)
+        wavevector = self.WAVEVECTORS[n]
+        return FlowConfig(
+            grid=grid,
+            background=perturbed_potential(grid, 0.01, wavevector),
+            twist=TwistSpec(c=0.3, potential=perturbed_potential(grid, 0.005, wavevector)),
+            t_final=t_final,
+            dt_initial=1e-3,
+            diagnostics_every=1,
+        )
+
+    @pytest.mark.parametrize("n, N, disc", [(1, 16, "fd2"), (2, 8, "spectral")])
+    def test_flow_runs_without_validating_a_metric(self, n, N, disc, monkeypatch):
+        def forbidden(self, values):
+            raise AssertionError("metric field validated on the flow path")
+
+        monkeypatch.setattr(MetricField, "__post_init__", forbidden)
+        result = run_flow(self.config(n, N, disc))
+        assert result.steps >= 4
+        assert check_scalar_bound(result).ok
+        check_potential_identities(result)
+        check_schwarz(result)
+        final = result.final
+        if n == 2:
+            g12 = result.model.reconstruct(final.t, final.phi).b
+            assert np.abs(g12.real).max() > 1e-3 and np.abs(g12.imag).max() > 1e-3
+
+    @pytest.mark.parametrize("disc", ["fd2", "spectral"])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_reconstruct_matches_validated_route(self, n, disc):
+        model = FlowModel(self.config(n, 8, disc))
+        phi = scalar_from_modes(model.grid, [(self.WAVEVECTORS[n], 0.003 + 0.002j)])
+        for t in (0.0, 0.0123):
+            full = model.h.values - t * model._drift.values + dbar_hessian(model.grid, phi)
+            expected = MetricField(model.grid, full)
+            g = model.reconstruct(t, phi)
+            for entry, reference in zip(g.entries, expected.entries):
+                assert (entry is None) == (reference is None)
+                if entry is not None:
+                    assert entry.dtype == reference.dtype
+                    assert np.array_equal(entry, reference)
+
+    def test_background_curvature_computed_once_per_run(self, monkeypatch):
+        calls = []
+
+        def counting(grid, g):
+            calls.append(g)
+            return curvature_field(grid, g)
+
+        monkeypatch.setattr(kricci.flow, "curvature_field", counting)
+        grid = PeriodicGrid(2, 8)
+        config = FlowConfig(grid=grid, t_final=0.02, dt_initial=5e-3, diagnostics_every=1)
+        result = run_flow(config)
+        assert check_trace_evolution(result, mu=0.5).ok
+        assert len(calls) == 1 and calls[0] is result.model.h

@@ -8,6 +8,7 @@ from kricci.grid import (
     PeriodicGrid,
     curvature_field,
     dbar_hessian,
+    dbar_hessian_field,
     flat_metric,
     g_pair_trace,
     g_trace,
@@ -541,6 +542,75 @@ class TestPairTrace:
         ref = np.einsum("...li,...jk,...ij,...kl->...", ginv, ginv, A, B, optimize=True)
         out = g_pair_trace(ginv, A, B)
         assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+class TestHermitianHalf:
+    """Metric fields keep (a, d, b); entry-form kernels match the full layout."""
+
+    def field(self, n, seed=0):
+        grid = PeriodicGrid(n=n, N=8)
+        return MetricField(grid, random_metric_values(n, grid.shape, np.random.default_rng(seed)))
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_keeps_only_the_triangle(self, n):
+        g = self.field(n)
+        arrays = [v for v in vars(g).values() if isinstance(v, np.ndarray)]
+        assert all(v.shape == g.grid.shape for v in arrays)
+        assert len(arrays) == (1 if n == 1 else 3)
+        assert g.values is not g.values
+        assert g.values.shape == g.grid.shape + (n, n)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_determinant_is_computed_once(self, n):
+        g = self.field(n)
+        g.smallest_eigenvalues()
+        det = g.det
+        g.log_determinant()
+        g.inverse()
+        g.unitary_frame()
+        assert g.det is det
+        assert_allclose(det, np.linalg.det(g.values).real, rtol=1e-12)
+
+    @pytest.mark.parametrize("disc", ["fd2", "spectral"])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_hessian_entries_are_the_full_hessian(self, n, disc):
+        grid = PeriodicGrid(n=n, N=8, discretization=disc)
+        f = np.random.default_rng(3).standard_normal(grid.shape)
+        field = dbar_hessian_field(grid, f)
+        assert all(e is None or e.shape == grid.shape for e in field.entries)
+        full = dbar_hessian(grid, f)
+        assert full.tobytes() == field.values.tobytes()
+        assert np.array_equal(field.a, full[..., 0, 0].real)
+        if n == 2:
+            assert np.array_equal(field.d, full[..., 1, 1].real)
+            assert np.array_equal(field.b, full[..., 0, 1])
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_entry_arithmetic_matches_full_fields(self, n):
+        g, h = self.field(n, 1), self.field(n, 2)
+        combined = 0.3 * g - h + (-g)
+        assert_allclose(combined.values, 0.3 * g.values - h.values - g.values, rtol=0, atol=1e-15)
+        assert np.array_equal((g + h).values, g.values + h.values)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_traces_of_entry_fields_match_full_fields(self, n):
+        g, A, B = self.field(n, 4), self.field(n, 5), self.field(n, 6)
+        ginv = g.inverse()
+        assert np.array_equal(g_trace(ginv, A), g_trace(ginv, A.values))
+        assert np.array_equal(g_pair_trace(ginv, A, B), g_pair_trace(ginv, A.values, B.values))
+        ref = np.einsum("...lk,...kl->...", ginv, A.values)
+        assert np.max(np.abs(g_trace(ginv, A) - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    def test_trace_rides_over_component_axes(self):
+        grid = PeriodicGrid(n=2, N=8)
+        rng = np.random.default_rng(8)
+        ginv = self.field(2, 7).inverse()
+        shape = grid.shape + (2, 2, 2, 2)
+        R = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        ref = np.einsum("...lk,...ijkl->...ij", ginv, R)
+        out = g_trace(ginv, R)
+        assert out.shape == grid.shape + (2, 2)
+        assert np.max(np.abs(out - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 class TestLaplacian:

@@ -104,6 +104,38 @@ class TestFieldFiles:
         assert isinstance(loaded, MetricField)
         np.testing.assert_allclose(loaded.values, values, atol=1e-15)
 
+    def test_complex_offdiagonal_metric_round_trips_bitwise(self, tmp_path):
+        grid = PeriodicGrid(2, 8, "spectral")
+        rng = np.random.default_rng(5)
+        values = np.zeros(grid.shape + (2, 2), dtype=complex)
+        values[...] = np.eye(2)
+        real, imag = 0.1 * rng.standard_normal((2,) + grid.shape)
+        values[..., 0, 1] = real + 1j * imag
+        values[..., 1, 0] = np.conj(values[..., 0, 1])
+        field = MetricField(grid, values)
+        path = tmp_path / "metric_field.json"
+        save_field(path, field)
+        loaded = load_field(path)
+        assert isinstance(loaded, MetricField) and loaded.grid == grid
+        assert loaded.values.tobytes() == values.tobytes()
+        for entry, expected in zip(loaded.entries, field.entries):
+            assert entry.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("defect", ["non-hermitian", "complex-diagonal"])
+    def test_metric_file_must_be_hermitian(self, tmp_path, defect):
+        grid = PeriodicGrid(2, 8)
+        values = np.zeros(grid.shape + (2, 2), dtype=complex)
+        values[...] = np.eye(2)
+        if defect == "non-hermitian":
+            values[1, 2, 3, 4, 0, 1] = 0.5
+        else:
+            values[1, 2, 3, 4, 1, 1] += 1e-6j
+        entries = [[float(z.real), float(z.imag)] for z in values.ravel()]
+        path = tmp_path / "metric_field.json"
+        path.write_text(json.dumps({"n": 2, "N": 8, "kind": "metric", "values": entries}))
+        with pytest.raises(ValueError, match="not Hermitian"):
+            load_field(path)
+
     def test_unknown_kind_rejected(self, tmp_path):
         path = tmp_path / "odd.json"
         path.write_text(json.dumps({"n": 1, "N": 8, "kind": "vector", "values": []}))

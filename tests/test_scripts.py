@@ -18,6 +18,8 @@ SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
         ("refinement_study.py", ["--levels", "1", "--base-resolution", "16", "--base-dt", "1e-3"]),
         ("run_flow_demo.py", ["--resolution", "8", "--dt", "2e-3"]),
         ("run_lemma_suites.py", ["--count", "1", "--n", "2"]),
+        ("step_timing.py", ["--n", "1", "--resolution", "8", "--discretization", "fd2",
+                            "--steps", "1"]),
     ],
 )
 def test_script_main_exits_zero(script, argv, capsys):
