@@ -1,4 +1,5 @@
-"""Time one RK2 step of the potential flow and one background curvature call.
+"""Time one RK2 step of the potential flow, one background curvature call
+and one diagnostics pass.
 
 Builds a flow model on a background with a mixed-wavevector mode (at n=2 the
 off-diagonal g_12 is complex) and a one-mode twist potential, then prints
@@ -7,7 +8,9 @@ off-diagonal g_12 is complex) and a one-mode twist potential, then prints
     at the explicit step-size limit;
   * the tracemalloc peak of one further step;
   * the wall time and the tracemalloc peak of one ``curvature_field`` call on
-    the background metric.
+    the background metric;
+  * the wall time of one ``_diagnostics`` pass over the start and the timed
+    steps taken as snapshots, with the background curvature already computed.
 
 Example:
 
@@ -25,7 +28,16 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from kricci.flow import FlowConfig, FlowModel, TwistSpec, _rk2_step
+from kricci.flow import (
+    FlowConfig,
+    FlowModel,
+    FlowResult,
+    FlowSnapshot,
+    TwistSpec,
+    _diagnostics,
+    _initial_sigma,
+    _rk2_step,
+)
 from kricci.grid import PeriodicGrid, curvature_field, scalar_from_modes
 
 
@@ -63,22 +75,32 @@ def main(argv=None):
     dt = min(config.dt_initial, cfl * model.h_margin)
     t, phi, phidot = 0.0, np.zeros(grid.shape), np.zeros(grid.shape)
     times = []
+    snapshots = [FlowSnapshot(t, phi, phidot)]
     for _ in range(args.steps):
         start = time.perf_counter()
         phi, phidot, _ = _rk2_step(model, t, phi, dt, phidot)
         times.append(time.perf_counter() - start)
         t += dt
+        snapshots.append(FlowSnapshot(t, phi, phidot))
     _, step_peak = peak_mib(lambda: _rk2_step(model, t, phi, dt, phidot))
     start = time.perf_counter()
     curvature_field(grid, model.h)
     curvature_s = time.perf_counter() - start
     curvature, curvature_peak = peak_mib(lambda: curvature_field(grid, model.h))
+    # A run computes R_h once, for its first full window; the pass reuses it.
+    model.curvature_h = curvature
+    result = FlowResult(config, model, _initial_sigma(model), snapshots, rows=[],
+                        steps=args.steps)
+    start = time.perf_counter()
+    _diagnostics(result)
+    diagnostics_s = time.perf_counter() - start
 
     print(f"n={grid.n} N={grid.N} {grid.discretization} dt={dt:.3e}")
     print(f"rk2 step: median {1e3 * statistics.median(times):.1f} ms over {args.steps} steps, "
           f"tracemalloc peak {step_peak:.1f} MiB")
     print(f"curvature_field: {1e3 * curvature_s:.1f} ms, tracemalloc peak {curvature_peak:.1f} MiB "
           f"for a {curvature.nbytes / 2**20:.1f} MiB result")
+    print(f"diagnostics: {1e3 * diagnostics_s:.1f} ms for one pass over {len(snapshots)} snapshots")
     return 0
 
 

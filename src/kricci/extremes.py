@@ -187,18 +187,24 @@ def k_ricci_extreme_at(
     return value, SubspaceBasis(frame, h)
 
 
+# Fixed settings of the projected gradient ascent: a start stops when its
+# projected gradient is below GRAD_TOL (1 + |f|); steps start at, and never
+# grow past, STEP_INIT; a step is admissible when it gains ARMIJO_C times the
+# linear prediction, and a line search halves at most BACKTRACK_MAX times.
+GRAD_TOL = 1e-9
+STEP_INIT = 0.5
+ARMIJO_C = 1e-4
+BACKTRACK_MAX = 30
+
+
 @dataclass
 class CertifyOptions:
-    """Knobs for the multistart projected gradient ascent."""
+    """Budget and verdict tolerance of the multistart projected gradient ascent."""
 
     starts: int = 64
     presweep: int = 1024
     max_iter: int = 200
-    grad_tol: float = 1e-9
     value_tol: float = 1e-8
-    step_init: float = 0.5
-    armijo_c: float = 1e-4
-    backtrack_max: int = 30
 
     def __post_init__(self):
         if self.starts < 1 or self.presweep < self.starts:
@@ -269,7 +275,7 @@ def certify_k_ricci(
 
     b = X.shape[0]
     f = _batch_eval(T, H, L, E, X, k)[0]
-    step = np.full(b, opts.step_init)
+    step = np.full(b, STEP_INIT)
     converged = np.zeros(b, dtype=bool)
     stalled = np.zeros(b, dtype=bool)
     iterations = 0
@@ -289,7 +295,7 @@ def certify_k_ricci(
         )
         xi = Ga - coef[:, None] * N
         xi_norm2 = np.einsum("bi,bi->b", np.conj(xi), xi).real
-        done = np.sqrt(xi_norm2) <= opts.grad_tol * (1.0 + np.abs(fa))
+        done = np.sqrt(xi_norm2) <= GRAD_TOL * (1.0 + np.abs(fa))
         converged[rows[done]] = True
         work = np.flatnonzero(~done)
         if work.size == 0:
@@ -298,13 +304,13 @@ def certify_k_ricci(
         Xw, fw, xiw, slope = Xa[work], fa[work], xi[work], 2.0 * xi_norm2[work]
         s = step[wrows].copy()
         ok = np.zeros(work.size, dtype=bool)
-        for _ in range(opts.backtrack_max):
+        for _ in range(BACKTRACK_MAX):
             todo = np.flatnonzero(~ok)
             if todo.size == 0:
                 break
             cand = _normalize_rows(Xw[todo] + s[todo, None] * xiw[todo], H)
             fc = _batch_eval(T, H, L, E, cand, k)[0]
-            good = fc >= fw[todo] + opts.armijo_c * s[todo] * slope[todo]
+            good = fc >= fw[todo] + ARMIJO_C * s[todo] * slope[todo]
             hit = todo[good]
             Xw[hit] = cand[good]
             fw[hit] = fc[good]
@@ -313,7 +319,7 @@ def certify_k_ricci(
         stalled[wrows[~ok]] = True
         X[wrows[ok]] = Xw[ok]
         f[wrows[ok]] = fw[ok]
-        step[wrows] = np.minimum(s * 2.0, opts.step_init)
+        step[wrows] = np.minimum(s * 2.0, STEP_INIT)
 
     best = int(np.argmax(f))
     value, witness = k_ricci_extreme_at(S, h, X[best], k)

@@ -118,6 +118,10 @@ class FlowConfig:
             raise ValueError("diagnostics_every must be at least 1")
         if not (self.alpha > 0 and self.beta > 0):
             raise ValueError("alpha and beta must be positive")
+        if self.max_halvings < 0:
+            raise ValueError("max_halvings must be nonnegative")
+        if self.max_steps < 1:
+            raise ValueError("max_steps must be at least 1")
 
 
 class FlowModel:
@@ -174,7 +178,7 @@ class FlowModel:
     def phidot_of(self, g: MetricField) -> np.ndarray:
         return g.log_determinant() - self._logdet_h
 
-    def log_trace_h(self, ginv: np.ndarray) -> np.ndarray:
+    def log_trace_h(self, ginv: MetricField) -> np.ndarray:
         """log tr_g h from g^-1, through the same C-library log as log det g."""
         return clib_log(g_trace(ginv, self.h, real_tol=TRACE_REAL_TOL))
 
@@ -447,7 +451,7 @@ def _diagnostics(result: FlowResult):
 
 
 def _schwarz_margins(
-    model: FlowModel, ginv: np.ndarray, dlog: np.ndarray, log_lam: np.ndarray, R_h: np.ndarray
+    model: FlowModel, ginv: MetricField, dlog: np.ndarray, log_lam: np.ndarray, R_h: np.ndarray
 ) -> float:
     """Min-over-grid margin of the Schwarz-type inequality at one snapshot.
 

@@ -30,7 +30,8 @@ g = [[a, b], [conj(b), d]].  Fields are validated (shape, Hermiticity to
 ``MetricField(grid, values)``; fields that are Hermitian by construction
 (complex Hessians of real fields and real combinations of Hermitian fields)
 are assembled from their entries with no check, so the flow's step path
-never builds or re-validates a full (..., n, n) field.  The full field
+never builds or re-validates a full (..., n, n) field.  The inverse g^-1 is
+one of these too, so every g-trace reads g^-1 as its entries.  The full field
 ``values`` is built on demand.
 
 Because n <= 2, the metric kernels (smallest eigenvalue, log determinant,
@@ -438,14 +439,13 @@ class MetricField:
         b = self.b
         return self.a * self.d - (b.real**2 + b.imag**2)
 
-    def inverse(self) -> np.ndarray:
-        """g^{-1} = adj(g) / det g as a full field (no positivity check)."""
+    def inverse(self) -> MetricField:
+        """g^{-1} = adj(g) / det g, Hermitian by construction (no positivity check)."""
         inv_det = 1.0 / self.det
         if self.n == 1:
-            entries = (inv_det,)
-        else:
-            entries = self.d * inv_det, self.a * inv_det, -self.b * inv_det
-        return MetricField._from_entries(self.grid, *entries).values
+            return MetricField._from_entries(self.grid, inv_det)
+        entries = self.d * inv_det, self.a * inv_det, -self.b * inv_det
+        return MetricField._from_entries(self.grid, *entries)
 
     def unitary_frame(self) -> np.ndarray:
         """The g-unitary frame E = L^{-T} at every point, g = L L^H the
@@ -508,19 +508,18 @@ def _entry_rows(M) -> list[list[np.ndarray]]:
     return [[M[..., i, j] for j in rows] for i in rows]
 
 
-def g_trace(ginv: np.ndarray, A, real_tol: float | None = None) -> np.ndarray:
+def g_trace(ginv: MetricField, A, real_tol: float | None = None) -> np.ndarray:
     """The g-trace sum_{k,l} g^{l k} A[..., k, l] over the last two axes of A.
 
-    ``ginv`` is the inverse metric field; ``A`` is a full matrix field, whose
-    axes between the grid axes and the traced pair ride along, or a
-    :class:`MetricField`.  The sum is written out entry by entry.  With
-    ``real_tol`` the trace is checked real to that relative tolerance and
-    returned as a real field.
+    ``ginv`` is g^-1 (:meth:`MetricField.inverse`); ``A`` is a
+    :class:`MetricField` or a full matrix field, whose axes between the grid
+    axes and the traced pair ride along.  The sum is written out entry by
+    entry.  With ``real_tol`` the trace is checked real to that relative
+    tolerance and returned as a real field.
     """
-    if not isinstance(A, MetricField) and A.ndim > ginv.ndim:
-        extra = A.ndim - ginv.ndim
-        ginv = ginv.reshape(ginv.shape[:-2] + (1,) * extra + ginv.shape[-2:])
     G, A = _entry_rows(ginv), _entry_rows(A)
+    extra = (1,) * (A[0][0].ndim - ginv.a.ndim)
+    G = [[entry.reshape(entry.shape + extra) for entry in row] for row in G]
     rows = range(len(G))
     out = _dot([G[l][k] for l in rows for k in rows], [A[k][l] for l in rows for k in rows])
     if real_tol is None:
@@ -574,21 +573,21 @@ def ricci_field(grid: PeriodicGrid, g: MetricField) -> MetricField:
 
 
 def _dot(xs, ys):
-    """sum_p xs[p] ys[p] over per-point entry arrays of one dtype: one entry
-    of a matrix product written out for n <= 2, in place of a batched
-    contraction."""
-    total = xs[0] * ys[0]
+    """sum_p xs[p] ys[p] over per-point entry arrays, summed in order and in
+    place, in complex when any factor is: one entry of a matrix product
+    written out for n <= 2, in place of a batched contraction."""
+    total = (xs[0] * ys[0]).astype(np.result_type(*xs, *ys), copy=False)
     for x, y in zip(xs[1:], ys[1:]):
         total += x * y
     return total
 
 
-def g_pair_trace(ginv: np.ndarray, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+def g_pair_trace(ginv: MetricField, A, B) -> np.ndarray:
     """tr(g^-1 A g^-1 B) = sum g^{li} A_ij g^{jk} B_kl at every point.
 
-    ``ginv``, ``A`` and ``B`` are (n x n)-matrix fields over the same grid,
-    full arrays or :class:`MetricField`; the products g^-1 A and g^-1 B are
-    formed entry by entry.
+    ``ginv`` is the inverse metric field; ``A`` and ``B`` are (n x n)-matrix
+    fields over the same grid, full arrays or :class:`MetricField`.  The
+    products g^-1 A and g^-1 B are formed entry by entry.
     """
     ginv_rows = _entry_rows(ginv)
     rows = range(len(ginv_rows))
@@ -661,7 +660,7 @@ def curvature_field(grid: PeriodicGrid, g: MetricField) -> np.ndarray:
     return np.moveaxis(blocks, (0, 1, 2, 3), (-4, -3, -2, -1))
 
 
-def laplacian(grid: PeriodicGrid, ginv: np.ndarray, f: np.ndarray) -> np.ndarray:
+def laplacian(grid: PeriodicGrid, ginv: MetricField, f: np.ndarray) -> np.ndarray:
     """The metric Laplacian g^{i jbar} d_i dbar_j f of a real field; ``ginv`` is g^-1."""
     return g_trace(ginv, dbar_hessian_field(grid, f), real_tol=1e-10)
 

@@ -68,6 +68,13 @@ def load_json(path) -> dict:
         ) from err
 
 
+def _json_object(value, what: str, path) -> dict:
+    """``value`` if it is a JSON object; otherwise a ValueError naming the file."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{path}: {what} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
 def save_json(path, payload) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -105,12 +112,14 @@ def save_tensor(path, form: BihermitianForm | HermitianForm) -> None:
 
 
 def load_tensor(path) -> LoadedTensor:
-    data = load_json(path)
+    data = _json_object(load_json(path), "tensor file", path)
     try:
         n = int(data["n"])
         entries = data["entries"]
     except KeyError as err:
         raise ValueError(f"{path}: tensor file missing key {err}") from err
+    if not isinstance(entries, list):
+        raise ValueError(f"{path}: tensor entries must be a list of [re, im] pairs")
     count = len(entries)
     kind = data.get("kind")
     if kind is None:
@@ -208,26 +217,33 @@ class FlowJob:
     source: Path
 
 
-def _potential_from_spec(spec, grid: PeriodicGrid, base: Path) -> np.ndarray | None:
-    """Inline Fourier mode list, file reference, or absent."""
+def _potential_from_spec(spec, grid: PeriodicGrid, path: Path) -> np.ndarray | None:
+    """Inline Fourier mode list, file reference (relative to the config file
+    ``path``), or absent."""
     if spec is None:
         return None
     if isinstance(spec, dict) and "modes" in spec:
         modes = []
-        for mode in spec["modes"]:
-            wavevector = tuple(int(c) for c in mode["k"])
-            amp = mode["amp"]
-            amplitude = complex(amp[0], amp[1]) if isinstance(amp, list) else float(amp)
-            modes.append((wavevector, amplitude))
+        try:
+            for mode in spec["modes"]:
+                wavevector = tuple(int(c) for c in mode["k"])
+                amp = mode["amp"]
+                amplitude = complex(amp[0], amp[1]) if isinstance(amp, list) else float(amp)
+                modes.append((wavevector, amplitude))
+        except (KeyError, IndexError, TypeError, ValueError) as err:
+            raise ValueError(
+                f"{path}: malformed potential modes ({type(err).__name__}: {err}); each mode "
+                "needs an integer wavevector 'k' and an amplitude 'amp', a number or [re, im]"
+            ) from err
         return scalar_from_modes(grid, modes)
     if isinstance(spec, dict) and "file" in spec:
-        field = load_field(base / spec["file"])
+        field = load_field(path.parent / spec["file"])
         if not isinstance(field, ScalarField):
             raise ValueError(f"{spec['file']}: potential reference must be a scalar field")
         if field.grid != grid:
             raise ValueError(f"{spec['file']}: field grid does not match the flow grid")
         return field.values
-    raise ValueError("potential spec must carry 'modes' or 'file'")
+    raise ValueError(f"{path}: potential spec must carry 'modes' or 'file'")
 
 
 FLOW_CONFIG_KEYS = (
@@ -237,14 +253,12 @@ FLOW_CONFIG_KEYS = (
 
 def load_flow_config(path, discretization: str | None = None) -> FlowJob:
     path = Path(path)
-    data = load_json(path)
-    if not isinstance(data, dict):
-        raise ValueError(f"{path}: flow config must be a JSON object")
+    data = _json_object(load_json(path), "flow config", path)
     for key in data:
         if key not in FLOW_CONFIG_KEYS:
             raise ValueError(f"{path}: unknown flow config key {key!r}")
     try:
-        grid_spec = data["grid"]
+        grid_spec = _json_object(data["grid"], "grid", path)
         grid = PeriodicGrid(
             int(grid_spec["n"]),
             int(grid_spec["N"]),
@@ -252,14 +266,14 @@ def load_flow_config(path, discretization: str | None = None) -> FlowJob:
         )
     except KeyError as err:
         raise ValueError(f"{path}: flow config missing key {err}") from err
-    twist_spec = data.get("twist", {})
+    twist_spec = _json_object(data.get("twist", {}), "twist", path)
     twist = TwistSpec(
         c=float(twist_spec.get("c", 0.0)),
-        potential=_potential_from_spec(twist_spec.get("u"), grid, path.parent),
+        potential=_potential_from_spec(twist_spec.get("u"), grid, path),
     )
     config = FlowConfig(
         grid=grid,
-        background=_potential_from_spec(data.get("background"), grid, path.parent),
+        background=_potential_from_spec(data.get("background"), grid, path),
         twist=twist,
         t_final=float(data.get("t_end", 1.0)),
         dt_initial=float(data.get("dt", 1e-3)),
@@ -268,7 +282,8 @@ def load_flow_config(path, discretization: str | None = None) -> FlowJob:
         beta=float(data.get("beta", 1.0)),
     )
     mu = data.get("mu")
-    checks = {str(k): float(v) for k, v in data.get("checks", {}).items()}
+    checks = _json_object(data.get("checks", {}), "checks", path)
+    checks = {str(k): float(v) for k, v in checks.items()}
     return FlowJob(
         config=config,
         mu=None if mu is None else float(mu),

@@ -123,6 +123,37 @@ class TestCertify:
         assert "bihermitian" in capsys.readouterr().err
 
 
+GRID = {"n": 1, "N": 8}
+
+
+@pytest.mark.parametrize(
+    "command, payload",
+    [
+        ("flow", {"grid": GRID, "twist": 5}),
+        ("flow", {"grid": [1, 8]}),
+        ("flow", {"grid": GRID, "checks": [1]}),
+        ("flow", {"grid": GRID, "background": {"modes": [{"k": [1, 0]}]}}),
+        ("certify", {"kind": "bihermitian", "n": 2, "entries": 5}),
+        ("certify", [1, 2]),
+    ],
+    ids=[
+        "twist-not-object",
+        "grid-not-object",
+        "checks-not-object",
+        "mode-without-amp",
+        "entries-not-list",
+        "tensor-file-not-object",
+    ],
+)
+def test_malformed_file_exits_2(tmp_path, capsys, command, payload):
+    path = tmp_path / "input.json"
+    save_json(path, payload)
+    args = ["--out", tmp_path / "out"] if command == "flow" else ["--bound", 0.0]
+    assert run_cli(command, path, *args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(path) in err
+
+
 class TestFlow:
     def test_flat_run_is_all_zero_and_passes(self, tmp_path):
         config = tmp_path / "flat.json"

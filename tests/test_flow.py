@@ -186,6 +186,25 @@ class TestDegeneracy:
             assert np.max(np.abs(snap.phidot - homogeneous_phidot(1, 2.0, snap.t))) < 1e-9
         assert check_schwarz(result).times.size == len(result.snapshots) - 2
 
+    def test_step_budget_exhausted(self):
+        config = homogeneous_config(c=0.0, t_final=0.01, dt=1e-3, max_steps=3)
+        with pytest.raises(FlowDegenerateError, match="step budget 3 exhausted") as excinfo:
+            run_flow(config)
+        err = excinfo.value
+        assert err.result.steps == 3
+        # The last snapshot is the last accepted state, three steps of dt in.
+        assert err.t == pytest.approx(3e-3, abs=1e-15)
+        assert err.result.final.t == err.t
+        assert err.result.rows[-1].t == err.t
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [("max_halvings", -1, "max_halvings"), ("max_steps", 0, "max_steps")],
+    )
+    def test_config_rejects_empty_budgets(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            homogeneous_config(c=0.0, t_final=0.01, **{field: value})
+
     def test_halvings_exhausted_keeps_initial_row(self, monkeypatch):
         config = homogeneous_config(c=0.0, t_final=0.1, dt=1e-2, max_halvings=3)
 

@@ -302,7 +302,7 @@ class TestClosedFormKernels:
     def test_inverse(self, field):
         g, eig, cond = field
         ref = np.linalg.inv(g.values)
-        inv = g.inverse()
+        inv = g.inverse().values
         assert np.array_equal(inv, np.conj(np.swapaxes(inv, -1, -2)))
         diff = np.max(np.abs(inv - ref), axis=(-2, -1))
         scale = np.max(np.abs(ref), axis=(-2, -1))
@@ -487,7 +487,7 @@ def reference_curvature(grid, g):
     holomorphic derivatives with g^-1."""
     dg = np.stack([holomorphic_derivative(grid, g.values, k) for k in range(grid.n)])
     term2 = np.einsum(
-        "...qp,k...iq,l...jp->...ijkl", g.inverse(), dg, np.conj(dg), optimize=True
+        "...qp,k...iq,l...jp->...ijkl", g.inverse().values, dg, np.conj(dg), optimize=True
     )
     return -per_axis_hessian(grid, g.values) + term2
 
@@ -539,7 +539,8 @@ class TestPairTrace:
         ginv = MetricField(grid, random_metric_values(n, grid.shape, rng)).inverse()
         A = random_metric_values(n, grid.shape, rng)
         B = random_metric_values(n, grid.shape, rng)
-        ref = np.einsum("...li,...jk,...ij,...kl->...", ginv, ginv, A, B, optimize=True)
+        G = ginv.values
+        ref = np.einsum("...li,...jk,...ij,...kl->...", G, G, A, B, optimize=True)
         out = g_pair_trace(ginv, A, B)
         assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
 
@@ -598,8 +599,18 @@ class TestHermitianHalf:
         ginv = g.inverse()
         assert np.array_equal(g_trace(ginv, A), g_trace(ginv, A.values))
         assert np.array_equal(g_pair_trace(ginv, A, B), g_pair_trace(ginv, A.values, B.values))
-        ref = np.einsum("...lk,...kl->...", ginv, A.values)
+        ref = np.einsum("...lk,...kl->...", ginv.values, A.values)
         assert np.max(np.abs(g_trace(ginv, A) - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_real_trace_rejects_non_hermitian_full_field(self, n):
+        ginv = self.field(n, 9).inverse()
+        A = self.field(n, 10).values
+        assert g_trace(ginv, A, real_tol=1e-10).dtype == float
+        # An imaginary diagonal entry adds i g^{00}, and g^{00} > 0, to the trace.
+        A[..., 0, 0] += 1j
+        with pytest.raises(ValueError, match="g-trace must be real"):
+            g_trace(ginv, A, real_tol=1e-10)
 
     def test_trace_rides_over_component_axes(self):
         grid = PeriodicGrid(n=2, N=8)
@@ -607,7 +618,7 @@ class TestHermitianHalf:
         ginv = self.field(2, 7).inverse()
         shape = grid.shape + (2, 2, 2, 2)
         R = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        ref = np.einsum("...lk,...ijkl->...ij", ginv, R)
+        ref = np.einsum("...lk,...ijkl->...ij", ginv.values, R)
         out = g_trace(ginv, R)
         assert out.shape == grid.shape + (2, 2)
         assert np.max(np.abs(out - ref)) <= 1e-14 * np.max(np.abs(ref))
