@@ -9,9 +9,10 @@ Its extreme over all such subspaces splits into the diagonal quartic term
 S(X, X̄, X, X̄) plus the sum of the (k-1) largest (or smallest) eigenvalues of
 the Hermitian matrix M[p, q] = S(X, X̄, Q_p, Q̄_q) built on any h-orthonormal
 frame Q of the h-orthocomplement of X.  ``certify_k_ricci`` maximises that
-extreme over the unit sphere by projected gradient ascent from many starts
-and reports whether a requested upper bound survives an independent
-re-evaluation at the best point found.
+extreme over the unit sphere from many starts, by projected gradient ascent
+and, near a maximum, Newton steps on the sphere modulo phase.  It reports
+whether a requested upper bound survives an independent re-evaluation at the
+best point found.
 """
 
 from __future__ import annotations
@@ -195,6 +196,63 @@ GRAD_TOL = 1e-9
 STEP_INIT = 0.5
 ARMIJO_C = 1e-4
 BACKTRACK_MAX = 30
+# Newton phase: at or below NEWTON_SWITCH (1 + |f|) a start tries a Newton
+# step on the tangent chart, with a Hessian from forward differences of step
+# NEWTON_FD_STEP of the exact gradient.  The step is taken when the Hessian is
+# negative definite, the step is shorter than NEWTON_MAX_STEP, and the value
+# drops by at most NEWTON_SLACK (1 + |f|); otherwise the start takes an
+# Armijo step.  The switch is wide because the safeguards, not the switch,
+# keep the step safe: with 1e-3 or 3e-2, starts on flat ridges crawl on Armijo
+# steps for all of max_iter.
+NEWTON_SWITCH = 0.3
+NEWTON_FD_STEP = 1e-6
+NEWTON_MAX_STEP = 0.1
+NEWTON_SLACK = 64 * np.finfo(float).eps
+
+
+def _chart_gradient(G, X, B, H, norm):
+    """Gradient in c of f on the chart c -> normalize_h(X0 + B c).
+
+    ``X`` are the chart points, ``G`` their cogradients from ``_batch_eval``
+    and ``norm`` the h-norms of X0 + B c, so dX/dc_i = (B_i - X Re<B_i, X>_h)
+    / norm and df/dc_i = 2 Re(G · conj(dX/dc_i)).
+    """
+    proj = (np.conj(X) @ H.T)[:, None, :] @ B
+    GB = G[:, None, :] @ np.conj(B)
+    GX = np.einsum("bi,bi->b", G, np.conj(X)).real
+    return 2.0 * (GB[:, 0, :].real - proj[:, 0, :].real * GX[:, None]) / norm[:, None]
+
+
+def _newton_steps(T, H, L, E, X, f, G, k):
+    """Newton steps for the h-unit rows X on the charts X(c) = normalize_h(X + B c).
+
+    B = [Q, iQ] is a real basis of the tangent space modulo phase.  The
+    Hessian is a forward difference of the exact chart gradient, with all rows
+    perturbed in one ``_batch_eval`` call.  Returns ``(idx, X_new, f_new)``
+    for the rows that took the step (see ``NEWTON_*``).
+    """
+    b, n = X.shape
+    Q = _orthocomplement_batch(L, E, X)
+    B = np.concatenate([Q, 1j * Q], axis=2)
+    d = B.shape[2]
+    g = _chart_gradient(G, X, B, H, np.ones(b))
+    Y = (X[:, None, :] + NEWTON_FD_STEP * np.swapaxes(B, 1, 2)).reshape(b * d, n)
+    norm = np.sqrt(np.einsum("bi,ij,bj->b", Y, H, np.conj(Y)).real)
+    Xp = Y / norm[:, None]
+    _, Gp = _batch_eval(T, H, L, E, Xp, k, with_grad=True)
+    gp = _chart_gradient(Gp, Xp, np.repeat(B, d, axis=0), H, norm).reshape(b, d, d)
+    hess = (np.swapaxes(gp, 1, 2) - g[:, :, None]) / NEWTON_FD_STEP
+    hess = 0.5 * (hess + np.swapaxes(hess, 1, 2))
+    idx = np.flatnonzero(np.linalg.eigvalsh(hess)[:, -1] < 0)
+    c = -np.linalg.solve(hess[idx], g[idx, :, None])
+    short = np.linalg.norm(c[:, :, 0], axis=1) < NEWTON_MAX_STEP
+    idx, c = idx[short], c[short]
+    if idx.size == 0:
+        return idx, X[idx], f[idx]
+    cand = _normalize_rows(X[idx] + (B[idx] @ c)[:, :, 0], H)
+    fc = _batch_eval(T, H, L, E, cand, k)[0]
+    good = fc >= f[idx] - NEWTON_SLACK * (1.0 + np.abs(f[idx]))
+    return idx[good], cand[good], fc[good]
 
 
 @dataclass
@@ -209,6 +267,8 @@ class CertifyOptions:
     def __post_init__(self):
         if self.starts < 1 or self.presweep < self.starts:
             raise ValueError("need presweep >= starts >= 1")
+        if not (np.isfinite(self.value_tol) and self.value_tol >= 0):
+            raise ValueError(f"value_tol must be finite and >= 0, got {self.value_tol}")
 
 
 @dataclass
@@ -225,6 +285,10 @@ class Certificate:
     (``n_small_gradient``), its line search backtracked to exhaustion without
     an admissible increase (``n_stalled``), or the iteration budget ran out.
     ``n_converged`` is the first-order exits, ``n_small_gradient + n_stalled``.
+    Near a non-degenerate maximum the Newton steps take the gradient to
+    roundoff, so starts exit by small gradient.  A start stalls where no
+    Newton step is taken, for instance at a maximum that is not isolated, and
+    the Armijo test then compares values that differ only by roundoff.
     """
 
     status: str
@@ -251,11 +315,17 @@ def certify_k_ricci(
 
     A presweep scores random sphere points, the best become starts for a
     projected gradient ascent with Armijo backtracking, and the best final
-    point is re-evaluated from scratch.  The verdict is ``"violated"`` only
-    when the re-evaluated value exceeds ``bound`` by more than ``value_tol``,
-    and ``"inconclusive"`` only when no start reached a first-order point
-    (small projected gradient, or a line search that backtracked to
-    exhaustion) within the iteration budget.
+    point is re-evaluated from scratch.  Once a start's projected gradient is
+    below ``NEWTON_SWITCH (1 + |f|)`` it tries a Newton step instead: on the
+    chart c -> normalize_h(X + B c) with B = [Q, iQ], the Hessian is a forward
+    difference of the exact gradient, and the step is taken only when that
+    Hessian is negative definite, the step is short and the value does not
+    drop beyond roundoff; otherwise the start takes the Armijo step.  The
+    verdict is ``"violated"`` only when the re-evaluated value exceeds
+    ``bound`` by more than ``value_tol``, and ``"inconclusive"`` only when no
+    start reached a first-order point (small projected gradient, or a line
+    search that backtracked to exhaustion) within the iteration budget.
+    ``bound`` may be +inf but not NaN.
     """
     opts = options or CertifyOptions()
     rng = rng if rng is not None else np.random.default_rng(0)
@@ -265,6 +335,8 @@ def certify_k_ricci(
     if h.n != n:
         raise ValueError("metric dimension does not match the form")
     bound = float(bound)
+    if np.isnan(bound):
+        raise ValueError("bound must be a number or +inf, got nan")
     T = S.entries
     H = h.entries
     L, E = cholesky_frame(h)
@@ -295,8 +367,16 @@ def certify_k_ricci(
         )
         xi = Ga - coef[:, None] * N
         xi_norm2 = np.einsum("bi,bi->b", np.conj(xi), xi).real
-        done = np.sqrt(xi_norm2) <= GRAD_TOL * (1.0 + np.abs(fa))
+        xi_norm, scale = np.sqrt(xi_norm2), 1.0 + np.abs(fa)
+        done = xi_norm <= GRAD_TOL * scale
         converged[rows[done]] = True
+        near = np.flatnonzero(~done & (xi_norm <= NEWTON_SWITCH * scale))
+        if near.size:
+            took, Xn, fn = _newton_steps(T, H, L, E, Xa[near], fa[near], Ga[near], k)
+            took = near[took]
+            X[rows[took]], f[rows[took]] = Xn, fn
+            # Rows that took a Newton step skip the Armijo step.
+            done[took] = True
         work = np.flatnonzero(~done)
         if work.size == 0:
             continue
@@ -323,11 +403,10 @@ def certify_k_ricci(
 
     best = int(np.argmax(f))
     value, witness = k_ricci_extreme_at(S, h, X[best], k)
-    # The subspace term is a max of eigenvalue sums, so maximizers can sit at
-    # eigenvalue crossings where the objective is nonsmooth and the projected
-    # gradient never becomes small.  A start whose line search backtracked to
-    # exhaustion without an admissible increase is first-order terminal there,
-    # so it counts as converged alongside the small-gradient exits.
+    # A start whose line search backtracked to exhaustion without an
+    # admissible increase sits where no Newton step was taken and the Armijo
+    # test resolves only roundoff, so it counts as converged alongside the
+    # small-gradient exits.
     n_small_gradient = int(converged.sum())
     n_stalled = int(stalled.sum())
     n_conv = n_small_gradient + n_stalled

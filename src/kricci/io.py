@@ -246,6 +246,15 @@ def _potential_from_spec(spec, grid: PeriodicGrid, path: Path) -> np.ndarray | N
     raise ValueError(f"{path}: potential spec must carry 'modes' or 'file'")
 
 
+def _number(cast, value, key: str, path):
+    """``cast(value)``; a value it cannot convert is a ValueError naming the
+    file and the key."""
+    try:
+        return cast(value)
+    except (TypeError, ValueError) as err:
+        raise ValueError(f"{path}: {key} must be a number, got {value!r}") from err
+
+
 FLOW_CONFIG_KEYS = (
     "grid", "background", "twist", "dt", "t_end", "cadence", "alpha", "beta", "mu", "checks",
 )
@@ -260,33 +269,33 @@ def load_flow_config(path, discretization: str | None = None) -> FlowJob:
     try:
         grid_spec = _json_object(data["grid"], "grid", path)
         grid = PeriodicGrid(
-            int(grid_spec["n"]),
-            int(grid_spec["N"]),
+            _number(int, grid_spec["n"], "grid.n", path),
+            _number(int, grid_spec["N"], "grid.N", path),
             discretization or grid_spec.get("discretization", "fd2"),
         )
     except KeyError as err:
         raise ValueError(f"{path}: flow config missing key {err}") from err
     twist_spec = _json_object(data.get("twist", {}), "twist", path)
     twist = TwistSpec(
-        c=float(twist_spec.get("c", 0.0)),
+        c=_number(float, twist_spec.get("c", 0.0), "twist.c", path),
         potential=_potential_from_spec(twist_spec.get("u"), grid, path),
     )
     config = FlowConfig(
         grid=grid,
         background=_potential_from_spec(data.get("background"), grid, path),
         twist=twist,
-        t_final=float(data.get("t_end", 1.0)),
-        dt_initial=float(data.get("dt", 1e-3)),
-        diagnostics_every=int(data.get("cadence", 10)),
-        alpha=float(data.get("alpha", 1.0)),
-        beta=float(data.get("beta", 1.0)),
+        t_final=_number(float, data.get("t_end", 1.0), "t_end", path),
+        dt_initial=_number(float, data.get("dt", 1e-3), "dt", path),
+        diagnostics_every=_number(int, data.get("cadence", 10), "cadence", path),
+        alpha=_number(float, data.get("alpha", 1.0), "alpha", path),
+        beta=_number(float, data.get("beta", 1.0), "beta", path),
     )
     mu = data.get("mu")
     checks = _json_object(data.get("checks", {}), "checks", path)
-    checks = {str(k): float(v) for k, v in checks.items()}
+    checks = {str(k): _number(float, v, f"checks.{k}", path) for k, v in checks.items()}
     return FlowJob(
         config=config,
-        mu=None if mu is None else float(mu),
+        mu=None if mu is None else _number(float, mu, "mu", path),
         checks=checks,
         source=path,
     )

@@ -116,6 +116,17 @@ class TestCertify:
         assert code == 1
         assert "status=violated" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "flags",
+        [("--tol", "nan"), ("--tol", "inf"), ("--tol", "-5"), ("--bound", "nan")],
+        ids=["tol-nan", "tol-inf", "tol-negative", "bound-nan"],
+    )
+    def test_rejects_bad_tolerance_or_bound(self, model_form_file, capsys, flags):
+        argv = ["certify", model_form_file, "--k", 2, "--bound", 0.0, *flags]
+        assert run_cli(*argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and "status=" not in captured.out
+
     def test_rejects_metric_file_as_form(self, tmp_path, capsys):
         path = tmp_path / "metric.json"
         save_tensor(path, HermitianForm(np.eye(2)))
@@ -133,6 +144,13 @@ GRID = {"n": 1, "N": 8}
         ("flow", {"grid": [1, 8]}),
         ("flow", {"grid": GRID, "checks": [1]}),
         ("flow", {"grid": GRID, "background": {"modes": [{"k": [1, 0]}]}}),
+        ("flow", {"grid": GRID, "t_end": None}),
+        ("flow", {"grid": GRID, "cadence": [1]}),
+        ("flow", {"grid": GRID, "dt": "fast"}),
+        ("flow", {"grid": GRID, "mu": [0.5]}),
+        ("flow", {"grid": GRID, "twist": {"c": None}}),
+        ("flow", {"grid": GRID, "checks": {"schwarz": None}}),
+        ("flow", {"grid": {"n": None, "N": 8}}),
         ("certify", {"kind": "bihermitian", "n": 2, "entries": 5}),
         ("certify", [1, 2]),
     ],
@@ -141,6 +159,13 @@ GRID = {"n": 1, "N": 8}
         "grid-not-object",
         "checks-not-object",
         "mode-without-amp",
+        "t_end-null",
+        "cadence-list",
+        "dt-string",
+        "mu-list",
+        "twist-c-null",
+        "check-null",
+        "grid-n-null",
         "entries-not-list",
         "tensor-file-not-object",
     ],

@@ -5,12 +5,17 @@ from numpy.testing import assert_allclose
 from kricci.extremes import (
     CertifyOptions,
     _batch_eval,
+    _chart_gradient,
+    _newton_steps,
+    _normalize_rows,
+    _orthocomplement_batch,
     certify_k_ricci,
     h_orthocomplement,
     k_ricci_extreme_at,
     k_ricci_on,
 )
 from kricci.forms import (
+    BihermitianForm,
     HermitianForm,
     b_form,
     cholesky_frame,
@@ -21,6 +26,7 @@ from kricci.forms import (
     ricci_trace,
     require_real,
     shift_sigma,
+    symmetrize,
     unit_sphere_samples,
     unitary_frame,
 )
@@ -173,6 +179,54 @@ class TestBatchEval:
                 assert_allclose(fd, predicted, rtol=5e-5, atol=5e-7, err_msg=f"n={n}")
 
 
+class TestNewtonSteps:
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_chart_gradient_against_finite_differences(self, k):
+        n = 3
+        h = random_hermitian(n, rng(190 + k), positive=True)
+        S = random_bihermitian(n, rng(193 + k))
+        H = h.entries
+        L, E = cholesky_frame(h)
+        X = unit_sphere_samples(h, 1, rng(196 + k))
+        Q = _orthocomplement_batch(L, E, X)
+        B = np.concatenate([Q, 1j * Q], axis=2)
+        c0 = rng(199 + k).standard_normal(2 * n - 2) * 0.1
+        Y = X + B @ c0
+        norm = np.sqrt(np.einsum("bi,ij,bj->b", Y, H, np.conj(Y)).real)
+        f, G = _batch_eval(S.entries, H, L, E, Y / norm[:, None], k, with_grad=True)
+        g = _chart_gradient(G, Y / norm[:, None], B, H, norm)[0]
+
+        def value(c):
+            return _batch_eval(S.entries, H, L, E, _normalize_rows(X + B @ c, H), k)[0][0]
+
+        t = 1e-6
+        for i in range(2 * n - 2):
+            e = np.zeros(2 * n - 2)
+            e[i] = t
+            fd = (value(c0 + e) - value(c0 - e)) / (2 * t)
+            assert_allclose(g[i], fd, rtol=1e-5, atol=1e-7, err_msg=f"k={k} i={i}")
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_steps_converge_quadratically_to_a_maximum(self, k):
+        n = 3
+        h = random_hermitian(n, rng(200 + k), positive=True)
+        S = random_bihermitian(n, rng(203 + k))
+        H = h.entries
+        L, E = cholesky_frame(h)
+        cert = certify_k_ricci(S, h, k, bound=np.inf, rng=rng(k))
+        top = cert.witness.columns[:, 0]
+        X = _normalize_rows(unit_sphere_samples(h, 1, rng(206 + k)) * 1e-2 + top, H)
+        gaps = []
+        for _ in range(3):
+            f, G = _batch_eval(S.entries, H, L, E, X, k, with_grad=True)
+            gaps.append(cert.value - f[0])
+            took, X, f = _newton_steps(S.entries, H, L, E, X, f, G, k)
+            assert took.tolist() == [0]
+        assert gaps[0] > 1e-7
+        assert gaps[1] < 1e-3 * gaps[0]
+        assert abs(cert.value - f[0]) <= 1e-13 * (1 + abs(cert.value))
+
+
 class TestNoEinsumPathPlanning:
     """The certifier's and the quartic sweep's kernels are plain matmuls."""
 
@@ -276,12 +330,65 @@ class TestCertify:
         assert cert.iterations == 1
 
     def test_random_form_reports_both_exit_reasons(self):
-        n, k = 3, 2
+        # S = -sigma B(h) + (eps/2)(a ⊗ h + h ⊗ a) with a = |<·, u>_h|^2 has the
+        # value -2 sigma + eps |<X, u>_h|^2 at k=1, so its maximum is attained
+        # on the whole projective line orthogonal to u.  The tangent Hessian is
+        # singular there, no Newton step is taken near it, and Armijo steps end
+        # up comparing values that differ only by roundoff: some starts stall.
+        n, k, sigma, eps = 3, 1, 0.5, -1.0
         r = rng(0)
         h = random_hermitian(n, r, positive=True)
-        S = random_bihermitian(n, r)
+        u = unit_sphere_samples(h, 1, r)[0]
+        w = h.entries @ np.conj(u)
+        a = np.outer(w, np.conj(w))
+        T = 0.5 * eps * (
+            np.einsum("ij,kl->ijkl", a, h.entries) + np.einsum("ij,kl->ijkl", h.entries, a)
+        )
+        S = shift_sigma(BihermitianForm(T), h, -sigma)
         cert = certify_k_ricci(S, h, k, bound=np.inf, rng=rng(0))
+        assert_allclose(cert.value, -2 * sigma, rtol=1e-12)
         assert cert.n_small_gradient > 0
         assert cert.n_stalled > 0
         assert cert.n_small_gradient + cert.n_stalled == cert.n_converged
         assert cert.n_converged <= CertifyOptions().starts
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_random_forms_exit_by_small_gradient_within_budget(self, k):
+        n = 3
+        opts = CertifyOptions()
+        for seed in range(3):
+            r = rng(170 + seed)
+            h = random_hermitian(n, r, positive=True)
+            S = random_bihermitian(n, r)
+            cert = certify_k_ricci(S, h, k, bound=np.inf, options=opts, rng=rng(seed))
+            assert cert.n_small_gradient == opts.starts, f"seed {seed}"
+            assert cert.n_stalled == 0
+            assert cert.iterations < opts.max_iter
+
+    def test_flat_ridge_form_certifies(self):
+        # A form whose k=1 maximum plain gradient ascent approaches too slowly
+        # to certify within the default budget (2.669103710474, reached after
+        # thousands of iterations).
+        raw_rng = np.random.default_rng([2020, 10])
+        raw = raw_rng.standard_normal((3,) * 4) + 1j * raw_rng.standard_normal((3,) * 4)
+        S = symmetrize(raw)
+        h = HermitianForm.identity(3)
+        cert = certify_k_ricci(S, h, 1, bound=2.669103710474, rng=rng(0))
+        assert cert.status == "satisfied"
+        assert abs(cert.value - 2.669103710474) <= 1e-9
+        assert cert.n_small_gradient == CertifyOptions().starts
+
+
+class TestCertifyInputs:
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -5.0])
+    def test_options_reject_bad_value_tol(self, tol):
+        with pytest.raises(ValueError, match="value_tol"):
+            CertifyOptions(value_tol=tol)
+
+    def test_rejects_nan_bound_accepts_inf(self):
+        h = HermitianForm.identity(2)
+        S = random_bihermitian(2, rng(180))
+        with pytest.raises(ValueError, match="bound"):
+            certify_k_ricci(S, h, 1, bound=np.nan, rng=rng(0))
+        cert = certify_k_ricci(S, h, 1, bound=np.inf, rng=rng(0))
+        assert cert.status == "satisfied"
