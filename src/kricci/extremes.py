@@ -94,12 +94,13 @@ def _normalize_rows(X: np.ndarray, H: np.ndarray) -> np.ndarray:
     return X / np.sqrt(norms2)[:, None]
 
 
-def _batch_eval(T, H, L, E, X, k, with_grad=False):
+def _batch_eval(T, H, L, E, X, k, with_grad=False, Q=None):
     """Value (and Wirtinger cogradient) of the max-k-Ricci objective.
 
     Rows of X must be h-unit.  Returns (f,) or (f, G) where
     G[b, j] = df/d conj(X[b, j]) by the envelope rule for the eigenvalue sum,
-    with the witnesses transported so they stay h-orthogonal to X.
+    with the witnesses transported so they stay h-orthogonal to X.  At k >= 2
+    ``Q`` may pass in the ``_orthocomplement_batch`` frames of X.
 
     The contractions are matmuls of the rows P = vec(X ⊗ X̄) against the
     pairing matrix A[(p, q), (r, s)] = T[p, q, r, s], so no call plans an
@@ -115,7 +116,8 @@ def _batch_eval(T, H, L, E, X, k, with_grad=False):
         f = quart
         u = None
     else:
-        Q = _orthocomplement_batch(L, E, X)
+        if Q is None:
+            Q = _orthocomplement_batch(L, E, X)
         M = np.swapaxes(Q, 1, 2) @ T1 @ np.conj(Q)
         M = 0.5 * (M + np.conj(np.swapaxes(M, 1, 2)))
         w, V = np.linalg.eigh(M)
@@ -223,16 +225,18 @@ def _chart_gradient(G, X, B, H, norm):
     return 2.0 * (GB[:, 0, :].real - proj[:, 0, :].real * GX[:, None]) / norm[:, None]
 
 
-def _newton_steps(T, H, L, E, X, f, G, k):
+def _newton_steps(T, H, L, E, X, f, G, k, Q=None):
     """Newton steps for the h-unit rows X on the charts X(c) = normalize_h(X + B c).
 
-    B = [Q, iQ] is a real basis of the tangent space modulo phase.  The
-    Hessian is a forward difference of the exact chart gradient, with all rows
-    perturbed in one ``_batch_eval`` call.  Returns ``(idx, X_new, f_new)``
-    for the rows that took the step (see ``NEWTON_*``).
+    B = [Q, iQ] is a real basis of the tangent space modulo phase, with Q the
+    ``_orthocomplement_batch`` frames of X (built here when not passed in).
+    The Hessian is a forward difference of the exact chart gradient, with all
+    rows perturbed in one ``_batch_eval`` call.  Returns ``(idx, X_new,
+    f_new)`` for the rows that took the step (see ``NEWTON_*``).
     """
     b, n = X.shape
-    Q = _orthocomplement_batch(L, E, X)
+    if Q is None:
+        Q = _orthocomplement_batch(L, E, X)
     B = np.concatenate([Q, 1j * Q], axis=2)
     d = B.shape[2]
     g = _chart_gradient(G, X, B, H, np.ones(b))
@@ -358,7 +362,10 @@ def certify_k_ricci(
         iterations = it + 1
         rows = np.flatnonzero(active)
         Xa = X[rows]
-        fa, Ga = _batch_eval(T, H, L, E, Xa, k, with_grad=True)
+        # At k >= 2 the objective needs the orthocomplement frames, and the
+        # Newton steps reuse them as their tangent bases.
+        Qa = _orthocomplement_batch(L, E, Xa) if k > 1 else None
+        fa, Ga = _batch_eval(T, H, L, E, Xa, k, with_grad=True, Q=Qa)
         f[rows] = fa
         N = Xa @ H
         coef = (
@@ -372,7 +379,8 @@ def certify_k_ricci(
         converged[rows[done]] = True
         near = np.flatnonzero(~done & (xi_norm <= NEWTON_SWITCH * scale))
         if near.size:
-            took, Xn, fn = _newton_steps(T, H, L, E, Xa[near], fa[near], Ga[near], k)
+            Qn = None if Qa is None else Qa[near]
+            took, Xn, fn = _newton_steps(T, H, L, E, Xa[near], fa[near], Ga[near], k, Qn)
             took = near[took]
             X[rows[took]], f[rows[took]] = Xn, fn
             # Rows that took a Newton step skip the Armijo step.

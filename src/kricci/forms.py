@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import RealityError
 
@@ -290,8 +289,7 @@ def cholesky_frame(h: HermitianForm) -> tuple[np.ndarray, np.ndarray]:
         L = np.linalg.cholesky(h.entries)
     except np.linalg.LinAlgError as exc:
         raise ValueError("metric must be positive definite") from exc
-    E = solve_triangular(L, np.eye(h.n, dtype=complex), trans="T", lower=True)
-    return L, E
+    return L, np.linalg.inv(L).T
 
 
 def unitary_frame(h: HermitianForm) -> np.ndarray:
@@ -300,14 +298,16 @@ def unitary_frame(h: HermitianForm) -> np.ndarray:
 
 
 def unit_sphere_samples(h: HermitianForm, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Rows are uniform samples of the h-unit sphere (via the flat isometry)."""
+    """Rows are uniform samples of the h-unit sphere (via the flat isometry).
+
+    A flat Gaussian row w maps to x = w L^{-1} = w Eᵀ, so that h(x, x̄) = |w|².
+    """
     if count < 1:
         raise ValueError("count must be positive")
     n = h.n
     W = rng.standard_normal((count, n)) + 1j * rng.standard_normal((count, n))
-    L, _ = cholesky_frame(h)
-    X = solve_triangular(L, W.T, trans="T", lower=True).T
-    return X / np.linalg.norm(W, axis=1)[:, None]
+    _, E = cholesky_frame(h)
+    return (W @ E.T) / np.linalg.norm(W, axis=1)[:, None]
 
 
 def pairing_matrix(T: np.ndarray) -> np.ndarray:

@@ -186,7 +186,9 @@ def _real_derivatives(grid: PeriodicGrid, f: np.ndarray, gradient: bool = False)
             return value
 
     else:
-        # Imported here so that runs without a spectral grid do not load scipy.fft.
+        # Imported on first use: scipy serves only the flow side, and the
+        # algebraic side (certify, verify, gen) runs on numpy alone, so a
+        # process that never takes a spectral derivative loads no scipy.
         from scipy import fft
 
         axes = tuple(range(2 * grid.n))
@@ -308,8 +310,8 @@ def clib_log(x: np.ndarray) -> np.ndarray:
     margins turn into relative changes near 1e-6, so flow outputs would
     depend on the host.
     """
-    # Imported here so that runs without grid metrics (the certifier, the
-    # suites) do not load scipy.special.
+    # Imported on first use, like scipy.fft in _real_derivatives: the
+    # certifier and the suites run on numpy alone and load no scipy module.
     from scipy.special import xlogy
 
     return xlogy(1.0, x)

@@ -14,7 +14,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ResourceLimitError
 from .forms import (
@@ -331,8 +330,8 @@ def ric_scalar_matrix(
     """Check that (nk+n-k-2) 𝒮 h + n Ric + n(n+1)(n-1)(k+1) sigma h ⪯ 0.
 
     Negativity is measured through the eigenvalues of the matrix relative to
-    h (generalized Hermitian eigenproblem).  The combination vanishes
-    identically for -sigma times the model form.  Requires k >= 2; the k = 1
+    h (generalized Hermitian eigenproblem, solved in an h-unitary frame).  The
+    combination vanishes identically for -sigma times the model form.  Requires k >= 2; the k = 1
     case carries no content beyond the sectional bound itself.
     """
     n = S.n
@@ -348,7 +347,11 @@ def ric_scalar_matrix(
         + n * (n + 1) * (n - 1) * (k + 1) * sigma * h.entries
     )
     D = 0.5 * (D + D.conj().T)
-    eig = scipy.linalg.eigh(D, h.entries, eigvals_only=True)
+    # D v = λ H v with H = L L^H is the standard problem for L^{-1} D L^{-H},
+    # which is Eᵀ D conj(E) in the h-unitary frame E = L^{-T}.
+    _, E = cholesky_frame(h)
+    C = E.T @ D @ np.conj(E)
+    eig = np.linalg.eigvalsh(0.5 * (C + C.conj().T))
     scale = 1.0 + float(np.max(np.abs(eig)))
     max_eig = float(eig.max())
     return RicScalarReport(

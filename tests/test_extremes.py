@@ -1,7 +1,10 @@
+import sys
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import kricci.extremes
 from kricci.extremes import (
     CertifyOptions,
     _batch_eval,
@@ -225,6 +228,43 @@ class TestNewtonSteps:
         assert gaps[0] > 1e-7
         assert gaps[1] < 1e-3 * gaps[0]
         assert abs(cert.value - f[0]) <= 1e-13 * (1 + abs(cert.value))
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_newton_frames_built_once(self, k, monkeypatch):
+        # At k >= 2 the objective's orthocomplement frames are the Newton
+        # tangent bases; at k = 1 the objective builds none, so Newton does.
+        callers = []
+        build = kricci.extremes._orthocomplement_batch
+
+        def counted(L, E, X):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return build(L, E, X)
+
+        monkeypatch.setattr(kricci.extremes, "_orthocomplement_batch", counted)
+        n = 3
+        h = random_hermitian(n, rng(210 + k), positive=True)
+        S = random_bihermitian(n, rng(213 + k))
+        cert = certify_k_ricci(S, h, k, bound=np.inf, rng=rng(k))
+        assert cert.n_small_gradient == CertifyOptions().starts
+        assert ("_newton_steps" in callers) == (k == 1)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_passed_frames_give_the_same_steps(self, k):
+        n = 3
+        h = random_hermitian(n, rng(220 + k), positive=True)
+        S = random_bihermitian(n, rng(223 + k))
+        H = h.entries
+        L, E = cholesky_frame(h)
+        cert = certify_k_ricci(S, h, k, bound=np.inf, rng=rng(k))
+        X = _normalize_rows(unit_sphere_samples(h, 5, rng(226 + k)) * 1e-2
+                            + cert.witness.columns[:, 0], H)
+        f, G = _batch_eval(S.entries, H, L, E, X, k, with_grad=True)
+        Q = _orthocomplement_batch(L, E, X)
+        built = _newton_steps(S.entries, H, L, E, X, f, G, k)
+        passed = _newton_steps(S.entries, H, L, E, X, f, G, k, Q)
+        assert built[0].size > 0
+        for a, b in zip(built, passed):
+            np.testing.assert_array_equal(a, b)
 
 
 class TestNoEinsumPathPlanning:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
@@ -11,6 +12,7 @@ from kricci.forms import (
     HermitianForm,
     SubspaceBasis,
     b_form,
+    cholesky_frame,
     hermitian_eval,
     hsc,
     norm_h,
@@ -189,6 +191,40 @@ class TestFrames:
         X = unit_sphere_samples(h, 100, rng(62))
         norms = np.einsum("ai,ij,aj->a", X, h.entries, np.conj(X)).real
         assert_allclose(norms, 1.0, atol=1e-12)
+
+    @staticmethod
+    def metrics(n, seed):
+        """A random well-conditioned metric and one with condition number 1e8."""
+        r = rng(seed)
+        U, _ = np.linalg.qr(r.standard_normal((n, n)) + 1j * r.standard_normal((n, n)))
+        spectrum = np.geomspace(1.0, 1e-8, n) if n > 1 else np.ones(1)
+        return [random_hermitian(n, r, positive=True), HermitianForm((U * spectrum) @ U.conj().T)]
+
+    # scipy's triangular solve is the independent reference for the numpy
+    # routes of the frame and of the sphere samples.
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_cholesky_frame_against_triangular_solve(self, n):
+        for h in self.metrics(n, 70 + n):
+            L, E = cholesky_frame(h)
+            ref = scipy.linalg.solve_triangular(L, np.eye(n, dtype=complex), trans="T", lower=True)
+            assert_allclose(E, ref, rtol=0, atol=1e-13 * np.max(np.abs(ref)))
+            # Roundoff in H alone moves Eᵀ H conj(E) by about eps cond(H), so
+            # the identity is held to 1e-13 relative to the condition number.
+            gram = E.T @ h.entries @ np.conj(E)
+            assert_allclose(gram, np.eye(n), rtol=0, atol=1e-13 * np.linalg.cond(h.entries))
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_unit_sphere_samples_against_triangular_solve(self, n):
+        for h in self.metrics(n, 80 + n):
+            X = unit_sphere_samples(h, 257, rng(90 + n))
+            r = rng(90 + n)
+            W = r.standard_normal((257, n)) + 1j * r.standard_normal((257, n))
+            L = np.linalg.cholesky(h.entries)
+            ref = scipy.linalg.solve_triangular(L, W.T, trans="T", lower=True).T
+            ref /= np.linalg.norm(W, axis=1)[:, None]
+            assert_allclose(X, ref, rtol=0, atol=1e-13 * np.max(np.abs(ref)))
+            norms = np.einsum("ai,ij,aj->a", X, h.entries, np.conj(X)).real
+            assert_allclose(norms, 1.0, rtol=0, atol=1e-13 * np.linalg.cond(h.entries))
 
     def test_subspace_basis_validates_gram(self):
         h = random_hermitian(3, rng(63), positive=True)

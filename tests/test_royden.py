@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
@@ -183,6 +184,19 @@ class TestRicScalar:
             report = ric_scalar_matrix(S, h, k, sigma)
             assert_allclose(report.matrix, 0.0, atol=1e-8)
             assert report.ok
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_eigenvalues_against_generalized_eigh(self, n):
+        # scipy's generalized solver is the independent reference for the
+        # reduction to Eᵀ D conj(E) in the h-unitary frame.
+        for k in range(2, n + 1):
+            r = rng(170 + 10 * n + k)
+            h = random_hermitian(n, r, positive=True)
+            S = random_bihermitian(n, r)
+            report = ric_scalar_matrix(S, h, k, sigma=r.standard_normal())
+            ref = scipy.linalg.eigh(report.matrix, h.entries, eigvals_only=True)
+            scale = 1.0 + np.max(np.abs(ref))
+            assert_allclose(report.eigenvalues, ref, rtol=0, atol=1e-12 * scale)
 
     def test_rejects_k_one(self):
         h = HermitianForm.identity(2)
