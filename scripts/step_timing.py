@@ -98,8 +98,10 @@ def main(argv=None):
     print(f"n={grid.n} N={grid.N} {grid.discretization} dt={dt:.3e}")
     print(f"rk2 step: median {1e3 * statistics.median(times):.1f} ms over {args.steps} steps, "
           f"tracemalloc peak {step_peak:.1f} MiB")
+    # R_h is a dict of Sym² entry fields; its size is theirs together.
+    curvature_mib = sum(entry.nbytes for entry in curvature.values()) / 2**20
     print(f"curvature_field: {1e3 * curvature_s:.1f} ms, tracemalloc peak {curvature_peak:.1f} MiB "
-          f"for a {curvature.nbytes / 2**20:.1f} MiB result")
+          f"for a {curvature_mib:.1f} MiB result")
     print(f"diagnostics: {1e3 * diagnostics_s:.1f} ms for one pass over {len(snapshots)} snapshots")
     return 0
 

@@ -40,13 +40,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegeneracyError, FlowDegenerateError, HypothesisError
-from .forms import pairing_matrix
+from .forms import sym2_index
 from .grid import (
     MetricField,
     PeriodicGrid,
     clib_log,
     curvature_field,
     dbar_hessian_field,
+    g_double_trace,
     g_pair_trace,
     g_trace,
     laplacian,
@@ -160,8 +161,9 @@ class FlowModel:
         self._drift = self.ric_h + self.eta
 
     @functools.cached_property
-    def curvature_h(self) -> np.ndarray:
-        """The background curvature tensor R_h, computed on first use and kept."""
+    def curvature_h(self) -> dict:
+        """The background curvature R_h on Sym²(C^n), as the entry fields of
+        :func:`curvature_field`; computed on first use and kept."""
         return curvature_field(self.grid, self.h)
 
     def reconstruct(self, t: float, phi: np.ndarray) -> MetricField:
@@ -451,7 +453,7 @@ def _diagnostics(result: FlowResult):
 
 
 def _schwarz_margins(
-    model: FlowModel, ginv: MetricField, dlog: np.ndarray, log_lam: np.ndarray, R_h: np.ndarray
+    model: FlowModel, ginv: MetricField, dlog: np.ndarray, log_lam: np.ndarray, R_h: dict
 ) -> float:
     """Min-over-grid margin of the Schwarz-type inequality at one snapshot.
 
@@ -459,13 +461,13 @@ def _schwarz_margins(
                                        + (1/Lam) tr(h g^-1 eta g^-1)
 
     ``ginv`` is g^-1 at the snapshot, ``dlog`` the centered d/dt of
-    ``log_lam`` = log tr_g h, and ``R_h`` the background curvature tensor.
+    ``log_lam`` = log tr_g h, and ``R_h`` the background curvature on Sym².
     """
     lam = np.exp(log_lam)
     lhs = dlog - laplacian(model.grid, ginv, log_lam)
-    double_trace = g_trace(ginv, g_trace(ginv, R_h))
+    double_trace = g_double_trace(ginv, R_h)
     twist_trace = g_pair_trace(ginv, model.h, model.eta)
-    rhs = (double_trace.real + twist_trace.real) / lam
+    rhs = (double_trace + twist_trace.real) / lam
     return float((lhs - rhs).min())
 
 
@@ -638,28 +640,31 @@ def check_trace_evolution(
 def _mixed_level_estimate(model: FlowModel, rho: MetricField, alpha: float, beta: float) -> float:
     """Upper bound for the pointwise level of alpha h rho + beta R_h.
 
-    In an h-unitary frame the level is at most alpha lambda_max(rho relative
-    to h) plus beta times the largest eigenvalue of the curvature tensor
-    reshaped over its (unbarred, barred) index pairs; the estimate is exact
-    for flat backgrounds.
+    In an h-unitary frame E the level is at most alpha lambda_max(rho
+    relative to h) plus beta lambda_max of R_h on Sym²(C^n), the matrix
+    w_A w_C R(E_a, conj E_b, E_c, conj E_d) over the pairs A = (a, c),
+    C = (b, d) and weights w of :func:`sym2_index`.  The pairing matrix of R_h
+    on all of C^n (x) C^n also vanishes on Λ², so at n >= 2 the curvature
+    part is clamped at 0.  The estimate is exact for flat backgrounds.
     """
-    grid = model.grid
-    n = grid.n
-    axes = 2 * n
+    n = model.grid.n
     E = model.h.unitary_frame()
-    E_T = np.swapaxes(E, -1, -2)
-    rho_flat = E_T @ rho.values @ np.conj(E)
+    rho_flat = np.swapaxes(E, -1, -2) @ rho.values @ np.conj(E)
     rho_flat = 0.5 * (rho_flat + np.conj(np.swapaxes(rho_flat, -1, -2)))
     rho_top = np.linalg.eigvalsh(rho_flat)[..., -1]
-    # Pairing matrix over (unbarred, unbarred) x (barred, barred) slots,
-    # A[(i, k), (j, l)] = R[i, j, k, l], moved to the frame by F = E (x) E:
-    # (F^T A conj(F))[(a, c), (b, d)] = R(E_a, conj E_b, E_c, conj E_d).
+    pairs, orbits, weights = sym2_index(n)
     R = model.curvature_h
-    A = pairing_matrix(R.transpose(tuple(range(axes)) + (axes, axes + 2, axes + 1, axes + 3)))
-    F = (E[..., :, None, :, None] * E[..., None, :, None, :]).reshape(grid.shape + (n * n,) * 2)
-    paired = np.swapaxes(F, -1, -2) @ A @ np.conj(F)
+    form = np.stack([np.stack([R[P, Q] if P <= Q else np.conj(R[Q, P]) for Q in pairs], -1)
+                     for P in pairs], -2)
+    # V[P, A] = w_A sum of E[i, a] E[k, c] over (i, k) in the orbit of P, so
+    # that (V^T form conj(V))[A, C] = w_A w_C R(E_a, conj E_b, E_c, conj E_d).
+    V = np.stack([np.stack([w * sum(E[..., i, a] * E[..., k, c] for i, k in orbit)
+                            for (a, c), w in zip(pairs, weights)], -1) for orbit in orbits], -2)
+    paired = np.swapaxes(V, -1, -2) @ form @ np.conj(V)
     paired = 0.5 * (paired + np.conj(np.swapaxes(paired, -1, -2)))
     curv_top = np.linalg.eigvalsh(paired)[..., -1]
+    if n > 1:
+        curv_top = np.maximum(curv_top, 0.0)
     return float((alpha * rho_top + beta * curv_top).max())
 
 

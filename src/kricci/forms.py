@@ -19,6 +19,7 @@ and used by every other module.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +47,7 @@ __all__ = [
     "ricci_trace",
     "scalar",
     "shift_sigma",
+    "sym2_index",
     "symmetrize",
     "unit_sphere_samples",
     "unitary_frame",
@@ -315,10 +317,26 @@ def pairing_matrix(T: np.ndarray) -> np.ndarray:
 
     Row pairs are (unbarred, barred) slots 0 and 1, column pairs slots 2 and 3,
     so S(X, Ȳ, Z, W̄) = vec(X ⊗ Ȳ) A vec(Z ⊗ W̄)ᵀ with vec as in
-    :func:`pair_products`.  Leading axes, as of a tensor field, ride along.
+    :func:`pair_products`.
     """
     n = T.shape[-1]
-    return T.reshape(T.shape[:-4] + (n * n, n * n))
+    return T.reshape(n * n, n * n)
+
+
+@functools.lru_cache(maxsize=8)
+def sym2_index(n: int):
+    """The index map of Sym²(ℂⁿ): (pairs, orbits, weights).  ``pairs`` are the
+    index pairs P = (i, k), i <= k, in lexicographic order, ``orbits[p]`` the
+    ordered pairs of pairs[p], ``weights[p]`` = sqrt(len(orbits[p])) (read-only).
+    A form with both slot swaps vanishes on Λ² and is fixed by S[P, Q] =
+    S[i, j, k, l], P = (i, k) <= Q = (j, l); its matrix in the orthonormal
+    basis e_i ⊗ e_i, (e_i ⊗ e_k + e_k ⊗ e_i)/sqrt 2 is w_P w_Q S[P, Q].
+    """
+    pairs = tuple((i, k) for i in range(n) for k in range(i, n))
+    orbits = tuple(tuple(dict.fromkeys([(i, k), (k, i)])) for i, k in pairs)
+    weights = np.sqrt([float(len(orbit)) for orbit in orbits])
+    weights.flags.writeable = False
+    return pairs, orbits, weights
 
 
 def pair_products(X: np.ndarray) -> np.ndarray:

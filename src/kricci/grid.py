@@ -10,8 +10,9 @@ spaced points (N even, at least 8).  Grid axes are ordered
 
 Two discretizations are supported.  ``fd2`` uses the 3-point second
 difference on a repeated axis and compositions of centered first differences
-across axes; all shifts commute, so Hermiticity of the complex Hessian and
-the curvature tensor symmetries hold exactly, not just to truncation order.
+across axes; all shifts commute, so the complex Hessian is exactly
+Hermitian, but the curvature tensor meets the swap of its unbarred slots
+only to second order (see :func:`curvature_field`).
 ``spectral`` differentiates in Fourier space with the Nyquist mode zeroed for
 odd derivatives.  Its derivatives of a real field take one real forward
 transform (``scipy.fft.rfftn``) over the grid axes; every derivative field
@@ -36,9 +37,13 @@ one of these too, so every g-trace reads g^-1 as its entries.  The full field
 
 Because n <= 2, the metric kernels (smallest eigenvalue, log determinant,
 inverse, unitary frame) are closed forms in the entries a, d, b rather than
-batched LAPACK calls; they share one determinant per field.  The g-traces,
-the contractions in the curvature tensor and the twist trace are written out
-entry by entry.
+batched LAPACK calls; they share one determinant per field.  The g-traces
+and the twist trace are written out entry by entry.
+
+The curvature of a metric field is stored the same way, as the upper
+triangle of a Hermitian form on Sym²(C^n) (:func:`curvature_field`): 3 real
+and 3 complex entry fields at n=2, where the rank-4 tensor has 16 complex
+blocks.  Its traces read those entries, and no rank-4 field is built.
 """
 
 from __future__ import annotations
@@ -51,6 +56,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegeneracyError
+from .forms import sym2_index
 
 __all__ = [
     "MetricField",
@@ -62,6 +68,8 @@ __all__ = [
     "dbar_hessian",
     "dbar_hessian_field",
     "flat_metric",
+    "g_curvature_trace",
+    "g_double_trace",
     "g_pair_trace",
     "g_trace",
     "grid_mean",
@@ -108,27 +116,9 @@ class PeriodicGrid:
         return list(np.meshgrid(*([ticks] * 2 * self.n), indexing="ij"))
 
 
-def _spectral_factor(N: int) -> np.ndarray:
-    """Fourier symbol of d/dx along one axis, Nyquist mode zeroed."""
-    k = np.fft.fftfreq(N, d=1.0 / N)
-    k[N // 2] = 0.0
-    return 2j * np.pi * k
-
-
-def _along(factor: np.ndarray, axis: int, ndim: int) -> np.ndarray:
-    """A per-axis factor shaped to broadcast along ``axis`` of an ndim array."""
-    shape = [1] * ndim
-    shape[axis] = factor.size
-    return factor.reshape(shape)
-
-
 def _d1(grid: PeriodicGrid, f: np.ndarray, axis: int) -> np.ndarray:
-    """Centered (or spectral) first derivative along a real axis."""
-    if grid.discretization == "fd2":
-        return (np.roll(f, -1, axis=axis) - np.roll(f, 1, axis=axis)) * (grid.N / 2.0)
-    factor = _along(_spectral_factor(grid.N), axis, f.ndim)
-    out = np.fft.ifft(np.fft.fft(f, axis=axis) * factor, axis=axis)
-    return out if np.iscomplexobj(f) else out.real
+    """fd2 centered first derivative along a real axis."""
+    return (np.roll(f, -1, axis=axis) - np.roll(f, 1, axis=axis)) * (grid.N / 2.0)
 
 
 def _dd(grid: PeriodicGrid, f: np.ndarray, a: int, b: int) -> np.ndarray:
@@ -154,33 +144,24 @@ def _rfft_factors(N: int, axes: int, ndim: int) -> tuple[tuple[np.ndarray, ...],
         freq = half if axis == axes - 1 else full
         k = 2.0 * np.pi * freq
         for factor, values in ((wave, np.where(np.abs(freq) == N // 2, 0.0, k)), (second, -k * k)):
-            values = _along(values, axis, ndim)
+            values = values.reshape([-1 if a == axis else 1 for a in range(ndim)])
             values.flags.writeable = False
             factor.append(values)
     return tuple(wave), tuple(second)
 
 
-def _real_derivatives(grid: PeriodicGrid, f: np.ndarray, gradient: bool = False):
-    """Derivative fields of one real field, all from one transform.
-
-    Returns (hess, grad).  ``hess`` maps (k, l) with k <= l to the real and
-    imaginary parts of d_k dbar_l f: (dx_k^2 + dy_k^2) f / 4 and 0 on the
-    diagonal, (dx_k dx_l + dy_k dy_l) f / 4 and (dx_k dy_l - dy_k dx_l) f / 4
-    off it.  With ``gradient``, grad[k] is (dx_k f / 2, dy_k f / 2).
-
-    Each field is a linear combination of the terms ``d1(a)`` and ``dd(a, b)``
-    (first and mixed second derivatives along real axes) turned into a field
-    by ``finish``.  On the spectral grid the terms are real-valued Fourier
-    symbols (i times one for ``d1``) on one shared ``rfftn`` of f, so each
-    field costs one ``irfftn``; on fd2 they are the differenced fields.
+def _derivatives(grid: PeriodicGrid, f: np.ndarray):
+    """(hessian, gradient): functions giving the derivative fields of one real
+    field f when asked for.  ``hessian(k, l)``, k <= l, is the real and the
+    imaginary part of d_k dbar_l f, (dx_k dx_l + dy_k dy_l) f / 4 and
+    (dx_k dy_l - dy_k dx_l) f / 4 (0 for k = l); ``gradient(k)`` is
+    (dx_k f / 2, dy_k f / 2).  Each is a combination of the terms ``d1(a)``
+    and ``dd(a, b)`` made a field by ``finish``: on the spectral grid real
+    Fourier symbols (i times one for ``d1``) on one ``rfftn`` of f, so a field
+    costs one ``irfftn``; on fd2 the differenced fields.
     """
     if grid.discretization == "fd2":
-
-        def d1(a):
-            return _d1(grid, f, a)
-
-        def dd(a, b):
-            return _dd(grid, f, a, b)
+        d1, dd = functools.partial(_d1, grid, f), functools.partial(_dd, grid, f)
 
         def finish(value):
             return value
@@ -204,49 +185,15 @@ def _real_derivatives(grid: PeriodicGrid, f: np.ndarray, gradient: bool = False)
         def finish(symbol):
             return fft.irfftn(spectrum * symbol, s=grid.shape, axes=axes)
 
-    hess, grad = {}, []
-    for k in range(grid.n):
-        xk, yk = 2 * k, 2 * k + 1
-        hess[k, k] = (finish(0.25 * (dd(xk, xk) + dd(yk, yk))), 0.0)
-        for l in range(k + 1, grid.n):
-            xl, yl = 2 * l, 2 * l + 1
-            hess[k, l] = (
-                finish(0.25 * (dd(xk, xl) + dd(yk, yl))),
-                finish(0.25 * (dd(xk, yl) - dd(yk, xl))),
-            )
-        if gradient:
-            grad.append((finish(0.5 * d1(xk)), finish(0.5 * d1(yk))))
-    return hess, grad
+    def hessian(k, l):
+        xk, yk, xl, yl = 2 * k, 2 * k + 1, 2 * l, 2 * l + 1
+        even = finish(0.25 * (dd(xk, xl) + dd(yk, yl)))
+        return even, (0.0 if k == l else finish(0.25 * (dd(xk, yl) - dd(yk, xl))))
 
+    def gradient(k):
+        return finish(0.5 * d1(2 * k)), finish(0.5 * d1(2 * k + 1))
 
-def _hessian_parts(re: dict, im: dict | None = None) -> dict:
-    """(real, imaginary) parts of d_k dbar_l f for every (k, l), where
-    f = re + i im and ``re``, ``im`` are the Hessians of
-    :func:`_real_derivatives`.  For real f entry (l, k) is exactly the
-    conjugate of (k, l)."""
-    out = {}
-    for (k, l), (even, odd) in re.items():
-        if im is None:
-            out[k, l] = (even, odd)
-            if k != l:
-                out[l, k] = (even, -odd)
-        elif k == l:
-            out[k, k] = (even, im[k, k][0])
-        else:
-            im_even, im_odd = im[k, l]
-            out[k, l] = (even - im_odd, odd + im_even)
-            out[l, k] = (even + im_odd, im_even - odd)
-    return out
-
-
-def _gradient_part(re, im=None, sign: float = 1.0):
-    """(real, imaginary) parts of d_k f for f = re + sign i im, from one
-    entry of the gradients of :func:`_real_derivatives`."""
-    dx, dy = re
-    if im is None:
-        return dx, -dy
-    im_dx, im_dy = im
-    return dx + sign * im_dy, sign * im_dx - dy
+    return hessian, gradient
 
 
 def _complex(real, imag) -> np.ndarray:
@@ -266,10 +213,10 @@ def dbar_hessian_field(grid: PeriodicGrid, f: np.ndarray) -> MetricField:
     is not checked.  ``f`` may carry trailing component axes beyond the grid
     axes (they ride along).
     """
-    hess = _real_derivatives(grid, np.asarray(f).astype(float, copy=False))[0]
-    if grid.n == 1:
-        return MetricField._from_entries(grid, hess[0, 0][0])
-    return MetricField._from_entries(grid, hess[0, 0][0], hess[1, 1][0], _complex(*hess[0, 1]))
+    hessian = _derivatives(grid, np.asarray(f).astype(float, copy=False))[0]
+    diagonal = [hessian(i, i)[0] for i in range(grid.n)]
+    off_diagonal = [_complex(*hessian(0, 1))] if grid.n == 2 else []
+    return MetricField._from_entries(grid, *diagonal, *off_diagonal)
 
 
 def dbar_hessian(grid: PeriodicGrid, f: np.ndarray) -> np.ndarray:
@@ -291,10 +238,15 @@ def dbar_hessian(grid: PeriodicGrid, f: np.ndarray) -> np.ndarray:
 
 
 def holomorphic_derivative(grid: PeriodicGrid, f: np.ndarray, i: int) -> np.ndarray:
-    """d/dz_i = (dx_i - i dy_i)/2 applied along the grid axes."""
+    """d/dz_i = (dx_i - i dy_i)/2 applied along the grid axes (complex f as
+    its real and imaginary parts)."""
     if not 0 <= i < grid.n:
         raise ValueError(f"index {i} out of range for n={grid.n}")
-    return 0.5 * (_d1(grid, f, 2 * i) - 1j * _d1(grid, f, 2 * i + 1))
+    f = np.asarray(f)
+    if np.iscomplexobj(f):
+        return holomorphic_derivative(grid, f.real, i) + 1j * holomorphic_derivative(grid, f.imag, i)
+    dx, dy = _derivatives(grid, f.astype(float, copy=False))[1](i)
+    return dx - 1j * dy
 
 
 def grid_mean(f: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
@@ -310,7 +262,7 @@ def clib_log(x: np.ndarray) -> np.ndarray:
     margins turn into relative changes near 1e-6, so flow outputs would
     depend on the host.
     """
-    # Imported on first use, like scipy.fft in _real_derivatives: the
+    # Imported on first use, like scipy.fft in _derivatives: the
     # certifier and the suites run on numpy alone and load no scipy module.
     from scipy.special import xlogy
 
@@ -499,29 +451,21 @@ class MetricField:
         return margin
 
 
-def _entry_rows(M) -> list[list[np.ndarray]]:
-    """The entry fields M[i][j] of an (n x n)-matrix field: views into a full
-    (..., n, n) array, or the entries of a :class:`MetricField`."""
-    if isinstance(M, MetricField):
-        if M.n == 1:
-            return [[M.a]]
-        return [[M.a, M.b], [np.conj(M.b), M.d]]
-    rows = range(M.shape[-1])
-    return [[M[..., i, j] for j in rows] for i in rows]
+def _entry_rows(M: MetricField) -> list[list[np.ndarray]]:
+    """The entry fields M[i][j] of a :class:`MetricField`."""
+    if M.n == 1:
+        return [[M.a]]
+    return [[M.a, M.b], [np.conj(M.b), M.d]]
 
 
-def g_trace(ginv: MetricField, A, real_tol: float | None = None) -> np.ndarray:
-    """The g-trace sum_{k,l} g^{l k} A[..., k, l] over the last two axes of A.
+def g_trace(ginv: MetricField, A: MetricField, real_tol: float | None = None) -> np.ndarray:
+    """The g-trace sum_{k,l} g^{l k} A_{k l} of a matrix field in entry form.
 
-    ``ginv`` is g^-1 (:meth:`MetricField.inverse`); ``A`` is a
-    :class:`MetricField` or a full matrix field, whose axes between the grid
-    axes and the traced pair ride along.  The sum is written out entry by
-    entry.  With ``real_tol`` the trace is checked real to that relative
-    tolerance and returned as a real field.
+    ``ginv`` is g^-1 (:meth:`MetricField.inverse`).  The sum is written out
+    entry by entry.  With ``real_tol`` the trace is checked real to that
+    relative tolerance and returned as a real field.
     """
     G, A = _entry_rows(ginv), _entry_rows(A)
-    extra = (1,) * (A[0][0].ndim - ginv.a.ndim)
-    G = [[entry.reshape(entry.shape + extra) for entry in row] for row in G]
     rows = range(len(G))
     out = _dot([G[l][k] for l in rows for k in rows], [A[k][l] for l in rows for k in rows])
     if real_tol is None:
@@ -584,82 +528,112 @@ def _dot(xs, ys):
     return total
 
 
-def g_pair_trace(ginv: MetricField, A, B) -> np.ndarray:
-    """tr(g^-1 A g^-1 B) = sum g^{li} A_ij g^{jk} B_kl at every point.
-
-    ``ginv`` is the inverse metric field; ``A`` and ``B`` are (n x n)-matrix
-    fields over the same grid, full arrays or :class:`MetricField`.  The
-    products g^-1 A and g^-1 B are formed entry by entry.
-    """
-    ginv_rows = _entry_rows(ginv)
-    rows = range(len(ginv_rows))
-
-    def times_ginv(M):
-        M = _entry_rows(M)
-        return [[_dot(ginv_rows[i], [M[p][j] for p in rows]) for j in rows] for i in rows]
-
-    GA, GB = times_ginv(A), times_ginv(B)
-    return _dot([GA[i][j] for i in rows for j in rows], [GB[j][i] for i in rows for j in rows])
+def g_pair_trace(ginv: MetricField, A: MetricField, B: MetricField) -> np.ndarray:
+    """tr(g^-1 A g^-1 B) = sum_{i,j} (g^-1 A)_{ij} (g^-1 B)_{ji} at every point,
+    for matrix fields A, B in entry form; ``ginv`` is g^-1.  Accumulated one
+    (i, j) product at a time, so one entry each of g^-1 A and g^-1 B exists
+    at once."""
+    G, A, B = _entry_rows(ginv), _entry_rows(A), _entry_rows(B)
+    rows = range(len(G))
+    return sum(
+        _dot(G[i], [A[p][j] for p in rows]) * _dot(G[j], [B[p][i] for p in rows])
+        for i, j in itertools.product(rows, rows)
+    )
 
 
-def curvature_field(grid: PeriodicGrid, g: MetricField) -> np.ndarray:
-    """Full curvature tensor field R[..., i, j, k, l] of the metric field.
+def curvature_field(grid: PeriodicGrid, g: MetricField) -> dict:
+    """The curvature of a metric field as a Hermitian form on Sym²(C^n),
 
         R_{i jbar k lbar} = -d_k dbar_l g_{i jbar}
-                            + g^{p qbar} (d_k g_{i qbar}) (dbar_l g_{p jbar})
+                            + g^{p qbar} (d_k g_{i qbar}) conj(d_l g_{j pbar}).
 
-    with dbar_l g_{p jbar} = conj(d_l g_{j pbar}).  Its :func:`g_trace` over
-    (k, l) reproduces :func:`ricci_field` up to discretization error.
-
-    Each real component of g = [[a, b], [conj b, d]] (a, d, Re b, Im b) is
-    transformed once, which serves both its Hessian and its gradient.  The
-    second term is (d_k g) W_l with W_l = g^-1 conj(d_l g)^T, from
-    closed-form entry products.  Only entries with i < j, or i = j and
-    k <= l, are computed; R_{j i l k} is their conjugate, so the field is
-    exactly conjugation symmetric.
+    g is Kähler (d_k g_{i jbar} = d_i g_{k jbar}), so R is symmetric in its
+    unbarred and in its barred slots.  The result is {(P, Q): R_{i jbar k lbar}}
+    over the pairs P = (i, k) <= Q = (j, l) of :func:`kricci.forms.sym2_index`,
+    real on the diagonal; S[Q, P] = conj(S[P, Q]) is not stored.  Each entry
+    is computed in this index order only, from the derivative fields it reads,
+    with the gradient term X_P g^-1 X_Q^H over rows X_P[q] = d_k g_{i qbar}.
+    On fd2 at n=2 the unbarred swap holds only to second order (the 3-point
+    second difference is not a product of centered differences) and the field
+    keeps this fixed representative, not the average over the swap; on the
+    spectral grid the swap holds to roundoff.
     """
     g.require_positive("metric")
     n = grid.n
-    rows = range(n)
+    pairs = sym2_index(n)[0]
     ginv_rows = _entry_rows(g.inverse())
     a, d, b = g.entries
-    components = [(0, 0, a, None)]
+    # (hessian, gradient) of the real components of each g_{i jbar}, i <= j.
+    parts = {(0, 0): (_derivatives(grid, a), None)}
     if n == 2:
-        components += [(1, 1, d, None), (0, 1, b.real, b.imag)]
-    # Each (i, j, k, l) entry is one contiguous block, first holding
-    # d_k dbar_l g_{i jbar}; the returned field is a view with the tensor
-    # axes last.
-    blocks = np.empty((n,) * 4 + grid.shape, dtype=complex)
-    dg = {}  # dg[k, i, q] = d_k g_{i qbar}
-    for i, j, re, im in components:
-        re_hess, re_grad = _real_derivatives(grid, re, gradient=True)
-        im_hess, im_grad = None, [None] * n
+        parts[1, 1] = (_derivatives(grid, d), None)
+        parts[0, 1] = (_derivatives(grid, b.real), _derivatives(grid, b.imag))
+    S = {}
+    for (i, k), (j, l) in itertools.combinations_with_replacement(pairs, 2):
+        re, im = parts[i, j]
+        real, imag = re[0](k, l)
         if im is not None:
-            im_hess, im_grad = _real_derivatives(grid, im, gradient=True)
-        for (k, l), (real, imag) in _hessian_parts(re_hess, im_hess).items():
-            blocks[i, j, k, l].real = real
-            blocks[i, j, k, l].imag = imag
-        for k in rows:
-            dg[k, i, j] = _complex(*_gradient_part(re_grad[k], im_grad[k]))
-            if i != j:
-                dg[k, j, i] = _complex(*_gradient_part(re_grad[k], im_grad[k], -1.0))
-    for l in rows:
-        conj_dl = {jp: np.conj(dg[(l,) + jp]) for jp in itertools.product(rows, rows)}
-        # W[q, j] = g^{-1}_{qp} conj(d_l g_{j pbar})
-        W = {
-            (q, j): _dot(ginv_rows[q], [conj_dl[j, p] for p in rows])
-            for q, j in itertools.product(rows, rows)
-        }
-        for i, j, k in itertools.product(rows, rows, rows):
-            if j < i or (i == j and k > l):
-                continue
-            block = blocks[i, j, k, l]
-            np.subtract(_dot([dg[k, i, q] for q in rows], [W[q, j] for q in rows]), block, out=block)
-            if (i, k) == (j, l):
-                block.imag = 0.0  # self-conjugate, so real
-            else:
-                np.conjugate(block, out=blocks[j, i, l, k])
-    return np.moveaxis(blocks, (0, 1, 2, 3), (-4, -3, -2, -1))
+            im_even, im_odd = im[0](k, l)
+            real, imag = real - im_odd, imag + im_even
+            del im_even, im_odd
+        # -d_k dbar_l g_{i jbar}, real on the diagonal P = Q.
+        S[(i, k), (j, l)] = -real if (i, k) == (j, l) else -_complex(real, imag)
+        del real, imag
+    # Rows X[P][q] = d_k g_{i qbar}, one gradient per component and k.
+    X = {P: [None] * n for P in pairs}
+    for (u, v), (re, im) in parts.items():
+        for k in range(n):
+            targets = [(i, q) for i, q in dict.fromkeys([(u, v), (v, u)]) if i <= k]
+            if targets:
+                (dx, dy), im_grad = re[1](k), None if im is None else im[1](k)
+                for i, q in targets:
+                    # d_k of re + sign i im; g_{i qbar} = conj(g_{q ibar}) for i > q.
+                    sign = 1.0 if i <= q else -1.0
+                    X[i, k][q] = (_complex(dx, -dy) if im is None else
+                                  _complex(dx + sign * im_grad[1], sign * im_grad[0] - dy))
+                del dx, dy, im_grad
+    del parts
+    # Column by column from the last, so each row X_Q is dropped after its
+    # own column: S[P, Q] += X_P W with W[r] = g^-1_{rp} conj(X_Q[p]),
+    # formed as conj(g^-1_{pr} X_Q[p]) since g^-1 is Hermitian.
+    for q in reversed(range(len(pairs))):
+        Q = pairs[q]
+        W = [np.conjugate(_dot([row[r] for row in ginv_rows], X[Q])) for r in range(n)]
+        for P in pairs[: q + 1]:
+            term = _dot(X[P], W)
+            S[P, Q] += term.real if P == Q else term
+            del term
+        del X[Q], W
+    return S
+
+
+def g_curvature_trace(ginv: MetricField, S: dict) -> MetricField:
+    """The Ricci-type trace sum_{k,l} g^{l k} R_{i jbar k lbar} of a Sym²
+    curvature field (:func:`curvature_field`), in entry form."""
+    G, rows = _entry_rows(ginv), range(ginv.n)
+
+    def trace(i, j):
+        pairs = [(tuple(sorted((i, k))), tuple(sorted((j, l)))) for k in rows for l in rows]
+        entries = [S[P, Q] if P <= Q else np.conj(S[Q, P]) for P, Q in pairs]
+        return _dot([G[l][k] for k in rows for l in rows], entries)
+
+    off_diagonal = [trace(0, 1)] if ginv.n == 2 else []
+    return MetricField._from_entries(ginv.grid, *(trace(i, i).real for i in rows), *off_diagonal)
+
+
+def g_double_trace(ginv: MetricField, S: dict) -> np.ndarray:
+    """tr_g tr_g R = sum g^{j i} g^{l k} R_{i jbar k lbar} of a Sym² curvature
+    field, as one Hermitian trace sum_{P,Q} S[P, Q] M[P, Q] against Sym²(g^-1):
+    M[P, Q] sums g^{j i} g^{l k} over (i, k) in the orbit of P and (j, l) in
+    that of Q.  S and M are Hermitian, so each P < Q adds 2 Re(S M); real."""
+    G = _entry_rows(ginv)
+    pairs, orbits, _ = sym2_index(ginv.n)
+    total = 0.0
+    for p, q in itertools.combinations_with_replacement(range(len(pairs)), 2):
+        terms = [(i, k, j, l) for i, k in orbits[p] for j, l in orbits[q]]
+        M = _dot([G[j][i] for i, k, j, l in terms], [G[l][k] for i, k, j, l in terms])
+        total = total + (1.0 if p == q else 2.0) * (S[pairs[p], pairs[q]] * M).real
+    return total
 
 
 def laplacian(grid: PeriodicGrid, ginv: MetricField, f: np.ndarray) -> np.ndarray:
@@ -681,15 +655,15 @@ def ricci_potential(grid: PeriodicGrid, g: MetricField) -> RicciPotentialReport:
 
     On the torus the discrete Ricci form is exactly a complex Hessian, of
     f = -(log det g - mean log det g), so ``residual_vs_direct`` is zero to
-    roundoff.  ``residual_vs_trace`` compares against the g-trace of the full
-    curvature tensor instead, which differs by discretization error and
+    roundoff.  ``residual_vs_trace`` compares against the g-trace of the
+    curvature field instead, which differs by discretization error and
     decays at second order under grid refinement.
     """
     direct = ricci_field(grid, g).values
     logdet = g.log_determinant()
     potential = -(logdet - logdet.mean())
     hess = dbar_hessian(grid, potential)
-    traced = g_trace(g.inverse(), curvature_field(grid, g))
+    traced = g_curvature_trace(g.inverse(), curvature_field(grid, g)).values
     scale = 1.0 + float(np.max(np.abs(traced)))
     return RicciPotentialReport(
         potential=potential,

@@ -36,6 +36,8 @@ from kricci.grid import (
     PeriodicGrid,
     curvature_field,
     dbar_hessian,
+    dbar_hessian_field,
+    g_double_trace,
     g_pair_trace,
     g_trace,
     ricci_field,
@@ -380,7 +382,7 @@ class TestTraceEvolution:
 
 def _laplacian_of_metric(grid, g, f):
     """The Laplacian as computed before it took g^-1: inverting g itself."""
-    return g_trace(g.inverse(), dbar_hessian(grid, np.asarray(f, dtype=float)), real_tol=1e-10)
+    return g_trace(g.inverse(), dbar_hessian_field(grid, f), real_tol=1e-10)
 
 
 def _reference_schwarz_margins(result):
@@ -398,9 +400,9 @@ def _reference_schwarz_margins(result):
         g = model.reconstruct(snaps[i].t, snaps[i].phi)
         ginv = g.inverse()
         lhs = dlog - _laplacian_of_metric(grid, g, lam_logs[i])
-        double_trace = g_trace(ginv, g_trace(ginv, R_h))
-        twist_trace = g_pair_trace(ginv, model.h.values, model.eta)
-        rhs = (double_trace.real + twist_trace.real) / np.exp(lam_logs[i])
+        double_trace = g_double_trace(ginv, R_h)
+        twist_trace = g_pair_trace(ginv, model.h, model.eta)
+        rhs = (double_trace + twist_trace.real) / np.exp(lam_logs[i])
         margins[i] = float((lhs - rhs).min())
     return margins
 
@@ -527,7 +529,7 @@ class TestOnePassAnalysis:
         for snap in result.snapshots:
             g = model.reconstruct(snap.t, snap.phi)
             ginv = g.inverse()
-            scal = g_trace(ginv, ricci_field(model.grid, g).values, real_tol=TRACE_REAL_TOL)
+            scal = g_trace(ginv, ricci_field(model.grid, g), real_tol=TRACE_REAL_TOL)
             treta = g_trace(ginv, model.eta, real_tol=TRACE_REAL_TOL)
             expected.append(float((scal + treta).min()))
 

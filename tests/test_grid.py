@@ -1,8 +1,13 @@
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from kricci.errors import DegeneracyError
+from kricci.flow import FlowConfig, FlowModel, TwistSpec, _mixed_level_estimate
+from kricci.forms import sym2_index
 from kricci.grid import (
     MetricField,
     PeriodicGrid,
@@ -10,6 +15,8 @@ from kricci.grid import (
     dbar_hessian,
     dbar_hessian_field,
     flat_metric,
+    g_curvature_trace,
+    g_double_trace,
     g_pair_trace,
     g_trace,
     grid_mean,
@@ -100,29 +107,34 @@ class TestDbarHessian:
         assert_allclose(hess[..., 0, 0, 0], dbar_hessian(grid, f[..., 0])[..., 0, 0])
 
 
+def per_axis_d1(grid, f, axis):
+    """First derivative along one real axis, as reference: the centered
+    difference on fd2, numpy's FFT with the Nyquist mode zeroed on the
+    spectral grid."""
+    if grid.discretization == "fd2":
+        return (np.roll(f, -1, axis) - np.roll(f, 1, axis)) * (grid.N / 2)
+    k = np.fft.fftfreq(grid.N, d=1.0 / grid.N)
+    k[grid.N // 2] = 0.0
+    shape = [1] * f.ndim
+    shape[axis] = grid.N
+    return np.fft.ifft(np.fft.fft(f, axis=axis) * (2j * np.pi * k).reshape(shape), axis=axis)
+
+
 def per_axis_hessian(grid, f):
     """All n^2 entries of d_i dbar_j f from one-axis derivatives, as reference."""
     n = grid.n
     k = np.fft.fftfreq(grid.N, d=1.0 / grid.N)
-    k_odd = np.where(np.abs(k) == grid.N // 2, 0.0, k)
-
-    def spectral(g, axis, symbol):
-        shape = [1] * f.ndim
-        shape[axis] = grid.N
-        return np.fft.ifft(np.fft.fft(g, axis=axis) * symbol.reshape(shape), axis=axis)
-
-    def d1(g, axis):
-        if grid.discretization == "fd2":
-            return (np.roll(g, -1, axis) - np.roll(g, 1, axis)) * (grid.N / 2)
-        return spectral(g, axis, 2j * np.pi * k_odd)
 
     def d2(g, axis):
         if grid.discretization == "fd2":
             return (np.roll(g, -1, axis) + np.roll(g, 1, axis) - 2.0 * g) * grid.N**2
-        return spectral(g, axis, -((2.0 * np.pi * k) ** 2))
+        shape = [1] * f.ndim
+        shape[axis] = grid.N
+        symbol = -((2.0 * np.pi * k) ** 2)
+        return np.fft.ifft(np.fft.fft(g, axis=axis) * symbol.reshape(shape), axis=axis)
 
     def dd(a, b):
-        return d2(f, a) if a == b else d1(d1(f, b), a)
+        return d2(f, a) if a == b else per_axis_d1(grid, per_axis_d1(grid, f, b), a)
 
     out = np.empty(f.shape + (n, n), dtype=complex)
     for i in range(n):
@@ -408,7 +420,7 @@ class TestCurvatureTensor:
                     g = metric_from_potential(grid, 0.02 * np.cos(2 * np.pi * x))
                 else:
                     grid, g = self._n2_complex_offdiagonal_metric(N)
-                traced = g_trace(g.inverse(), curvature_field(grid, g))
+                traced = g_curvature_trace(g.inverse(), curvature_field(grid, g)).values
                 ric = ricci_field(grid, g).values
                 gap[N] = np.max(np.abs(traced - ric))
             assert 0 < gap[fine] <= gap[coarse] / 3.0
@@ -433,26 +445,28 @@ class TestCurvatureTensor:
         )
         return grid, metric_from_potential(grid, phi)
 
+    # The symmetry tests below run on the full reference tensor: the kernel
+    # stores only the Sym² entries, which assume both symmetries.
+
     @pytest.mark.parametrize("disc", ["fd2", "spectral"])
     def test_conjugation_symmetry_exact(self, disc):
         grid, g = self._n2_potential_metric(8, disc)
-        R = curvature_field(grid, g)
+        R = reference_curvature(grid, g)
         assert_allclose(np.conj(R), R.transpose(0, 1, 2, 3, 5, 4, 7, 6), atol=1e-10)
 
     def test_pair_symmetry_second_order_fd2(self):
         # The 3-point diagonal Hessian does not factor into first differences,
-        # so the unbarred-slot swap only holds to discretization error.
+        # so the unbarred-slot swap only holds to discretization error: the
+        # Λ² part of the fd2 tensor is O(h^2).
         asym = {}
         for N in (8, 16):
             grid, g = self._n2_potential_metric(N, "fd2")
-            R = curvature_field(grid, g)
-            asym[N] = np.max(np.abs(R - R.transpose(0, 1, 2, 3, 6, 5, 4, 7)))
+            asym[N] = np.max(np.abs(lambda2_part(reference_curvature(grid, g))))
         assert asym[16] <= asym[8] / 3.0
 
     def test_pair_symmetry_exact_spectral_bandlimited(self):
         grid, g = self._n2_potential_metric(8, "spectral")
-        R = curvature_field(grid, g)
-        assert_allclose(R, R.transpose(0, 1, 2, 3, 6, 5, 4, 7), atol=1e-9)
+        assert np.max(np.abs(lambda2_part(reference_curvature(grid, g)))) <= 1e-10
 
     def test_ricci_potential_residual_shrinks_second_order(self):
         residuals = {}
@@ -482,23 +496,41 @@ class TestCurvatureTensor:
 
 
 def reference_curvature(grid, g):
-    """The curvature tensor by its earlier formula: the n^2-entry complex
-    Hessian of the whole metric field plus one contraction of the
-    holomorphic derivatives with g^-1."""
-    dg = np.stack([holomorphic_derivative(grid, g.values, k) for k in range(grid.n)])
+    """The full rank-4 curvature tensor R[..., i, j, k, l] by its earlier
+    formula: the n^2-entry complex Hessian of the whole metric field plus one
+    contraction of its holomorphic derivatives with g^-1, all from the
+    per-axis reference derivatives."""
+    G = g.values
+    dg = np.stack([0.5 * (per_axis_d1(grid, G, 2 * k) - 1j * per_axis_d1(grid, G, 2 * k + 1))
+                   for k in range(grid.n)])
     term2 = np.einsum(
         "...qp,k...iq,l...jp->...ijkl", g.inverse().values, dg, np.conj(dg), optimize=True
     )
     return -per_axis_hessian(grid, g.values) + term2
 
 
+def lambda2_part(R):
+    """The part of a rank-4 tensor field antisymmetric in its unbarred slots."""
+    return 0.5 * (R - R.transpose(tuple(range(R.ndim - 4)) + tuple(R.ndim + np.array([-2, -3, -4, -1]))))
+
+
+def full_tensor(S, n):
+    """The rank-4 tensor R[..., i, j, k, l] that a Sym² curvature field stores."""
+    first = next(iter(S.values()))
+    R = np.empty(first.shape + (n,) * 4, dtype=complex)
+    for i, j, k, l in itertools.product(range(n), repeat=4):
+        P, Q = tuple(sorted((i, k))), tuple(sorted((j, l)))
+        R[..., i, j, k, l] = S[P, Q] if P <= Q else np.conj(S[Q, P])
+    return R
+
+
 class TestCurvatureKernel:
-    """The per-component, closed-form curvature kernel against the earlier
-    formula, on metrics whose g_12 has real and imaginary parts."""
+    """The Sym² curvature kernel against the full reference formula, on
+    metrics whose g_12 has real and imaginary parts."""
 
     @staticmethod
-    def metric(n, disc):
-        grid = PeriodicGrid(n=n, N=8, discretization=disc)
+    def metric(n, disc, N=8):
+        grid = PeriodicGrid(n=n, N=N, discretization=disc)
         coords = grid.coordinates()
         if n == 1:
             phi = 0.02 * np.cos(2 * np.pi * coords[0]) + 0.01 * np.sin(2 * np.pi * (coords[0] + coords[1]))
@@ -514,21 +546,105 @@ class TestCurvatureKernel:
     @pytest.mark.parametrize("disc", ["fd2", "spectral"])
     @pytest.mark.parametrize("n", [1, 2])
     def test_matches_earlier_formula(self, n, disc):
+        # Each stored entry S[P, Q] = R_{i jbar k lbar}, P = (i, k), Q = (j, l),
+        # P <= Q, is the reference entry in that index order, also on fd2.
         grid, g = self.metric(n, disc)
         if n == 2:
             g12 = g.values[..., 0, 1]
             assert np.abs(g12.real).max() > 1e-2 and np.abs(g12.imag).max() > 1e-2
-        R = curvature_field(grid, g)
+        S = curvature_field(grid, g)
         ref = reference_curvature(grid, g)
-        assert np.max(np.abs(R - ref)) <= 1e-12 * np.max(np.abs(ref))
+        pairs = sym2_index(n)[0]
+        assert list(S) == [(P, Q) for p, P in enumerate(pairs) for Q in pairs[p:]]
+        for (P, Q), entry in S.items():
+            assert entry.shape == grid.shape
+            assert (entry.dtype == float) == (P == Q)
+            (i, k), (j, l) = P, Q
+            assert np.max(np.abs(entry - ref[..., i, j, k, l])) <= 1e-12 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_conjugation_symmetry_is_bitwise(self, n):
+        # Diagonal entries are real and S[Q, P] is read as conj(S[P, Q]), so
+        # the tensor the field stores is conjugation symmetric bit for bit.
         grid, g = self.metric(n, "spectral")
-        R = curvature_field(grid, g)
+        R = full_tensor(curvature_field(grid, g), n)
         k = 2 * n
         swapped = R.transpose(tuple(range(k)) + (k + 1, k, k + 3, k + 2))
         assert np.array_equal(np.conj(R), swapped)
+
+    def test_memory_guard(self):
+        # n=2 N=16 spectral: the Sym² field is 3 real and 3 complex 16^4
+        # fields, 4.5 MiB, and the gradient rows it needs on the way fit in 24.
+        grid = PeriodicGrid(2, 16, "spectral")
+        background = scalar_from_modes(grid, [((1, 1, 1, 0), 0.01), ((1, 0, 0, 0), 0.005)])
+        g = metric_from_potential(grid, background)
+        curvature_field(grid, g)  # loads scipy.fft and fills the factor cache
+        g = metric_from_potential(grid, background)
+        tracemalloc.start()
+        try:
+            S = curvature_field(grid, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(entry.nbytes for entry in S.values()) <= 4.5 * 2**20
+        assert peak <= 24 * 2**20
+
+
+class TestSym2Oracle:
+    """The readers of the Sym² field against the full reference tensor on
+    n=2 spectral metrics with complex g_12."""
+
+    def test_double_and_ricci_traces_match_einsum(self):
+        for N in (8, 16):
+            grid, g = TestCurvatureTensor._n2_complex_offdiagonal_metric(N)
+            ginv = g.inverse()
+            S, R, G = curvature_field(grid, g), reference_curvature(grid, g), ginv.values
+            ref = np.einsum("...ji,...lk,...ijkl->...", G, G, R)
+            double = g_double_trace(ginv, S)
+            assert double.dtype == float
+            assert np.max(np.abs(double - ref)) <= 1e-12 * np.max(np.abs(ref))
+            ref = np.einsum("...lk,...ijkl->...ij", G, R)
+            traced = g_curvature_trace(ginv, S).values
+            assert np.max(np.abs(traced - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @staticmethod
+    def pairing_route(model, rho, alpha, beta):
+        """The mixed-level estimate through the top eigenvalue of the full
+        n^2 x n^2 pairing matrix of the reference tensor, which vanishes on Λ²
+        only as far as the tensor is symmetric."""
+        grid, n = model.grid, model.grid.n
+        axes = 2 * n
+        E = model.h.unitary_frame()
+        rho_flat = np.swapaxes(E, -1, -2) @ rho.values @ np.conj(E)
+        rho_flat = 0.5 * (rho_flat + np.conj(np.swapaxes(rho_flat, -1, -2)))
+        rho_top = np.linalg.eigvalsh(rho_flat)[..., -1]
+        R = reference_curvature(grid, model.h)
+        # A[(i, k), (j, l)] = R[i, j, k, l] at every point.
+        A = R.transpose(tuple(range(axes)) + (axes, axes + 2, axes + 1, axes + 3))
+        A = A.reshape(grid.shape + (n * n, n * n))
+        F = (E[..., :, None, :, None] * E[..., None, :, None, :]).reshape(grid.shape + (n * n,) * 2)
+        paired = np.swapaxes(F, -1, -2) @ A @ np.conj(F)
+        paired = 0.5 * (paired + np.conj(np.swapaxes(paired, -1, -2)))
+        return float((alpha * rho_top + beta * np.linalg.eigvalsh(paired)[..., -1]).max())
+
+    @pytest.mark.parametrize("amplitude", [0.0, 0.01, 0.02])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_mixed_level_estimate_matches_pairing_route(self, n, amplitude):
+        # The backgrounds of the flow tests: a mode touching every complex
+        # coordinate (complex g_12 at n=2) and a one-mode twist.
+        grid = PeriodicGrid(n, 8, "spectral")
+        mixed = (1, 1) if n == 1 else (1, 1, 1, 0)
+        config = FlowConfig(
+            grid=grid,
+            background=scalar_from_modes(grid, [(mixed, amplitude)]),
+            twist=TwistSpec(c=0.0, potential=scalar_from_modes(grid, [(mixed, 0.01)])),
+        )
+        model = FlowModel(config)
+        rho = model.ric_h + dbar_hessian_field(grid, model.u)
+        for alpha, beta in ((1.0, 1.0), (0.05, 20.0)):
+            ref = self.pairing_route(model, rho, alpha, beta)
+            est = _mixed_level_estimate(model, rho, alpha, beta)
+            assert abs(est - ref) <= 1e-12 * (1.0 + abs(ref))
 
 
 class TestPairTrace:
@@ -537,10 +653,10 @@ class TestPairTrace:
         grid = PeriodicGrid(n=n, N=8)
         rng = np.random.default_rng(20 + n)
         ginv = MetricField(grid, random_metric_values(n, grid.shape, rng)).inverse()
-        A = random_metric_values(n, grid.shape, rng)
-        B = random_metric_values(n, grid.shape, rng)
+        A = MetricField(grid, random_metric_values(n, grid.shape, rng))
+        B = MetricField(grid, random_metric_values(n, grid.shape, rng))
         G = ginv.values
-        ref = np.einsum("...li,...jk,...ij,...kl->...", G, G, A, B, optimize=True)
+        ref = np.einsum("...li,...jk,...ij,...kl->...", G, G, A.values, B.values, optimize=True)
         out = g_pair_trace(ginv, A, B)
         assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
 
@@ -597,31 +713,21 @@ class TestHermitianHalf:
     def test_traces_of_entry_fields_match_full_fields(self, n):
         g, A, B = self.field(n, 4), self.field(n, 5), self.field(n, 6)
         ginv = g.inverse()
-        assert np.array_equal(g_trace(ginv, A), g_trace(ginv, A.values))
-        assert np.array_equal(g_pair_trace(ginv, A, B), g_pair_trace(ginv, A.values, B.values))
-        ref = np.einsum("...lk,...kl->...", ginv.values, A.values)
+        G = ginv.values
+        ref = np.einsum("...lk,...kl->...", G, A.values)
         assert np.max(np.abs(g_trace(ginv, A) - ref)) <= 1e-14 * np.max(np.abs(ref))
+        ref = np.einsum("...li,...ij,...jk,...kl->...", G, A.values, G, B.values)
+        assert np.max(np.abs(g_pair_trace(ginv, A, B) - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_real_trace_rejects_non_hermitian_full_field(self, n):
         ginv = self.field(n, 9).inverse()
-        A = self.field(n, 10).values
+        A = self.field(n, 10)
         assert g_trace(ginv, A, real_tol=1e-10).dtype == float
         # An imaginary diagonal entry adds i g^{00}, and g^{00} > 0, to the trace.
-        A[..., 0, 0] += 1j
+        A.a = A.a + 1j
         with pytest.raises(ValueError, match="g-trace must be real"):
             g_trace(ginv, A, real_tol=1e-10)
-
-    def test_trace_rides_over_component_axes(self):
-        grid = PeriodicGrid(n=2, N=8)
-        rng = np.random.default_rng(8)
-        ginv = self.field(2, 7).inverse()
-        shape = grid.shape + (2, 2, 2, 2)
-        R = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        ref = np.einsum("...lk,...ijkl->...ij", ginv.values, R)
-        out = g_trace(ginv, R)
-        assert out.shape == grid.shape + (2, 2)
-        assert np.max(np.abs(out - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 class TestLaplacian:

@@ -20,6 +20,8 @@ SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
         ("run_lemma_suites.py", ["--count", "1", "--n", "2"]),
         ("step_timing.py", ["--n", "1", "--resolution", "8", "--discretization", "fd2",
                             "--steps", "1"]),
+        ("step_timing.py", ["--n", "2", "--resolution", "8", "--discretization", "spectral",
+                            "--steps", "1"]),
     ],
 )
 def test_script_main_exits_zero(script, argv, capsys):
