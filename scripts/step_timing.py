@@ -29,6 +29,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from kricci.flow import (
+    CFL_SAFETY,
     FlowConfig,
     FlowModel,
     FlowResult,
@@ -71,7 +72,7 @@ def main(argv=None):
     model = model_for(args.n, args.resolution, args.discretization)
     config, grid = model.config, model.grid
     # The explicit step-size limit of run_flow at the background margin.
-    cfl = config.cfl_safety * grid.spacing**2 / (2.0 * grid.n)
+    cfl = CFL_SAFETY * grid.spacing**2 / (2.0 * grid.n)
     dt = min(config.dt_initial, cfl * model.h_margin)
     t, phi, phidot = 0.0, np.zeros(grid.shape), np.zeros(grid.shape)
     times = []

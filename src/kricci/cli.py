@@ -8,6 +8,7 @@ Exit codes: 0 when every requested check passed, 1 when a check failed, and
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 from pathlib import Path
@@ -40,16 +41,6 @@ from .suites import SUITES, RicKUpper, SuiteConfig, generate_forms, run_suite
 
 __all__ = ["main"]
 
-_SUITE_DEFAULT_N = {
-    "royden": (1, 2, 3),
-    "interpolation": (2, 3),
-    "mixed-trace": (2, 3),
-    "ric-scalar": (2, 3),
-    "berger": (2, 3),
-    "rigidity-model": (2, 3),
-}
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kricci",
@@ -71,18 +62,18 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     gen.set_defaults(func=_cmd_gen)
 
-    verify = sub.add_parser("verify", help="run one lemma suite")
+    # Flags that are not given stay unset, so SuiteConfig supplies the default.
+    verify = sub.add_parser(
+        "verify", help="run one lemma suite", argument_default=argparse.SUPPRESS
+    )
     verify.add_argument("suite", choices=SUITES)
-    verify.add_argument("--n", type=int, nargs="+", default=None)
-    verify.add_argument("--k", type=int, nargs="+", default=[2])
-    verify.add_argument("--count", type=int, default=5)
-    verify.add_argument("--seed", type=int, default=0)
-    verify.add_argument("--tol", type=float, default=None)
+    verify.add_argument("--n", dest="n_values", type=int, nargs="+")
+    verify.add_argument("--k", dest="k_values", type=int, nargs="+")
+    verify.add_argument("--count", type=int)
+    verify.add_argument("--seed", type=int)
+    verify.add_argument("--tol", dest="tolerance", type=float)
     verify.add_argument(
-        "--samples",
-        type=int,
-        default=100_000,
-        help="Monte Carlo points per berger case, reported as mc_within_z",
+        "--samples", type=int, help="Monte Carlo points per berger case, reported as mc_within_z"
     )
     verify.add_argument("--out", default=None, help="append the report to this JSON file")
     verify.set_defaults(func=_cmd_verify)
@@ -142,16 +133,12 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    n_values = tuple(args.n) if args.n else _SUITE_DEFAULT_N[args.suite]
-    config = SuiteConfig(
-        suite=args.suite,
-        n_values=n_values,
-        k_values=tuple(args.k),
-        count=args.count,
-        seed=args.seed,
-        tolerance=args.tol,
-        samples=args.samples,
-    )
+    fields = {f.name for f in dataclasses.fields(SuiteConfig)}
+    config = SuiteConfig(**{
+        key: tuple(value) if isinstance(value, list) else value
+        for key, value in vars(args).items()
+        if key in fields
+    })
     report = run_suite(config)
     for case in report.cases:
         status = "PASS" if case.passed else "FAIL"

@@ -11,11 +11,12 @@ and the potential satisfies
     dphi/dt = log det g(t) - log det h.
 
 Time stepping is explicit midpoint (second order), with the step bounded by
-an explicit-diffusion limit proportional to the smallest metric eigenvalue.
-A step starts from the dphi/dt it ended on (first same as last, as in
-Dormand-Prince), so it reconstructs and checks two metrics: the midpoint and
-the end.  When either loses positivity the step is retried with half the
-step size a bounded number of times before the flow is declared degenerate.
+CFL_SAFETY times an explicit-diffusion limit proportional to the smallest
+metric eigenvalue.  A step starts from the dphi/dt it ended on (first same as
+last, as in Dormand-Prince), so it reconstructs and checks two metrics: the
+midpoint and the end.  When either loses positivity the step is retried with
+half the step size, up to MAX_HALVINGS times, before the flow is declared
+degenerate; a run takes at most MAX_STEPS steps.
 
 The checks in this module compare the recorded trajectory against the
 structural consequences of the equation: the volume-ratio and twisted scalar
@@ -28,6 +29,8 @@ potentials.  Time derivatives are taken with the second-order nonuniform
 Snapshots are analysed in one pass after the run: each snapshot metric is
 reconstructed, checked and inverted once, and a sliding window of three
 snapshots gives the centered derivatives the Schwarz and identity checks need.
+Of the window only the middle snapshot's g^-1 and traces are kept; its ends
+keep log tr_g h.
 """
 
 from __future__ import annotations
@@ -77,8 +80,12 @@ __all__ = [
     "run_flow",
 ]
 
-# Relative tolerance for the imaginary part of g-traces of Hermitian fields.
-TRACE_REAL_TOL = 1e-9
+# Step control (see the module docstring), and the positivity margins the
+# degeneracy-time fit of horizon_estimate uses.
+CFL_SAFETY = 0.8
+MAX_HALVINGS = 10
+MAX_STEPS = 200_000
+HORIZON_WINDOW = 10
 
 # Snapshots a centered time difference needs, and the window the analysis
 # pass keeps; the checks that take one (potential identities, Schwarz,
@@ -101,28 +108,19 @@ class FlowConfig:
     twist: TwistSpec = field(default_factory=TwistSpec)
     t_final: float = 1.0
     dt_initial: float = 1e-3
-    cfl_safety: float = 0.8
     diagnostics_every: int = 10
     alpha: float = 1.0
     beta: float = 1.0
-    max_halvings: int = 10
-    max_steps: int = 200_000
 
     def __post_init__(self):
         if not self.t_final > 0:
             raise ValueError("t_final must be positive")
         if not self.dt_initial > 0:
             raise ValueError("dt_initial must be positive")
-        if not 0 < self.cfl_safety <= 1:
-            raise ValueError("cfl_safety must lie in (0, 1]")
         if self.diagnostics_every < 1:
             raise ValueError("diagnostics_every must be at least 1")
         if not (self.alpha > 0 and self.beta > 0):
             raise ValueError("alpha and beta must be positive")
-        if self.max_halvings < 0:
-            raise ValueError("max_halvings must be nonnegative")
-        if self.max_steps < 1:
-            raise ValueError("max_steps must be at least 1")
 
 
 class FlowModel:
@@ -182,7 +180,7 @@ class FlowModel:
 
     def log_trace_h(self, ginv: MetricField) -> np.ndarray:
         """log tr_g h from g^-1, through the same C-library log as log det g."""
-        return clib_log(g_trace(ginv, self.h, real_tol=TRACE_REAL_TOL))
+        return clib_log(g_trace(ginv, self.h))
 
     def rhs(self, t: float, phi: np.ndarray) -> np.ndarray:
         """dphi/dt at (t, phi); raises DegeneracyError if g(t) is not positive."""
@@ -241,8 +239,8 @@ def _initial_sigma(model: FlowModel) -> float:
     sigma is infinite there and both bounds degenerate gracefully.
     """
     ginv = model.h.inverse()
-    scal = g_trace(ginv, model.ric_h, real_tol=TRACE_REAL_TOL)
-    treta = g_trace(ginv, model.eta, real_tol=TRACE_REAL_TOL)
+    scal = g_trace(ginv, model.ric_h)
+    treta = g_trace(ginv, model.eta)
     m0 = float((scal + treta).min())
     if m0 < 0:
         return model.grid.n / (-m0)
@@ -263,10 +261,10 @@ def run_flow(config: FlowConfig) -> FlowResult:
     """Integrate the flow to t_final, recording snapshots and diagnostics.
 
     Raises :class:`FlowDegenerateError` when the metric cannot be kept
-    positive even after halving the step ``max_halvings`` times, when the
-    step collapses below dt_initial * 2^-40, or when the step budget runs
-    out before t_final.  The error carries the partial result, whose last
-    snapshot is the last accepted state.
+    positive even after halving the step MAX_HALVINGS times, when the step
+    collapses below dt_initial * 2^-40, or when the budget of MAX_STEPS steps
+    runs out before t_final.  The error carries the partial result, whose
+    last snapshot is the last accepted state.
     """
     model = FlowModel(config)
     grid = config.grid
@@ -296,17 +294,17 @@ def run_flow(config: FlowConfig) -> FlowResult:
         return FlowDegenerateError(message, t=t, margin=stop_margin, result=finish())
 
     dt_floor = config.dt_initial * 2.0**-40
-    cfl = config.cfl_safety * grid.spacing**2 / (2.0 * n)
+    cfl = CFL_SAFETY * grid.spacing**2 / (2.0 * n)
     while t < config.t_final * (1.0 - 1e-12):
-        if steps >= config.max_steps:
-            raise degenerate(f"step budget {config.max_steps} exhausted at t={t:.6g}", margin)
+        if steps >= MAX_STEPS:
+            raise degenerate(f"step budget {MAX_STEPS} exhausted at t={t:.6g}", margin)
         dt = min(config.dt_initial, cfl * margin, config.t_final - t)
         if dt <= dt_floor:
             raise degenerate(
                 f"step size collapsed at t={t:.6g} (metric margin {margin:.3e})", margin
             )
         accepted = None
-        for _ in range(config.max_halvings + 1):
+        for _ in range(MAX_HALVINGS + 1):
             try:
                 accepted = _rk2_step(model, t, phi, dt, phidot)
                 break
@@ -315,7 +313,7 @@ def run_flow(config: FlowConfig) -> FlowResult:
                 dt *= 0.5
         if accepted is None:
             raise degenerate(
-                f"flow degenerate at t={t:.6g} after {config.max_halvings} halvings",
+                f"flow degenerate at t={t:.6g} after {MAX_HALVINGS} halvings",
                 last_margin,
             )
         phi, phidot, margin = accepted
@@ -406,13 +404,17 @@ def _diagnostics(result: FlowResult):
     snaps = result.snapshots
     R_h = model.curvature_h if len(snaps) >= CENTERED_SNAPSHOTS else None
     rows = []
+    # The window holds (snapshot, log tr_g h); g^-1, tr_g(Ric(h) + eta) and
+    # Lap_g phidot are kept only for the snapshot that is or becomes the middle.
     window = deque(maxlen=CENTERED_SNAPSHOTS)
+    newest = None
     res_phi = res_phidot = 0.0
     for snap in snaps:
         g = model.reconstruct(snap.t, snap.phi)
         margin = g.require_positive("flow metric")
         ginv = g.inverse()
-        drift = g_trace(ginv, model._drift, real_tol=TRACE_REAL_TOL)
+        del g  # only g^-1 is read from here on
+        drift = g_trace(ginv, model._drift)
         lap_phidot = laplacian(grid, ginv, snap.phidot)
         log_lam = model.log_trace_h(ginv)
         if snap.t > 0:
@@ -433,13 +435,14 @@ def _diagnostics(result: FlowResult):
                 schwarz_min_margin=math.nan,
             )
         )
-        window.append((snap, ginv, log_lam, drift, lap_phidot))
+        window.append((snap, log_lam))
+        middle, newest = newest, (ginv, drift, lap_phidot)
         if len(window) < CENTERED_SNAPSHOTS:
             continue
-        (prev, _, log_prev, *_), (mid, ginv_mid, log_mid, drift_mid, lap_mid), (
-            nxt, _, log_next, *_) = window
+        (prev, log_prev), (mid, log_mid), (nxt, log_next) = window
         a, b = mid.t - prev.t, nxt.t - mid.t
         dlog = _nonuniform_dt(log_prev, log_mid, log_next, a, b)
+        ginv_mid, drift_mid, lap_mid = middle
         rows[-2].schwarz_min_margin = _schwarz_margins(model, ginv_mid, dlog, log_mid, R_h)
         dphi = _nonuniform_dt(prev.phi, mid.phi, nxt.phi, a, b)
         dphidot = _nonuniform_dt(prev.phidot, mid.phidot, nxt.phidot, a, b)
@@ -668,17 +671,17 @@ def _mixed_level_estimate(model: FlowModel, rho: MetricField, alpha: float, beta
     return float((alpha * rho_top + beta * curv_top).max())
 
 
-def horizon_estimate(result: FlowResult, window: int = 10) -> float:
+def horizon_estimate(result: FlowResult) -> float:
     """Extrapolated degeneracy time from the last positivity margins.
 
-    Fits a line through the final ``window`` (t, margin) samples: returns the
-    root if the fit decreases, +inf if it does not, and NaN when fewer than
-    ``window`` samples exist (inconclusive).
+    Fits a line through the final HORIZON_WINDOW (t, margin) samples: returns
+    the root if the fit decreases, +inf if it does not, and NaN when fewer
+    samples exist (inconclusive).
     """
     rows = result.rows
-    if len(rows) < window:
+    if len(rows) < HORIZON_WINDOW:
         return math.nan
-    tail = rows[-window:]
+    tail = rows[-HORIZON_WINDOW:]
     times = np.array([row.t for row in tail])
     margins = np.array([row.positivity_margin for row in tail])
     slope, intercept = np.polyfit(times, margins, 1)

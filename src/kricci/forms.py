@@ -56,6 +56,9 @@ __all__ = [
 
 REALITY_TOL = 1e-10
 
+# Rows per block of quartic_values.
+QUARTIC_CHUNK = 8192
+
 
 def require_real(value, scale=1.0, tol=REALITY_TOL, what="quantity"):
     """Assert that a symmetry-forced real scalar is numerically real.
@@ -155,26 +158,20 @@ class BihermitianForm:
 
 @dataclass
 class CurvatureParams:
-    """Coefficients (alpha, beta, lam, sigma, k) of the mixed curvature bounds.
+    """Coefficients (alpha, beta, lam) of the mixed curvature bound
 
-    ``lam`` is the level in ``alpha*h(X,X̄)*rho(X,X̄) + beta*S(X,X̄,X,X̄) <=
-    lam*|X|^4`` and ``sigma`` the k-Ricci normalisation in ``Ric_k <=
-    -(k+1)*sigma``.
+        alpha h(X,X̄) rho(X,X̄) + beta S(X,X̄,X,X̄) <= lam |X|^4.
     """
 
     alpha: float = 1.0
     beta: float = 1.0
     lam: float = 0.0
-    sigma: float = 0.0
-    k: int = 1
 
     def __post_init__(self):
         if not self.alpha > 0:
             raise ValueError("alpha must be positive")
         if not self.beta > 0:
             raise ValueError("beta must be positive")
-        if self.k < 1:
-            raise ValueError("k must be at least 1")
 
 
 @dataclass
@@ -344,20 +341,20 @@ def pair_products(X: np.ndarray) -> np.ndarray:
     return (X[:, :, None] * np.conj(X)[:, None, :]).reshape(X.shape[0], -1)
 
 
-def quartic_values(S: BihermitianForm, X: np.ndarray, chunk: int = 8192) -> np.ndarray:
+def quartic_values(S: BihermitianForm, X: np.ndarray) -> np.ndarray:
     """S(X,X̄,X,X̄) for each row of X, batched and checked real.
 
-    Each chunk is sum (P A) P over the pairing matrix A and the rows
-    P = vec(X ⊗ X̄).  Chunked so that million-sample Monte Carlo sweeps stay
-    within memory.
+    Each block of QUARTIC_CHUNK rows is sum (P A) P over the pairing matrix A
+    and the rows P = vec(X ⊗ X̄), so that million-sample Monte Carlo sweeps
+    stay within memory.
     """
     X = np.asarray(X, dtype=complex)
     out = np.empty(X.shape[0])
     A = pairing_matrix(S.entries)
-    for lo in range(0, X.shape[0], chunk):
-        P = pair_products(X[lo : lo + chunk])
+    for lo in range(0, X.shape[0], QUARTIC_CHUNK):
+        P = pair_products(X[lo : lo + QUARTIC_CHUNK])
         vals = np.einsum("ai,ai->a", P @ A, P)
-        out[lo : lo + chunk] = _require_real_array(vals, what="diagonal quartic value")
+        out[lo : lo + QUARTIC_CHUNK] = _require_real_array(vals, what="diagonal quartic value")
     return out
 
 

@@ -83,6 +83,9 @@ __all__ = [
 
 DISCRETIZATIONS = ("fd2", "spectral")
 
+# Relative tolerance for the imaginary part of g-traces of Hermitian fields.
+TRACE_REAL_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class PeriodicGrid:
@@ -458,20 +461,19 @@ def _entry_rows(M: MetricField) -> list[list[np.ndarray]]:
     return [[M.a, M.b], [np.conj(M.b), M.d]]
 
 
-def g_trace(ginv: MetricField, A: MetricField, real_tol: float | None = None) -> np.ndarray:
-    """The g-trace sum_{k,l} g^{l k} A_{k l} of a matrix field in entry form.
+def g_trace(ginv: MetricField, A: MetricField) -> np.ndarray:
+    """The g-trace sum_{k,l} g^{l k} A_{k l} of a Hermitian field in entry form.
 
     ``ginv`` is g^-1 (:meth:`MetricField.inverse`).  The sum is written out
-    entry by entry.  With ``real_tol`` the trace is checked real to that
-    relative tolerance and returned as a real field.
+    entry by entry, checked real to TRACE_REAL_TOL relative to its size and
+    returned as a real field.  The off-diagonal terms of Hermitian entry
+    fields are exact conjugates, so their imaginary parts cancel exactly.
     """
     G, A = _entry_rows(ginv), _entry_rows(A)
     rows = range(len(G))
     out = _dot([G[l][k] for l in rows for k in rows], [A[k][l] for l in rows for k in rows])
-    if real_tol is None:
-        return out
     worst = float(np.max(np.abs(out.imag)))
-    if worst > real_tol * (1.0 + float(np.max(np.abs(out.real)))):
+    if worst > TRACE_REAL_TOL * (1.0 + float(np.max(np.abs(out.real)))):
         raise ValueError(f"g-trace must be real; got imaginary part {worst:.3e}")
     return out.real
 
@@ -638,7 +640,7 @@ def g_double_trace(ginv: MetricField, S: dict) -> np.ndarray:
 
 def laplacian(grid: PeriodicGrid, ginv: MetricField, f: np.ndarray) -> np.ndarray:
     """The metric Laplacian g^{i jbar} d_i dbar_j f of a real field; ``ginv`` is g^-1."""
-    return g_trace(ginv, dbar_hessian_field(grid, f), real_tol=1e-10)
+    return g_trace(ginv, dbar_hessian_field(grid, f))
 
 
 @dataclass

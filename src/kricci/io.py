@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -46,15 +46,7 @@ __all__ = [
     "write_flow_csv",
 ]
 
-FLOW_CSV_COLUMNS = (
-    "t",
-    "sup_phidot",
-    "inf_scalar_plus_tr_eta",
-    "bound_volume_upper",
-    "positivity_margin",
-    "sup_G",
-    "schwarz_min_margin",
-)
+FLOW_CSV_COLUMNS = tuple(f.name for f in fields(DiagnosticsRow))
 
 
 def load_json(path) -> dict:
@@ -259,6 +251,16 @@ FLOW_CONFIG_KEYS = (
     "grid", "background", "twist", "dt", "t_end", "cadence", "alpha", "beta", "mu", "checks",
 )
 
+# Numeric flow config keys: the FlowConfig field each sets, and its type.
+# Keys the file leaves out keep FlowConfig's defaults.
+_FLOW_NUMBERS = {
+    "t_end": ("t_final", float),
+    "dt": ("dt_initial", float),
+    "cadence": ("diagnostics_every", int),
+    "alpha": ("alpha", float),
+    "beta": ("beta", float),
+}
+
 
 def load_flow_config(path, discretization: str | None = None) -> FlowJob:
     path = Path(path)
@@ -276,19 +278,19 @@ def load_flow_config(path, discretization: str | None = None) -> FlowJob:
     except KeyError as err:
         raise ValueError(f"{path}: flow config missing key {err}") from err
     twist_spec = _json_object(data.get("twist", {}), "twist", path)
-    twist = TwistSpec(
-        c=_number(float, twist_spec.get("c", 0.0), "twist.c", path),
-        potential=_potential_from_spec(twist_spec.get("u"), grid, path),
-    )
+    twist = TwistSpec()
+    if "c" in twist_spec:
+        twist.c = _number(float, twist_spec["c"], "twist.c", path)
+    twist.potential = _potential_from_spec(twist_spec.get("u"), grid, path)
     config = FlowConfig(
         grid=grid,
         background=_potential_from_spec(data.get("background"), grid, path),
         twist=twist,
-        t_final=_number(float, data.get("t_end", 1.0), "t_end", path),
-        dt_initial=_number(float, data.get("dt", 1e-3), "dt", path),
-        diagnostics_every=_number(int, data.get("cadence", 10), "cadence", path),
-        alpha=_number(float, data.get("alpha", 1.0), "alpha", path),
-        beta=_number(float, data.get("beta", 1.0), "beta", path),
+        **{
+            name: _number(cast, data[key], key, path)
+            for key, (name, cast) in _FLOW_NUMBERS.items()
+            if key in data
+        },
     )
     mu = data.get("mu")
     checks = _json_object(data.get("checks", {}), "checks", path)

@@ -82,7 +82,7 @@ class BruteSums:
 
     quartic: float
     metric_quartic: float
-    rho_weighted: float | None
+    rho_weighted: float
     n_terms: int
 
 
@@ -90,28 +90,25 @@ def royden_sum_bruteforce(
     S: BihermitianForm,
     g: HermitianForm,
     h: HermitianForm,
-    rho: HermitianForm | None = None,
+    rho: HermitianForm,
 ) -> BruteSums:
-    """Sum S(Z,Z̄,Z,Z̄), h(Z,Z̄)^2, and optionally h(Z,Z̄)rho(Z,Z̄) over all Z.
+    """Sum S(Z,Z̄,Z,Z̄), h(Z,Z̄)^2 and h(Z,Z̄)rho(Z,Z̄) over all Z.
 
     Z ranges over the 4^n combinations sum_i eps_i E_i in the g-unitary
     h-diagonal frame.  Enumeration is explicit and guarded to n <= 8, where Z
     holds 4^8 rows (8 MB); :func:`quartic_values` chunks its rows for memory.
     """
     n = S.n
-    if g.n != n or h.n != n or (rho is not None and rho.n != n):
+    if g.n != n or h.n != n or rho.n != n:
         raise ValueError("dimension mismatch")
     _, E = g_unitary_h_diagonal_frame(g, h)
     Z = _phase_rows(n) @ E.T
     hz = np.einsum("ai,ij,aj->a", Z, h.entries, np.conj(Z)).real
-    rho_weighted = None
-    if rho is not None:
-        rz = np.einsum("ai,ij,aj->a", Z, rho.entries, np.conj(Z)).real
-        rho_weighted = float((hz * rz).sum())
+    rz = np.einsum("ai,ij,aj->a", Z, rho.entries, np.conj(Z)).real
     return BruteSums(
         quartic=float(quartic_values(S, Z).sum()),
         metric_quartic=float((hz**2).sum()),
-        rho_weighted=rho_weighted,
+        rho_weighted=float((hz * rz).sum()),
         n_terms=Z.shape[0],
     )
 
@@ -137,9 +134,9 @@ class RoydenReport:
     metric_bruteforce: float
     metric_closed: float
     metric_residual: float
-    rho_bruteforce: float | None
-    rho_closed: float | None
-    rho_residual: float | None
+    rho_bruteforce: float
+    rho_closed: float
+    rho_residual: float
     n_terms: int
     ok: bool
 
@@ -152,7 +149,7 @@ def royden_identity_check(
     S: BihermitianForm,
     g: HermitianForm,
     h: HermitianForm,
-    rho: HermitianForm | None = None,
+    rho: HermitianForm,
     tol: float = 1e-10,
 ) -> RoydenReport:
     """Compare the 4^n enumeration against its closed form.
@@ -166,7 +163,7 @@ def royden_identity_check(
     in the g-unitary h-diagonal frame, because only phase-cancelling index
     patterns survive the average.
     """
-    brute = royden_sum_bruteforce(S, g, h, rho=rho)
+    brute = royden_sum_bruteforce(S, g, h, rho)
     tau, E = g_unitary_h_diagonal_frame(g, h)
     mixed, diag = _frame_components(S, E)
     scale = 4.0 ** S.n
@@ -175,17 +172,13 @@ def royden_identity_check(
     quartic_closed = scale * (2.0 * mixed_sum - diag_sum)
     tr_gh = float(tau.sum())
     metric_closed = scale * tr_gh**2
-    if rho is None:
-        rho_brute = rho_closed = rho_res = None
-    else:
-        rho_frame = np.einsum("pi,pq,qj->ij", E, rho.entries, np.conj(E))
-        tr_grho = require_real(np.trace(rho_frame), scale=tr_gh, what="tr_g rho")
-        rho_closed = scale * tr_gh * tr_grho
-        rho_brute = brute.rho_weighted
-        rho_res = _relative_residual(rho_brute, rho_closed)
+    rho_frame = np.einsum("pi,pq,qj->ij", E, rho.entries, np.conj(E))
+    tr_grho = require_real(np.trace(rho_frame), scale=tr_gh, what="tr_g rho")
+    rho_closed = scale * tr_gh * tr_grho
     q_res = _relative_residual(brute.quartic, quartic_closed)
     m_res = _relative_residual(brute.metric_quartic, metric_closed)
-    worst = max(q_res, m_res, rho_res or 0.0)
+    rho_res = _relative_residual(brute.rho_weighted, rho_closed)
+    worst = max(q_res, m_res, rho_res)
     return RoydenReport(
         quartic_bruteforce=brute.quartic,
         quartic_closed=quartic_closed,
@@ -193,7 +186,7 @@ def royden_identity_check(
         metric_bruteforce=brute.metric_quartic,
         metric_closed=metric_closed,
         metric_residual=m_res,
-        rho_bruteforce=rho_brute,
+        rho_bruteforce=brute.rho_weighted,
         rho_closed=rho_closed,
         rho_residual=rho_res,
         n_terms=brute.n_terms,

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -49,69 +49,71 @@ __all__ = [
     "SUITES",
     "SuiteConfig",
     "SuiteReport",
-    "default_tolerance",
     "generate_forms",
     "run_suite",
 ]
 
-SUITES = (
-    "royden",
-    "interpolation",
-    "mixed-trace",
-    "ric-scalar",
-    "berger",
-    "rigidity-model",
-)
-
-_DEFAULT_TOLERANCES = {
-    "royden": 1e-10,
-    "interpolation": 1e-8,
-    "mixed-trace": 1e-8,
-    "ric-scalar": 1e-10,
-    "berger": 0.0,
-    "rigidity-model": 1e-12,
-}
-
 _MODEL_SIGMAS = (0.5, 1.0, 2.0)
 
+# Points per interpolation case at which the bound is evaluated.
+INTERPOLATION_DIRECTIONS = 64
 
-def default_tolerance(suite: str) -> float:
-    return _DEFAULT_TOLERANCES[suite]
+# Lighter than the library default: suites certify many instances and only
+# need the optimum to the tolerance of the downstream inequality.
+SUITE_CERTIFY = CertifyOptions(starts=16, presweep=256, max_iter=120)
 
 
-def _suite_certify_options() -> CertifyOptions:
-    # Lighter than the library default: suites certify many instances and
-    # only need the optimum to the tolerance of the downstream inequality.
-    return CertifyOptions(starts=16, presweep=256, max_iter=120)
+@dataclass(frozen=True)
+class _Suite:
+    """A registry entry.  ``builder`` names a case builder on this module,
+    looked up when the suite runs; a suite with a ``min_k`` runs one case per
+    k in ``k_values`` from ``min_k`` up to n, the others take no k."""
+
+    builder: str
+    tolerance: float
+    n_values: tuple[int, ...]
+    min_k: int | None = None
+
+
+_REGISTRY = {
+    "royden": _Suite("_royden_case", 1e-10, (1, 2, 3)),
+    "interpolation": _Suite("_interpolation_case", 1e-8, (2, 3), min_k=1),
+    "mixed-trace": _Suite("_mixed_trace_case", 1e-8, (2, 3)),
+    "ric-scalar": _Suite("_ric_scalar_case", 1e-10, (2, 3), min_k=2),
+    "berger": _Suite("_berger_case", 0.0, (2, 3)),
+    "rigidity-model": _Suite("_rigidity_case", 1e-12, (2, 3)),
+}
+
+SUITES = tuple(_REGISTRY)
 
 
 @dataclass
 class SuiteConfig:
+    """One suite run; ``n_values`` and ``tolerance`` default to the suite's
+    registry entry."""
+
     suite: str
-    n_values: tuple[int, ...] = (2, 3)
+    n_values: tuple[int, ...] | None = None
     k_values: tuple[int, ...] = (2,)
     count: int = 5
     seed: int = 0
     tolerance: float | None = None
     samples: int = 100_000
-    directions: int = 64
-    certify: CertifyOptions = field(default_factory=_suite_certify_options)
 
     def __post_init__(self):
         if self.suite not in SUITES:
             raise ValueError(f"unknown suite {self.suite!r}; options: {', '.join(SUITES)}")
+        entry = _REGISTRY[self.suite]
+        if self.n_values is None:
+            self.n_values = entry.n_values
+        if self.tolerance is None:
+            self.tolerance = entry.tolerance
         if self.count < 0:
             raise ValueError("count must be nonnegative")
         if any(n < 1 for n in self.n_values):
             raise ValueError("dimensions must be positive")
         if any(k < 1 for k in self.k_values):
             raise ValueError("k values must be positive")
-
-    @property
-    def resolved_tolerance(self) -> float:
-        if self.tolerance is not None:
-            return self.tolerance
-        return default_tolerance(self.suite)
 
 
 @dataclass
@@ -161,16 +163,15 @@ def _random_instance(n: int, rng: np.random.Generator):
     return S, h
 
 
-def _certified_max(S, h, k, options, rng) -> float:
-    return certify_k_ricci(S, h, k, bound=math.inf, options=options, rng=rng).value
+def _certified_max(S, h, k, rng) -> float:
+    return certify_k_ricci(S, h, k, bound=math.inf, options=SUITE_CERTIFY, rng=rng).value
 
 
-def _royden_case(config: SuiteConfig, case_id: str, n: int, rng) -> CaseRecord:
+def _royden_case(config: SuiteConfig, case_id, n, k, index, rng) -> CaseRecord:
     S, h = _random_instance(n, rng)
     g = random_hermitian(n, rng, positive=True)
     rho = random_hermitian(n, rng)
-    tol = config.resolved_tolerance
-    report = royden_identity_check(S, g, h, rho=rho, tol=tol)
+    report = royden_identity_check(S, g, h, rho=rho, tol=config.tolerance)
     residual = max(report.quartic_residual, report.metric_residual, report.rho_residual)
     return CaseRecord(
         case_id=case_id,
@@ -182,14 +183,13 @@ def _royden_case(config: SuiteConfig, case_id: str, n: int, rng) -> CaseRecord:
     )
 
 
-def _interpolation_case(config: SuiteConfig, case_id: str, n: int, k: int, rng) -> CaseRecord:
+def _interpolation_case(config: SuiteConfig, case_id, n, k, index, rng) -> CaseRecord:
     S, h = _random_instance(n, rng)
-    tol = config.resolved_tolerance
-    top = _certified_max(S, h, k, config.certify, np.random.default_rng(rng.integers(2**63)))
+    top = _certified_max(S, h, k, np.random.default_rng(rng.integers(2**63)))
     sigma = -top / (k + 1)
-    X = unit_sphere_samples(h, config.directions, rng)
+    X = unit_sphere_samples(h, INTERPOLATION_DIRECTIONS, rng)
     X = X * rng.uniform(0.5, 2.0, size=(X.shape[0], 1))
-    report = interpolation_check(S, h, k, sigma, X, tol=tol)
+    report = interpolation_check(S, h, k, sigma, X, tol=config.tolerance)
     idx = int(np.argmin(report.margins))
     scale = 1.0 + float(np.max(np.abs(report.rhs)))
     return CaseRecord(
@@ -202,7 +202,7 @@ def _interpolation_case(config: SuiteConfig, case_id: str, n: int, k: int, rng) 
     )
 
 
-def _mixed_trace_case(config: SuiteConfig, case_id: str, n: int, rng) -> CaseRecord:
+def _mixed_trace_case(config: SuiteConfig, case_id, n, k, index, rng) -> CaseRecord:
     S, h = _random_instance(n, rng)
     g = random_hermitian(n, rng, positive=True)
     rho = random_hermitian(n, rng)
@@ -210,14 +210,10 @@ def _mixed_trace_case(config: SuiteConfig, case_id: str, n: int, rng) -> CaseRec
     combined = symmetrize(
         beta * S.entries + alpha * np.einsum("ij,kl->ijkl", h.entries, rho.entries)
     )
-    top = _certified_max(
-        combined, h, 1, config.certify, np.random.default_rng(rng.integers(2**63))
-    )
+    top = _certified_max(combined, h, 1, np.random.default_rng(rng.integers(2**63)))
     lam = top + 1e-10 * (1.0 + abs(top))
-    tol = config.resolved_tolerance
-    report = mixed_trace_bounds(
-        S, g, h, rho, CurvatureParams(alpha=alpha, beta=beta, lam=lam), tol=tol
-    )
+    params = CurvatureParams(alpha=alpha, beta=beta, lam=lam)
+    report = mixed_trace_bounds(S, g, h, rho, params, tol=config.tolerance)
     margin = min(report.slack_coarse, report.slack_refined) / (1.0 + abs(report.lhs))
     return CaseRecord(
         case_id=case_id,
@@ -229,12 +225,11 @@ def _mixed_trace_case(config: SuiteConfig, case_id: str, n: int, rng) -> CaseRec
     )
 
 
-def _ric_scalar_case(config: SuiteConfig, case_id: str, n: int, k: int, rng) -> CaseRecord:
+def _ric_scalar_case(config: SuiteConfig, case_id, n, k, index, rng) -> CaseRecord:
     S, h = _random_instance(n, rng)
-    tol = config.resolved_tolerance
-    top = _certified_max(S, h, k, config.certify, np.random.default_rng(rng.integers(2**63)))
+    top = _certified_max(S, h, k, np.random.default_rng(rng.integers(2**63)))
     sigma = -top / (k + 1)
-    report = ric_scalar_matrix(S, h, k, sigma, tol=tol)
+    report = ric_scalar_matrix(S, h, k, sigma, tol=config.tolerance)
     scale = 1.0 + float(np.max(np.abs(report.eigenvalues)))
     return CaseRecord(
         case_id=case_id,
@@ -246,7 +241,7 @@ def _ric_scalar_case(config: SuiteConfig, case_id: str, n: int, k: int, rng) -> 
     )
 
 
-def _berger_case(config: SuiteConfig, case_id: str, n: int, rng) -> CaseRecord:
+def _berger_case(config: SuiteConfig, case_id, n, k, index, rng) -> CaseRecord:
     S, h = _random_instance(n, rng)
     report = berger_check(S, h, samples=config.samples, rng=rng)
     deviation = abs(report.scalar - report.quadrature) / (1.0 + abs(report.scalar))
@@ -261,7 +256,7 @@ def _berger_case(config: SuiteConfig, case_id: str, n: int, rng) -> CaseRecord:
     )
 
 
-def _rigidity_case(config: SuiteConfig, case_id: str, n: int, index: int, rng) -> CaseRecord:
+def _rigidity_case(config: SuiteConfig, case_id, n, k, index, rng) -> CaseRecord:
     sigma = _MODEL_SIGMAS[index % len(_MODEL_SIGMAS)]
     h = random_hermitian(n, rng, positive=True)
     S = BihermitianForm(-sigma * b_form(h).entries)
@@ -286,52 +281,38 @@ def _rigidity_case(config: SuiteConfig, case_id: str, n: int, index: int, rng) -
         lhs=sc,
         rhs=-n * (n + 1) * sigma,
         margin=margin,
-        passed=bool(margin >= -config.resolved_tolerance),
+        passed=bool(margin >= -config.tolerance),
     )
 
 
 def _run_cases(config: SuiteConfig) -> list[CaseRecord]:
-    """Run the suite's cases one after another in their deterministic order."""
+    """Run the suite's cases one after another in their deterministic order.
+
+    Every builder takes (config, case id, n, k or None, case index, the
+    case's own generator keyed by (seed, case index)).
+    """
     suite = config.suite
+    entry = _REGISTRY[suite]
+    builder = globals()[entry.builder]
     records: list[CaseRecord] = []
-
-    def rng() -> np.random.Generator:
-        # The next case's own generator, keyed by (seed, case index).
-        return np.random.default_rng([config.seed, len(records)])
-
-    if suite in ("royden", "mixed-trace", "berger"):
-        builder = {
-            "royden": _royden_case,
-            "mixed-trace": _mixed_trace_case,
-            "berger": _berger_case,
-        }[suite]
-        for n in config.n_values:
-            for i in range(config.count):
-                records.append(builder(config, f"{suite}-n{n}-{i:03d}", n, rng()))
-    elif suite in ("interpolation", "ric-scalar"):
-        builder = {
-            "interpolation": _interpolation_case,
-            "ric-scalar": _ric_scalar_case,
-        }[suite]
-        min_k = 2 if suite == "ric-scalar" else 1
-        for n in config.n_values:
-            for k in config.k_values:
-                if k > n or k < min_k:
-                    continue
-                for i in range(config.count):
-                    records.append(builder(config, f"{suite}-n{n}-k{k}-{i:03d}", n, k, rng()))
-    elif suite == "rigidity-model":
-        for n in config.n_values:
+    for n in config.n_values:
+        if entry.min_k is None:
+            ks = [None]
+        else:
+            ks = [k for k in config.k_values if entry.min_k <= k <= n]
+        for k in ks:
+            tag = "" if k is None else f"-k{k}"
             for i in range(config.count):
                 index = len(records)
-                records.append(_rigidity_case(config, f"{suite}-n{n}-{i:03d}", n, index, rng()))
+                rng = np.random.default_rng([config.seed, index])
+                records.append(builder(config, f"{suite}-n{n}{tag}-{i:03d}", n, k, index, rng))
     return records
 
 
 def run_suite(config: SuiteConfig) -> SuiteReport:
     start = time.perf_counter()
     records = _run_cases(config)
-    tolerance = config.resolved_tolerance
+    tolerance = config.tolerance
     pass_count = sum(record.passed for record in records)
     worst = min((record.margin for record in records), default=math.inf)
     return SuiteReport(
@@ -373,7 +354,7 @@ def generate_forms(
         raise ValueError("count must be nonnegative")
     if constraint is not None and n > 6:
         raise ValueError("constrained generation supports n <= 6")
-    options = certify or _suite_certify_options()
+    options = certify or SUITE_CERTIFY
     h = HermitianForm(np.eye(n))
     out = []
     for i in range(count):

@@ -3,10 +3,12 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import kricci.cli
 from kricci.cli import main
 from kricci.errors import DegeneracyError
 from kricci.flow import FlowModel
@@ -19,6 +21,7 @@ from kricci.io import (
     save_json,
     save_tensor,
 )
+from kricci.suites import SuiteConfig, run_suite
 
 
 def run_cli(*argv):
@@ -79,6 +82,29 @@ class TestVerify:
         assert run_cli(*argv, "--samples", 1000) == 0
         lines = capsys.readouterr().out.splitlines()
         assert lines[1].endswith("PASS  mc_within_z=True")
+
+    @pytest.mark.parametrize("suite, dims", [("royden", (1, 2, 3)), ("berger", (2, 3))])
+    def test_default_dimensions_come_from_the_registry(self, suite, dims, capsys):
+        assert run_cli("verify", suite, "--count", 1, "--samples", 1000) == 0
+        case_ids = [line.split()[0] for line in capsys.readouterr().out.splitlines()[:-1]]
+        assert case_ids == [f"{suite}-n{n}-000" for n in dims]
+
+    def test_flags_not_given_keep_the_suite_config_defaults(self, monkeypatch):
+        configs = []
+
+        def record(config):
+            configs.append(config)
+            return run_suite(SuiteConfig(suite=config.suite, count=0))
+
+        monkeypatch.setattr(kricci.cli, "run_suite", record)
+        assert run_cli("verify", "berger") == 0
+        argv = ("--n", 4, "--k", 1, 3, "--count", 3, "--seed", 7, "--tol", 0.5, "--samples", 10)
+        assert run_cli("verify", "berger", *argv) == 0
+        assert configs == [
+            SuiteConfig(suite="berger"),
+            SuiteConfig("berger", n_values=(4,), k_values=(1, 3), count=3, seed=7,
+                        tolerance=0.5, samples=10),
+        ]
 
     def test_report_is_appended(self, tmp_path):
         report = tmp_path / "runs.json"
@@ -323,10 +349,13 @@ class TestReportCommand:
 
 class TestModuleEntryPoint:
     def test_python_dash_m(self):
+        # Run from the directory holding the imported package, so the child
+        # finds the same kricci whether or not PYTHONPATH names it.
         proc = subprocess.run(
             [sys.executable, "-m", "kricci", "verify", "royden", "--n", "1", "--count", "1"],
             capture_output=True,
             text=True,
+            cwd=Path(kricci.cli.__file__).resolve().parents[1],
         )
         assert proc.returncode == 0
         assert "PASS" in proc.stdout

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from kricci.extremes import certify_k_ricci
-from kricci.flow import DiagnosticsRow
+from kricci.flow import DiagnosticsRow, FlowConfig, TwistSpec
 from kricci.forms import (
     HermitianForm,
     b_form,
@@ -183,6 +183,14 @@ class TestFlowCsv:
         assert math.isnan(back[0].schwarz_min_margin)
         assert back[1].positivity_margin == 0.75
 
+    def test_header_is_pinned(self, tmp_path):
+        path = tmp_path / "flow.csv"
+        write_flow_csv(path, [])
+        assert path.read_bytes() == (
+            b"t,sup_phidot,inf_scalar_plus_tr_eta,bound_volume_upper,"
+            b"positivity_margin,sup_G,schwarz_min_margin\r\n"
+        )
+
     def test_rejects_foreign_columns(self, tmp_path):
         path = tmp_path / "other.csv"
         path.write_text("a,b\n1,2\n")
@@ -280,6 +288,13 @@ class TestFlowConfig:
         )
         with pytest.raises(ValueError, match="does not match"):
             load_flow_config(path)
+
+    def test_absent_keys_keep_the_dataclass_defaults(self, tmp_path):
+        path = tmp_path / "flow.json"
+        save_json(path, {"grid": {"n": 1, "N": 8}})
+        job = load_flow_config(path)
+        assert job.config == FlowConfig(grid=PeriodicGrid(1, 8), twist=TwistSpec())
+        assert (job.mu, job.checks) == (None, {})
 
     def test_discretization_override(self, tmp_path):
         path = tmp_path / "flow.json"

@@ -75,23 +75,12 @@ class TestRoydenIdentity:
         assert report.rho_residual <= 1e-12
         assert report.n_terms == 4**n
 
-    def test_without_rho(self):
-        n = 2
-        report = royden_identity_check(
-            random_bihermitian(n, rng(60)),
-            random_hermitian(n, rng(61), positive=True),
-            random_hermitian(n, rng(62), positive=True),
-        )
-        assert report.ok
-        assert report.rho_bruteforce is None
-        assert report.rho_closed is None
-
     def test_dimension_guard(self):
         n = 9
         g = HermitianForm.identity(n)
         S = BihermitianForm(np.zeros((n,) * 4, dtype=complex))
         with pytest.raises(ResourceLimitError):
-            royden_sum_bruteforce(S, g, g)
+            royden_sum_bruteforce(S, g, g, g)
 
     @given(st.integers(min_value=1, max_value=3), st.integers(min_value=0, max_value=5000))
     @settings(max_examples=10, deadline=None)
@@ -100,7 +89,7 @@ class TestRoydenIdentity:
         g = random_hermitian(n, r, positive=True)
         h = random_hermitian(n, r, positive=True)
         S = symmetrize(r.standard_normal((n,) * 4) + 1j * r.standard_normal((n,) * 4))
-        assert royden_identity_check(S, g, h).ok
+        assert royden_identity_check(S, g, h, rho=random_hermitian(n, r)).ok
 
 
 class TestMixedTrace:

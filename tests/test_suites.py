@@ -6,9 +6,11 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+import kricci.suites
 from kricci.extremes import CertifyOptions, certify_k_ricci
 from kricci.forms import HermitianForm
 from kricci.suites import (
+    CaseRecord,
     RicKUpper,
     SuiteConfig,
     generate_forms,
@@ -17,7 +19,7 @@ from kricci.suites import (
 
 
 def small_config(suite, **kwargs):
-    defaults = dict(count=2, seed=3, samples=20_000, directions=24)
+    defaults = dict(count=2, seed=3, samples=20_000)
     defaults.update(kwargs)
     return SuiteConfig(suite=suite, **defaults)
 
@@ -79,6 +81,44 @@ class TestSuiteRuns:
         report = run_suite(small_config("royden", n_values=(2,), tolerance=1e-300))
         assert not report.ok
         assert report.pass_count < len(report.cases)
+
+
+class TestRegistry:
+    # The case builder each suite runs, by the name the benchmark tracer patches;
+    # and, for the suites that take a k, the k values run at n = 2 and n = 3.
+    BUILDERS = {
+        "royden": "_royden_case",
+        "interpolation": "_interpolation_case",
+        "mixed-trace": "_mixed_trace_case",
+        "ric-scalar": "_ric_scalar_case",
+        "berger": "_berger_case",
+        "rigidity-model": "_rigidity_case",
+    }
+    K_VALUES = {"interpolation": {2: (1, 2), 3: (1, 2, 3)}, "ric-scalar": {2: (2,), 3: (2, 3)}}
+
+    @pytest.mark.parametrize("suite", sorted(BUILDERS))
+    def test_run_suite_calls_the_builder_on_the_module(self, monkeypatch, suite):
+        calls = []
+
+        def builder(config, case_id, n, k, index, rng):
+            calls.append((case_id, n, k, index, rng.random()))
+            return CaseRecord(case_id, "patched", 0.0, 0.0, 0.0, True)
+
+        monkeypatch.setattr(kricci.suites, self.BUILDERS[suite], builder)
+        config = SuiteConfig(suite=suite, n_values=(2, 3), k_values=(1, 2, 3), count=2, seed=5)
+        report = run_suite(config)
+        ks = self.K_VALUES.get(suite, {2: (None,), 3: (None,)})
+        expected = [(n, k, i) for n in (2, 3) for k in ks[n] for i in range(2)]
+        assert [call[1:3] for call in calls] == [(n, k) for n, k, _ in expected]
+        assert [call[0] for call in calls] == [
+            f"{suite}-n{n}{'' if k is None else f'-k{k}'}-{i:03d}" for n, k, i in expected
+        ]
+        assert [call[3] for call in calls] == list(range(len(expected)))
+        # Each case draws from its own generator, keyed by (seed, case index).
+        assert [call[4] for call in calls] == [
+            np.random.default_rng([5, index]).random() for index in range(len(expected))
+        ]
+        assert [case.lemma for case in report.cases] == ["patched"] * len(expected)
 
 
 class TestDeterminism:
