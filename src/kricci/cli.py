@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import math
 import sys
 from pathlib import Path
@@ -19,6 +20,7 @@ from .errors import FlowDegenerateError, HypothesisError
 from .extremes import CertifyOptions, certify_k_ricci
 from .flow import (
     CENTERED_SNAPSHOTS,
+    CHECK_TOL,
     check_potential_identities,
     check_scalar_bound,
     check_schwarz,
@@ -27,6 +29,7 @@ from .flow import (
     run_flow,
 )
 from .forms import BihermitianForm, HermitianForm
+from .grid import DISCRETIZATIONS
 from .io import (
     append_report,
     load_flow_config,
@@ -41,6 +44,10 @@ from .suites import SUITES, RicKUpper, SuiteConfig, generate_forms, run_suite
 
 __all__ = ["main"]
 
+
+# Built on the first call to main, not at import; parsing leaves it unchanged,
+# and each subcommand's handler looks the library functions up at call time.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kricci",
@@ -73,7 +80,9 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--seed", type=int)
     verify.add_argument("--tol", dest="tolerance", type=float)
     verify.add_argument(
-        "--samples", type=int, help="Monte Carlo points per berger case, reported as mc_within_z"
+        "--samples",
+        type=int,
+        help="Monte Carlo points per berger case, reported as mc_within_z (default 0: none)",
     )
     verify.add_argument("--out", default=None, help="append the report to this JSON file")
     verify.set_defaults(func=_cmd_verify)
@@ -91,7 +100,7 @@ def _build_parser() -> argparse.ArgumentParser:
     flow = sub.add_parser("flow", help="run a flow campaign from a config file")
     flow.add_argument("config", help="flow config JSON")
     flow.add_argument("--out", default=".", help="output directory")
-    flow.add_argument("--discretization", choices=("fd2", "spectral"), default=None)
+    flow.add_argument("--discretization", choices=DISCRETIZATIONS, default=None)
     flow.set_defaults(func=_cmd_flow)
 
     report = sub.add_parser("report", help="summarize report files")
@@ -203,7 +212,7 @@ def _cmd_flow(args) -> int:
     write_flow_csv(csv_path, result.rows)
     checks: dict[str, dict] = {}
 
-    tol_scalar = job.checks.get("scalar_bound", 1e-8)
+    tol_scalar = job.checks.get("scalar_bound", CHECK_TOL)
     scalar_rep = check_scalar_bound(result, tol=tol_scalar)
     checks["scalar_bound"] = {
         "enabled": True,
@@ -212,7 +221,7 @@ def _cmd_flow(args) -> int:
         "ok": scalar_rep.ok,
     }
 
-    tol_volume = job.checks.get("volume_bound", 1e-8)
+    tol_volume = job.checks.get("volume_bound", CHECK_TOL)
     vol_margins = [row.bound_volume_upper - row.sup_phidot for row in result.rows]
     vol_scale = 1.0 + max(abs(row.bound_volume_upper) for row in result.rows)
     vol_min = min(vol_margins)
@@ -259,7 +268,7 @@ def _cmd_flow(args) -> int:
         }
 
     if job.mu is not None:
-        tol_trace = job.checks.get("trace_evolution", 1e-8)
+        tol_trace = job.checks.get("trace_evolution", CHECK_TOL)
         try:
             trace_rep = check_trace_evolution(result, mu=job.mu, tol=tol_trace)
             checks["trace_evolution"] = {
@@ -328,8 +337,7 @@ def _cmd_report(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, RuntimeError, OSError) as err:

@@ -92,6 +92,10 @@ HORIZON_WINDOW = 10
 # differential trace evolution) have nothing to check with fewer.
 CENTERED_SNAPSHOTS = 3
 
+# Relative tolerance of the scalar, volume and trace-evolution bounds, where
+# a flow config gives none.
+CHECK_TOL = 1e-8
+
 
 @dataclass
 class TwistSpec:
@@ -483,7 +487,7 @@ class ScalarBoundReport:
     ok: bool
 
 
-def check_scalar_bound(result: FlowResult, tol: float = 1e-8) -> ScalarBoundReport:
+def check_scalar_bound(result: FlowResult, tol: float = CHECK_TOL) -> ScalarBoundReport:
     """Check inf(scal(g_t) + tr_{g_t} eta) >= -n / (t + sigma) along the flow."""
     n = result.config.grid.n
     times = np.array([row.t for row in result.rows])
@@ -561,7 +565,7 @@ def check_trace_evolution(
     result: FlowResult,
     mu: float,
     twist_potential: np.ndarray | None = None,
-    tol: float = 1e-8,
+    tol: float = CHECK_TOL,
 ) -> TraceEvolutionReport:
     """Telescoped decay of sup(log tr_g h - Q) under the certified hypotheses.
 

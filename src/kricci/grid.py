@@ -498,15 +498,22 @@ def scalar_from_modes(grid: PeriodicGrid, modes) -> np.ndarray:
     """Real field sum_m Re(amp_m exp(2 pi i k_m . x)) from (k, amp) pairs.
 
     Each ``k`` is an integer vector over the 2n real axes (x_1, y_1, ...).
+    The phase k . x is summed over broadcast tick arrays of the axes where k
+    is nonzero (a zero term adds +0.0, which changes no exponential), and
+    the exponential is taken once per distinct phase value.
     """
-    coords = grid.coordinates()
+    ndim = 2 * grid.n
+    ticks = np.arange(grid.N) / grid.N
+    axes = [ticks.reshape((-1,) + (1,) * (ndim - 1 - a)) for a in range(ndim)]
     out = np.zeros(grid.shape)
     for k, amp in modes:
         k = np.asarray(k, dtype=float)
-        if k.shape != (2 * grid.n,):
-            raise ValueError(f"mode wavevector must have length {2 * grid.n}")
-        phase = sum(ki * ci for ki, ci in zip(k, coords))
-        out += (complex(amp) * np.exp(2j * np.pi * phase)).real
+        if k.shape != (ndim,):
+            raise ValueError(f"mode wavevector must have length {ndim}")
+        phase = np.asarray(sum(ki * ci for ki, ci in zip(k, axes) if ki))
+        values, index = np.unique(phase, return_inverse=True)
+        wave = (complex(amp) * np.exp(2j * np.pi * values)).real
+        out += wave[index.reshape(phase.shape)]
     return out
 
 

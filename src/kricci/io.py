@@ -153,7 +153,7 @@ def load_field(path) -> ScalarField | MetricField:
         values = data["values"]
     except KeyError as err:
         raise ValueError(f"{path}: field file missing key {err}") from err
-    discretization = data.get("discretization", "fd2")
+    discretization = data.get("discretization", PeriodicGrid.discretization)
     if discretization not in DISCRETIZATIONS:
         raise ValueError(f"{path}: unknown discretization {discretization!r}")
     grid = PeriodicGrid(n, N, discretization)
@@ -273,7 +273,7 @@ def load_flow_config(path, discretization: str | None = None) -> FlowJob:
         grid = PeriodicGrid(
             _number(int, grid_spec["n"], "grid.n", path),
             _number(int, grid_spec["N"], "grid.N", path),
-            discretization or grid_spec.get("discretization", "fd2"),
+            discretization or grid_spec.get("discretization", PeriodicGrid.discretization),
         )
     except KeyError as err:
         raise ValueError(f"{path}: flow config missing key {err}") from err

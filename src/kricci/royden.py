@@ -364,18 +364,19 @@ BERGER_TOL = 1e-12
 class BergerReport:
     """The sphere-average identity for scalar curvature.
 
-    ``ok`` compares the exact quadrature with the scalar curvature; the Monte
-    Carlo estimate, its standard error and whether it lies within ``z``
-    standard errors (``within_z``) are kept as evidence.
+    ``ok`` compares the exact quadrature with the scalar curvature.  When a
+    Monte Carlo estimate was asked for (``n_samples`` > 0), its value, its
+    standard error and whether it lies within ``z`` standard errors
+    (``within_z``) are kept as evidence; otherwise the three are None.
     """
 
     scalar: float
     quadrature: float
-    estimate: float
-    std_error: float
+    estimate: float | None
+    std_error: float | None
     n_samples: int
     z: float
-    within_z: bool
+    within_z: bool | None
     ok: bool
 
 
@@ -402,31 +403,34 @@ def sphere_quadrature(h: HermitianForm) -> tuple[np.ndarray, np.ndarray]:
 def berger_check(
     S: BihermitianForm,
     h: HermitianForm,
-    samples: int = 100_000,
+    samples: int = 0,
     rng: np.random.Generator | None = None,
     z: float = 3.0,
 ) -> BergerReport:
     """Check 𝒮 = (n(n+1)/2) E[S(Z,Z̄,Z,Z̄)] over the h-unit sphere.
 
     The average is taken exactly by :func:`sphere_quadrature` and must match
-    the scalar curvature to BERGER_TOL (1 + |𝒮|).  A Monte Carlo estimate
-    from ``samples`` points and its standard error are reported alongside,
-    with ``within_z`` saying whether the exact value sits within z standard
-    errors (plus the same roundoff floor, for constant integrands).
+    the scalar curvature to BERGER_TOL (1 + |𝒮|).  With ``samples`` > 0 a
+    Monte Carlo estimate from that many points and its standard error are
+    reported alongside, with ``within_z`` saying whether the exact value sits
+    within z standard errors (plus the same roundoff floor, for constant
+    integrands).  The default, 0, draws nothing from ``rng``.
     """
-    if samples < 2:
-        raise ValueError("need at least two samples")
-    rng = rng if rng is not None else np.random.default_rng(0)
+    if samples < 0 or samples == 1:
+        raise ValueError("samples must be 0 (no Monte Carlo estimate) or at least 2")
     n = S.n
     factor = n * (n + 1) / 2.0
     exact = scalar(S, h)
     floor = BERGER_TOL * (1.0 + abs(exact))
     points, weights = sphere_quadrature(h)
     quadrature = factor * float(weights @ quartic_values(S, points))
-    Z = unit_sphere_samples(h, samples, rng)
-    vals = quartic_values(S, Z)
-    estimate = factor * float(vals.mean())
-    se = factor * float(vals.std(ddof=1)) / np.sqrt(samples)
+    estimate = se = within_z = None
+    if samples:
+        rng = rng if rng is not None else np.random.default_rng(0)
+        vals = quartic_values(S, unit_sphere_samples(h, samples, rng))
+        estimate = factor * float(vals.mean())
+        se = factor * float(vals.std(ddof=1)) / np.sqrt(samples)
+        within_z = bool(abs(exact - estimate) <= z * se + floor)
     return BergerReport(
         scalar=exact,
         quadrature=quadrature,
@@ -434,6 +438,6 @@ def berger_check(
         std_error=se,
         n_samples=samples,
         z=z,
-        within_z=bool(abs(exact - estimate) <= z * se + floor),
+        within_z=within_z,
         ok=bool(abs(exact - quadrature) <= floor),
     )

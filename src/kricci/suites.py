@@ -98,7 +98,8 @@ class SuiteConfig:
     count: int = 5
     seed: int = 0
     tolerance: float | None = None
-    samples: int = 100_000
+    # Monte Carlo points per berger case; 0 draws none.
+    samples: int = 0
 
     def __post_init__(self):
         if self.suite not in SUITES:
@@ -124,9 +125,10 @@ class CaseRecord:
     rhs: float
     margin: float
     passed: bool
-    # Berger cases only: whether the Monte Carlo sphere average from
-    # ``SuiteConfig.samples`` points lies within 3 standard errors of the
-    # scalar curvature.  Reported evidence; ``passed`` does not depend on it.
+    # Berger cases with ``SuiteConfig.samples`` > 0 only: whether the Monte
+    # Carlo sphere average from that many points lies within 3 standard
+    # errors of the scalar curvature.  Reported evidence; ``passed`` does not
+    # depend on it.  None when no estimate was drawn.
     within_z: bool | None = None
 
 

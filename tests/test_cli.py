@@ -76,12 +76,19 @@ class TestVerify:
     def test_berger_prints_monte_carlo_verdict(self, capsys):
         # Suite seed 14's n=3 case misses 3 standard errors at 1e5 samples.
         argv = ("verify", "berger", "--n", 2, 3, "--count", 1, "--seed", 14)
-        assert run_cli(*argv) == 0
+        assert run_cli(*argv, "--samples", 100_000) == 0
         lines = capsys.readouterr().out.splitlines()
         assert lines[1].startswith("berger-n3-000") and lines[1].endswith("PASS  mc_within_z=False")
         assert run_cli(*argv, "--samples", 1000) == 0
         lines = capsys.readouterr().out.splitlines()
         assert lines[1].endswith("PASS  mc_within_z=True")
+
+    def test_berger_draws_no_monte_carlo_by_default(self, capsys):
+        assert run_cli("verify", "berger", "--seed", 14, "--n", 2, 3, "--count", 1) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[0] for line in lines[:2]] == ["berger-n2-000", "berger-n3-000"]
+        assert all(line.endswith("PASS") for line in lines[:2])
+        assert "mc_within_z" not in "".join(lines)
 
     @pytest.mark.parametrize("suite, dims", [("royden", (1, 2, 3)), ("berger", (2, 3))])
     def test_default_dimensions_come_from_the_registry(self, suite, dims, capsys):
@@ -345,6 +352,55 @@ class TestReportCommand:
 
     def test_missing_file_is_an_error(self, tmp_path):
         assert run_cli("report", tmp_path / "nope.json") == 2
+
+
+class TestParserReuse:
+    """main builds its parser once per process, on its first call."""
+
+    def test_not_built_at_import(self):
+        probe = "import kricci.cli as c; print(c._build_parser.cache_info().currsize)"
+        proc = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True,
+            text=True,
+            cwd=Path(kricci.cli.__file__).resolve().parents[1],
+        )
+        assert proc.returncode == 0 and proc.stdout.strip() == "0"
+
+    def test_each_call_gets_its_own_defaults(self, tmp_path, monkeypatch, capsys):
+        form = tmp_path / "model.json"
+        save_tensor(form, BihermitianForm(-1.0 * b_form(HermitianForm(np.eye(2))).entries))
+        config = tmp_path / "flat.json"
+        save_json(config, {"grid": {"n": 1, "N": 8}, "dt": 1e-2, "t_end": 0.02, "cadence": 1})
+        monkeypatch.chdir(tmp_path)
+
+        assert run_cli("certify", form, "--k", 2, "--bound", -2.9, "--seed", 3) == 0
+        parser = kricci.cli._build_parser()
+        configs = []
+
+        def record(config):
+            configs.append(config)
+            return run_suite(SuiteConfig(suite=config.suite, count=0))
+
+        # Patched after the parser was built and cached: the handler still
+        # looks run_suite up at call time.
+        monkeypatch.setattr(kricci.cli, "run_suite", record)
+        assert run_cli("verify", "royden", "--count", 1, "--samples", 10) == 0
+        with pytest.raises(SystemExit) as usage:
+            run_cli("verify", "no-such-suite", "--seed", 9)
+        assert usage.value.code == 2
+        assert run_cli("verify", "berger") == 0
+        assert configs == [SuiteConfig("royden", count=1, samples=10), SuiteConfig("berger")]
+
+        assert run_cli("flow", config) == 0
+        record = load_report(tmp_path / "flow_report.json")["runs"][0]
+        assert record["discretization"] == "fd2" and record["ok"] is True
+        assert run_cli("certify", form, "--bound", -1.9) == 0
+        assert kricci.cli._build_parser() is parser
+
+        out = capsys.readouterr().out.splitlines()
+        certificates = [line for line in out if line.startswith("status=")]
+        assert [line.split()[1] for line in certificates] == ["k=2", "k=1"]
 
 
 class TestModuleEntryPoint:

@@ -761,3 +761,21 @@ class TestScalarFromModes:
         grid = PeriodicGrid(n=2, N=8)
         with pytest.raises(ValueError):
             scalar_from_modes(grid, [((1, 0), 1.0)])
+
+    @pytest.mark.parametrize("n, N", list(itertools.product((1, 2), (8, 12, 16))))
+    def test_matches_the_full_grid_formula_bitwise(self, n, N):
+        grid = PeriodicGrid(n=n, N=N)
+        rng = np.random.default_rng([751, n, N])
+        modes = [
+            (tuple(int(c) for c in rng.integers(-3, 4, size=2 * n)),
+             complex(rng.standard_normal(), rng.standard_normal()))
+            for _ in range(3)
+        ] + [((0,) * (2 * n), 0.5), ((1,) + (0,) * (2 * n - 1), -0.25)]
+        # The phase summed over full meshgrid coordinates and one complex
+        # exponential per grid point.
+        coords = grid.coordinates()
+        expected = np.zeros(grid.shape)
+        for k, amp in modes:
+            phase = sum(ki * ci for ki, ci in zip(np.asarray(k, dtype=float), coords))
+            expected += (complex(amp) * np.exp(2j * np.pi * phase)).real
+        assert np.array_equal(scalar_from_modes(grid, modes), expected)

@@ -235,9 +235,31 @@ class TestBerger:
         # estimate lies outside 3 standard errors.
         from kricci.suites import SuiteConfig, run_suite
 
-        report = run_suite(SuiteConfig(suite="berger", n_values=(2, 3), count=1, seed=14))
+        config = SuiteConfig(suite="berger", n_values=(2, 3), count=1, seed=14, samples=100_000)
+        report = run_suite(config)
         assert report.ok and report.pass_count == 2
         assert [case.within_z for case in report.cases] == [True, False]
+
+    def test_monte_carlo_is_opt_in(self):
+        h = random_hermitian(3, rng(143), positive=True)
+        S = random_bihermitian(3, rng(144))
+        generator = rng(145)
+        state = generator.bit_generator.state
+        exact = berger_check(S, h, rng=generator)
+        assert generator.bit_generator.state == state
+        sampled = berger_check(S, h, samples=1000, rng=generator)
+        assert (exact.ok, exact.scalar, exact.quadrature) == (
+            sampled.ok, sampled.scalar, sampled.quadrature
+        )
+        assert exact.ok and exact.n_samples == 0 and sampled.n_samples == 1000
+        assert (exact.estimate, exact.std_error, exact.within_z) == (None, None, None)
+        assert sampled.within_z
+
+    @pytest.mark.parametrize("samples", [1, -1])
+    def test_rejects_a_sample_count_without_a_standard_error(self, samples):
+        h = HermitianForm.identity(2)
+        with pytest.raises(ValueError, match="samples"):
+            berger_check(model_form(h, 1.0), h, samples=samples)
 
     def test_perturbed_scalar_fails(self, monkeypatch):
         h = random_hermitian(3, rng(140), positive=True)

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import pytest
 
+from kricci.io import load_report
+
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
@@ -25,8 +27,24 @@ SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
     ],
 )
 def test_script_main_exits_zero(script, argv, capsys):
+    assert load_script(script).main(argv) == 0
+    assert capsys.readouterr().out
+
+
+def load_script(script):
     spec = importlib.util.spec_from_file_location(f"script_{Path(script).stem}", SCRIPTS / script)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    assert module.main(argv) == 0
-    assert capsys.readouterr().out
+    return module
+
+
+def test_lemma_suites_keep_the_registry_defaults(tmp_path, capsys):
+    # Without --n each suite runs its own dimensions: royden covers n = 1, 2, 3.
+    report = tmp_path / "suites.json"
+    argv = ["--suite", "royden", "--suite", "berger", "--count", "1", "--samples", "1000",
+            "--out", str(report)]
+    assert load_script("run_lemma_suites.py").main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[:2] for line in lines] == [["royden", "3"], ["berger", "2"]]
+    runs = load_report(report)["runs"]
+    assert [case["within_z"] for case in runs[1]["cases"]] == [True, True]

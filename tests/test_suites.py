@@ -62,6 +62,19 @@ class TestSuiteRuns:
         assert coarse.passed and fine.passed
         assert (coarse.lhs, coarse.rhs, coarse.margin) == (fine.lhs, fine.rhs, fine.margin)
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_berger_monte_carlo_changes_only_its_verdict(self, seed):
+        # The Monte Carlo draws come last from each case's generator, so the
+        # instances, verdicts and margins do not depend on ``samples``.
+        config = dict(n_values=(2, 3), count=2, seed=seed)
+        exact = run_suite(SuiteConfig(suite="berger", **config)).cases
+        sampled = run_suite(SuiteConfig(suite="berger", samples=100_000, **config)).cases
+        assert all(case.within_z is None for case in exact)
+        assert all(case.within_z is not None for case in sampled)
+        assert [asdict(case) for case in exact] == [
+            dict(asdict(case), within_z=None) for case in sampled
+        ]
+
     def test_only_berger_records_monte_carlo_verdict(self):
         report = run_suite(small_config("royden", n_values=(2,), count=1))
         assert report.cases[0].within_z is None
