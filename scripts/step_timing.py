@@ -1,5 +1,5 @@
-"""Time one RK2 step of the potential flow, one background curvature call
-and one diagnostics pass.
+"""Time one RK2 step of the potential flow, one complex Hessian, one
+background curvature call and one diagnostics pass.
 
 Builds a flow model on a background with a mixed-wavevector mode (at n=2 the
 off-diagonal g_12 is complex) and a one-mode twist potential, then prints
@@ -7,6 +7,8 @@ off-diagonal g_12 is complex) and a one-mode twist potential, then prints
   * the median wall time of ``_rk2_step`` over ``--steps`` consecutive steps
     at the explicit step-size limit;
   * the tracemalloc peak of one further step;
+  * the median wall time of one ``dbar_hessian_field`` call on the background
+    potential over a fixed 200 calls (the d dbar layer of each step);
   * the wall time and the tracemalloc peak of one ``curvature_field`` call on
     the background metric;
   * the wall time of one ``_diagnostics`` pass over the start and the timed
@@ -39,7 +41,9 @@ from kricci.flow import (
     _initial_sigma,
     _rk2_step,
 )
-from kricci.grid import PeriodicGrid, curvature_field, scalar_from_modes
+from kricci.grid import PeriodicGrid, curvature_field, dbar_hessian_field, scalar_from_modes
+
+HESSIAN_CALLS = 200
 
 
 def model_for(n, N, discretization):
@@ -84,6 +88,11 @@ def main(argv=None):
         t += dt
         snapshots.append(FlowSnapshot(t, phi, phidot))
     _, step_peak = peak_mib(lambda: _rk2_step(model, t, phi, dt, phidot))
+    hessian_times = []
+    for _ in range(HESSIAN_CALLS):
+        start = time.perf_counter()
+        dbar_hessian_field(grid, config.background)
+        hessian_times.append(time.perf_counter() - start)
     start = time.perf_counter()
     curvature_field(grid, model.h)
     curvature_s = time.perf_counter() - start
@@ -99,6 +108,8 @@ def main(argv=None):
     print(f"n={grid.n} N={grid.N} {grid.discretization} dt={dt:.3e}")
     print(f"rk2 step: median {1e3 * statistics.median(times):.1f} ms over {args.steps} steps, "
           f"tracemalloc peak {step_peak:.1f} MiB")
+    print(f"dbar_hessian_field: median {1e3 * statistics.median(hessian_times):.3f} ms "
+          f"over {HESSIAN_CALLS} calls on the background potential")
     # R_h is a dict of Sym² entry fields; its size is theirs together.
     curvature_mib = sum(entry.nbytes for entry in curvature.values()) / 2**20
     print(f"curvature_field: {1e3 * curvature_s:.1f} ms, tracemalloc peak {curvature_peak:.1f} MiB "

@@ -12,7 +12,11 @@ Two discretizations are supported.  ``fd2`` uses the 3-point second
 difference on a repeated axis and compositions of centered first differences
 across axes; all shifts commute, so the complex Hessian is exactly
 Hermitian, but the curvature tensor meets the swap of its unbarred slots
-only to second order (see :func:`curvature_field`).
+only to second order (see :func:`curvature_field`).  Both stencils are
+periodic neighbour sums and differences, f[i+1] +- f[i-1], written into one
+fresh array per derivative by three sliced ufunc calls (the interior and the
+two wrap faces) with no shifted copies; they are bitwise equal to the
+``np.roll`` formulas the tests keep as reference.
 ``spectral`` differentiates in Fourier space with the Nyquist mode zeroed for
 odd derivatives.  Its derivatives of a real field take one real forward
 transform (``scipy.fft.rfftn``) over the grid axes; every derivative field
@@ -119,16 +123,47 @@ class PeriodicGrid:
         return list(np.meshgrid(*([ticks] * 2 * self.n), indexing="ij"))
 
 
+# (f[i+1], f[i-1], out[i]) slices along a periodic axis: the interior, then
+# the two wrap faces i = 0 and i = N-1.
+_PERIODIC_FACES = (
+    (slice(2, None), slice(None, -2), slice(1, -1)),
+    (slice(1, 2), slice(-1, None), slice(None, 1)),
+    (slice(None, 1), slice(-2, -1), slice(-1, None)),
+)
+
+
+def _periodic(op, f: np.ndarray, axis: int) -> np.ndarray:
+    """op(f[i+1], f[i-1]) along a periodic grid axis, into one fresh array,
+    one ufunc call per entry of _PERIODIC_FACES."""
+    out = np.empty_like(f)
+    lead = (slice(None),) * axis
+    for after, before, at in _PERIODIC_FACES:
+        op(f[lead + (after,)], f[lead + (before,)], out=out[lead + (at,)])
+    return out
+
+
 def _d1(grid: PeriodicGrid, f: np.ndarray, axis: int) -> np.ndarray:
-    """fd2 centered first derivative along a real axis."""
-    return (np.roll(f, -1, axis=axis) - np.roll(f, 1, axis=axis)) * (grid.N / 2.0)
+    """fd2 centered first derivative along a real axis: the periodic
+    neighbour difference (f[i+1] - f[i-1]) scaled by N/2, bitwise the
+    ``np.roll`` formula (roll(f, -1) - roll(f, 1)) * (N/2)."""
+    out = _periodic(np.subtract, f, axis)
+    out *= grid.N / 2.0
+    return out
 
 
 def _dd(grid: PeriodicGrid, f: np.ndarray, a: int, b: int) -> np.ndarray:
-    """fd2 mixed second derivative along real axes a, b."""
-    if a == b:
-        return (np.roll(f, -1, axis=a) + np.roll(f, 1, axis=a) - 2.0 * f) * float(grid.N) ** 2
-    return _d1(grid, _d1(grid, f, b), a)
+    """fd2 mixed second derivative along real axes a, b.
+
+    On a repeated axis the periodic neighbour sum, minus 2f, scaled by N^2:
+    bitwise (roll(f, -1) + roll(f, 1) - 2f) * N^2.  Across axes the
+    composition of centered first differences.
+    """
+    if a != b:
+        return _d1(grid, _d1(grid, f, b), a)
+    out = _periodic(np.add, f, a)
+    out -= 2.0 * f
+    out *= float(grid.N) ** 2
+    return out
 
 
 @functools.lru_cache(maxsize=16)
@@ -257,19 +292,26 @@ def grid_mean(f: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
     return f.mean(axis=tuple(range(2 * grid.n)))
 
 
+@functools.cache
+def _xlogy():
+    """``scipy.special.xlogy``, imported on first use, like scipy.fft in
+    _derivatives: the certifier and the suites run on numpy alone and load
+    no scipy module."""
+    from scipy.special import xlogy
+
+    return xlogy
+
+
 def clib_log(x: np.ndarray) -> np.ndarray:
     """Natural log through the C library, as ``scipy.special.xlogy(1, x)``.
 
     This is the log LAPACK's slogdet used.  numpy's vectorised log differs
     from it in the last bit on some inputs and CPUs, which the flow's Schwarz
     margins turn into relative changes near 1e-6, so flow outputs would
-    depend on the host.
+    depend on the host.  ``xlogy`` is resolved once, on the first call, so
+    the flow's many small calls pay no import statement each.
     """
-    # Imported on first use, like scipy.fft in _derivatives: the
-    # certifier and the suites run on numpy alone and load no scipy module.
-    from scipy.special import xlogy
-
-    return xlogy(1.0, x)
+    return _xlogy()(1.0, x)
 
 
 @dataclass

@@ -41,6 +41,7 @@ __all__ = [
     "g_unitary_h_diagonal_frame",
     "interpolation_check",
     "mixed_trace_bounds",
+    "require_sample_count",
     "ric_scalar_matrix",
     "royden_identity_check",
     "royden_sum_bruteforce",
@@ -400,6 +401,13 @@ def sphere_quadrature(h: HermitianForm) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate([frame, mixed]), weights
 
 
+def require_sample_count(samples: int) -> None:
+    """Reject a Monte Carlo sample count that is neither 0 (no estimate) nor
+    large enough for a standard error."""
+    if samples < 0 or samples == 1:
+        raise ValueError("samples must be 0 (no Monte Carlo estimate) or at least 2")
+
+
 def berger_check(
     S: BihermitianForm,
     h: HermitianForm,
@@ -416,8 +424,7 @@ def berger_check(
     within z standard errors (plus the same roundoff floor, for constant
     integrands).  The default, 0, draws nothing from ``rng``.
     """
-    if samples < 0 or samples == 1:
-        raise ValueError("samples must be 0 (no Monte Carlo estimate) or at least 2")
+    require_sample_count(samples)
     n = S.n
     factor = n * (n + 1) / 2.0
     exact = scalar(S, h)

@@ -39,6 +39,7 @@ from .royden import (
     berger_check,
     interpolation_check,
     mixed_trace_bounds,
+    require_sample_count,
     ric_scalar_matrix,
     royden_identity_check,
 )
@@ -98,7 +99,7 @@ class SuiteConfig:
     count: int = 5
     seed: int = 0
     tolerance: float | None = None
-    # Monte Carlo points per berger case; 0 draws none.
+    # Monte Carlo points per berger case: 0 draws none, otherwise at least 2.
     samples: int = 0
 
     def __post_init__(self):
@@ -115,6 +116,7 @@ class SuiteConfig:
             raise ValueError("dimensions must be positive")
         if any(k < 1 for k in self.k_values):
             raise ValueError("k values must be positive")
+        require_sample_count(self.samples)
 
 
 @dataclass

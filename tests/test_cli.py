@@ -90,6 +90,19 @@ class TestVerify:
         assert all(line.endswith("PASS") for line in lines[:2])
         assert "mc_within_z" not in "".join(lines)
 
+    @pytest.mark.parametrize(
+        "argv",
+        [("royden", "--n", 1, "--count", 1, "--samples", -5), ("berger", "--samples", 1)],
+        ids=["royden-negative", "berger-one"],
+    )
+    def test_bad_sample_count_is_rejected_before_any_case(self, argv, monkeypatch, capsys):
+        # Rejected by SuiteConfig at the boundary, for every suite, with the
+        # message berger_check gives; no case runs.
+        monkeypatch.setattr(kricci.cli, "run_suite", lambda config: pytest.fail("suite ran"))
+        assert run_cli("verify", *argv) == 2
+        err = capsys.readouterr().err
+        assert "samples must be 0 (no Monte Carlo estimate) or at least 2" in err
+
     @pytest.mark.parametrize("suite, dims", [("royden", (1, 2, 3)), ("berger", (2, 3))])
     def test_default_dimensions_come_from_the_registry(self, suite, dims, capsys):
         assert run_cli("verify", suite, "--count", 1, "--samples", 1000) == 0

@@ -180,15 +180,34 @@ class TestHessianAgainstPerAxis:
         assert np.array_equal(hess, np.conj(np.swapaxes(hess, -1, -2)))
 
     def test_fd2_hermitian_half_equals_full_computation(self):
-        # The lower triangle is the conjugate of the upper one instead of
-        # its own difference chain; both agree to roundoff.
-        grid = PeriodicGrid(n=2, N=8)
-        f = self.inputs(grid)["real"]
-        hess = dbar_hessian(grid, f)
-        ref = per_axis_hessian(grid, f)
-        assert np.array_equal(hess[..., 0, 1], ref[..., 0, 1])
-        assert np.array_equal(hess.real[..., 0, 0], ref.real[..., 0, 0])
-        assert np.max(np.abs(hess - ref)) <= 1e-12 * np.max(np.abs(ref))
+        # The computed entries (the diagonal, real, and (0, 1)) are bitwise
+        # the np.roll reference, with or without trailing axes; N=12 also
+        # pins the order of the scalings, which are exact at N=8.  The lower
+        # triangle is the conjugate of the upper one instead of its own
+        # difference chain; both agree to roundoff.
+        for n, N in itertools.product((1, 2), (8, 12)):
+            grid = PeriodicGrid(n=n, N=N)
+            for kind in ("real", "real-trailing"):
+                f = self.inputs(grid)[kind]
+                hess = dbar_hessian(grid, f)
+                ref = per_axis_hessian(grid, f)
+                label = (n, N, kind)
+                for i in range(n):
+                    assert np.array_equal(hess.real[..., i, i], ref.real[..., i, i]), label
+                    assert not hess.imag[..., i, i].any(), label
+                if n == 2:
+                    assert np.array_equal(hess[..., 0, 1], ref[..., 0, 1]), label
+                assert np.max(np.abs(hess - ref)) <= 1e-12 * np.max(np.abs(ref)), label
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_fd2_holomorphic_derivative_is_bitwise_per_axis(self, n):
+        for N, kind in itertools.product((8, 12), ("real", "real-trailing")):
+            grid = PeriodicGrid(n=n, N=N)
+            f = self.inputs(grid)[kind]
+            for i in range(n):
+                dx, dy = (0.5 * per_axis_d1(grid, f, axis) for axis in (2 * i, 2 * i + 1))
+                dz = holomorphic_derivative(grid, f, i)
+                assert np.array_equal(dz, dx - 1j * dy), (N, kind, i)
 
 
 class TestHolomorphicDerivative:

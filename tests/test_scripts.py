@@ -31,6 +31,16 @@ def test_script_main_exits_zero(script, argv, capsys):
     assert capsys.readouterr().out
 
 
+def test_step_timing_prints_the_hessian_layer(capsys):
+    argv = ["--n", "1", "--resolution", "8", "--discretization", "fd2", "--steps", "1"]
+    assert load_script("step_timing.py").main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    hessian = [line for line in lines if line.startswith("dbar_hessian_field: median ")]
+    assert len(hessian) == 1
+    assert hessian[0].endswith(" ms over 200 calls on the background potential")
+    assert float(hessian[0].split()[2]) > 0.0
+
+
 def load_script(script):
     spec = importlib.util.spec_from_file_location(f"script_{Path(script).stem}", SCRIPTS / script)
     module = importlib.util.module_from_spec(spec)
