@@ -26,6 +26,8 @@ from .forms import (
     HermitianForm,
     SubspaceBasis,
     cholesky_frame,
+    congruence,
+    hermitian_eval,
     norm_h,
     pair_products,
     pairing_matrix,
@@ -53,9 +55,7 @@ def k_ricci_on(S: BihermitianForm, h: HermitianForm, basis: SubspaceBasis) -> fl
         raise ValueError("dimension mismatch between form, metric, and frame")
     cols = basis.columns
     X = cols[:, 0]
-    val = np.einsum(
-        "ijkl,i,j,kI,lI->", S.entries, X, np.conj(X), cols, np.conj(cols), optimize=True
-    )
+    val = np.einsum("ijkl,i,j,kI,lI->", S.entries, X, np.conj(X), cols, np.conj(cols))
     return require_real(val, scale=abs(val), what="k-Ricci value")
 
 
@@ -90,8 +90,7 @@ def h_orthocomplement(h: HermitianForm, X) -> np.ndarray:
 
 
 def _normalize_rows(X: np.ndarray, H: np.ndarray) -> np.ndarray:
-    norms2 = np.einsum("bi,ij,bj->b", X, H, np.conj(X)).real
-    return X / np.sqrt(norms2)[:, None]
+    return X / np.sqrt(hermitian_eval(H, X).real)[:, None]
 
 
 def _batch_eval(T, H, L, E, X, k, with_grad=False, Q=None):
@@ -118,10 +117,8 @@ def _batch_eval(T, H, L, E, X, k, with_grad=False, Q=None):
     else:
         if Q is None:
             Q = _orthocomplement_batch(L, E, X)
-        M = np.swapaxes(Q, 1, 2) @ T1 @ np.conj(Q)
-        M = 0.5 * (M + np.conj(np.swapaxes(M, 1, 2)))
-        w, V = np.linalg.eigh(M)
-        sel = slice(M.shape[1] - (k - 1), M.shape[1])
+        w, V = np.linalg.eigh(congruence(Q, T1))
+        sel = slice(w.shape[1] - (k - 1), None)
         f = quart + w[:, sel].sum(axis=1)
         u = Q @ np.conj(V[:, :, sel])
     if not with_grad:
@@ -175,11 +172,7 @@ def k_ricci_extreme_at(
     if k == 1:
         return value, SubspaceBasis(Xh[:, None], h)
     Q = h_orthocomplement(h, Xh)
-    M = np.einsum(
-        "pqrs,p,q,rP,sQ->PQ", S.entries, Xh, np.conj(Xh), Q, np.conj(Q), optimize=True
-    )
-    M = 0.5 * (M + M.conj().T)
-    w, V = np.linalg.eigh(M)
+    w, V = np.linalg.eigh(congruence(Q, np.einsum("pqrs,p,q->rs", S.entries, Xh, np.conj(Xh))))
     if which == "max":
         order = np.argsort(w)[::-1][: k - 1]
     else:
@@ -241,7 +234,7 @@ def _newton_steps(T, H, L, E, X, f, G, k, Q=None):
     d = B.shape[2]
     g = _chart_gradient(G, X, B, H, np.ones(b))
     Y = (X[:, None, :] + NEWTON_FD_STEP * np.swapaxes(B, 1, 2)).reshape(b * d, n)
-    norm = np.sqrt(np.einsum("bi,ij,bj->b", Y, H, np.conj(Y)).real)
+    norm = np.sqrt(hermitian_eval(H, Y).real)
     Xp = Y / norm[:, None]
     _, Gp = _batch_eval(T, H, L, E, Xp, k, with_grad=True)
     gp = _chart_gradient(Gp, Xp, np.repeat(B, d, axis=0), H, norm).reshape(b, d, d)

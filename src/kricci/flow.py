@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegeneracyError, FlowDegenerateError, HypothesisError
-from .forms import sym2_index
+from .forms import congruence, sym2_index
 from .grid import (
     MetricField,
     PeriodicGrid,
@@ -656,20 +656,16 @@ def _mixed_level_estimate(model: FlowModel, rho: MetricField, alpha: float, beta
     """
     n = model.grid.n
     E = model.h.unitary_frame()
-    rho_flat = np.swapaxes(E, -1, -2) @ rho.values @ np.conj(E)
-    rho_flat = 0.5 * (rho_flat + np.conj(np.swapaxes(rho_flat, -1, -2)))
-    rho_top = np.linalg.eigvalsh(rho_flat)[..., -1]
+    rho_top = np.linalg.eigvalsh(congruence(E, rho.values))[..., -1]
     pairs, orbits, weights = sym2_index(n)
     R = model.curvature_h
     form = np.stack([np.stack([R[P, Q] if P <= Q else np.conj(R[Q, P]) for Q in pairs], -1)
                      for P in pairs], -2)
     # V[P, A] = w_A sum of E[i, a] E[k, c] over (i, k) in the orbit of P, so
-    # that (V^T form conj(V))[A, C] = w_A w_C R(E_a, conj E_b, E_c, conj E_d).
+    # that congruence(V, form)[A, C] = w_A w_C R(E_a, conj E_b, E_c, conj E_d).
     V = np.stack([np.stack([w * sum(E[..., i, a] * E[..., k, c] for i, k in orbit)
                             for (a, c), w in zip(pairs, weights)], -1) for orbit in orbits], -2)
-    paired = np.swapaxes(V, -1, -2) @ form @ np.conj(V)
-    paired = 0.5 * (paired + np.conj(np.swapaxes(paired, -1, -2)))
-    curv_top = np.linalg.eigvalsh(paired)[..., -1]
+    curv_top = np.linalg.eigvalsh(congruence(V, form))[..., -1]
     if n > 1:
         curv_top = np.maximum(curv_top, 0.0)
     return float((alpha * rho_top + beta * curv_top).max())

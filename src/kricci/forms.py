@@ -14,7 +14,9 @@ per slot pair.  The two defining symmetries are
 which together also force ``S[i, j, k, l] = S[i, l, k, j]``.  Holomorphic
 sectional curvature is ``S(X, X̄, X, X̄) / |X|_h^4``; "negative curvature"
 means that this quantity is negative.  The sign convention is fixed here once
-and used by every other module.
+and used by every other module.  A frame E has the frame vectors E_a as its
+columns; the matrix of a Hermitian form A in frame E is ``congruence(E, A)``,
+with entries A(E_a, Ē_b).
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ __all__ = [
     "SymmetryReport",
     "b_form",
     "cholesky_frame",
+    "congruence",
     "hermitian_eval",
     "hsc",
     "norm_h",
@@ -194,7 +197,7 @@ class SubspaceBasis:
             raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
         if self.metric.n != n:
             raise ValueError("metric dimension does not match the frame")
-        gram = np.einsum("pi,pq,qj->ij", cols, self.metric.entries, np.conj(cols))
+        gram = congruence(cols, self.metric.entries)
         if np.max(np.abs(gram - np.eye(k))) > 1e-12 * max(1.0, np.max(np.abs(gram))):
             raise ValueError("columns are not h-orthonormal within 1e-12")
         self.columns = cols
@@ -268,10 +271,17 @@ def shift_sigma(S: BihermitianForm, h: HermitianForm, sigma: float) -> Bihermiti
 
 
 def hermitian_eval(A, X, Y=None):
-    """Evaluate the Hermitian form A at (X, Ȳ); Y defaults to X."""
+    """A(X, Ȳ), with Y defaulting to X; a stack of rows X (and Y) gives one value per row."""
     X = np.asarray(X, dtype=complex)
     Y = X if Y is None else np.asarray(Y, dtype=complex)
-    return np.einsum("i,ij,j->", X, np.asarray(A, dtype=complex), np.conj(Y))
+    return np.einsum("...i,ij,...j->...", X, np.asarray(A, dtype=complex), np.conj(Y))
+
+
+def congruence(E, A):
+    """The Hermitian part of Eᵀ A Ē, entry (a, b) = A(E_a, Ē_b): the matrix of A in
+    the frame E.  Leading axes of E and A broadcast; the last two are the matrix's."""
+    M = np.swapaxes(E, -1, -2) @ A @ np.conj(E)
+    return 0.5 * (M + np.conj(np.swapaxes(M, -1, -2)))
 
 
 def norm_h(X, h: HermitianForm) -> float:
@@ -383,7 +393,7 @@ def ricci_trace(S: BihermitianForm, h: HermitianForm) -> HermitianForm:
     Hinv = _pd_inverse(h)
     ric = np.einsum("abkl,lk->ab", S.entries, Hinv)
     E = unitary_frame(h)
-    ric_frame = np.einsum("abkl,km,lm->ab", S.entries, E, np.conj(E), optimize=True)
+    ric_frame = np.einsum("abkl,km,lm->ab", S.entries, E, np.conj(E))
     scale = max(1.0, float(np.max(np.abs(ric))))
     if np.max(np.abs(ric - ric_frame)) > 1e-12 * scale:
         raise RealityError("h-trace routes disagree beyond 1e-12; corrupted input")

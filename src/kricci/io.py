@@ -106,7 +106,7 @@ def save_tensor(path, form: BihermitianForm | HermitianForm) -> None:
 def load_tensor(path) -> LoadedTensor:
     data = _json_object(load_json(path), "tensor file", path)
     try:
-        n = int(data["n"])
+        n = _number(int, data["n"], "n", path)
         entries = data["entries"]
     except KeyError as err:
         raise ValueError(f"{path}: tensor file missing key {err}") from err
@@ -149,8 +149,8 @@ def save_field(path, field: ScalarField | MetricField) -> None:
 def load_field(path) -> ScalarField | MetricField:
     data = load_json(path)
     try:
-        n, N, kind = int(data["n"]), int(data["N"]), data["kind"]
-        values = data["values"]
+        n, N = (_number(int, data[key], key, path) for key in ("n", "N"))
+        kind, values = data["kind"], data["values"]
     except KeyError as err:
         raise ValueError(f"{path}: field file missing key {err}") from err
     discretization = data.get("discretization", PeriodicGrid.discretization)
@@ -218,9 +218,11 @@ def _potential_from_spec(spec, grid: PeriodicGrid, path: Path) -> np.ndarray | N
         modes = []
         try:
             for mode in spec["modes"]:
-                wavevector = tuple(int(c) for c in mode["k"])
+                wavevector = tuple(_number(int, c, "k", path) for c in mode["k"])
                 amp = mode["amp"]
-                amplitude = complex(amp[0], amp[1]) if isinstance(amp, list) else float(amp)
+                pair = isinstance(amp, list)
+                parts = [_number(float, a, "amp", path) for a in (amp if pair else [amp])]
+                amplitude = complex(parts[0], parts[1]) if pair else parts[0]
                 modes.append((wavevector, amplitude))
         except (KeyError, IndexError, TypeError, ValueError) as err:
             raise ValueError(
@@ -239,12 +241,14 @@ def _potential_from_spec(spec, grid: PeriodicGrid, path: Path) -> np.ndarray | N
 
 
 def _number(cast, value, key: str, path):
-    """``cast(value)``; a value it cannot convert is a ValueError naming the
-    file and the key."""
-    try:
-        return cast(value)
-    except (TypeError, ValueError) as err:
-        raise ValueError(f"{path}: {key} must be a number, got {value!r}") from err
+    """``cast(value)`` for a JSON number ``value``, integral when ``cast`` is
+    int; anything else (a bool, a string, 8.9 for an int) is a ValueError
+    naming the file and the key."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{path}: {key} must be a number, got {value!r}")
+    if cast is int and isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{path}: {key} must be an integer, got {value!r}")
+    return cast(value)
 
 
 FLOW_CONFIG_KEYS = (

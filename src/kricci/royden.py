@@ -21,6 +21,8 @@ from .forms import (
     CurvatureParams,
     HermitianForm,
     cholesky_frame,
+    congruence,
+    hermitian_eval,
     pair_products,
     pairing_matrix,
     quartic_values,
@@ -64,8 +66,7 @@ def g_unitary_h_diagonal_frame(
         raise ValueError("g and h must have the same dimension")
     h.require_positive("h")
     _, Eg = cholesky_frame(g)
-    Ht = Eg.T @ h.entries @ np.conj(Eg)
-    tau, V = np.linalg.eigh(0.5 * (Ht + Ht.conj().T))
+    tau, V = np.linalg.eigh(congruence(Eg, h.entries))
     return tau, Eg @ np.conj(V)
 
 
@@ -104,8 +105,8 @@ def royden_sum_bruteforce(
         raise ValueError("dimension mismatch")
     _, E = g_unitary_h_diagonal_frame(g, h)
     Z = _phase_rows(n) @ E.T
-    hz = np.einsum("ai,ij,aj->a", Z, h.entries, np.conj(Z)).real
-    rz = np.einsum("ai,ij,aj->a", Z, rho.entries, np.conj(Z)).real
+    hz = hermitian_eval(h.entries, Z).real
+    rz = hermitian_eval(rho.entries, Z).real
     return BruteSums(
         quartic=float(quartic_values(S, Z).sum()),
         metric_quartic=float((hz**2).sum()),
@@ -173,8 +174,7 @@ def royden_identity_check(
     quartic_closed = scale * (2.0 * mixed_sum - diag_sum)
     tr_gh = float(tau.sum())
     metric_closed = scale * tr_gh**2
-    rho_frame = np.einsum("pi,pq,qj->ij", E, rho.entries, np.conj(E))
-    tr_grho = require_real(np.trace(rho_frame), scale=tr_gh, what="tr_g rho")
+    tr_grho = float(np.trace(congruence(E, rho.entries)).real)
     rho_closed = scale * tr_gh * tr_grho
     q_res = _relative_residual(brute.quartic, quartic_closed)
     m_res = _relative_residual(brute.metric_quartic, metric_closed)
@@ -232,12 +232,10 @@ def mixed_trace_bounds(
     mixed, diag = _frame_components(S, E)
     lhs = 2.0 * require_real(mixed.sum(), scale=np.abs(mixed).max(), what="mixed trace")
     diag_sum = require_real(diag.sum(), scale=np.abs(diag).max(), what="diagonal trace")
-    h_frame = np.einsum("pi,pq,qj->ij", E, h.entries, np.conj(E))
-    rho_frame = np.einsum("pi,pq,qj->ij", E, rho.entries, np.conj(E))
-    tr_gh = require_real(np.trace(h_frame), what="tr_g h")
-    tr_grho = require_real(np.trace(rho_frame), scale=abs(tr_gh), what="tr_g rho")
-    h_norm2 = float(np.sum(np.abs(h_frame) ** 2))
-    pairing = require_real(np.trace(h_frame @ rho_frame), scale=h_norm2, what="<omega_h, rho>_g")
+    # In the frame E, h is diag(tau).
+    rho_diag = np.diagonal(congruence(E, rho.entries)).real
+    tr_gh, tr_grho = float(tau.sum()), float(rho_diag.sum())
+    h_norm2, pairing = float(tau @ tau), float(tau @ rho_diag)
     a, b, lam = params.alpha, params.beta, params.lam
     rhs_coarse = (lam * tr_gh**2 - a * tr_gh * tr_grho) / b + diag_sum
     rhs_refined = (lam / b) * (tr_gh**2 + h_norm2) - (a / b) * (tr_gh * tr_grho + pairing)
@@ -284,11 +282,11 @@ def interpolation_check(
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     X = np.atleast_2d(np.asarray(directions, dtype=complex))
-    norms2 = np.einsum("ai,ij,aj->a", X, h.entries, np.conj(X)).real
+    norms2 = hermitian_eval(h.entries, X).real
     if np.any(norms2 <= 0):
         raise ValueError("directions must be nonzero")
     ric = ricci_trace(S, h)
-    ric_vals = np.einsum("ai,ij,aj->a", X, ric.entries, np.conj(X)).real
+    ric_vals = hermitian_eval(ric.entries, X).real
     quart = quartic_values(S, X)
     lhs = (k - 1) * norms2 * ric_vals + (n - k) * quart
     rhs = -(n - 1) * (k + 1) * sigma * norms2**2
@@ -340,12 +338,10 @@ def ric_scalar_matrix(
         + n * ric.entries
         + n * (n + 1) * (n - 1) * (k + 1) * sigma * h.entries
     )
-    D = 0.5 * (D + D.conj().T)
     # D v = λ H v with H = L L^H is the standard problem for L^{-1} D L^{-H},
-    # which is Eᵀ D conj(E) in the h-unitary frame E = L^{-T}.
+    # which is congruence(E, D) in the h-unitary frame E = L^{-T}.
     _, E = cholesky_frame(h)
-    C = E.T @ D @ np.conj(E)
-    eig = np.linalg.eigvalsh(0.5 * (C + C.conj().T))
+    eig = np.linalg.eigvalsh(congruence(E, D))
     scale = 1.0 + float(np.max(np.abs(eig)))
     max_eig = float(eig.max())
     return RicScalarReport(

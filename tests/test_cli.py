@@ -12,7 +12,13 @@ import kricci.cli
 from kricci.cli import main
 from kricci.errors import DegeneracyError
 from kricci.flow import FlowModel
-from kricci.forms import BihermitianForm, HermitianForm, b_form
+from kricci.forms import (
+    BihermitianForm,
+    HermitianForm,
+    b_form,
+    random_bihermitian,
+    random_hermitian,
+)
 from kricci.io import (
     FLOW_CSV_COLUMNS,
     load_report,
@@ -21,7 +27,7 @@ from kricci.io import (
     save_json,
     save_tensor,
 )
-from kricci.suites import SuiteConfig, run_suite
+from kricci.suites import SUITES, SuiteConfig, run_suite
 
 
 def run_cli(*argv):
@@ -190,6 +196,9 @@ GRID = {"n": 1, "N": 8}
         ("flow", {"grid": [1, 8]}),
         ("flow", {"grid": GRID, "checks": [1]}),
         ("flow", {"grid": GRID, "background": {"modes": [{"k": [1, 0]}]}}),
+        ("flow", {"grid": GRID, "background": {"modes": [{"k": [1.7, 0], "amp": 0.01}]}}),
+        ("flow", {"grid": GRID, "background": {"modes": [{"k": [1, 0], "amp": "0.01"}]}}),
+        ("flow", {"grid": GRID, "background": {"modes": [{"k": [1, 0], "amp": [0.01, True]}]}}),
         ("flow", {"grid": GRID, "t_end": None}),
         ("flow", {"grid": GRID, "cadence": [1]}),
         ("flow", {"grid": GRID, "dt": "fast"}),
@@ -205,6 +214,9 @@ GRID = {"n": 1, "N": 8}
         "grid-not-object",
         "checks-not-object",
         "mode-without-amp",
+        "mode-k-fractional",
+        "mode-amp-string",
+        "mode-amp-bool",
         "t_end-null",
         "cadence-list",
         "dt-string",
@@ -223,6 +235,93 @@ def test_malformed_file_exits_2(tmp_path, capsys, command, payload):
     assert run_cli(command, path, *args) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and str(path) in err
+
+
+# A one-entry tensor file with a given "n": at n=1 the entries are valid.
+def tensor_payload(n):
+    return {"kind": "bihermitian", "n": n, "entries": [[-1.0, 0.0]]}
+
+
+@pytest.mark.parametrize(
+    "command, payload, key",
+    [
+        ("flow", {"grid": {"n": 1, "N": 8.9}, "cadence": 1.7}, "grid.N must be an integer"),
+        ("flow", {"grid": GRID, "cadence": 1.7}, "cadence must be an integer"),
+        ("flow", {"grid": {"n": True, "N": 8}}, "grid.n must be a number"),
+        ("flow", {"grid": {"n": 1, "N": "8"}}, "grid.N must be a number"),
+        ("flow", {"grid": GRID, "cadence": True}, "cadence must be a number"),
+        ("flow", {"grid": GRID, "t_end": "0.1"}, "t_end must be a number"),
+        ("flow", {"grid": GRID, "dt": False}, "dt must be a number"),
+        ("flow", {"grid": GRID, "mu": True}, "mu must be a number"),
+        ("certify", tensor_payload(True), "n must be a number"),
+        ("certify", tensor_payload("1"), "n must be a number"),
+        ("certify", tensor_payload(1.5), "n must be an integer"),
+    ],
+    ids=[
+        "N-and-cadence-fractional",
+        "cadence-fractional",
+        "n-bool",
+        "N-string",
+        "cadence-bool",
+        "t_end-string",
+        "dt-bool",
+        "mu-bool",
+        "tensor-n-bool",
+        "tensor-n-string",
+        "tensor-n-fractional",
+    ],
+)
+def test_non_number_or_fractional_integer_exits_2(tmp_path, capsys, command, payload, key):
+    path = tmp_path / "input.json"
+    save_json(path, payload)
+    args = ["--out", tmp_path / "out"] if command == "flow" else []
+    assert run_cli(command, path, *args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: {key}")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "header, key",
+    [({"n": 1, "N": 8.5}, "N"), ({"n": True, "N": 8}, "n"), ({"n": 1, "N": "8"}, "N")],
+    ids=["N-fractional", "n-bool", "N-string"],
+)
+def test_field_file_with_bad_integer_key_exits_2(tmp_path, capsys, header, key):
+    field = tmp_path / "field.json"
+    save_json(field, {**header, "kind": "scalar", "values": [0.0] * 8})
+    config = tmp_path / "flow.json"
+    save_json(config, {"grid": GRID, "background": {"file": "field.json"}})
+    assert run_cli("flow", config, "--out", tmp_path / "out") == 2
+    assert capsys.readouterr().err.startswith(f"error: {field}: {key} must be")
+
+
+def test_integral_float_keys_load_as_integers(tmp_path):
+    config = tmp_path / "flow.json"
+    save_json(config, {"grid": {"n": 1.0, "N": 8.0}, "dt": 1, "t_end": 0.02, "cadence": 2.0})
+    assert run_cli("flow", config, "--out", tmp_path / "out") == 0
+    record = load_report(tmp_path / "out" / "flow_report.json")["runs"][0]
+    assert record["ok"] is True
+
+
+@pytest.mark.usefixtures("forbid_einsum_path")
+class TestNoEinsumPathPlanning:
+    """The algebraic side plans no einsum contraction path: the certifier with
+    its final re-evaluation, and every lemma suite."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_certify(self, tmp_path, k):
+        r = np.random.default_rng(k)
+        form, metric = tmp_path / "form.json", tmp_path / "metric.json"
+        save_tensor(form, random_bihermitian(3, r))
+        save_tensor(metric, random_hermitian(3, r, positive=True))
+        out = tmp_path / "cert.json"
+        assert run_cli("certify", form, "--metric", metric, "--k", k, "--out", out) == 0
+        assert out.exists()
+
+    @pytest.mark.parametrize("suite", SUITES)
+    def test_run_suite(self, suite):
+        report = run_suite(SuiteConfig(suite=suite, k_values=(1, 2, 3), count=1))
+        assert report.cases and report.ok
 
 
 class TestFlow:

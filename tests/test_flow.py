@@ -541,20 +541,10 @@ class TestOnePassAnalysis:
             check_potential_identities(result)
 
 
+@pytest.mark.usefixtures("forbid_einsum_path")
 class TestNoEinsumPathPlanning:
     """The n=2 flow, its diagnostics and every check run without planning an
     einsum contraction path: their kernels are closed-form products."""
-
-    @pytest.fixture(autouse=True)
-    def forbid_planner(self, monkeypatch):
-        def forbidden(*args, **kwargs):
-            raise AssertionError("einsum path planned on the flow path")
-
-        # np.einsum plans a contraction path through its module's einsum_path
-        # whenever it is called with optimize set.
-        monkeypatch.setitem(np.einsum.__wrapped__.__globals__, "einsum_path", forbidden)
-        with pytest.raises(AssertionError, match="path planned"):
-            np.einsum("ij,jk,kl->il", *[np.eye(2)] * 3, optimize=True)
 
     def test_flow_and_every_check(self):
         result = run_flow(TestOnePassAnalysis().mixed_config(0.0))

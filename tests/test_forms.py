@@ -14,6 +14,7 @@ from kricci.forms import (
     SubspaceBasis,
     b_form,
     cholesky_frame,
+    congruence,
     hermitian_eval,
     hsc,
     norm_h,
@@ -233,6 +234,43 @@ class TestFrames:
         SubspaceBasis(E[:, :2], h)
         with pytest.raises(ValueError):
             SubspaceBasis(2.0 * E[:, :2], h)
+
+
+class TestCongruence:
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_stack_matches_einsum_and_is_exactly_hermitian(self, k):
+        # (4, 5) leading axes, n = 3, and frames of k columns; A broadcasts
+        # over the first leading axis.
+        r = rng(300 + k)
+        E = r.standard_normal((4, 5, 3, k)) + 1j * r.standard_normal((4, 5, 3, k))
+        raw = r.standard_normal((5, 3, 3)) + 1j * r.standard_normal((5, 3, 3))
+        A = raw + np.conj(np.swapaxes(raw, -1, -2))
+        M = congruence(E, A)
+        assert M.shape == (4, 5, k, k)
+        np.testing.assert_array_equal(M, np.conj(np.swapaxes(M, -1, -2)))
+        ref = np.einsum("...pa,...pq,...qb->...ab", E, A, np.conj(E))
+        assert np.max(np.abs(M - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    def test_unitary_frame_takes_h_to_identity(self):
+        h = random_hermitian(4, rng(310), positive=True)
+        assert_allclose(congruence(unitary_frame(h), h.entries), np.eye(4), atol=1e-12)
+
+
+class TestHermitianEvalRows:
+    def test_rows_equal_single_calls_bitwise(self):
+        r = rng(320)
+        A = random_hermitian(3, r).entries
+        X = r.standard_normal((2, 7, 3)) + 1j * r.standard_normal((2, 7, 3))
+        Y = r.standard_normal((2, 7, 3)) + 1j * r.standard_normal((2, 7, 3))
+        for out, Yarg in ((hermitian_eval(A, X), X), (hermitian_eval(A, X, Y), Y)):
+            assert out.shape == (2, 7)
+            singles = [[hermitian_eval(A, x, y) for x, y in zip(xs, ys)] for xs, ys in zip(X, Yarg)]
+            np.testing.assert_array_equal(out, np.array(singles))
+
+    def test_single_vector_gives_a_complex_scalar(self):
+        A = random_hermitian(3, rng(321)).entries
+        val = hermitian_eval(A, np.array([1.0, 2.0j, -1.0]))
+        assert type(val) is np.complex128
 
 
 class TestQuarticValues:

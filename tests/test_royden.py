@@ -12,6 +12,7 @@ from kricci.forms import (
     BihermitianForm,
     CurvatureParams,
     HermitianForm,
+    congruence,
     quartic_values,
     random_bihermitian,
     random_hermitian,
@@ -53,6 +54,17 @@ class TestFrame:
         assert_allclose(g_frame, np.eye(n), atol=1e-12)
         assert_allclose(h_frame, np.diag(tau), atol=1e-12)
         assert np.all(tau > 0)
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_h_is_diag_tau_in_the_frame(self, n):
+        # mixed_trace_bounds reads tr_g h, |h|_g^2 and <omega_h, rho>_g from tau.
+        g = random_hermitian(n, rng(200 + n), positive=True)
+        h = random_hermitian(n, rng(210 + n), positive=True)
+        tau, E = g_unitary_h_diagonal_frame(g, h)
+        h_frame = congruence(E, h.entries)
+        off = h_frame - np.diag(np.diagonal(h_frame))
+        assert np.max(np.abs(off)) <= 1e-13 * tau.max()
+        assert_allclose(np.diagonal(h_frame).real, tau, rtol=0, atol=1e-13 * tau.max())
 
     def test_rejects_indefinite(self):
         g = HermitianForm(np.diag([1.0, -1.0]))
@@ -137,6 +149,27 @@ class TestMixedTrace:
         assert report.ok
         assert report.slack_coarse >= -1e-8
         assert report.slack_refined >= -1e-8
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_right_sides_match_full_frame_matrices(self, n):
+        # Reference: tr_g h, |h|_g^2 and <omega_h, rho>_g from the full
+        # matrices of h and rho in the frame, not from tau.
+        g = random_hermitian(n, rng(230 + n), positive=True)
+        h = random_hermitian(n, rng(240 + n), positive=True)
+        S = random_bihermitian(n, rng(250 + n))
+        rho = random_hermitian(n, rng(260 + n))
+        params = CurvatureParams(alpha=0.7, beta=1.3, lam=0.4)
+        report = mixed_trace_bounds(S, g, h, rho, params)
+        _, E = g_unitary_h_diagonal_frame(g, h)
+        hf = np.einsum("pi,pq,qj->ij", E, h.entries, np.conj(E))
+        rf = np.einsum("pi,pq,qj->ij", E, rho.entries, np.conj(E))
+        tr_h, tr_rho = np.trace(hf).real, np.trace(rf).real
+        norm2, pairing = np.sum(np.abs(hf) ** 2), np.trace(hf @ rf).real
+        refined = (0.4 * (tr_h**2 + norm2) - 0.7 * (tr_h * tr_rho + pairing)) / 1.3
+        coarse = (0.4 * tr_h**2 - 0.7 * tr_h * tr_rho) / 1.3 + quartic_values(S, E.T).sum()
+        scale = 1.0 + abs(refined) + abs(coarse) + abs(report.lhs)
+        assert abs(report.rhs_refined - refined) <= 1e-13 * scale
+        assert abs(report.rhs_coarse - coarse) <= 1e-13 * scale
 
 
 class TestInterpolation:
