@@ -7,7 +7,7 @@ off-diagonal g_12 is complex) and a one-mode twist potential, then prints
   * the median wall time of ``_rk2_step`` over ``--steps`` consecutive steps
     at the explicit step-size limit;
   * the tracemalloc peak of one further step;
-  * the median wall time of one ``dbar_hessian_field`` call on the background
+  * the median wall time of one ``dbar_hessian`` call on the background
     potential over a fixed 200 calls (the d dbar layer of each step);
   * the wall time and the tracemalloc peak of one ``curvature_field`` call on
     the background metric;
@@ -41,7 +41,7 @@ from kricci.flow import (
     _initial_sigma,
     _rk2_step,
 )
-from kricci.grid import PeriodicGrid, curvature_field, dbar_hessian_field, scalar_from_modes
+from kricci.grid import PeriodicGrid, curvature_field, dbar_hessian, scalar_from_modes
 
 HESSIAN_CALLS = 200
 
@@ -91,7 +91,7 @@ def main(argv=None):
     hessian_times = []
     for _ in range(HESSIAN_CALLS):
         start = time.perf_counter()
-        dbar_hessian_field(grid, config.background)
+        dbar_hessian(grid, config.background)
         hessian_times.append(time.perf_counter() - start)
     start = time.perf_counter()
     curvature_field(grid, model.h)
@@ -108,7 +108,7 @@ def main(argv=None):
     print(f"n={grid.n} N={grid.N} {grid.discretization} dt={dt:.3e}")
     print(f"rk2 step: median {1e3 * statistics.median(times):.1f} ms over {args.steps} steps, "
           f"tracemalloc peak {step_peak:.1f} MiB")
-    print(f"dbar_hessian_field: median {1e3 * statistics.median(hessian_times):.3f} ms "
+    print(f"dbar_hessian: median {1e3 * statistics.median(hessian_times):.3f} ms "
           f"over {HESSIAN_CALLS} calls on the background potential")
     # R_h is a dict of Sym² entry fields; its size is theirs together.
     curvature_mib = sum(entry.nbytes for entry in curvature.values()) / 2**20

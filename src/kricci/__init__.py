@@ -38,7 +38,6 @@ from .forms import (
     hsc,
     random_bihermitian,
     random_hermitian,
-    ric_plus,
     ricci_trace,
     scalar,
     shift_sigma,

@@ -49,7 +49,7 @@ from .grid import (
     PeriodicGrid,
     clib_log,
     curvature_field,
-    dbar_hessian_field,
+    dbar_hessian,
     g_double_trace,
     g_pair_trace,
     g_trace,
@@ -158,7 +158,7 @@ class FlowModel:
             raise ValueError(f"twist potential must have shape {grid.shape}")
         self.u = u
         self.c = float(config.twist.c)
-        self.eta = self.c * self.h + dbar_hessian_field(grid, u)
+        self.eta = self.c * self.h + dbar_hessian(grid, u)
         self._logdet_h = self.h.log_determinant()
         self._drift = self.ric_h + self.eta
 
@@ -171,7 +171,7 @@ class FlowModel:
     def reconstruct(self, t: float, phi: np.ndarray) -> MetricField:
         """g(t) = h - t (Ric(h) + eta) + d dbar phi, summed entry by entry
         into the fresh entries of d dbar phi."""
-        g = dbar_hessian_field(self.grid, phi)
+        g = dbar_hessian(self.grid, phi)
         for entry, h, drift in zip(g.entries, self.h.entries, self._drift.entries):
             if entry is not None:
                 background = t * drift
@@ -469,6 +469,9 @@ def _schwarz_margins(
 
     ``ginv`` is g^-1 at the snapshot, ``dlog`` the centered d/dt of
     ``log_lam`` = log tr_g h, and ``R_h`` the background curvature on Sym².
+    For the continuum flow lhs - rhs = -s, with s >= 0 the Cauchy-Schwarz
+    slack of the Chern-Lu formula for Lap_g log tr_g h.  s vanishes at n=1,
+    so there the margin is zero up to discretization error; at n >= 2 it is not.
     """
     lam = np.exp(log_lam)
     lhs = dlog - laplacian(model.grid, ginv, log_lam)
@@ -534,8 +537,8 @@ def check_schwarz(result: FlowResult) -> SchwarzReport:
     """Collect the per-snapshot Schwarz margins (interior snapshots only).
 
     ``worst_negative`` is the magnitude of the most negative margin, zero if
-    none are negative; the inequality is exact for the continuum flow, so the
-    negative part is pure discretization error.
+    none are negative.  The negative part is pure discretization error only at
+    n=1; at n >= 2 the continuum margin is -s <= 0 (:func:`_schwarz_margins`).
     """
     rows = [row for row in result.rows if not math.isnan(row.schwarz_min_margin)]
     times = np.array([row.t for row in rows])
@@ -594,8 +597,8 @@ def check_trace_evolution(
         )
     phi_twist = model.u if twist_potential is None else np.asarray(twist_potential, dtype=float)
     v = (2.0 * beta / alpha) * model.u
-    rho = model.ric_h + dbar_hessian_field(grid, phi_twist)
-    gap = mu * model.h + dbar_hessian_field(grid, v) - rho
+    rho = model.ric_h + dbar_hessian(grid, phi_twist)
+    gap = mu * model.h + dbar_hessian(grid, v) - rho
     gap_margin = float(gap.smallest_eigenvalues().min())
     if gap_margin <= 0:
         raise HypothesisError(

@@ -46,7 +46,6 @@ __all__ = [
     "random_bihermitian",
     "random_hermitian",
     "require_real",
-    "ric_plus",
     "ricci_trace",
     "scalar",
     "shift_sigma",
@@ -406,22 +405,6 @@ def scalar(S: BihermitianForm, h: HermitianForm) -> float:
     ric = ricci_trace(S, h)
     val = np.trace(ric.entries @ Hinv)
     return require_real(val, scale=abs(val), what="scalar curvature")
-
-
-def ric_plus(S: BihermitianForm, h: HermitianForm, X) -> float:
-    """Ric(X,X̄) + S(X,X̄,X,X̄)/|X|_h^2, the Ricci-plus-sectional combination.
-
-    Scales like |X|^2 under X -> cX.
-    """
-    X = np.asarray(X, dtype=complex)
-    nrm2 = norm_h(X, h) ** 2
-    if nrm2 <= 1e-300:
-        raise ValueError("ric_plus is undefined at X = 0")
-    ric = ricci_trace(S, h)
-    quart = S(X, X, X, X)
-    quart = require_real(quart, scale=abs(quart), tol=1e-12, what="S(X,X̄,X,X̄)")
-    ric_val = require_real(ric(X), scale=abs(quart) + nrm2, what="Ric(X,X̄)")
-    return ric_val + quart / nrm2
 
 
 def random_bihermitian(n: int, rng: np.random.Generator, scale: float = 1.0) -> BihermitianForm:

@@ -19,14 +19,15 @@ two wrap faces) with no shifted copies; they are bitwise equal to the
 ``np.roll`` formulas the tests keep as reference.
 ``spectral`` differentiates in Fourier space with the Nyquist mode zeroed for
 odd derivatives.  Its derivatives of a real field take one real forward
-transform (``scipy.fft.rfftn``) over the grid axes; every derivative field
-is a real-symbol combination, finished by one real inverse transform, so the
-complex Hessian of a real field costs n^2 of them (the even and the odd part
-of each off-diagonal entry separately).  Complex input is differentiated as
-its real and imaginary parts.  On the fd2 grid a single cosine mode
-eps*cos(2 pi x) has discrete complex Hessian -s_N * eps * cos(2 pi x) with
-s_N = sin(pi/N)^2 N^2; the spectral operator reproduces the continuum
-factor pi^2 exactly.
+transform (``scipy.fft.rfftn``); every derivative field is a real-symbol
+combination, finished by one real inverse transform, so the complex Hessian
+costs n^2 of them (the even and the odd part of each off-diagonal entry
+separately).  On the fd2 grid a single cosine mode eps*cos(2 pi x) has
+discrete complex Hessian -s_N * eps * cos(2 pi x) with s_N = sin(pi/N)^2 N^2;
+the spectral operator reproduces the continuum factor pi^2 exactly.
+
+One complex Hessian, :func:`dbar_hessian`, serves every caller: it takes a
+real, grid-shaped field and returns the entry form below.
 
 A metric field is stored as its Hermitian upper triangle: the real field a
 at n=1, and at n=2 the real fields a, d and the complex field b with
@@ -70,14 +71,11 @@ __all__ = [
     "clib_log",
     "curvature_field",
     "dbar_hessian",
-    "dbar_hessian_field",
     "flat_metric",
     "g_curvature_trace",
     "g_double_trace",
     "g_pair_trace",
     "g_trace",
-    "grid_mean",
-    "holomorphic_derivative",
     "laplacian",
     "metric_from_potential",
     "ricci_field",
@@ -167,19 +165,19 @@ def _dd(grid: PeriodicGrid, f: np.ndarray, a: int, b: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=16)
-def _rfft_factors(N: int, axes: int, ndim: int) -> tuple[tuple[np.ndarray, ...], ...]:
-    """Per-axis factors over the ``rfftn`` spectrum of an ndim array whose
-    first ``axes`` axes are grid axes, each shaped to broadcast along its axis.
+def _rfft_factors(N: int, ndim: int) -> tuple[tuple[np.ndarray, ...], ...]:
+    """Per-axis factors over the ``rfftn`` spectrum of an ndim grid array,
+    each shaped to broadcast along its axis.
 
     Returns (wave, second): wave[a] is 2 pi k along axis a with the Nyquist
-    mode zeroed (odd derivatives), second[a] = -(2 pi k)^2.  The last grid
-    axis carries the halved rfft frequencies.  Read-only, as the cache hands
-    the same arrays to every caller.
+    mode zeroed (odd derivatives), second[a] = -(2 pi k)^2.  The last axis
+    carries the halved rfft frequencies.  Read-only, as the cache hands the
+    same arrays to every caller.
     """
     full, half = np.fft.fftfreq(N, d=1.0 / N), np.fft.rfftfreq(N, d=1.0 / N)
     wave, second = [], []
-    for axis in range(axes):
-        freq = half if axis == axes - 1 else full
+    for axis in range(ndim):
+        freq = half if axis == ndim - 1 else full
         k = 2.0 * np.pi * freq
         for factor, values in ((wave, np.where(np.abs(freq) == N // 2, 0.0, k)), (second, -k * k)):
             values = values.reshape([-1 if a == axis else 1 for a in range(ndim)])
@@ -210,9 +208,8 @@ def _derivatives(grid: PeriodicGrid, f: np.ndarray):
         # process that never takes a spectral derivative loads no scipy.
         from scipy import fft
 
-        axes = tuple(range(2 * grid.n))
-        spectrum = fft.rfftn(f, axes=axes)
-        wave, second = _rfft_factors(grid.N, len(axes), f.ndim)
+        spectrum = fft.rfftn(f)
+        wave, second = _rfft_factors(grid.N, f.ndim)
 
         def d1(a):
             return 1j * wave[a]
@@ -221,7 +218,7 @@ def _derivatives(grid: PeriodicGrid, f: np.ndarray):
             return second[a] if a == b else -(wave[a] * wave[b])
 
         def finish(symbol):
-            return fft.irfftn(spectrum * symbol, s=grid.shape, axes=axes)
+            return fft.irfftn(spectrum * symbol, s=grid.shape)
 
     def hessian(k, l):
         xk, yk, xl, yl = 2 * k, 2 * k + 1, 2 * l, 2 * l + 1
@@ -242,54 +239,22 @@ def _complex(real, imag) -> np.ndarray:
     return out
 
 
-def dbar_hessian_field(grid: PeriodicGrid, f: np.ndarray) -> MetricField:
-    """The complex Hessian d_i dbar_j f of a real field f in entry form.
+def dbar_hessian(grid: PeriodicGrid, f: np.ndarray) -> MetricField:
+    """The complex Hessian d_i dbar_j f of a real, grid-shaped field f.
 
-    Its entries with i <= j come out as separate fields, a = d_1 dbar_1 f,
-    and at n=2 d = d_2 dbar_2 f and b = d_1 dbar_2 f, with no interleaving
-    into the (..., n, n) layout; the field is Hermitian by construction and
-    is not checked.  ``f`` may carry trailing component axes beyond the grid
-    axes (they ride along).
+    Returns the entry form: a = d_1 dbar_1 f, and at n=2 d = d_2 dbar_2 f and
+    b = d_1 dbar_2 f, Hermitian by construction and not checked.  Complex
+    input, or a shape other than ``grid.shape``, raises ``ValueError``.
     """
-    hessian = _derivatives(grid, np.asarray(f).astype(float, copy=False))[0]
+    f = np.asarray(f)
+    if np.iscomplexobj(f):
+        raise ValueError("dbar_hessian takes a real field, got a complex array")
+    if f.shape != grid.shape:
+        raise ValueError(f"expected shape {grid.shape}, got {f.shape}")
+    hessian = _derivatives(grid, f.astype(float, copy=False))[0]
     diagonal = [hessian(i, i)[0] for i in range(grid.n)]
     off_diagonal = [_complex(*hessian(0, 1))] if grid.n == 2 else []
     return MetricField._from_entries(grid, *diagonal, *off_diagonal)
-
-
-def dbar_hessian(grid: PeriodicGrid, f: np.ndarray) -> np.ndarray:
-    """The complex Hessian d_i dbar_j f, appended as two trailing axes.
-
-    ``f`` may carry trailing component axes beyond the grid axes (they ride
-    along), and may be complex.  Entry (i, j) is (even + i odd) / 4 with
-    even = dx_i dx_j + dy_i dy_j and odd = dx_i dy_j - dy_i dx_j; odd is
-    identically zero on the diagonal.  For real input this is
-    :func:`dbar_hessian_field` assembled into the full layout: only i <= j is
-    computed and (j, i) is its conjugate, so the output is exactly Hermitian.
-    Complex input is H(Re f) + i H(Im f), from one transform of each part.
-    """
-    f = np.asarray(f)
-    if np.iscomplexobj(f):
-        real, imag = dbar_hessian_field(grid, f.real), dbar_hessian_field(grid, f.imag)
-        return real.values + 1j * imag.values
-    return dbar_hessian_field(grid, f).values
-
-
-def holomorphic_derivative(grid: PeriodicGrid, f: np.ndarray, i: int) -> np.ndarray:
-    """d/dz_i = (dx_i - i dy_i)/2 applied along the grid axes (complex f as
-    its real and imaginary parts)."""
-    if not 0 <= i < grid.n:
-        raise ValueError(f"index {i} out of range for n={grid.n}")
-    f = np.asarray(f)
-    if np.iscomplexobj(f):
-        return holomorphic_derivative(grid, f.real, i) + 1j * holomorphic_derivative(grid, f.imag, i)
-    dx, dy = _derivatives(grid, f.astype(float, copy=False))[1](i)
-    return dx - 1j * dy
-
-
-def grid_mean(f: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
-    """Average over the grid axes, keeping any trailing component axes."""
-    return f.mean(axis=tuple(range(2 * grid.n)))
 
 
 @functools.cache
@@ -345,7 +310,7 @@ class MetricField:
     (files, configs, callers): it checks the shape and Hermiticity to 1e-10,
     symmetrizes to 0.5 (v + v^H) and keeps the triangle.  Fields that are
     Hermitian by construction come from :meth:`_from_entries` with no check:
-    complex Hessians of real fields (:func:`dbar_hessian_field`) and sums,
+    complex Hessians of real fields (:func:`dbar_hessian`) and sums,
     differences and real multiples of fields, which the arithmetic operators
     form entry by entry.  ``values`` builds the full field on each access and
     does not keep it.  ``det`` is computed once per field and shared by the
@@ -528,10 +493,7 @@ def flat_metric(grid: PeriodicGrid) -> MetricField:
 
 def metric_from_potential(grid: PeriodicGrid, potential: np.ndarray) -> MetricField:
     """The metric delta_ij + d_i dbar_j potential (positivity is not checked)."""
-    potential = np.asarray(potential, dtype=float)
-    if potential.shape != grid.shape:
-        raise ValueError(f"expected shape {grid.shape}, got {potential.shape}")
-    hess = dbar_hessian_field(grid, potential)
+    hess = dbar_hessian(grid, potential)
     diagonal = (None if entry is None else entry + 1.0 for entry in (hess.a, hess.d))
     return MetricField._from_entries(grid, *diagonal, hess.b)
 
@@ -566,7 +528,7 @@ def ricci_field(grid: PeriodicGrid, g: MetricField) -> MetricField:
     discrete total Ricci class vanishes identically, matching the torus.
     """
     g.require_positive("metric")
-    return -dbar_hessian_field(grid, g.log_determinant())
+    return -dbar_hessian(grid, g.log_determinant())
 
 
 def _dot(xs, ys):
@@ -689,7 +651,7 @@ def g_double_trace(ginv: MetricField, S: dict) -> np.ndarray:
 
 def laplacian(grid: PeriodicGrid, ginv: MetricField, f: np.ndarray) -> np.ndarray:
     """The metric Laplacian g^{i jbar} d_i dbar_j f of a real field; ``ginv`` is g^-1."""
-    return g_trace(ginv, dbar_hessian_field(grid, f))
+    return g_trace(ginv, dbar_hessian(grid, f))
 
 
 @dataclass
@@ -710,14 +672,19 @@ def ricci_potential(grid: PeriodicGrid, g: MetricField) -> RicciPotentialReport:
     curvature field instead, which differs by discretization error and
     decays at second order under grid refinement.
     """
-    direct = ricci_field(grid, g).values
+    direct = ricci_field(grid, g)
     logdet = g.log_determinant()
     potential = -(logdet - logdet.mean())
     hess = dbar_hessian(grid, potential)
-    traced = g_curvature_trace(g.inverse(), curvature_field(grid, g)).values
-    scale = 1.0 + float(np.max(np.abs(traced)))
+    traced = g_curvature_trace(g.inverse(), curvature_field(grid, g))
+
+    def max_abs(field: MetricField) -> float:
+        # Over the triangle: |conj(b)| = |b|, so this is the max over the full field.
+        return max(float(np.max(np.abs(entry))) for entry in field.entries if entry is not None)
+
+    scale = 1.0 + max_abs(traced)
     return RicciPotentialReport(
         potential=potential,
-        residual_vs_trace=float(np.max(np.abs(hess - traced))) / scale,
-        residual_vs_direct=float(np.max(np.abs(hess - direct))) / scale,
+        residual_vs_trace=max_abs(hess - traced) / scale,
+        residual_vs_direct=max_abs(hess - direct) / scale,
     )

@@ -28,6 +28,7 @@ from .grid import (
 )
 
 __all__ = [
+    "FLOW_CHECK_KEYS",
     "FLOW_CONFIG_KEYS",
     "FLOW_CSV_COLUMNS",
     "FlowJob",
@@ -254,6 +255,10 @@ def _number(cast, value, key: str, path):
 FLOW_CONFIG_KEYS = (
     "grid", "background", "twist", "dt", "t_end", "cadence", "alpha", "beta", "mu", "checks",
 )
+# Keys under "checks": the tolerance of each check the flow command runs.
+FLOW_CHECK_KEYS = (
+    "scalar_bound", "volume_bound", "schwarz", "potential_identities", "trace_evolution",
+)
 
 # Numeric flow config keys: the FlowConfig field each sets, and its type.
 # Keys the file leaves out keep FlowConfig's defaults.
@@ -298,7 +303,10 @@ def load_flow_config(path, discretization: str | None = None) -> FlowJob:
     )
     mu = data.get("mu")
     checks = _json_object(data.get("checks", {}), "checks", path)
-    checks = {str(k): _number(float, v, f"checks.{k}", path) for k, v in checks.items()}
+    for key in checks:
+        if key not in FLOW_CHECK_KEYS:
+            raise ValueError(f"{path}: unknown check {key!r} under checks")
+    checks = {key: _number(float, v, f"checks.{key}", path) for key, v in checks.items()}
     return FlowJob(
         config=config,
         mu=None if mu is None else _number(float, mu, "mu", path),

@@ -205,6 +205,7 @@ GRID = {"n": 1, "N": 8}
         ("flow", {"grid": GRID, "mu": [0.5]}),
         ("flow", {"grid": GRID, "twist": {"c": None}}),
         ("flow", {"grid": GRID, "checks": {"schwarz": None}}),
+        ("flow", {"grid": GRID, "checks": {"schwartz": 1e-12}}),
         ("flow", {"grid": {"n": None, "N": 8}}),
         ("certify", {"kind": "bihermitian", "n": 2, "entries": 5}),
         ("certify", [1, 2]),
@@ -223,6 +224,7 @@ GRID = {"n": 1, "N": 8}
         "mu-list",
         "twist-c-null",
         "check-null",
+        "check-unknown-key",
         "grid-n-null",
         "entries-not-list",
         "tensor-file-not-object",

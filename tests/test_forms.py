@@ -24,7 +24,6 @@ from kricci.forms import (
     random_bihermitian,
     random_hermitian,
     require_real,
-    ric_plus,
     ricci_trace,
     scalar,
     shift_sigma,
@@ -154,15 +153,6 @@ class TestRicciAndScalar:
         S = random_bihermitian(3, rng(41))
         ric = ricci_trace(S, h).entries
         assert_allclose(ric, ric.conj().T, atol=1e-13)
-
-    def test_ric_plus_scales_quadratically(self):
-        h = random_hermitian(3, rng(42), positive=True)
-        S = random_bihermitian(3, rng(43))
-        X = rng(44).standard_normal(3) + 1j * rng(45).standard_normal(3)
-        base = ric_plus(S, h, X)
-        assert_allclose(ric_plus(S, h, 2.0 * X), 4.0 * base, rtol=1e-11)
-        # Phases do not matter.
-        assert_allclose(ric_plus(S, h, np.exp(0.7j) * X), base, rtol=1e-11)
 
 
 class TestShiftSigma:

@@ -11,16 +11,14 @@ from kricci.forms import sym2_index
 from kricci.grid import (
     MetricField,
     PeriodicGrid,
+    _derivatives,
     curvature_field,
     dbar_hessian,
-    dbar_hessian_field,
     flat_metric,
     g_curvature_trace,
     g_double_trace,
     g_pair_trace,
     g_trace,
-    grid_mean,
-    holomorphic_derivative,
     laplacian,
     metric_from_potential,
     ricci_field,
@@ -63,7 +61,7 @@ class TestDbarHessian:
         grid = PeriodicGrid(n=1, N=16, discretization="fd2")
         x = grid.coordinates()[0]
         f = 0.02 * np.cos(2 * np.pi * x)
-        hess = dbar_hessian(grid, f)
+        hess = dbar_hessian(grid, f).values
         assert_allclose(hess[..., 0, 0], -mode_factor(16) * f, atol=1e-12)
         assert_allclose(hess.imag, 0.0, atol=1e-12)
 
@@ -71,14 +69,14 @@ class TestDbarHessian:
         grid = PeriodicGrid(n=1, N=16, discretization="spectral")
         x = grid.coordinates()[0]
         f = 0.02 * np.cos(2 * np.pi * x)
-        hess = dbar_hessian(grid, f)
+        hess = dbar_hessian(grid, f).values
         assert_allclose(hess[..., 0, 0], -np.pi**2 * f, atol=1e-12)
 
     @pytest.mark.parametrize("disc", ["fd2", "spectral"])
     def test_hermitian_exactly_on_rough_data(self, disc):
         grid = PeriodicGrid(n=2, N=8, discretization=disc)
         f = np.random.default_rng(0).standard_normal(grid.shape)
-        hess = dbar_hessian(grid, f)
+        hess = dbar_hessian(grid, f).values
         hessH = np.conj(np.swapaxes(hess, -1, -2))
         assert_allclose(hess, hessH, atol=1e-9)
 
@@ -86,8 +84,8 @@ class TestDbarHessian:
     def test_zero_mean_exactly(self, disc):
         grid = PeriodicGrid(n=2, N=8, discretization=disc)
         f = np.random.default_rng(1).standard_normal(grid.shape)
-        hess = dbar_hessian(grid, f)
-        assert_allclose(grid_mean(hess, grid), 0.0, atol=1e-10)
+        hess = dbar_hessian(grid, f).values
+        assert_allclose(hess.mean(axis=(0, 1, 2, 3)), 0.0, atol=1e-10)
 
     def test_cross_term_n2_spectral(self):
         # f = cos(2 pi (x1 - x2)) has d_1 dbar_2 f = (pi^2/2) * f... computed
@@ -96,15 +94,17 @@ class TestDbarHessian:
         x1 = grid.coordinates()[0]
         x2 = grid.coordinates()[2]
         f = np.cos(2 * np.pi * (x1 - x2))
-        hess = dbar_hessian(grid, f)
+        hess = dbar_hessian(grid, f).values
         assert_allclose(hess[..., 0, 1], np.pi**2 * f / 4 * 4, atol=1e-10)
 
-    def test_rides_over_component_axes(self):
+    def test_rejects_complex_and_misshaped_input(self):
         grid = PeriodicGrid(n=1, N=8)
-        f = np.random.default_rng(2).standard_normal(grid.shape + (2,))
-        hess = dbar_hessian(grid, f)
-        assert hess.shape == grid.shape + (2, 1, 1)
-        assert_allclose(hess[..., 0, 0, 0], dbar_hessian(grid, f[..., 0])[..., 0, 0])
+        f = np.random.default_rng(2).standard_normal(grid.shape)
+        with pytest.raises(ValueError, match="real field"):
+            dbar_hessian(grid, f + 0j)
+        for shape in (grid.shape + (2,), (8,), (16, 16)):
+            with pytest.raises(ValueError, match="expected shape"):
+                dbar_hessian(grid, np.zeros(shape))
 
 
 def per_axis_d1(grid, f, axis):
@@ -150,79 +150,56 @@ class TestHessianAgainstPerAxis:
     against the composition of one-axis derivatives."""
 
     @staticmethod
-    def inputs(grid):
-        rng = np.random.default_rng([grid.n, grid.N])
-        real = rng.standard_normal(grid.shape)
-        complex_ = real + 1j * rng.standard_normal(grid.shape)
-        trailing = rng.standard_normal(grid.shape + (2, 2)) + 1j * rng.standard_normal(
-            grid.shape + (2, 2)
-        )
-        return {"real": real, "complex": complex_, "trailing": trailing,
-                "real-trailing": trailing.real.copy()}
+    def real_input(grid):
+        return np.random.default_rng([grid.n, grid.N]).standard_normal(grid.shape)
 
     @pytest.mark.parametrize("disc", ["fd2", "spectral"])
     @pytest.mark.parametrize("n", [1, 2])
     def test_matches_per_axis_composition(self, n, disc):
         grid = PeriodicGrid(n=n, N=8, discretization=disc)
-        for kind, f in self.inputs(grid).items():
-            hess = dbar_hessian(grid, f)
-            ref = per_axis_hessian(grid, f)
-            assert hess.shape == ref.shape, kind
-            scale = np.max(np.abs(ref))
-            assert np.max(np.abs(hess - ref)) <= 1e-12 * scale, kind
+        f = self.real_input(grid)
+        hess = dbar_hessian(grid, f).values
+        ref = per_axis_hessian(grid, f)
+        assert hess.shape == ref.shape
+        assert np.max(np.abs(hess - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("disc", ["fd2", "spectral"])
     @pytest.mark.parametrize("n", [1, 2])
     def test_real_input_is_bitwise_hermitian(self, n, disc):
         grid = PeriodicGrid(n=n, N=8, discretization=disc)
-        f = self.inputs(grid)["real"]
-        hess = dbar_hessian(grid, f)
+        hess = dbar_hessian(grid, self.real_input(grid)).values
         assert np.array_equal(hess, np.conj(np.swapaxes(hess, -1, -2)))
 
     def test_fd2_hermitian_half_equals_full_computation(self):
         # The computed entries (the diagonal, real, and (0, 1)) are bitwise
-        # the np.roll reference, with or without trailing axes; N=12 also
-        # pins the order of the scalings, which are exact at N=8.  The lower
-        # triangle is the conjugate of the upper one instead of its own
-        # difference chain; both agree to roundoff.
+        # the np.roll reference; N=12 also pins the order of the scalings,
+        # which are exact at N=8.  The lower triangle is the conjugate of the
+        # upper one instead of its own difference chain; both agree to
+        # roundoff.
         for n, N in itertools.product((1, 2), (8, 12)):
             grid = PeriodicGrid(n=n, N=N)
-            for kind in ("real", "real-trailing"):
-                f = self.inputs(grid)[kind]
-                hess = dbar_hessian(grid, f)
-                ref = per_axis_hessian(grid, f)
-                label = (n, N, kind)
-                for i in range(n):
-                    assert np.array_equal(hess.real[..., i, i], ref.real[..., i, i]), label
-                    assert not hess.imag[..., i, i].any(), label
-                if n == 2:
-                    assert np.array_equal(hess[..., 0, 1], ref[..., 0, 1]), label
-                assert np.max(np.abs(hess - ref)) <= 1e-12 * np.max(np.abs(ref)), label
+            f = self.real_input(grid)
+            hess = dbar_hessian(grid, f).values
+            ref = per_axis_hessian(grid, f)
+            label = (n, N)
+            for i in range(n):
+                assert np.array_equal(hess.real[..., i, i], ref.real[..., i, i]), label
+                assert not hess.imag[..., i, i].any(), label
+            if n == 2:
+                assert np.array_equal(hess[..., 0, 1], ref[..., 0, 1]), label
+            assert np.max(np.abs(hess - ref)) <= 1e-12 * np.max(np.abs(ref)), label
 
     @pytest.mark.parametrize("n", [1, 2])
-    def test_fd2_holomorphic_derivative_is_bitwise_per_axis(self, n):
-        for N, kind in itertools.product((8, 12), ("real", "real-trailing")):
+    def test_fd2_gradient_is_bitwise_per_axis(self, n):
+        # The first derivatives curvature_field reads, (dx_k f / 2, dy_k f / 2).
+        for N in (8, 12):
             grid = PeriodicGrid(n=n, N=N)
-            f = self.inputs(grid)[kind]
+            f = self.real_input(grid)
+            gradient = _derivatives(grid, f)[1]
             for i in range(n):
-                dx, dy = (0.5 * per_axis_d1(grid, f, axis) for axis in (2 * i, 2 * i + 1))
-                dz = holomorphic_derivative(grid, f, i)
-                assert np.array_equal(dz, dx - 1j * dy), (N, kind, i)
-
-
-class TestHolomorphicDerivative:
-    def test_spectral_cosine(self):
-        grid = PeriodicGrid(n=1, N=16, discretization="spectral")
-        x = grid.coordinates()[0]
-        df = holomorphic_derivative(grid, np.cos(2 * np.pi * x), 0)
-        assert_allclose(df, -np.pi * np.sin(2 * np.pi * x), atol=1e-12)
-
-    def test_of_y_dependence_is_imaginary(self):
-        grid = PeriodicGrid(n=1, N=16, discretization="spectral")
-        y = grid.coordinates()[1]
-        df = holomorphic_derivative(grid, np.cos(2 * np.pi * y), 0)
-        assert_allclose(df.real, 0.0, atol=1e-12)
-        assert_allclose(df.imag, np.pi * np.sin(2 * np.pi * y), atol=1e-12)
+                dx, dy = gradient(i)
+                assert np.array_equal(dx, 0.5 * per_axis_d1(grid, f, 2 * i)), (N, i)
+                assert np.array_equal(dy, 0.5 * per_axis_d1(grid, f, 2 * i + 1)), (N, i)
 
 
 class TestMetricField:
@@ -411,7 +388,7 @@ class TestRicci:
         x = grid.coordinates()[0]
         g = metric_from_potential(grid, 0.05 * np.cos(2 * np.pi * x))
         ric = ricci_field(grid, g)
-        assert_allclose(grid_mean(ric.values, grid), 0.0, atol=1e-12)
+        assert_allclose(ric.values.mean(axis=(0, 1)), 0.0, atol=1e-12)
 
     def test_small_amplitude_linearisation(self):
         # For g = 1 + u with small u, Ric ~ -ddbar(u) at leading order.
@@ -422,7 +399,7 @@ class TestRicci:
         g = metric_from_potential(grid, phi)
         ric = ricci_field(grid, g)
         u = g.values[..., 0, 0].real - 1.0
-        expected = -dbar_hessian(grid, u)[..., 0, 0]
+        expected = -dbar_hessian(grid, u).values[..., 0, 0]
         assert_allclose(ric.values[..., 0, 0], expected, atol=1e-8)
 
 
@@ -659,7 +636,7 @@ class TestSym2Oracle:
             twist=TwistSpec(c=0.0, potential=scalar_from_modes(grid, [(mixed, 0.01)])),
         )
         model = FlowModel(config)
-        rho = model.ric_h + dbar_hessian_field(grid, model.u)
+        rho = model.ric_h + dbar_hessian(grid, model.u)
         for alpha, beta in ((1.0, 1.0), (0.05, 20.0)):
             ref = self.pairing_route(model, rho, alpha, beta)
             est = _mixed_level_estimate(model, rho, alpha, beta)
@@ -712,10 +689,12 @@ class TestHermitianHalf:
     def test_hessian_entries_are_the_full_hessian(self, n, disc):
         grid = PeriodicGrid(n=n, N=8, discretization=disc)
         f = np.random.default_rng(3).standard_normal(grid.shape)
-        field = dbar_hessian_field(grid, f)
+        field = dbar_hessian(grid, f)
         assert all(e is None or e.shape == grid.shape for e in field.entries)
-        full = dbar_hessian(grid, f)
-        assert full.tobytes() == field.values.tobytes()
+        assert field.a.dtype == float and (n == 1 or field.d.dtype == float)
+        full = field.values
+        ref = per_axis_hessian(grid, f)
+        assert np.max(np.abs(full - ref)) <= 1e-12 * np.max(np.abs(ref))
         assert np.array_equal(field.a, full[..., 0, 0].real)
         if n == 2:
             assert np.array_equal(field.d, full[..., 1, 1].real)

@@ -347,3 +347,9 @@ class TestFlowConfig:
         save_json(path, {"grid": {"n": 1, "N": 8}, key: 0.5})
         with pytest.raises(ValueError, match=f"unknown flow config key '{key}'"):
             load_flow_config(path)
+
+    def test_unknown_check_rejected(self, tmp_path):
+        path = tmp_path / "flow.json"
+        save_json(path, {"grid": {"n": 1, "N": 8}, "checks": {"schwarz": 1e-3, "schwartz": 1e-12}})
+        with pytest.raises(ValueError, match="unknown check 'schwartz' under checks"):
+            load_flow_config(path)

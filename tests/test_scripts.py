@@ -35,7 +35,7 @@ def test_step_timing_prints_the_hessian_layer(capsys):
     argv = ["--n", "1", "--resolution", "8", "--discretization", "fd2", "--steps", "1"]
     assert load_script("step_timing.py").main(argv) == 0
     lines = capsys.readouterr().out.splitlines()
-    hessian = [line for line in lines if line.startswith("dbar_hessian_field: median ")]
+    hessian = [line for line in lines if line.startswith("dbar_hessian: median ")]
     assert len(hessian) == 1
     assert hessian[0].endswith(" ms over 200 calls on the background potential")
     assert float(hessian[0].split()[2]) > 0.0
