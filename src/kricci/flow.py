@@ -26,11 +26,14 @@ trace evolution bound, and the monotone combinations of log tr_g h with the
 potentials.  Time derivatives are taken with the second-order nonuniform
 3-point formula, so all residuals shrink at order dt^2.
 
-Snapshots are analysed in one pass after the run: each snapshot metric is
-reconstructed, checked and inverted once, and a sliding window of three
-snapshots gives the centered derivatives the Schwarz and identity checks need.
-Of the window only the middle snapshot's g^-1 and traces are kept; its ends
-keep log tr_g h.
+Each snapshot is analysed as the run takes it, from the g^-1 and the
+positivity margin of the step that built its metric, so no snapshot metric is
+reconstructed or checked twice; the start snapshot reads h, its margin and
+the h^-1 the barrier scale uses.  A sliding window of three snapshots gives
+the centered derivatives the Schwarz and identity checks need.  Of the window
+only the newest snapshot's g^-1 and traces are kept, for when it becomes the
+middle; its ends keep log tr_g h.  Only a run that degenerates between
+snapshots reconstructs its last accepted state, once.
 """
 
 from __future__ import annotations
@@ -55,7 +58,6 @@ from .grid import (
     g_trace,
     laplacian,
     metric_from_potential,
-    ricci_field,
 )
 
 __all__ = [
@@ -127,6 +129,19 @@ class FlowConfig:
             raise ValueError("alpha and beta must be positive")
 
 
+def _real_potential(grid: PeriodicGrid, values, what: str) -> np.ndarray:
+    """A real, grid-shaped potential from a config or caller (None is zero);
+    complex input raises ``ValueError`` rather than losing its imaginary part."""
+    if values is None:
+        return np.zeros(grid.shape)
+    values = np.asarray(values)
+    if np.iscomplexobj(values):
+        raise ValueError(f"{what} potential must be real, got a complex array")
+    if values.shape != grid.shape:
+        raise ValueError(f"{what} potential must have shape {grid.shape}")
+    return values.astype(float, copy=False)
+
+
 class FlowModel:
     """Background data and metric reconstruction for one flow configuration.
 
@@ -139,27 +154,14 @@ class FlowModel:
         grid = config.grid
         self.grid = grid
         self.config = config
-        bg = (
-            np.zeros(grid.shape)
-            if config.background is None
-            else np.asarray(config.background, dtype=float)
-        )
-        if bg.shape != grid.shape:
-            raise ValueError(f"background potential must have shape {grid.shape}")
-        self.h = metric_from_potential(grid, bg)
+        self.h = metric_from_potential(grid, _real_potential(grid, config.background, "background"))
         self.h_margin = self.h.require_positive("background metric")
-        self.ric_h = ricci_field(grid, self.h)
-        u = (
-            np.zeros(grid.shape)
-            if config.twist.potential is None
-            else np.asarray(config.twist.potential, dtype=float)
-        )
-        if u.shape != grid.shape:
-            raise ValueError(f"twist potential must have shape {grid.shape}")
-        self.u = u
-        self.c = float(config.twist.c)
-        self.eta = self.c * self.h + dbar_hessian(grid, u)
+        # Ric(h) = -d dbar log det h, from the one log det h and positivity check.
         self._logdet_h = self.h.log_determinant()
+        self.ric_h = -dbar_hessian(grid, self._logdet_h)
+        self.u = _real_potential(grid, config.twist.potential, "twist")
+        self.c = float(config.twist.c)
+        self.eta = self.c * self.h + dbar_hessian(grid, self.u)
         self._drift = self.ric_h + self.eta
 
     @functools.cached_property
@@ -234,17 +236,16 @@ class FlowResult:
         return self.snapshots[-1]
 
 
-def _initial_sigma(model: FlowModel) -> float:
-    """Barrier scale from the initial twisted scalar infimum.
+def _initial_sigma(model: FlowModel, h_inv: MetricField) -> float:
+    """Barrier scale from the initial twisted scalar infimum; ``h_inv`` is h^-1.
 
     With m0 = inf(scal(g0) + tr_{g0} eta), the comparison ODE keeps
     scal + tr eta >= -n/(t + sigma) and sup dphi/dt <= n log(1 + t/sigma)
     for sigma = n / (-m0); a nonnegative infimum never forces a barrier, so
     sigma is infinite there and both bounds degenerate gracefully.
     """
-    ginv = model.h.inverse()
-    scal = g_trace(ginv, model.ric_h)
-    treta = g_trace(ginv, model.eta)
+    scal = g_trace(h_inv, model.ric_h)
+    treta = g_trace(h_inv, model.eta)
     m0 = float((scal + treta).min())
     if m0 < 0:
         return model.grid.n / (-m0)
@@ -253,16 +254,19 @@ def _initial_sigma(model: FlowModel) -> float:
 
 def _rk2_step(model: FlowModel, t: float, phi: np.ndarray, dt: float, phidot: np.ndarray):
     """One explicit midpoint step from (t, phi), where dphi/dt is ``phidot``;
-    returns (phi_new, phidot_new, margin_new)."""
+    returns (phi_new, phidot_new, margin_new, g_new), g_new the end metric."""
     k2 = model.rhs(t + 0.5 * dt, phi + (0.5 * dt) * phidot)
     phi_new = phi + dt * k2
     g_new = model.reconstruct(t + dt, phi_new)
     margin = g_new.require_positive("flow metric")
-    return phi_new, model.phidot_of(g_new), margin
+    return phi_new, model.phidot_of(g_new), margin, g_new
 
 
 def run_flow(config: FlowConfig) -> FlowResult:
     """Integrate the flow to t_final, recording snapshots and diagnostics.
+
+    Each snapshot goes through :func:`_diagnostics` as it is taken, with the
+    g^-1 and margin of the metric its step built.
 
     Raises :class:`FlowDegenerateError` when the metric cannot be kept
     positive even after halving the step MAX_HALVINGS times, when the step
@@ -273,33 +277,42 @@ def run_flow(config: FlowConfig) -> FlowResult:
     model = FlowModel(config)
     grid = config.grid
     n = grid.n
-    sigma = _initial_sigma(model)
+    h_inv = model.h.inverse()
+    sigma = _initial_sigma(model, h_inv)
+    window = _Window(model, sigma)
     phi = np.zeros(grid.shape)
     t = 0.0
     # g(0) = h, so dphi/dt starts at log det h - log det h = 0.
     phidot = np.zeros(grid.shape)
     margin = model.h_margin
-    snapshots = [FlowSnapshot(t=0.0, phi=phi.copy(), phidot=phidot.copy())]
+    snapshots = []
     steps = 0
 
-    def snapshot():
-        if not np.isclose(snapshots[-1].t, t, rtol=0, atol=1e-15):
-            snapshots.append(FlowSnapshot(t=t, phi=phi.copy(), phidot=phidot.copy()))
+    def snapshot(ginv=None, last=False):
+        """Take (t, phi, phidot) as a snapshot unless it is one, and analyse it
+        from g^-1 at t.  Steps make fresh arrays, so they are kept uncopied."""
+        if snapshots and np.isclose(snapshots[-1].t, t, rtol=0, atol=1e-15):
+            return
+        if ginv is None:
+            # The last accepted state of a degenerating run: its step kept no
+            # metric, so it is reconstructed; its margin is the step's.
+            ginv = model.reconstruct(t, phi).inverse()
+        snapshots.append(FlowSnapshot(t=t, phi=phi, phidot=phidot))
+        _diagnostics(window, snapshots[-1], ginv, margin, last)
 
     def finish():
-        result = FlowResult(
-            config=config, model=model, sigma=sigma, snapshots=snapshots, rows=[], steps=steps
-        )
-        result.rows, result.identities = _diagnostics(result)
-        return result
+        return FlowResult(config, model, sigma, snapshots, window.rows, steps, window.identities())
 
     def degenerate(message, stop_margin):
-        snapshot()
+        snapshot(last=True)
         return FlowDegenerateError(message, t=t, margin=stop_margin, result=finish())
 
+    snapshot(h_inv)
+    del h_inv  # the window keeps it while the start is its newest snapshot
     dt_floor = config.dt_initial * 2.0**-40
     cfl = CFL_SAFETY * grid.spacing**2 / (2.0 * n)
-    while t < config.t_final * (1.0 - 1e-12):
+    done = False
+    while not done:
         if steps >= MAX_STEPS:
             raise degenerate(f"step budget {MAX_STEPS} exhausted at t={t:.6g}", margin)
         dt = min(config.dt_initial, cfl * margin, config.t_final - t)
@@ -320,11 +333,16 @@ def run_flow(config: FlowConfig) -> FlowResult:
                 f"flow degenerate at t={t:.6g} after {MAX_HALVINGS} halvings",
                 last_margin,
             )
-        phi, phidot, margin = accepted
+        phi, phidot, margin, g = accepted
+        del accepted
         t += dt
         steps += 1
-        if steps % config.diagnostics_every == 0 or t >= config.t_final * (1.0 - 1e-12):
-            snapshot()
+        done = t >= config.t_final * (1.0 - 1e-12)
+        ginv = g.inverse() if steps % config.diagnostics_every == 0 or done else None
+        # The analysis reads g^-1 only; g goes before it runs.
+        del g
+        if ginv is not None:
+            snapshot(ginv, last=done)
     return finish()
 
 
@@ -389,74 +407,92 @@ def _nonuniform_dt(f_prev, f_mid, f_next, a: float, b: float):
     return (f_next * a**2 - f_prev * b**2 + f_mid * (b**2 - a**2)) / (a * b * (a + b))
 
 
-def _diagnostics(result: FlowResult):
-    """(rows, identity report or None) from one pass over the snapshots.
+@dataclass
+class _Window:
+    """What :func:`_diagnostics` carries from one snapshot to the next.
 
-    Each full window of CENTERED_SNAPSHOTS entries gives its middle row the
-    Schwarz margin and adds the middle snapshot to the identity residuals;
-    endpoint rows keep a NaN margin.
+    ``entries`` holds (snapshot, log tr_g h) for the last CENTERED_SNAPSHOTS
+    snapshots, and ``newest`` the g^-1, tr_g(Ric(h) + eta) and Lap_g phidot
+    of the newest only, for when it becomes the middle.  ``rows`` has one row
+    per snapshot so far; ``middles`` the times of the middles whose identity
+    residuals ``res_phi`` and ``res_phidot`` hold the maxima of.
+    """
+
+    model: FlowModel
+    sigma: float
+    rows: list[DiagnosticsRow] = field(default_factory=list)
+    entries: deque = field(default_factory=lambda: deque(maxlen=CENTERED_SNAPSHOTS))
+    newest: tuple | None = None
+    middles: list[float] = field(default_factory=list)
+    res_phi: float = 0.0
+    res_phidot: float = 0.0
+
+    def identities(self) -> PotentialIdentityReport | None:
+        """The identity report, or None before a window has been full."""
+        if not self.middles:
+            return None
+        return PotentialIdentityReport(np.array(self.middles), self.res_phi, self.res_phidot)
+
+
+def _diagnostics(
+    window: _Window, snap: FlowSnapshot, ginv: MetricField, margin: float, last: bool = False
+) -> None:
+    """Analyse one snapshot from g^-1 and the positivity margin of its metric.
+
+    Appends the snapshot's row to ``window.rows``.  A snapshot that fills the
+    window gives the middle row its Schwarz margin and adds the middle to the
+    identity residuals; endpoint rows keep a NaN margin.  At t = 0 phidot is
+    the zero field, so Lap_g phidot is not formed.
+
+    R_h is first read at the third snapshot but computed at the second,
+    before that snapshot's fields exist, when the window holds least; ``last``
+    says no third snapshot follows, so then it is not computed at all.
 
     The twisted scalar curvature needs no Ricci form of g: phidot is
     log det g - log det h, so Ric(g) = Ric(h) - d dbar phidot and
     scal + tr_g eta = tr_g(Ric(h) + eta) - Lap_g phidot, the same two
     fields the phidot identity compares against.
     """
-    model = result.model
-    grid = model.grid
-    config = result.config
-    n = grid.n
-    snaps = result.snapshots
-    R_h = model.curvature_h if len(snaps) >= CENTERED_SNAPSHOTS else None
-    rows = []
-    # The window holds (snapshot, log tr_g h); g^-1, tr_g(Ric(h) + eta) and
-    # Lap_g phidot are kept only for the snapshot that is or becomes the middle.
-    window = deque(maxlen=CENTERED_SNAPSHOTS)
-    newest = None
-    res_phi = res_phidot = 0.0
-    for snap in snaps:
-        g = model.reconstruct(snap.t, snap.phi)
-        margin = g.require_positive("flow metric")
-        ginv = g.inverse()
-        del g  # only g^-1 is read from here on
-        drift = g_trace(ginv, model._drift)
-        lap_phidot = laplacian(grid, ginv, snap.phidot)
-        log_lam = model.log_trace_h(ginv)
-        if snap.t > 0:
-            _, G = _monotone_fields(
-                model, snap.t, log_lam, snap.phidot, config.alpha, config.beta
-            )
-            sup_G = float(G.max())
-        else:
-            sup_G = -math.inf
-        rows.append(
-            DiagnosticsRow(
-                t=snap.t,
-                sup_phidot=float(snap.phidot.max()),
-                inf_scalar_plus_tr_eta=float((drift - lap_phidot).min()),
-                bound_volume_upper=_volume_upper_bound(n, result.sigma, snap.t),
-                positivity_margin=margin,
-                sup_G=sup_G,
-                schwarz_min_margin=math.nan,
-            )
+    model = window.model
+    config = model.config
+    if len(window.entries) == 1 and not last:
+        model.curvature_h  # computed on this first access and kept on the model
+    drift = g_trace(ginv, model._drift)
+    log_lam = model.log_trace_h(ginv)
+    if snap.t > 0:
+        lap_phidot = laplacian(model.grid, ginv, snap.phidot)
+        _, G = _monotone_fields(model, snap.t, log_lam, snap.phidot, config.alpha, config.beta)
+        sup_G = float(G.max())
+    else:
+        lap_phidot, sup_G = 0.0, -math.inf
+    window.rows.append(
+        DiagnosticsRow(
+            t=snap.t,
+            sup_phidot=float(snap.phidot.max()),
+            inf_scalar_plus_tr_eta=float((drift - lap_phidot).min()),
+            bound_volume_upper=_volume_upper_bound(model.grid.n, window.sigma, snap.t),
+            positivity_margin=margin,
+            sup_G=sup_G,
+            schwarz_min_margin=math.nan,
         )
-        window.append((snap, log_lam))
-        middle, newest = newest, (ginv, drift, lap_phidot)
-        if len(window) < CENTERED_SNAPSHOTS:
-            continue
-        (prev, log_prev), (mid, log_mid), (nxt, log_next) = window
-        a, b = mid.t - prev.t, nxt.t - mid.t
-        dlog = _nonuniform_dt(log_prev, log_mid, log_next, a, b)
-        ginv_mid, drift_mid, lap_mid = middle
-        rows[-2].schwarz_min_margin = _schwarz_margins(model, ginv_mid, dlog, log_mid, R_h)
-        dphi = _nonuniform_dt(prev.phi, mid.phi, nxt.phi, a, b)
-        dphidot = _nonuniform_dt(prev.phidot, mid.phidot, nxt.phidot, a, b)
-        rhs = -drift_mid + lap_mid
-        res_phi = max(res_phi, float(np.max(np.abs(dphi - mid.phidot))))
-        res_phidot = max(res_phidot, float(np.max(np.abs(dphidot - rhs))))
-    if R_h is None:
-        return rows, None
-    times = np.array([snap.t for snap in snaps[1:-1]])
-    return rows, PotentialIdentityReport(times, res_phi, res_phidot)
+    )
+    window.entries.append((snap, log_lam))
+    middle, window.newest = window.newest, (ginv, drift, lap_phidot)
+    if len(window.entries) < CENTERED_SNAPSHOTS:
+        return
+    (prev, log_prev), (mid, log_mid), (nxt, log_next) = window.entries
+    a, b = mid.t - prev.t, nxt.t - mid.t
+    dlog = _nonuniform_dt(log_prev, log_mid, log_next, a, b)
+    ginv_mid, drift_mid, lap_mid = middle
+    window.rows[-2].schwarz_min_margin = _schwarz_margins(
+        model, ginv_mid, dlog, log_mid, model.curvature_h
+    )
+    dphi = _nonuniform_dt(prev.phi, mid.phi, nxt.phi, a, b)
+    dphidot = _nonuniform_dt(prev.phidot, mid.phidot, nxt.phidot, a, b)
+    rhs = -drift_mid + lap_mid
+    window.res_phi = max(window.res_phi, float(np.max(np.abs(dphi - mid.phidot))))
+    window.res_phidot = max(window.res_phidot, float(np.max(np.abs(dphidot - rhs))))
+    window.middles.append(mid.t)
 
 
 def _schwarz_margins(
@@ -595,7 +631,9 @@ def check_trace_evolution(
             "eta is an exact complex Hessian",
             f"twist has c = {model.c}, so eta carries a multiple of omega_h",
         )
-    phi_twist = model.u if twist_potential is None else np.asarray(twist_potential, dtype=float)
+    phi_twist = (
+        model.u if twist_potential is None else _real_potential(grid, twist_potential, "twist")
+    )
     v = (2.0 * beta / alpha) * model.u
     rho = model.ric_h + dbar_hessian(grid, phi_twist)
     gap = mu * model.h + dbar_hessian(grid, v) - rho

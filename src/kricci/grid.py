@@ -343,7 +343,7 @@ class MetricField:
         if worst > 1e-10 * (1.0 + float(np.max(np.abs(v)))):
             raise ValueError(f"metric field is not Hermitian; deviation {worst:.3e}")
         self.a = np.ascontiguousarray(v[..., 0, 0].real)
-        self.d = self.b = None
+        self.d = self.b = self._det = None
         if n == 2:
             self.d = np.ascontiguousarray(v[..., 1, 1].real)
             self.b = 0.5 * (v[..., 0, 1] + np.conj(v[..., 1, 0]))
@@ -353,7 +353,7 @@ class MetricField:
         """The field with triangle (a, d, b), unchecked: only for entries that
         are Hermitian by construction (a, d real)."""
         g = cls.__new__(cls)
-        g.grid, g.a, g.d, g.b = grid, a, d, b
+        g.grid, g.a, g.d, g.b, g._det = grid, a, d, b, None
         return g
 
     @property
@@ -395,13 +395,17 @@ class MetricField:
     def __rmul__(self, scale: float) -> MetricField:
         return self._entrywise(lambda entry: scale * entry)
 
-    @functools.cached_property
+    @property
     def det(self) -> np.ndarray:
-        """det g = a d - |b|^2 (a at n=1), computed once."""
-        if self.n == 1:
-            return self.a
-        b = self.b
-        return self.a * self.d - (b.real**2 + b.imag**2)
+        """det g = a d - |b|^2 (a at n=1), computed on first access and kept
+        in ``_det``, which the constructors set to None."""
+        if self._det is None:
+            if self.n == 1:
+                self._det = self.a
+            else:
+                b = self.b
+                self._det = self.a * self.d - (b.real**2 + b.imag**2)
+        return self._det
 
     def inverse(self) -> MetricField:
         """g^{-1} = adj(g) / det g, Hermitian by construction (no positivity check)."""

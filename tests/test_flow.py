@@ -6,6 +6,7 @@ the integrator, the barrier scale, the scalar and volume bounds, and the
 horizon extrapolation with exact reference values.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -13,12 +14,12 @@ import pytest
 from numpy.testing import assert_allclose
 
 import kricci.flow
+import kricci.grid
 from kricci.errors import DegeneracyError, FlowDegenerateError, HypothesisError
 from kricci.flow import (
     FlowConfig,
     FlowModel,
     TwistSpec,
-    _diagnostics,
     _nonuniform_dt,
     check_potential_identities,
     check_scalar_bound,
@@ -143,6 +144,33 @@ class TestFlatFlow:
         zeros = np.zeros(config.grid.shape)
         with pytest.raises(ValueError):
             monotone_quantities(model, 0.0, zeros, zeros)
+
+
+class TestRealPotentials:
+    """A complex background or twist potential is rejected, not cut to its
+    real part: 0.01j cos(2 pi x) would give a flat h or a zero eta."""
+
+    @staticmethod
+    def imaginary_mode(grid):
+        return 0.01j * np.cos(2 * np.pi * grid.coordinates()[0])
+
+    def test_complex_background_is_rejected(self):
+        grid = PeriodicGrid(1, 8)
+        with pytest.raises(ValueError, match="background potential must be real"):
+            FlowModel(FlowConfig(grid=grid, background=self.imaginary_mode(grid)))
+
+    def test_complex_twist_is_rejected(self):
+        grid = PeriodicGrid(1, 8)
+        twist = TwistSpec(c=0.0, potential=self.imaginary_mode(grid))
+        with pytest.raises(ValueError, match="twist potential must be real"):
+            FlowModel(FlowConfig(grid=grid, twist=twist))
+
+    def test_complex_trace_evolution_twist_is_rejected(self):
+        result = run_flow(homogeneous_config(c=0.0, t_final=0.01, dt=5e-3, every=1))
+        with pytest.raises(ValueError, match="twist potential must be real"):
+            check_trace_evolution(
+                result, mu=1.0, twist_potential=self.imaginary_mode(result.config.grid)
+            )
 
 
 class TestDegeneracy:
@@ -402,6 +430,44 @@ def _reference_schwarz_margins(result):
     return margins
 
 
+def _reference_rows(result):
+    """Every row's fields, snapshot by snapshot, from the reconstructed and
+    re-checked snapshot metrics; the Schwarz column is
+    :func:`_reference_schwarz_margins`."""
+    model = result.model
+    config = result.config
+    n = model.grid.n
+    rows = []
+    for snap, schwarz in zip(result.snapshots, _reference_schwarz_margins(result)):
+        g = model.reconstruct(snap.t, snap.phi)
+        drift = g_trace(g.inverse(), model._drift)
+        scalar = drift - _laplacian_of_metric(model.grid, g, snap.phidot)
+        if snap.t > 0:
+            _, G = monotone_quantities(
+                model, snap.t, snap.phi, snap.phidot, config.alpha, config.beta
+            )
+            sup_G = float(G.max())
+        else:
+            sup_G = -math.inf
+        volume = 0.0 if math.isinf(result.sigma) else n * math.log1p(snap.t / result.sigma)
+        rows.append(
+            (snap.t, float(snap.phidot.max()), float(scalar.min()), volume,
+             g.require_positive(), sup_G, schwarz)
+        )
+    return rows
+
+
+def _assert_matches_reference(result):
+    """Rows, Schwarz margins and identity residuals bitwise equal the reference."""
+    np.testing.assert_array_equal(
+        [dataclasses.astuple(row) for row in result.rows], _reference_rows(result)
+    )
+    report = check_potential_identities(result)
+    times, res_phi, res_phidot = _reference_identities(result)
+    np.testing.assert_array_equal(report.times, times)
+    assert (report.residual_phi, report.residual_phidot) == (res_phi, res_phidot)
+
+
 def _reference_identities(result):
     """(times, residual_phi, residual_phidot) snapshot by snapshot."""
     model = result.model
@@ -450,7 +516,8 @@ def _reference_trace_evolution(result, mu, twist_potential):
 
 
 class TestOnePassAnalysis:
-    """Rows, Schwarz margins and identities come from one pass over the snapshots."""
+    """Rows, Schwarz margins and identities come from the analysis the run
+    makes of each snapshot as it takes it, from the metric its step built."""
 
     # Touches both complex coordinates, so g_12 has real and imaginary parts.
     MIXED = (1, 1, 1, 0)
@@ -466,42 +533,96 @@ class TestOnePassAnalysis:
             diagnostics_every=1,
         )
 
-    def test_each_snapshot_metric_is_reconstructed_and_inverted_once(self, monkeypatch):
-        result = run_flow(self.mixed_config(0.02))
-        # The run's own pass cached R_h on the model; drop it so this pass
-        # computes it again.
-        del result.model.curvature_h
-        reconstruct, inverse = FlowModel.reconstruct, MetricField.inverse
-        reconstructed, inverted = [], []
+    def config(self, n):
+        """The n=2 mixed config, or its n=1 fd2 counterpart."""
+        if n == 2:
+            return self.mixed_config(0.02)
+        grid = PeriodicGrid(1, 16, "fd2")
+        return FlowConfig(
+            grid=grid,
+            background=perturbed_potential(grid, 0.02, (1, 1)),
+            twist=TwistSpec(c=0.0, potential=perturbed_potential(grid, 0.01, (1, 1))),
+            t_final=0.006,
+            dt_initial=1e-3,
+            diagnostics_every=1,
+        )
+
+    @staticmethod
+    def count_calls(monkeypatch):
+        """Record FlowModel.reconstruct's metrics and the _rk2_step attempts."""
+        reconstruct, step = FlowModel.reconstruct, kricci.flow._rk2_step
+        reconstructed, attempts = [], []
 
         def counting_reconstruct(self, t, phi):
             reconstructed.append(reconstruct(self, t, phi))
             return reconstructed[-1]
 
+        def counting_step(*args):
+            attempts.append(args[1])
+            return step(*args)
+
+        monkeypatch.setattr(FlowModel, "reconstruct", counting_reconstruct)
+        monkeypatch.setattr(kricci.flow, "_rk2_step", counting_step)
+        return reconstructed, attempts
+
+    def test_each_snapshot_metric_is_reconstructed_and_inverted_once(self, monkeypatch):
+        # Each step builds and checks two metrics, the midpoint and the end; a
+        # snapshot's analysis inverts its step's end metric and builds none.
+        inverse, require_positive = MetricField.inverse, MetricField.require_positive
+        inverted, checked = [], []
+
         def counting_inverse(self):
             inverted.append(self)
             return inverse(self)
 
-        monkeypatch.setattr(FlowModel, "reconstruct", counting_reconstruct)
-        monkeypatch.setattr(MetricField, "inverse", counting_inverse)
-        _diagnostics(result)
-        assert len(reconstructed) == len(result.snapshots) >= 5
-        # Apart from the snapshot metrics only h is inverted, once, for R_h.
-        h = result.model.h
-        assert [id(g) for g in inverted if g is not h] == [id(g) for g in reconstructed]
-        assert sum(g is h for g in inverted) == 1
+        def counting_require_positive(self, what="metric"):
+            checked.append(self)
+            return require_positive(self, what)
 
-    def test_matches_snapshot_by_snapshot_reference(self):
+        reconstructed, _ = self.count_calls(monkeypatch)
+        monkeypatch.setattr(MetricField, "inverse", counting_inverse)
+        monkeypatch.setattr(MetricField, "require_positive", counting_require_positive)
         result = run_flow(self.mixed_config(0.02))
-        g12 = result.model.reconstruct(result.final.t, result.final.phi).values[..., 0, 1]
-        assert np.abs(g12.real).max() > 1e-3 and np.abs(g12.imag).max() > 1e-3
-        np.testing.assert_array_equal(
-            [row.schwarz_min_margin for row in result.rows], _reference_schwarz_margins(result)
-        )
-        report = check_potential_identities(result)
-        times, res_phi, res_phidot = _reference_identities(result)
-        np.testing.assert_array_equal(report.times, times)
-        assert (report.residual_phi, report.residual_phidot) == (res_phi, res_phidot)
+        assert len(result.snapshots) == result.steps + 1 >= 5
+        assert len(reconstructed) == 2 * result.steps
+        h = result.model.h
+        assert [id(g) for g in checked if g is not h] == [id(g) for g in reconstructed]
+        assert [id(g) for g in inverted if g is not h] == [id(g) for g in reconstructed[1::2]]
+        # h is checked by the model and inverted for sigma and the start row;
+        # curvature_field checks and inverts it once more for R_h.
+        assert sum(g is h for g in checked) == sum(g is h for g in inverted) == 2
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_reconstructs_twice_per_step_attempt(self, n, monkeypatch):
+        reconstructed, attempts = self.count_calls(monkeypatch)
+        result = run_flow(self.config(n))
+        assert len(result.snapshots) == result.steps + 1 >= 5
+        assert len(attempts) >= result.steps
+        assert len(reconstructed) == 2 * len(attempts)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_matches_snapshot_by_snapshot_reference(self, n):
+        result = run_flow(self.config(n))
+        if n == 2:
+            g12 = result.model.reconstruct(result.final.t, result.final.phi).b
+            assert np.abs(g12.real).max() > 1e-3 and np.abs(g12.imag).max() > 1e-3
+        _assert_matches_reference(result)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_degenerating_run_matches_reference(self, n, monkeypatch):
+        # The budget ends the run one step after the snapshot at step 4, so
+        # the last accepted state is reconstructed, once, for the last row.
+        monkeypatch.setattr(kricci.flow, "MAX_STEPS", 5)
+        config = dataclasses.replace(self.config(n), diagnostics_every=2)
+        reconstructed, attempts = self.count_calls(monkeypatch)
+        with pytest.raises(FlowDegenerateError, match="step budget 5") as excinfo:
+            run_flow(config)
+        result = excinfo.value.result
+        assert len(reconstructed) == 2 * len(attempts) + 1
+        assert [snap.t for snap in result.snapshots] == [row.t for row in result.rows]
+        assert len(result.rows) == 4 and result.rows[-1].t == excinfo.value.t
+        assert not math.isnan(result.rows[-2].schwarz_min_margin)
+        _assert_matches_reference(result)
 
     def test_trace_evolution_matches_reference(self):
         result = run_flow(self.mixed_config(0.0))
@@ -517,11 +638,13 @@ class TestOnePassAnalysis:
 
     def test_twisted_scalar_needs_no_ricci_pass(self, monkeypatch):
         # Ric(g) = Ric(h) - d dbar phidot: the rows match the route through
-        # Ric(g) = -d dbar log det g at roundoff, without calling ricci_field.
-        result = run_flow(self.mixed_config(0.02))
-        model = result.model
+        # Ric(g) = -d dbar log det g at roundoff, and no Ricci form is taken,
+        # of g or of h (Ric(h) is -d dbar of the model's own log det h).
+        config = self.mixed_config(0.02)
+        reference = run_flow(config)
+        model = reference.model
         expected = []
-        for snap in result.snapshots:
+        for snap in reference.snapshots:
             g = model.reconstruct(snap.t, snap.phi)
             ginv = g.inverse()
             scal = g_trace(ginv, ricci_field(model.grid, g))
@@ -529,10 +652,11 @@ class TestOnePassAnalysis:
             expected.append(float((scal + treta).min()))
 
         def forbidden(*args, **kwargs):
-            raise AssertionError("Ricci form computed in the diagnostics")
+            raise AssertionError("Ricci form computed in the flow")
 
-        monkeypatch.setattr(kricci.flow, "ricci_field", forbidden)
-        rows, _ = _diagnostics(result)
+        monkeypatch.setattr(kricci.grid, "ricci_field", forbidden)
+        monkeypatch.setattr(kricci.flow, "ricci_field", forbidden, raising=False)
+        rows = run_flow(config).rows
         assert_allclose([row.inf_scalar_plus_tr_eta for row in rows], expected, rtol=1e-12, atol=0)
 
     def test_identities_need_three_snapshots(self):
