@@ -1,5 +1,6 @@
-"""Time one RK2 step of the potential flow, one complex Hessian, one
-background curvature call and the per-snapshot diagnostics.
+"""Time one RK2 step of the potential flow, one complex Hessian, the metric
+positivity and log-det kernels, one g-trace, one background curvature call
+and the per-snapshot diagnostics.
 
 Builds a flow model on a background with a mixed-wavevector mode (at n=2 the
 off-diagonal g_12 is complex) and a one-mode twist potential, then prints
@@ -9,6 +10,13 @@ off-diagonal g_12 is complex) and a one-mode twist potential, then prints
   * the tracemalloc peak of one further step;
   * the median wall time of one ``dbar_hessian`` call on the background
     potential over a fixed 200 calls (the d dbar layer of each step);
+  * the median wall time of ``require_positive`` then ``log_determinant``
+    on a fresh step metric over 200 metrics (the positivity and log-det
+    layer, which a step runs twice); each metric is a new field over the
+    entries of g(dt) reconstructed from phi = 0, so it carries no recorded
+    determinant or margin;
+  * the median wall time of one ``g_trace`` of Ric(h) + eta against the
+    inverse of g(dt) over 200 calls (the trace layer of the analysis);
   * the wall time and the tracemalloc peak of one ``curvature_field`` call on
     the background metric;
   * the summed wall time of ``_diagnostics`` over the start and the timed
@@ -43,9 +51,17 @@ from kricci.flow import (
     _rk2_step,
     _Window,
 )
-from kricci.grid import PeriodicGrid, curvature_field, dbar_hessian, scalar_from_modes
+from kricci.grid import (
+    MetricField,
+    PeriodicGrid,
+    curvature_field,
+    dbar_hessian,
+    g_trace,
+    scalar_from_modes,
+)
 
-HESSIAN_CALLS = 200
+# Calls per timed kernel (median reported).
+KERNEL_CALLS = 200
 
 
 def model_for(n, N, discretization):
@@ -55,6 +71,16 @@ def model_for(n, N, discretization):
     background = scalar_from_modes(grid, [(mixed, 0.01), ((1,) + (0,) * (2 * n - 1), 0.005)])
     twist = TwistSpec(c=0.0, potential=scalar_from_modes(grid, [(mixed, 0.002)]))
     return FlowModel(FlowConfig(grid=grid, background=background, twist=twist))
+
+
+def median_us(fn, calls=KERNEL_CALLS):
+    """Median wall time of ``fn()`` in microseconds over ``calls`` calls."""
+    times = []
+    for _ in range(calls):
+        start = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - start)
+    return 1e6 * statistics.median(times)
 
 
 def peak_mib(fn):
@@ -80,11 +106,18 @@ def main(argv=None):
     # The explicit step-size limit of run_flow at the background margin.
     cfl = CFL_SAFETY * grid.spacing**2 / (2.0 * grid.n)
     dt = min(config.dt_initial, cfl * model.h_margin)
-    hessian_times = []
-    for _ in range(HESSIAN_CALLS):
-        start = time.perf_counter()
-        dbar_hessian(grid, config.background)
-        hessian_times.append(time.perf_counter() - start)
+    hessian_us = median_us(lambda: dbar_hessian(grid, config.background))
+    step_metric = model.reconstruct(dt, np.zeros(grid.shape))
+
+    def positivity_and_log_det():
+        fresh = MetricField._from_entries(grid, *step_metric.entries)
+        fresh.require_positive("flow metric")
+        fresh.log_determinant()
+
+    positivity_us = median_us(positivity_and_log_det)
+    step_inverse = step_metric.inverse()
+    trace_us = median_us(lambda: g_trace(step_inverse, model._drift))
+    del step_metric, step_inverse
     start = time.perf_counter()
     curvature_field(grid, model.h)
     curvature_s = time.perf_counter() - start
@@ -118,8 +151,11 @@ def main(argv=None):
     print(f"n={grid.n} N={grid.N} {grid.discretization} dt={dt:.3e}")
     print(f"rk2 step: median {1e3 * statistics.median(times):.1f} ms over {args.steps} steps, "
           f"tracemalloc peak {step_peak:.1f} MiB")
-    print(f"dbar_hessian: median {1e3 * statistics.median(hessian_times):.3f} ms "
-          f"over {HESSIAN_CALLS} calls on the background potential")
+    print(f"dbar_hessian: median {1e-3 * hessian_us:.3f} ms "
+          f"over {KERNEL_CALLS} calls on the background potential")
+    print(f"positivity+log det: {positivity_us:.1f} µs per metric, "
+          f"median over {KERNEL_CALLS} fresh step metrics")
+    print(f"g_trace: {trace_us:.1f} µs, median over {KERNEL_CALLS} calls")
     # R_h is a dict of Sym² entry fields; its size is theirs together.
     curvature_mib = sum(entry.nbytes for entry in curvature.values()) / 2**20
     print(f"curvature_field: {1e3 * curvature_s:.1f} ms, tracemalloc peak {curvature_peak:.1f} MiB "

@@ -182,7 +182,10 @@ class FlowModel:
         return g
 
     def phidot_of(self, g: MetricField) -> np.ndarray:
-        return g.log_determinant() - self._logdet_h
+        """log det g - log det h, written into the fresh array of log det g."""
+        out = g.log_determinant()
+        out -= self._logdet_h
+        return out
 
     def log_trace_h(self, ginv: MetricField) -> np.ndarray:
         """log tr_g h from g^-1, through the same C-library log as log det g."""
@@ -291,7 +294,7 @@ def run_flow(config: FlowConfig) -> FlowResult:
     def snapshot(ginv=None, last=False):
         """Take (t, phi, phidot) as a snapshot unless it is one, and analyse it
         from g^-1 at t.  Steps make fresh arrays, so they are kept uncopied."""
-        if snapshots and np.isclose(snapshots[-1].t, t, rtol=0, atol=1e-15):
+        if snapshots and abs(snapshots[-1].t - t) <= 1e-15:
             return
         if ginv is None:
             # The last accepted state of a degenerating run: its step kept no
@@ -513,7 +516,7 @@ def _schwarz_margins(
     lhs = dlog - laplacian(model.grid, ginv, log_lam)
     double_trace = g_double_trace(ginv, R_h)
     twist_trace = g_pair_trace(ginv, model.h, model.eta)
-    rhs = (double_trace + twist_trace.real) / lam
+    rhs = (double_trace + twist_trace) / lam
     return float((lhs - rhs).min())
 
 

@@ -42,8 +42,16 @@ one of these too, so every g-trace reads g^-1 as its entries.  The full field
 
 Because n <= 2, the metric kernels (smallest eigenvalue, log determinant,
 inverse, unitary frame) are closed forms in the entries a, d, b rather than
-batched LAPACK calls; they share one determinant per field.  The g-traces
-and the twist trace are written out entry by entry.
+batched LAPACK calls; they share one determinant per field.  Positivity is
+proved once per field: :meth:`MetricField.require_positive` records the
+margin it proved, a second call returns it, and the log determinant of a
+field with a recorded margin skips its own det > 0 scan (a positive
+lambda_min implies det > 0, see :meth:`MetricField.log_determinant`).
+
+The g-traces of Hermitian fields are real, and the kernels compute them in
+real arithmetic from the real and imaginary parts of the entries: no complex
+temporary and no conjugate copy of b is formed.  Their only check is an
+O(1) one, that the diagonal entries are real arrays.
 
 The curvature of a metric field is stored the same way, as the upper
 triangle of a Hermitian form on Sym²(C^n) (:func:`curvature_field`): 3 real
@@ -84,9 +92,6 @@ __all__ = [
 ]
 
 DISCRETIZATIONS = ("fd2", "spectral")
-
-# Relative tolerance for the imaginary part of g-traces of Hermitian fields.
-TRACE_REAL_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -129,14 +134,20 @@ _PERIODIC_FACES = (
     (slice(None, 1), slice(-2, -1), slice(-1, None)),
 )
 
+# The index tuples of _PERIODIC_FACES along each of the at most 4 grid axes,
+# built once: _PERIODIC_INDEX[axis] = ((after, before, at), ...).
+_PERIODIC_INDEX = tuple(
+    tuple(tuple((slice(None),) * axis + (part,) for part in face) for face in _PERIODIC_FACES)
+    for axis in range(4)
+)
+
 
 def _periodic(op, f: np.ndarray, axis: int) -> np.ndarray:
     """op(f[i+1], f[i-1]) along a periodic grid axis, into one fresh array,
     one ufunc call per entry of _PERIODIC_FACES."""
     out = np.empty_like(f)
-    lead = (slice(None),) * axis
-    for after, before, at in _PERIODIC_FACES:
-        op(f[lead + (after,)], f[lead + (before,)], out=out[lead + (at,)])
+    for after, before, at in _PERIODIC_INDEX[axis]:
+        op(f[after], f[before], out=out[at])
     return out
 
 
@@ -220,10 +231,20 @@ def _derivatives(grid: PeriodicGrid, f: np.ndarray):
         def finish(symbol):
             return fft.irfftn(spectrum * symbol, s=grid.shape)
 
+    fd2 = grid.discretization == "fd2"
+
+    def quarter(op, first, second):
+        """op(first, second) / 4, made a field.  fd2 terms are fresh fields,
+        so they are combined and scaled in place; spectral terms may be the
+        cached read-only symbols, so they are combined into a new one."""
+        total = op(first, second, out=first if fd2 else None)
+        total *= 0.25
+        return finish(total)
+
     def hessian(k, l):
         xk, yk, xl, yl = 2 * k, 2 * k + 1, 2 * l, 2 * l + 1
-        even = finish(0.25 * (dd(xk, xl) + dd(yk, yl)))
-        return even, (0.0 if k == l else finish(0.25 * (dd(xk, yl) - dd(yk, xl))))
+        even = quarter(np.add, dd(xk, xl), dd(yk, yl))
+        return even, (0.0 if k == l else quarter(np.subtract, dd(xk, yl), dd(yk, xl)))
 
     def gradient(k):
         return finish(0.5 * d1(2 * k)), finish(0.5 * d1(2 * k + 1))
@@ -314,8 +335,10 @@ class MetricField:
     differences and real multiples of fields, which the arithmetic operators
     form entry by entry.  ``values`` builds the full field on each access and
     does not keep it.  ``det`` is computed once per field and shared by the
-    kernels.  The field may be indefinite (a Ricci form, a twist); the
-    kernels that need positivity say so.
+    kernels, and the positivity margin is proved once per field
+    (:meth:`require_positive`); both are kept beside the entries, which must
+    not change after either is taken.  The field may be indefinite (a Ricci
+    form, a twist); the kernels that need positivity say so.
     """
 
     # Leaves "scalar * field" to __rmul__ when the scalar is a numpy float.
@@ -343,7 +366,7 @@ class MetricField:
         if worst > 1e-10 * (1.0 + float(np.max(np.abs(v)))):
             raise ValueError(f"metric field is not Hermitian; deviation {worst:.3e}")
         self.a = np.ascontiguousarray(v[..., 0, 0].real)
-        self.d = self.b = self._det = None
+        self.d = self.b = self._det = self._margin = None
         if n == 2:
             self.d = np.ascontiguousarray(v[..., 1, 1].real)
             self.b = 0.5 * (v[..., 0, 1] + np.conj(v[..., 1, 0]))
@@ -353,7 +376,7 @@ class MetricField:
         """The field with triangle (a, d, b), unchecked: only for entries that
         are Hermitian by construction (a, d real)."""
         g = cls.__new__(cls)
-        g.grid, g.a, g.d, g.b, g._det = grid, a, d, b, None
+        g.grid, g.a, g.d, g.b, g._det, g._margin = grid, a, d, b, None, None
         return g
 
     @property
@@ -432,8 +455,16 @@ class MetricField:
         return out
 
     def log_determinant(self) -> np.ndarray:
+        """log det g, as a fresh array; raises unless det g > 0 everywhere.
+
+        A field whose margin :meth:`require_positive` recorded has det > 0
+        already, so the det > 0 scan runs only on a field never checked:
+        where the mean eigenvalue is positive lambda_min = det / (mean +
+        radius) has the sign of det, and elsewhere lambda_min = mean - radius
+        <= 0 would have failed the check.
+        """
         det = self.det
-        if not np.all(det > 0.0):
+        if self._margin is None and not np.all(det > 0.0):
             raise DegeneracyError("metric determinant is not positive everywhere")
         return clib_log(det)
 
@@ -451,10 +482,20 @@ class MetricField:
         return out
 
     def require_positive(self, what: str = "metric") -> float:
-        """The smallest eigenvalue over the grid; raises unless it is positive."""
+        """The smallest eigenvalue over the grid; raises ``DegeneracyError``
+        unless it is positive.
+
+        The margin proved is recorded on the field, and a second call returns
+        it with no pass over the grid.  A NaN eigenvalue fails the check: the
+        error then names the first NaN point and carries a NaN margin, and
+        nothing is recorded.
+        """
+        if self._margin is not None:
+            return self._margin
         eig = self.smallest_eigenvalues()
         margin = float(eig.min())
-        if margin <= 0.0:
+        if not margin > 0.0:
+            # argmin takes the first NaN, as min propagates it.
             worst = np.unravel_index(int(np.argmin(eig)), eig.shape)
             raise DegeneracyError(
                 f"{what} lost positive definiteness (min eigenvalue {margin:.3e} "
@@ -462,6 +503,7 @@ class MetricField:
                 worst_point=worst,
                 margin=margin,
             )
+        self._margin = margin
         return margin
 
 
@@ -472,21 +514,45 @@ def _entry_rows(M: MetricField) -> list[list[np.ndarray]]:
     return [[M.a, M.b], [np.conj(M.b), M.d]]
 
 
-def g_trace(ginv: MetricField, A: MetricField) -> np.ndarray:
-    """The g-trace sum_{k,l} g^{l k} A_{k l} of a Hermitian field in entry form.
+def _require_real_diagonal(*fields: MetricField) -> None:
+    """The one check of the real traces, O(1): entry fields are Hermitian by
+    construction once their diagonal entries are real arrays."""
+    for M in fields:
+        if np.iscomplexobj(M.a) or np.iscomplexobj(M.d):
+            raise ValueError("g-trace must be real; got a complex diagonal entry")
 
-    ``ginv`` is g^-1 (:meth:`MetricField.inverse`).  The sum is written out
-    entry by entry, checked real to TRACE_REAL_TOL relative to its size and
-    returned as a real field.  The off-diagonal terms of Hermitian entry
-    fields are exact conjugates, so their imaginary parts cancel exactly.
+
+def _real_trace(ginv: MetricField, a, d=None, b=None) -> np.ndarray:
+    """sum_{k,l} g^{l k} A_{k l} for the Hermitian A = [[a, b], [conj(b), d]]
+    (a alone at n=1), in real arithmetic:
+
+        g^{00} a + 2 (Re g^{01} Re b + Im g^{01} Im b) + g^{11} d.
     """
-    G, A = _entry_rows(ginv), _entry_rows(A)
-    rows = range(len(G))
-    out = _dot([G[l][k] for l in rows for k in rows], [A[k][l] for l in rows for k in rows])
-    worst = float(np.max(np.abs(out.imag)))
-    if worst > TRACE_REAL_TOL * (1.0 + float(np.max(np.abs(out.real)))):
-        raise ValueError(f"g-trace must be real; got imaginary part {worst:.3e}")
-    return out.real
+    out = ginv.a * a
+    if ginv.n == 1:
+        return out
+    q = ginv.b
+    cross = q.real * b.real
+    scratch = np.multiply(q.imag, b.imag)
+    cross += scratch
+    cross *= 2.0
+    out += cross
+    np.multiply(ginv.d, d, out=scratch)
+    out += scratch
+    return out
+
+
+def g_trace(ginv: MetricField, A: MetricField) -> np.ndarray:
+    """The g-trace sum_{k,l} g^{l k} A_{k l} of a Hermitian field in entry
+    form, a real field; ``ginv`` is g^-1 (:meth:`MetricField.inverse`).
+
+    The two off-diagonal terms are complex conjugates, so the trace is
+    g^{00} a + 2 Re(g^{01} conj(b)) + g^{11} d, taken in real arithmetic from
+    the real and imaginary parts of the entries.  A complex diagonal entry
+    (a field that is not Hermitian) raises ``ValueError``.
+    """
+    _require_real_diagonal(ginv, A)
+    return _real_trace(ginv, *A.entries)
 
 
 def flat_metric(grid: PeriodicGrid) -> MetricField:
@@ -546,16 +612,50 @@ def _dot(xs, ys):
 
 
 def g_pair_trace(ginv: MetricField, A: MetricField, B: MetricField) -> np.ndarray:
-    """tr(g^-1 A g^-1 B) = sum_{i,j} (g^-1 A)_{ij} (g^-1 B)_{ji} at every point,
-    for matrix fields A, B in entry form; ``ginv`` is g^-1.  Accumulated one
-    (i, j) product at a time, so one entry each of g^-1 A and g^-1 B exists
-    at once."""
-    G, A, B = _entry_rows(ginv), _entry_rows(A), _entry_rows(B)
-    rows = range(len(G))
-    return sum(
-        _dot(G[i], [A[p][j] for p in rows]) * _dot(G[j], [B[p][i] for p in rows])
-        for i, j in itertools.product(rows, rows)
-    )
+    """tr(g^-1 A g^-1 B) = sum_{i,j} X_{ij} Y_{ji}, X = g^-1 A and Y = g^-1 B,
+    at every point, for Hermitian fields A, B in entry form; ``ginv`` is
+    g^-1.  The trace is real and is taken in real arithmetic.
+
+    With p = g^{00}, r = g^{11}, q = g^{01} and M = [[a, b], [conj(b), d]],
+    s + i t = q conj(b):
+
+        (g^-1 M)_00 = p a + s + i t,   (g^-1 M)_11 = s + r d - i t,
+        (g^-1 M)_01 = p b + q d,       (g^-1 M)_10 = conj(q) a + r conj(b),
+
+    so the trace is Re X_00 Re Y_00 + Re X_11 Re Y_11 - 2 t_X t_Y plus, for
+    c each of Re and Im, U_c(A) L_c(B) + L_c(A) U_c(B) with
+    U_c(M) = p c(b) + c(q) d and L_c(M) = c(q) a + r c(b), which are
+    Re and Im of (g^-1 M)_01 and Re and -Im of (g^-1 M)_10.  The terms are
+    formed a group at a time, so few fields exist at once.
+    """
+    _require_real_diagonal(ginv, A, B)
+    p = ginv.a
+    if ginv.n == 1:
+        return (p * A.a) * (p * B.a)
+    r, q = ginv.d, ginv.b
+
+    def diagonal_parts(M):
+        """(Re (g^-1 M)_00, Re (g^-1 M)_11, t)."""
+        br, bi = M.b.real, M.b.imag
+        s = q.real * br
+        s += q.imag * bi
+        t = q.imag * br
+        t -= q.real * bi
+        return p * M.a + s, s + r * M.d, t
+
+    x00, x11, tx = diagonal_parts(A)
+    y00, y11, ty = diagonal_parts(B)
+    out = tx * ty
+    out *= -2.0
+    del tx, ty
+    out += x00 * y00
+    out += x11 * y11
+    del x00, x11, y00, y11
+    for part in (np.real, np.imag):
+        qc, ab, bb = part(q), part(A.b), part(B.b)
+        out += (p * ab + qc * A.d) * (qc * B.a + r * bb)
+        out += (qc * A.a + r * ab) * (p * bb + qc * B.d)
+    return out
 
 
 def curvature_field(grid: PeriodicGrid, g: MetricField) -> dict:
@@ -626,30 +726,79 @@ def curvature_field(grid: PeriodicGrid, g: MetricField) -> dict:
 
 def g_curvature_trace(ginv: MetricField, S: dict) -> MetricField:
     """The Ricci-type trace sum_{k,l} g^{l k} R_{i jbar k lbar} of a Sym²
-    curvature field (:func:`curvature_field`), in entry form."""
-    G, rows = _entry_rows(ginv), range(ginv.n)
+    curvature field (:func:`curvature_field`), in entry form.
 
-    def trace(i, j):
-        pairs = [(tuple(sorted((i, k))), tuple(sorted((j, l)))) for k in rows for l in rows]
-        entries = [S[P, Q] if P <= Q else np.conj(S[Q, P]) for P, Q in pairs]
-        return _dot([G[l][k] for k in rows for l in rows], entries)
+    A diagonal entry is the real trace (:func:`g_trace`) of g^-1 against the
+    Hermitian block R_{i ibar k lbar}, taken in real arithmetic; the
+    off-diagonal entry at n=2 is complex.
+    """
+    _require_real_diagonal(ginv)
+    n, rows = ginv.n, range(ginv.n)
 
-    off_diagonal = [trace(0, 1)] if ginv.n == 2 else []
-    return MetricField._from_entries(ginv.grid, *(trace(i, i).real for i in rows), *off_diagonal)
+    def entry(i, k, j, l):
+        P, Q = tuple(sorted((i, k))), tuple(sorted((j, l)))
+        return S[P, Q] if P <= Q else np.conj(S[Q, P])
+
+    def block(i):
+        """The entries (a, d, b) of the block R_{i ibar k lbar}; a alone at n=1."""
+        if n == 1:
+            return (entry(i, 0, i, 0),)
+        return entry(i, 0, i, 0), entry(i, 1, i, 1), entry(i, 0, i, 1)
+
+    diagonal = [_real_trace(ginv, *block(i)) for i in rows]
+    off_diagonal = []
+    if n == 2:
+        G = _entry_rows(ginv)
+        off_diagonal = [_dot([G[l][k] for k in rows for l in rows],
+                             [entry(0, k, 1, l) for k in rows for l in rows])]
+    return MetricField._from_entries(ginv.grid, *diagonal, *off_diagonal)
 
 
 def g_double_trace(ginv: MetricField, S: dict) -> np.ndarray:
     """tr_g tr_g R = sum g^{j i} g^{l k} R_{i jbar k lbar} of a Sym² curvature
     field, as one Hermitian trace sum_{P,Q} S[P, Q] M[P, Q] against Sym²(g^-1):
     M[P, Q] sums g^{j i} g^{l k} over (i, k) in the orbit of P and (j, l) in
-    that of Q.  S and M are Hermitian, so each P < Q adds 2 Re(S M); real."""
-    G = _entry_rows(ginv)
-    pairs, orbits, _ = sym2_index(ginv.n)
-    total = 0.0
-    for p, q in itertools.combinations_with_replacement(range(len(pairs)), 2):
-        terms = [(i, k, j, l) for i, k in orbits[p] for j, l in orbits[q]]
-        M = _dot([G[j][i] for i, k, j, l in terms], [G[l][k] for i, k, j, l in terms])
-        total = total + (1.0 if p == q else 2.0) * (S[pairs[p], pairs[q]] * M).real
+    that of Q.  S and M are Hermitian, so each P < Q adds 2 Re(S M); real.
+
+    With p = g^{00}, r = g^{11}, q = g^{01} and the pairs A = (0, 0),
+    B = (0, 1), C = (1, 1) at n=2,
+
+        M_AA = p^2,  M_BB = 2 (p r + |q|^2),  M_CC = r^2,
+        M_AB = 2 p conj(q),  M_BC = 2 r conj(q),  M_AC = conj(q)^2,
+
+    and the sum is taken in real arithmetic, through
+    Re(S conj(x)) = Re S Re x + Im S Im x for x = q and x = q^2.
+    """
+    _require_real_diagonal(ginv)
+    p = ginv.a
+    if ginv.n == 1:
+        return S[(0, 0), (0, 0)] * (p * p)
+    A, B, C = sym2_index(2)[0]
+    r, qr, qi = ginv.d, ginv.b.real, ginv.b.imag
+
+    def re_conj(s, xr, xi):
+        """Re(s conj(x)) for x = xr + i xi."""
+        out = s.real * xr
+        out += s.imag * xi
+        return out
+
+    total = (p * p) * S[A, A]
+    total += (r * r) * S[C, C]
+    m = p * r
+    m += qr * qr
+    m += qi * qi
+    m *= S[B, B]
+    m *= 2.0
+    total += m
+    # 2 Re(S_AB M_AB) + 2 Re(S_BC M_BC) = 4 (p Re(S_AB conj q) + r Re(S_BC conj q)).
+    m = p * re_conj(S[A, B], qr, qi)
+    m += r * re_conj(S[B, C], qr, qi)
+    m *= 4.0
+    total += m
+    # 2 Re(S_AC conj(q^2)), q^2 = (qr^2 - qi^2) + 2 i qr qi.
+    m = re_conj(S[A, C], qr * qr - qi * qi, 2.0 * qr * qi)
+    m *= 2.0
+    total += m
     return total
 
 

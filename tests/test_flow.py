@@ -566,10 +566,12 @@ class TestOnePassAnalysis:
         return reconstructed, attempts
 
     def test_each_snapshot_metric_is_reconstructed_and_inverted_once(self, monkeypatch):
-        # Each step builds and checks two metrics, the midpoint and the end; a
-        # snapshot's analysis inverts its step's end metric and builds none.
+        # Each step builds and checks two metrics, the midpoint and the end,
+        # with one lambda_min pass each; a snapshot's analysis inverts its
+        # step's end metric and builds none.
         inverse, require_positive = MetricField.inverse, MetricField.require_positive
-        inverted, checked = [], []
+        smallest = MetricField.smallest_eigenvalues
+        inverted, checked, passes = [], [], []
 
         def counting_inverse(self):
             inverted.append(self)
@@ -579,18 +581,26 @@ class TestOnePassAnalysis:
             checked.append(self)
             return require_positive(self, what)
 
+        def counting_smallest(self):
+            passes.append(self)
+            return smallest(self)
+
         reconstructed, _ = self.count_calls(monkeypatch)
         monkeypatch.setattr(MetricField, "inverse", counting_inverse)
         monkeypatch.setattr(MetricField, "require_positive", counting_require_positive)
+        monkeypatch.setattr(MetricField, "smallest_eigenvalues", counting_smallest)
         result = run_flow(self.mixed_config(0.02))
         assert len(result.snapshots) == result.steps + 1 >= 5
         assert len(reconstructed) == 2 * result.steps
         h = result.model.h
-        assert [id(g) for g in checked if g is not h] == [id(g) for g in reconstructed]
+        for fields in (checked, passes):
+            assert [id(g) for g in fields if g is not h] == [id(g) for g in reconstructed]
         assert [id(g) for g in inverted if g is not h] == [id(g) for g in reconstructed[1::2]]
-        # h is checked by the model and inverted for sigma and the start row;
-        # curvature_field checks and inverts it once more for R_h.
+        # The model proves h positive, with the one lambda_min pass on h, and
+        # inverts it for sigma and the start row.  curvature_field asks again
+        # and reads the recorded margin, and inverts h once more for R_h.
         assert sum(g is h for g in checked) == sum(g is h for g in inverted) == 2
+        assert sum(g is h for g in passes) == 1
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_reconstructs_twice_per_step_attempt(self, n, monkeypatch):

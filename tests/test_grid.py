@@ -375,6 +375,47 @@ class TestClosedFormKernels:
         expected = np.linalg.eigvalsh(values[2, 3, 4, 5])[0]
         assert err.value.margin == pytest.approx(expected, rel=1e-12)
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_nan_entry_is_rejected_at_first_nan(self, n):
+        grid = PeriodicGrid(n=n, N=8)
+        g = MetricField(grid, random_metric_values(n, grid.shape, np.random.default_rng(30 + n)))
+        first = (2, 1) if n == 1 else (0, 3, 1, 2)
+        later = (5, 6) if n == 1 else (4, 0, 2, 6)
+        g.a[later] = np.nan
+        if n == 1:
+            g.a[first] = np.nan
+        else:
+            g.b[first] = complex(np.nan, 0.0)
+        for _ in range(2):
+            # No NaN margin is recorded, so a second check fails the same way.
+            with pytest.raises(DegeneracyError) as err:
+                g.require_positive()
+            assert err.value.worst_point == first
+            assert np.isnan(err.value.margin)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_positivity_is_proved_once_per_field(self, n, monkeypatch):
+        grid = PeriodicGrid(n=n, N=8)
+        values = random_metric_values(n, grid.shape, np.random.default_rng(40 + n), 7)
+        g = MetricField(grid, values)
+        smallest, passes = MetricField.smallest_eigenvalues, []
+
+        def counting_smallest(self):
+            passes.append(self)
+            return smallest(self)
+
+        monkeypatch.setattr(MetricField, "smallest_eigenvalues", counting_smallest)
+        margin = g.require_positive()
+        assert margin == float(smallest(g).min()) > 0.0
+        assert g.require_positive("again") == margin
+        assert passes == [g]
+        # A proved margin implies det > 0, so log det needs no scan of its own.
+        assert np.all(g.det > 0.0)
+        unchecked = MetricField._from_entries(grid, *g.entries)
+        assert np.array_equal(g.log_determinant(), unchecked.log_determinant())
+        assert unchecked.require_positive() == margin
+        assert passes == [g, unchecked]
+
 
 class TestRicci:
     def test_flat_metric_has_zero_ricci(self):
@@ -654,6 +695,7 @@ class TestPairTrace:
         G = ginv.values
         ref = np.einsum("...li,...jk,...ij,...kl->...", G, G, A.values, B.values, optimize=True)
         out = g_pair_trace(ginv, A, B)
+        assert out.dtype == float
         assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
@@ -726,6 +768,8 @@ class TestHermitianHalf:
         A.a = A.a + 1j
         with pytest.raises(ValueError, match="g-trace must be real"):
             g_trace(ginv, A)
+        with pytest.raises(ValueError, match="g-trace must be real"):
+            g_pair_trace(ginv, self.field(n, 11), A)
 
 
 class TestLaplacian:

@@ -41,6 +41,19 @@ def test_step_timing_prints_the_hessian_layer(capsys):
     assert float(hessian[0].split()[2]) > 0.0
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_step_timing_prints_the_positivity_and_trace_layers(n, capsys):
+    argv = ["--n", str(n), "--resolution", "8", "--discretization", "fd2", "--steps", "1"]
+    assert load_script("step_timing.py").main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    positivity = [line for line in lines if line.startswith("positivity+log det: ")]
+    trace = [line for line in lines if line.startswith("g_trace: ")]
+    assert len(positivity) == len(trace) == 1
+    assert positivity[0].split()[3:6] == ["µs", "per", "metric,"]
+    assert trace[0].split()[2] == "µs,"
+    assert float(positivity[0].split()[2]) > 0.0 and float(trace[0].split()[1]) > 0.0
+
+
 def load_script(script):
     spec = importlib.util.spec_from_file_location(f"script_{Path(script).stem}", SCRIPTS / script)
     module = importlib.util.module_from_spec(spec)
