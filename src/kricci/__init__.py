@@ -42,7 +42,6 @@ from .forms import (
     scalar,
     shift_sigma,
     symmetrize,
-    unitary_frame,
     validate_symmetries,
 )
 from .grid import (

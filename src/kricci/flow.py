@@ -130,8 +130,8 @@ class FlowConfig:
 
 
 def _real_potential(grid: PeriodicGrid, values, what: str) -> np.ndarray:
-    """A real, grid-shaped potential from a config or caller (None is zero);
-    complex input raises ``ValueError`` rather than losing its imaginary part."""
+    """A real, finite, grid-shaped potential from a config or caller (None is
+    zero); complex input raises ``ValueError`` rather than losing Im."""
     if values is None:
         return np.zeros(grid.shape)
     values = np.asarray(values)
@@ -139,6 +139,8 @@ def _real_potential(grid: PeriodicGrid, values, what: str) -> np.ndarray:
         raise ValueError(f"{what} potential must be real, got a complex array")
     if values.shape != grid.shape:
         raise ValueError(f"{what} potential must have shape {grid.shape}")
+    if not np.isfinite(values).all():
+        raise ValueError(f"{what} potential must be finite")
     return values.astype(float, copy=False)
 
 
@@ -640,12 +642,13 @@ def check_trace_evolution(
     v = (2.0 * beta / alpha) * model.u
     rho = model.ric_h + dbar_hessian(grid, phi_twist)
     gap = mu * model.h + dbar_hessian(grid, v) - rho
-    gap_margin = float(gap.smallest_eigenvalues().min())
-    if gap_margin <= 0:
+    try:
+        gap.require_positive("pointwise gap")
+    except DegeneracyError as err:
         raise HypothesisError(
             "rho < mu omega_h + d dbar v",
-            f"pointwise gap has min eigenvalue {gap_margin:.3e}",
-        )
+            f"pointwise gap has min eigenvalue {err.margin:.3e}",
+        ) from err
     lam_est = _mixed_level_estimate(model, rho, alpha, beta)
     if lam_est > tol:
         raise HypothesisError(

@@ -52,7 +52,6 @@ __all__ = [
     "sym2_index",
     "symmetrize",
     "unit_sphere_samples",
-    "unitary_frame",
     "validate_symmetries",
 ]
 
@@ -98,6 +97,9 @@ class HermitianForm:
         A = np.asarray(self.entries, dtype=complex)
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {A.shape}")
+        # A NaN passes the Hermiticity test and numpy's Cholesky factorization.
+        if not np.isfinite(A).all():
+            raise ValueError("matrix has a NaN or infinite entry")
         scale = max(1.0, float(np.max(np.abs(A))) if A.size else 0.0)
         if np.max(np.abs(A - A.conj().T)) > 1e-12 * scale:
             raise ValueError("matrix is not Hermitian within 1e-12")
@@ -111,15 +113,13 @@ class HermitianForm:
     def identity(cls, n: int) -> "HermitianForm":
         return cls(np.eye(n, dtype=complex))
 
-    def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.entries)
-
-    def is_positive_definite(self) -> bool:
-        return bool(self.eigenvalues()[0] > 0.0)
-
     def require_positive(self, what="form") -> "HermitianForm":
-        if not self.is_positive_definite():
-            raise ValueError(f"{what} must be positive definite")
+        """This form, once the Cholesky factorization of :func:`cholesky_frame`
+        proves it positive definite; ``ValueError`` otherwise."""
+        try:
+            cholesky_frame(self)
+        except ValueError:
+            raise ValueError(f"{what} must be positive definite") from None
         return self
 
     def __call__(self, X, Y=None):
@@ -292,17 +292,14 @@ def norm_h(X, h: HermitianForm) -> float:
 
 
 def cholesky_frame(h: HermitianForm) -> tuple[np.ndarray, np.ndarray]:
-    """Cholesky factor L (H = L L^H) and the h-unitary frame E = L^{-T}."""
+    """Cholesky factor L (H = L L^H) and the h-unitary frame E = L^{-T}.  The
+    factorization is the one positivity proof of a single form: it raises
+    ``ValueError`` unless h is positive definite."""
     try:
         L = np.linalg.cholesky(h.entries)
     except np.linalg.LinAlgError as exc:
         raise ValueError("metric must be positive definite") from exc
     return L, np.linalg.inv(L).T
-
-
-def unitary_frame(h: HermitianForm) -> np.ndarray:
-    """Columns of an h-unitary frame (h(E_i, Ē_j) = δ_ij)."""
-    return cholesky_frame(h)[1]
 
 
 def unit_sphere_samples(h: HermitianForm, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -378,20 +375,15 @@ def hsc(S: BihermitianForm, h: HermitianForm, X) -> float:
     return val / nrm**4
 
 
-def _pd_inverse(h: HermitianForm) -> np.ndarray:
-    h.require_positive("metric")
-    return np.linalg.inv(h.entries)
-
-
 def ricci_trace(S: BihermitianForm, h: HermitianForm) -> HermitianForm:
     """The Ricci form Ric(X, Ȳ) = tr_h S(X, Ȳ, ·, ·).
 
     Computed both by h-inverse contraction and in an h-unitary frame; the two
-    routes must agree to 1e-12, which guards the index wiring.
+    routes must agree to 1e-12, which guards the index wiring.  The frame is
+    built first, so its factorization proves h positive definite.
     """
-    Hinv = _pd_inverse(h)
-    ric = np.einsum("abkl,lk->ab", S.entries, Hinv)
-    E = unitary_frame(h)
+    E = cholesky_frame(h)[1]
+    ric = np.einsum("abkl,lk->ab", S.entries, np.linalg.inv(h.entries))
     ric_frame = np.einsum("abkl,km,lm->ab", S.entries, E, np.conj(E))
     scale = max(1.0, float(np.max(np.abs(ric))))
     if np.max(np.abs(ric - ric_frame)) > 1e-12 * scale:
@@ -400,10 +392,10 @@ def ricci_trace(S: BihermitianForm, h: HermitianForm) -> HermitianForm:
 
 
 def scalar(S: BihermitianForm, h: HermitianForm) -> float:
-    """Scalar curvature: the h-trace of the Ricci form."""
-    Hinv = _pd_inverse(h)
+    """Scalar curvature: the h-trace of the Ricci form (whose frame proves h
+    positive definite)."""
     ric = ricci_trace(S, h)
-    val = np.trace(ric.entries @ Hinv)
+    val = np.trace(ric.entries @ np.linalg.inv(h.entries))
     return require_real(val, scale=abs(val), what="scalar curvature")
 
 

@@ -31,9 +31,9 @@ real, grid-shaped field and returns the entry form below.
 
 A metric field is stored as its Hermitian upper triangle: the real field a
 at n=1, and at n=2 the real fields a, d and the complex field b with
-g = [[a, b], [conj(b), d]].  Fields are validated (shape, Hermiticity to
-1e-10) and symmetrized only where they enter from outside, by the public
-``MetricField(grid, values)``; fields that are Hermitian by construction
+g = [[a, b], [conj(b), d]].  Fields are validated (shape, finite entries,
+Hermiticity to 1e-10) and symmetrized only where they enter from outside,
+by the public ``MetricField(grid, values)``; fields that are Hermitian by construction
 (complex Hessians of real fields and real combinations of Hermitian fields)
 are assembled from their entries with no check, so the flow's step path
 never builds or re-validates a full (..., n, n) field.  The inverse g^-1 is
@@ -42,11 +42,11 @@ one of these too, so every g-trace reads g^-1 as its entries.  The full field
 
 Because n <= 2, the metric kernels (smallest eigenvalue, log determinant,
 inverse, unitary frame) are closed forms in the entries a, d, b rather than
-batched LAPACK calls; they share one determinant per field.  Positivity is
-proved once per field: :meth:`MetricField.require_positive` records the
-margin it proved, a second call returns it, and the log determinant of a
-field with a recorded margin skips its own det > 0 scan (a positive
-lambda_min implies det > 0, see :meth:`MetricField.log_determinant`).
+batched LAPACK calls; they share one determinant per field.  Positivity has
+one proof, :meth:`MetricField.require_positive`, made once per field: it
+records the margin lambda_min it proved, and a second call returns it.  The
+log determinant asks for that proof, so on a field already checked it costs
+no pass over the grid.
 
 The g-traces of Hermitian fields are real, and the kernels compute them in
 real arithmetic from the real and imaginary parts of the entries: no complex
@@ -328,13 +328,13 @@ class MetricField:
     ``b`` = g_01, so g = [[a, b], [conj(b), d]].
 
     ``MetricField(grid, values)`` takes a full (..., n, n) field from outside
-    (files, configs, callers): it checks the shape and Hermiticity to 1e-10,
-    symmetrizes to 0.5 (v + v^H) and keeps the triangle.  Fields that are
-    Hermitian by construction come from :meth:`_from_entries` with no check:
-    complex Hessians of real fields (:func:`dbar_hessian`) and sums,
-    differences and real multiples of fields, which the arithmetic operators
-    form entry by entry.  ``values`` builds the full field on each access and
-    does not keep it.  ``det`` is computed once per field and shared by the
+    (files, configs, callers): it checks the shape, finiteness and
+    Hermiticity to 1e-10, symmetrizes to 0.5 (v + v^H) and keeps the
+    triangle.  Fields that are Hermitian by construction come from
+    :meth:`_from_entries` with no check: complex Hessians of real fields
+    (:func:`dbar_hessian`) and sums, differences and real multiples of
+    fields, which the arithmetic operators form entry by entry.  ``values``
+    builds the full field on each access and does not keep it.  ``det`` is computed once per field and shared by the
     kernels, and the positivity margin is proved once per field
     (:meth:`require_positive`); both are kept beside the entries, which must
     not change after either is taken.  The field may be indefinite (a Ricci
@@ -359,6 +359,8 @@ class MetricField:
         expected = self.grid.shape + (n, n)
         if v.shape != expected:
             raise ValueError(f"expected shape {expected}, got {v.shape}")
+        if not np.isfinite(v).all():
+            raise ValueError("metric field has a NaN or infinite entry")
         # max |v - v^H| entry by entry: a diagonal entry deviates by 2 |Im v_ii|.
         worst = max(2.0 * float(np.max(np.abs(v[..., i, i].imag))) for i in range(n))
         if n == 2:
@@ -455,18 +457,10 @@ class MetricField:
         return out
 
     def log_determinant(self) -> np.ndarray:
-        """log det g, as a fresh array; raises unless det g > 0 everywhere.
-
-        A field whose margin :meth:`require_positive` recorded has det > 0
-        already, so the det > 0 scan runs only on a field never checked:
-        where the mean eigenvalue is positive lambda_min = det / (mean +
-        radius) has the sign of det, and elsewhere lambda_min = mean - radius
-        <= 0 would have failed the check.
-        """
-        det = self.det
-        if self._margin is None and not np.all(det > 0.0):
-            raise DegeneracyError("metric determinant is not positive everywhere")
-        return clib_log(det)
+        """log det g, as a fresh array, of a field :meth:`require_positive`
+        proves positive; raises its ``DegeneracyError`` otherwise."""
+        self.require_positive()
+        return clib_log(self.det)
 
     def smallest_eigenvalues(self) -> np.ndarray:
         """lambda_min, as det / lambda_max where the mean eigenvalue is
@@ -485,10 +479,11 @@ class MetricField:
         """The smallest eigenvalue over the grid; raises ``DegeneracyError``
         unless it is positive.
 
-        The margin proved is recorded on the field, and a second call returns
-        it with no pass over the grid.  A NaN eigenvalue fails the check: the
-        error then names the first NaN point and carries a NaN margin, and
-        nothing is recorded.
+        The one positivity proof of a field, which :meth:`log_determinant`
+        asks for too.  The margin proved is recorded on the field, and a
+        second call returns it with no pass over the grid.  A NaN eigenvalue
+        fails: the error names the first NaN point (a tuple of ints, as every
+        ``worst_point``) and carries a NaN margin, and nothing is recorded.
         """
         if self._margin is not None:
             return self._margin
@@ -496,7 +491,7 @@ class MetricField:
         margin = float(eig.min())
         if not margin > 0.0:
             # argmin takes the first NaN, as min propagates it.
-            worst = np.unravel_index(int(np.argmin(eig)), eig.shape)
+            worst = tuple(int(i) for i in np.unravel_index(int(np.argmin(eig)), eig.shape))
             raise DegeneracyError(
                 f"{what} lost positive definiteness (min eigenvalue {margin:.3e} "
                 f"at grid point {worst})",
@@ -597,7 +592,6 @@ def ricci_field(grid: PeriodicGrid, g: MetricField) -> MetricField:
     Every component has exact zero grid mean (summation by parts), so the
     discrete total Ricci class vanishes identically, matching the torus.
     """
-    g.require_positive("metric")
     return -dbar_hessian(grid, g.log_determinant())
 
 

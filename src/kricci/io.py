@@ -81,10 +81,17 @@ def _complex_pairs(values: np.ndarray) -> list:
     return [[float(z.real), float(z.imag)] for z in flat]
 
 
-def _complex_from_pairs(pairs, shape) -> np.ndarray:
+def _require_finite(arr: np.ndarray, key: str, path) -> None:
+    """``json`` reads NaN and Infinity literals: reject them, naming file and key."""
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{path}: {key} must be finite, got a NaN or infinite value")
+
+
+def _complex_from_pairs(pairs, shape, key: str, path) -> np.ndarray:
     arr = np.asarray(pairs, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] != int(np.prod(shape)):
-        raise ValueError(f"expected {int(np.prod(shape))} [re, im] pairs")
+        raise ValueError(f"{path}: {key}: expected {int(np.prod(shape))} [re, im] pairs")
+    _require_finite(arr, key, path)
     return (arr[:, 0] + 1j * arr[:, 1]).reshape(shape)
 
 
@@ -118,14 +125,14 @@ def load_tensor(path) -> LoadedTensor:
     if kind is None:
         kind = {n * n: "hermitian", n**4: "bihermitian"}.get(count)
     if kind == "hermitian":
-        raw = _complex_from_pairs(entries, (n, n))
+        raw = _complex_from_pairs(entries, (n, n), "entries", path)
         violation = float(np.max(np.abs(raw - raw.conj().T)))
         return LoadedTensor(
             form=HermitianForm(0.5 * (raw + raw.conj().T)),
             pre_projection_violation=violation,
         )
     if kind == "bihermitian":
-        raw = _complex_from_pairs(entries, (n, n, n, n))
+        raw = _complex_from_pairs(entries, (n, n, n, n), "entries", path)
         violation = validate_symmetries(raw).max_violation
         return LoadedTensor(form=symmetrize(raw), pre_projection_violation=violation)
     raise ValueError(f"{path}: cannot determine tensor kind from {count} entries")
@@ -160,9 +167,10 @@ def load_field(path) -> ScalarField | MetricField:
     grid = PeriodicGrid(n, N, discretization)
     if kind == "scalar":
         arr = np.asarray(values, dtype=float).reshape(grid.shape)
+        _require_finite(arr, "values", path)
         return ScalarField(grid, arr)
     if kind == "metric":
-        arr = _complex_from_pairs(values, grid.shape + (n, n))
+        arr = _complex_from_pairs(values, grid.shape + (n, n), "values", path)
         return MetricField(grid, arr)
     raise ValueError(f"{path}: unknown field kind {kind!r}")
 
@@ -195,7 +203,7 @@ def load_certificate(path) -> dict:
     witness = data.get("witness")
     if witness is not None:
         witness["columns"] = _complex_from_pairs(
-            witness["columns"], (int(witness["n"]), int(witness["k"]))
+            witness["columns"], (int(witness["n"]), int(witness["k"])), "witness.columns", path
         )
     return data
 
@@ -242,11 +250,13 @@ def _potential_from_spec(spec, grid: PeriodicGrid, path: Path) -> np.ndarray | N
 
 
 def _number(cast, value, key: str, path):
-    """``cast(value)`` for a JSON number ``value``, integral when ``cast`` is
-    int; anything else (a bool, a string, 8.9 for an int) is a ValueError
-    naming the file and the key."""
+    """``cast(value)`` for a finite JSON number ``value``, integral when
+    ``cast`` is int; anything else (a bool, a string, NaN or Infinity, 8.9
+    for an int) is a ValueError naming the file and the key."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{path}: {key} must be a number, got {value!r}")
+    if isinstance(value, float) and not np.isfinite(value):
+        raise ValueError(f"{path}: {key} must be finite, got {value!r}")
     if cast is int and isinstance(value, float) and not value.is_integer():
         raise ValueError(f"{path}: {key} must be an integer, got {value!r}")
     return cast(value)

@@ -60,13 +60,15 @@ def g_unitary_h_diagonal_frame(
 
     Returns ``(tau, E)`` with tau ascending; E's columns are the frame
     vectors.  Both forms must be positive definite.  E = E_g conj(V) with
-    E_g g's unitary frame and V the eigenvectors of h in that frame.
+    E_g g's unitary frame and V the eigenvectors of h in that frame.  E_g
+    proves g positive, and tau proves h positive (Sylvester's law of inertia).
     """
     if g.n != h.n:
         raise ValueError("g and h must have the same dimension")
-    h.require_positive("h")
     _, Eg = cholesky_frame(g)
     tau, V = np.linalg.eigh(congruence(Eg, h.entries))
+    if not tau[0] > 0.0:
+        raise ValueError("h must be positive definite")
     return tau, Eg @ np.conj(V)
 
 

@@ -344,21 +344,20 @@ def generate_forms(
     count: int,
     seed: int,
     constraint: RicKUpper | None = None,
-    certify: CertifyOptions | None = None,
 ) -> list[tuple[BihermitianForm, float]]:
     """Deterministic stream of random forms, each with its recorded shift.
 
     Unconstrained forms are emitted as drawn (shift 0).  Under a constraint
-    the form is shifted along the model direction until the certified k-Ricci
-    maximum sits below the bound; the shift is exact to first order because
-    the extreme moves linearly along that direction, so one correction
-    normally suffices.  Raises RuntimeError after 100 failed attempts.
+    the form is shifted along the model direction until its k-Ricci maximum,
+    certified with ``SUITE_CERTIFY``, sits below the bound; the shift is exact
+    to first order because the extreme moves linearly along that direction, so
+    one correction normally suffices.  Raises RuntimeError after 100 failed
+    attempts.
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
     if constraint is not None and n > 6:
         raise ValueError("constrained generation supports n <= 6")
-    options = certify or SUITE_CERTIFY
     h = HermitianForm(np.eye(n))
     out = []
     for i in range(count):
@@ -370,7 +369,7 @@ def generate_forms(
             placed = False
             for attempt in range(100):
                 cert = certify_k_ricci(
-                    S, h, k, bound=bound, options=options, rng=np.random.default_rng([seed, i, attempt])
+                    S, h, k, bound=bound, options=SUITE_CERTIFY, rng=np.random.default_rng([seed, i, attempt])
                 )
                 if cert.status == "satisfied":
                     placed = True

@@ -40,7 +40,7 @@ from kricci.royden import (
     ric_scalar_matrix,
     royden_identity_check,
 )
-from kricci.suites import CertifyOptions, RicKUpper, generate_forms
+from kricci.suites import RicKUpper, generate_forms
 
 
 def _report(num, label, ok, detail):
@@ -204,10 +204,7 @@ def test_criterion_03_eigen_selection_vs_sampling():
 def test_criterion_04_interpolation_under_certified_bound():
     n, k, sigma = 3, 2, 1.0
     h = _identity(n)
-    options = CertifyOptions(starts=16, presweep=256, max_iter=120)
-    forms = generate_forms(
-        n, 50, seed=31, constraint=RicKUpper(k, -(k + 1) * sigma), certify=options
-    )
+    forms = generate_forms(n, 50, seed=31, constraint=RicKUpper(k, -(k + 1) * sigma))
     worst = math.inf
     for i, (S, _shift) in enumerate(forms):
         rng = np.random.default_rng([32, i])

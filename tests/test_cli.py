@@ -1,6 +1,7 @@
 """Command line contract: exit codes, file outputs, determinism."""
 
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -185,6 +186,19 @@ class TestCertify:
         assert run_cli("certify", path, "--bound", 0.0) == 2
         assert "bihermitian" in capsys.readouterr().err
 
+    def test_indefinite_metric_exits_2(self, model_form_file, tmp_path, capsys, monkeypatch):
+        # The metric's Cholesky factorization is its positivity proof.
+        def forbidden(*args, **kwargs):
+            raise AssertionError("eigvalsh called")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
+        metric = tmp_path / "indefinite.json"
+        save_tensor(metric, HermitianForm(np.diag([1.0, -0.5])))
+        assert run_cli("certify", model_form_file, "--metric", metric, "--k", 1) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: metric must be positive definite\n"
+        assert "status=" not in captured.out
+
 
 GRID = {"n": 1, "N": 8}
 
@@ -199,6 +213,7 @@ GRID = {"n": 1, "N": 8}
         ("flow", {"grid": GRID, "background": {"modes": [{"k": [1.7, 0], "amp": 0.01}]}}),
         ("flow", {"grid": GRID, "background": {"modes": [{"k": [1, 0], "amp": "0.01"}]}}),
         ("flow", {"grid": GRID, "background": {"modes": [{"k": [1, 0], "amp": [0.01, True]}]}}),
+        ("flow", {"grid": GRID, "background": {"modes": [{"k": [1, 0], "amp": -math.inf}]}}),
         ("flow", {"grid": GRID, "t_end": None}),
         ("flow", {"grid": GRID, "cadence": [1]}),
         ("flow", {"grid": GRID, "dt": "fast"}),
@@ -218,6 +233,7 @@ GRID = {"n": 1, "N": 8}
         "mode-k-fractional",
         "mode-amp-string",
         "mode-amp-bool",
+        "mode-amp-inf",
         "t_end-null",
         "cadence-list",
         "dt-string",
@@ -258,6 +274,10 @@ def tensor_payload(n):
         ("certify", tensor_payload(True), "n must be a number"),
         ("certify", tensor_payload("1"), "n must be a number"),
         ("certify", tensor_payload(1.5), "n must be an integer"),
+        ("flow", {"grid": GRID, "mu": math.nan}, "mu must be finite"),
+        ("flow", {"grid": GRID, "alpha": math.inf}, "alpha must be finite"),
+        ("certify", {"kind": "bihermitian", "n": 1, "entries": [[math.nan, 0.0]]},
+         "entries must be finite"),
     ],
     ids=[
         "N-and-cadence-fractional",
@@ -271,6 +291,9 @@ def tensor_payload(n):
         "tensor-n-bool",
         "tensor-n-string",
         "tensor-n-fractional",
+        "mu-nan",
+        "alpha-inf",
+        "tensor-entry-nan",
     ],
 )
 def test_non_number_or_fractional_integer_exits_2(tmp_path, capsys, command, payload, key):
@@ -281,6 +304,21 @@ def test_non_number_or_fractional_integer_exits_2(tmp_path, capsys, command, pay
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}: {key}")
     assert not (tmp_path / "out").exists()
+
+
+def test_non_finite_metric_and_field_files_exit_2(tmp_path, capsys):
+    form, metric = tmp_path / "form.json", tmp_path / "metric.json"
+    save_tensor(form, random_bihermitian(2, np.random.default_rng(3)))
+    entries = [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [math.inf, 0.0]]
+    save_json(metric, {"kind": "hermitian", "n": 2, "entries": entries})
+    assert run_cli("certify", form, "--metric", metric) == 2
+    assert capsys.readouterr().err.startswith(f"error: {metric}: entries must be finite")
+    field = tmp_path / "field.json"
+    save_json(field, {"n": 1, "N": 8, "kind": "scalar", "values": [0.0] * 63 + [math.nan]})
+    config = tmp_path / "flow.json"
+    save_json(config, {"grid": GRID, "background": {"file": "field.json"}})
+    assert run_cli("flow", config, "--out", tmp_path / "out") == 2
+    assert capsys.readouterr().err.startswith(f"error: {field}: values must be finite")
 
 
 @pytest.mark.parametrize(

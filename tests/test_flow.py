@@ -172,6 +172,29 @@ class TestRealPotentials:
                 result, mu=1.0, twist_potential=self.imaginary_mode(result.config.grid)
             )
 
+    @staticmethod
+    def planted(grid, value):
+        """A zero potential with ``value`` at one grid point."""
+        values = np.zeros(grid.shape)
+        values[2, 5] = value
+        return values
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_background_and_twist_are_rejected(self, value):
+        grid = PeriodicGrid(1, 8)
+        with pytest.raises(ValueError, match="^background potential must be finite$"):
+            FlowModel(FlowConfig(grid=grid, background=self.planted(grid, value)))
+        twist = TwistSpec(c=0.0, potential=self.planted(grid, value))
+        with pytest.raises(ValueError, match="^twist potential must be finite$"):
+            FlowModel(FlowConfig(grid=grid, twist=twist))
+
+    def test_non_finite_trace_evolution_twist_is_rejected(self):
+        result = run_flow(homogeneous_config(c=0.0, t_final=0.01, dt=5e-3, every=1))
+        with pytest.raises(ValueError, match="^twist potential must be finite$"):
+            check_trace_evolution(
+                result, mu=1.0, twist_potential=self.planted(result.config.grid, np.nan)
+            )
+
 
 class TestDegeneracy:
     def test_step_collapse_near_horizon(self):
@@ -370,6 +393,21 @@ class TestTraceEvolution:
         with pytest.raises(HypothesisError, match="rho"):
             check_trace_evolution(result, mu=-1.0)
 
+    def test_rejects_a_nan_gap(self, monkeypatch):
+        # No public input carries a NaN this far, so one is planted in the
+        # twist's complex Hessian: the gap's positivity proof must fail on it.
+        result = run_flow(homogeneous_config(c=0.0, t_final=0.1))
+        hessian = kricci.flow.dbar_hessian
+
+        def planted(grid, f):
+            out = hessian(grid, f)
+            out.a[3, 4] = np.nan
+            return out
+
+        monkeypatch.setattr(kricci.flow, "dbar_hessian", planted)
+        with pytest.raises(HypothesisError, match=r"^rho < mu omega_h \+ d dbar v: .* nan$"):
+            check_trace_evolution(result, mu=1.0)
+
     def test_rejects_positive_mixed_level(self):
         grid = PeriodicGrid(1, 16)
         config = FlowConfig(
@@ -567,8 +605,9 @@ class TestOnePassAnalysis:
 
     def test_each_snapshot_metric_is_reconstructed_and_inverted_once(self, monkeypatch):
         # Each step builds and checks two metrics, the midpoint and the end,
-        # with one lambda_min pass each; a snapshot's analysis inverts its
-        # step's end metric and builds none.
+        # with one lambda_min pass each: the step asks for the proof, and the
+        # metric's log det asks again and reads the recorded margin.  A
+        # snapshot's analysis inverts its step's end metric and builds none.
         inverse, require_positive = MetricField.inverse, MetricField.require_positive
         smallest = MetricField.smallest_eigenvalues
         inverted, checked, passes = [], [], []
@@ -593,13 +632,16 @@ class TestOnePassAnalysis:
         assert len(result.snapshots) == result.steps + 1 >= 5
         assert len(reconstructed) == 2 * result.steps
         h = result.model.h
-        for fields in (checked, passes):
-            assert [id(g) for g in fields if g is not h] == [id(g) for g in reconstructed]
+        twice = [id(g) for g in reconstructed for _ in range(2)]
+        assert [id(g) for g in checked if g is not h] == twice
+        assert [id(g) for g in passes if g is not h] == [id(g) for g in reconstructed]
         assert [id(g) for g in inverted if g is not h] == [id(g) for g in reconstructed[1::2]]
         # The model proves h positive, with the one lambda_min pass on h, and
-        # inverts it for sigma and the start row.  curvature_field asks again
-        # and reads the recorded margin, and inverts h once more for R_h.
-        assert sum(g is h for g in checked) == sum(g is h for g in inverted) == 2
+        # inverts it for sigma and the start row.  log det h and
+        # curvature_field ask again and read the recorded margin, and
+        # curvature_field inverts h once more for R_h.
+        assert sum(g is h for g in checked) == 3
+        assert sum(g is h for g in inverted) == 2
         assert sum(g is h for g in passes) == 1
 
     @pytest.mark.parametrize("n", [1, 2])

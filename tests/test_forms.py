@@ -29,7 +29,6 @@ from kricci.forms import (
     shift_sigma,
     symmetrize,
     unit_sphere_samples,
-    unitary_frame,
     validate_symmetries,
 )
 
@@ -67,8 +66,49 @@ class TestHermitianForm:
         assert h(e2, 2j * e2) == -4j
 
     def test_positive_definite_check(self):
-        assert HermitianForm(np.diag([1.0, 2.0])).is_positive_definite()
-        assert not HermitianForm(np.diag([1.0, -2.0])).is_positive_definite()
+        h = HermitianForm(np.diag([1.0, 2.0]))
+        assert h.require_positive() is h
+        with pytest.raises(ValueError, match="^h must be positive definite$"):
+            HermitianForm(np.diag([1.0, -2.0])).require_positive("h")
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, complex(0.0, np.nan)])
+    def test_rejects_non_finite_entries(self, value):
+        # A NaN passes the Hermiticity test and numpy's Cholesky factorization.
+        A = np.eye(3, dtype=complex)
+        A[1, 2] = A[2, 1] = value
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            HermitianForm(A)
+
+
+class TestPositivityByCholesky:
+    """A single form has one positivity proof, the Cholesky factorization of
+    its frame: no eigenvalue routine runs."""
+
+    @pytest.fixture(autouse=True)
+    def forbid_eigvalsh(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("eigvalsh called")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
+
+    INDEFINITE = np.diag([1.0, -1e-3, 2.0])
+
+    def test_require_positive(self):
+        h = random_hermitian(3, rng(400), positive=True)
+        assert h.require_positive("h") is h
+        with pytest.raises(ValueError, match="^h must be positive definite$"):
+            HermitianForm(self.INDEFINITE).require_positive("h")
+
+    def test_ricci_trace_and_scalar(self):
+        h = random_hermitian(3, rng(401), positive=True)
+        S = random_bihermitian(3, rng(402))
+        ric = ricci_trace(S, h)
+        ref = np.einsum("abkl,lk->ab", S.entries, np.linalg.inv(h.entries))
+        assert_allclose(ric.entries, ref, rtol=0, atol=1e-13 * np.max(np.abs(ref)))
+        assert scalar(S, h) == np.trace(ric.entries @ np.linalg.inv(h.entries)).real
+        for kernel in (ricci_trace, scalar):
+            with pytest.raises(ValueError, match="^metric must be positive definite$"):
+                kernel(S, HermitianForm(self.INDEFINITE))
 
 
 class TestSymmetrize:
@@ -174,7 +214,7 @@ class TestShiftSigma:
 class TestFrames:
     def test_unitary_frame_diagonalises_h(self):
         h = random_hermitian(4, rng(60), positive=True)
-        E = unitary_frame(h)
+        E = cholesky_frame(h)[1]
         gram = np.einsum("pi,pq,qj->ij", E, h.entries, np.conj(E))
         assert_allclose(gram, np.eye(4), atol=1e-12)
 
@@ -220,7 +260,7 @@ class TestFrames:
 
     def test_subspace_basis_validates_gram(self):
         h = random_hermitian(3, rng(63), positive=True)
-        E = unitary_frame(h)
+        E = cholesky_frame(h)[1]
         SubspaceBasis(E[:, :2], h)
         with pytest.raises(ValueError):
             SubspaceBasis(2.0 * E[:, :2], h)
@@ -243,7 +283,7 @@ class TestCongruence:
 
     def test_unitary_frame_takes_h_to_identity(self):
         h = random_hermitian(4, rng(310), positive=True)
-        assert_allclose(congruence(unitary_frame(h), h.entries), np.eye(4), atol=1e-12)
+        assert_allclose(congruence(cholesky_frame(h)[1], h.entries), np.eye(4), atol=1e-12)
 
 
 class TestHermitianEvalRows:

@@ -215,6 +215,20 @@ class TestMetricField:
         with pytest.raises(ValueError):
             MetricField(grid, values)
 
+    @pytest.mark.parametrize(
+        "entry, value",
+        [((0, 1), complex(np.nan, 0.0)), ((1, 1), np.inf), ((0, 0), complex(1.0, -np.inf))],
+        ids=["nan-offdiagonal", "inf-diagonal", "inf-imaginary"],
+    )
+    def test_rejects_non_finite_entry(self, entry, value):
+        # The Hermiticity test is False for NaN and inf, so it cannot stop them.
+        grid = PeriodicGrid(n=2, N=8)
+        values = np.zeros(grid.shape + (2, 2), dtype=complex)
+        values[...] = np.eye(2)
+        values[(3, 1, 4, 1) + entry] = value
+        with pytest.raises(ValueError, match="NaN or infinite entry"):
+            MetricField(grid, values)
+
     @pytest.mark.parametrize("n", [1, 2])
     def test_rejects_complex_diagonal(self, n):
         grid = PeriodicGrid(n=n, N=8)
@@ -355,7 +369,22 @@ class TestClosedFormKernels:
         with pytest.raises(DegeneracyError) as err:
             g.require_positive()
         assert err.value.worst_point == worst
+        assert all(type(i) is int for i in err.value.worst_point)
+        assert f"at grid point {worst})" in str(err.value)
         assert err.value.margin == pytest.approx(-0.5, abs=1e-15)
+
+    def test_log_determinant_rejects_a_negative_definite_point(self):
+        # det = 2 > 0 there, so only the lambda_min proof can reject the field.
+        grid = PeriodicGrid(n=2, N=8)
+        values = np.zeros(grid.shape + (2, 2), dtype=complex)
+        values[...] = np.eye(2)
+        values[1, 2, 3, 4] = np.diag([-1.0, -2.0])
+        g = MetricField(grid, values)
+        assert np.all(g.det > 0.0)
+        with pytest.raises(DegeneracyError, match=r"at grid point \(1, 2, 3, 4\)") as err:
+            g.log_determinant()
+        assert err.value.worst_point == (1, 2, 3, 4)
+        assert err.value.margin == -2.0
 
     @pytest.mark.parametrize(
         "matrix",

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -353,3 +354,65 @@ class TestFlowConfig:
         save_json(path, {"grid": {"n": 1, "N": 8}, "checks": {"schwarz": 1e-3, "schwartz": 1e-12}})
         with pytest.raises(ValueError, match="unknown check 'schwartz' under checks"):
             load_flow_config(path)
+
+
+class TestNonFiniteInput:
+    """``json`` reads the NaN, Infinity and -Infinity literals as floats; every
+    file entry point rejects them with a ValueError naming the file and key."""
+
+    @staticmethod
+    def expect(path, key):
+        return "^" + re.escape(f"{path}: {key} must be finite")
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize(
+        "key, payload",
+        [
+            ("mu", {"mu": "X"}),
+            ("dt", {"dt": "X"}),
+            ("twist.c", {"twist": {"c": "X"}}),
+            ("checks.schwarz", {"checks": {"schwarz": "X"}}),
+        ],
+        ids=["mu", "dt", "twist-c", "check"],
+    )
+    def test_flow_config_number(self, tmp_path, key, payload, literal):
+        path = tmp_path / "flow.json"
+        text = json.dumps({"grid": {"n": 1, "N": 8}, **payload}).replace('"X"', literal)
+        path.write_text(text)
+        with pytest.raises(ValueError, match=self.expect(path, key)):
+            load_flow_config(path)
+
+    def test_grid_size(self, tmp_path):
+        path = tmp_path / "flow.json"
+        path.write_text('{"grid": {"n": 1, "N": NaN}}')
+        with pytest.raises(ValueError, match=self.expect(path, "grid.N")):
+            load_flow_config(path)
+
+    @pytest.mark.parametrize("form", ["hermitian", "bihermitian"])
+    def test_tensor_entries(self, tmp_path, form):
+        rng = np.random.default_rng(9)
+        path = tmp_path / "tensor.json"
+        save_tensor(path, (random_hermitian if form == "hermitian" else random_bihermitian)(2, rng))
+        data = json.loads(path.read_text())
+        data["entries"][1][1] = math.inf
+        save_json(path, data)
+        with pytest.raises(ValueError, match=self.expect(path, "entries")):
+            load_tensor(path)
+
+    @pytest.mark.parametrize("kind", ["scalar", "metric"])
+    def test_field_values(self, tmp_path, kind):
+        grid = PeriodicGrid(1, 8)
+        if kind == "scalar":
+            field = ScalarField(grid, np.zeros(grid.shape))
+        else:
+            field = MetricField(grid, np.ones(grid.shape + (1, 1), dtype=complex))
+        path = tmp_path / "field.json"
+        save_field(path, field)
+        data = json.loads(path.read_text())
+        if kind == "scalar":
+            data["values"][5] = math.nan
+        else:
+            data["values"][5][0] = math.nan
+        save_json(path, data)
+        with pytest.raises(ValueError, match=self.expect(path, "values")):
+            load_field(path)

@@ -72,6 +72,23 @@ class TestFrame:
         with pytest.raises(ValueError):
             g_unitary_h_diagonal_frame(g, h)
 
+    def test_positivity_is_proved_with_no_eigvalsh(self, monkeypatch):
+        # g by its Cholesky frame, h by its spectrum tau in that frame.
+        def forbidden(*args, **kwargs):
+            raise AssertionError("eigvalsh called")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
+        g = random_hermitian(3, rng(220), positive=True)
+        h = random_hermitian(3, rng(221), positive=True)
+        tau, E = g_unitary_h_diagonal_frame(g, h)
+        assert_allclose(tau, scipy.linalg.eigh(h.entries, g.entries, eigvals_only=True),
+                        rtol=1e-12)
+        indefinite = HermitianForm(np.diag([2.0, -1e-3, 1.0]))
+        with pytest.raises(ValueError, match="^h must be positive definite$"):
+            g_unitary_h_diagonal_frame(g, indefinite)
+        with pytest.raises(ValueError, match="^metric must be positive definite$"):
+            g_unitary_h_diagonal_frame(indefinite, h)
+
 
 class TestRoydenIdentity:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
