@@ -26,7 +26,6 @@ from .flow import (
     check_schwarz,
     check_trace_evolution,
     horizon_estimate,
-    monotone_quantities,
     run_flow,
 )
 from .forms import (

@@ -267,10 +267,10 @@ def _cmd_flow(args) -> int:
             "ok": bool(max(pot_rep.residual_phi, pot_rep.residual_phidot) <= tol_pot),
         }
 
-    if job.mu is not None:
+    if job.config.mu is not None:
         tol_trace = job.checks.get("trace_evolution", CHECK_TOL)
         try:
-            trace_rep = check_trace_evolution(result, mu=job.mu, tol=tol_trace)
+            trace_rep = check_trace_evolution(result, tol=tol_trace)
             checks["trace_evolution"] = {
                 "enabled": True,
                 "tolerance": tol_trace,

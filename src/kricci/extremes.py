@@ -319,9 +319,10 @@ def certify_k_ricci(
     Hessian is negative definite, the step is short and the value does not
     drop beyond roundoff; otherwise the start takes the Armijo step.  The
     verdict is ``"violated"`` only when the re-evaluated value exceeds
-    ``bound`` by more than ``value_tol``, and ``"inconclusive"`` only when no
-    start reached a first-order point (small projected gradient, or a line
-    search that backtracked to exhaustion) within the iteration budget.
+    ``bound`` by more than ``value_tol``, and ``"inconclusive"`` when that
+    value is not finite or when no start reached a first-order point (small
+    projected gradient, or a line search that backtracked to exhaustion)
+    within the iteration budget.
     ``bound`` may be +inf but not NaN.
     """
     opts = options or CertifyOptions()
@@ -411,7 +412,9 @@ def certify_k_ricci(
     n_small_gradient = int(converged.sum())
     n_stalled = int(stalled.sum())
     n_conv = n_small_gradient + n_stalled
-    if value > bound + opts.value_tol:
+    if not np.isfinite(value):
+        status = "inconclusive"
+    elif value > bound + opts.value_tol:
         status = "violated"
     elif n_conv > 0:
         status = "satisfied"

@@ -30,10 +30,11 @@ Each snapshot is analysed as the run takes it, from the g^-1 and the
 positivity margin of the step that built its metric, so no snapshot metric is
 reconstructed or checked twice; the start snapshot reads h, its margin and
 the h^-1 the barrier scale uses.  A sliding window of three snapshots gives
-the centered derivatives the Schwarz and identity checks need.  Of the window
-only the newest snapshot's g^-1 and traces are kept, for when it becomes the
-middle; its ends keep log tr_g h.  Only a run that degenerates between
-snapshots reconstructs its last accepted state, once.
+every centered derivative the checks need.  Of the window only the newest
+snapshot's g^-1 and traces are kept, for when it becomes the middle; its ends
+keep log tr_g h and, when the config sets mu, the trace-evolution field.  Only
+a run that degenerates between snapshots reconstructs its last accepted state,
+once.  No check reads a snapshot metric after the run.
 """
 
 from __future__ import annotations
@@ -69,6 +70,7 @@ __all__ = [
     "PotentialIdentityReport",
     "ScalarBoundReport",
     "SchwarzReport",
+    "TraceEvolutionRecord",
     "TraceEvolutionReport",
     "TwistSpec",
     "check_potential_identities",
@@ -78,7 +80,6 @@ __all__ = [
     "homogeneous_phi",
     "homogeneous_phidot",
     "horizon_estimate",
-    "monotone_quantities",
     "run_flow",
 ]
 
@@ -117,6 +118,10 @@ class FlowConfig:
     diagnostics_every: int = 10
     alpha: float = 1.0
     beta: float = 1.0
+    # mu and phi_twist (None: u) of check_trace_evolution; the run computes
+    # its field only when mu is set.
+    mu: float | None = None
+    twist_potential: np.ndarray | None = None
 
     def __post_init__(self):
         if not self.t_final > 0:
@@ -162,6 +167,11 @@ class FlowModel:
         self._logdet_h = self.h.log_determinant()
         self.ric_h = -dbar_hessian(grid, self._logdet_h)
         self.u = _real_potential(grid, config.twist.potential, "twist")
+        self.phi_twist = (
+            self.u
+            if config.twist_potential is None
+            else _real_potential(grid, config.twist_potential, "twist")
+        )
         self.c = float(config.twist.c)
         self.eta = self.c * self.h + dbar_hessian(grid, self.u)
         self._drift = self.ric_h + self.eta
@@ -226,6 +236,16 @@ class PotentialIdentityReport:
 
 
 @dataclass
+class TraceEvolutionRecord:
+    """What a run with mu set records of f = log tr_g h - Q
+    (:func:`check_trace_evolution`): sup f at each snapshot, and the min of
+    -(d/dt - Lap_g) f over the window middles."""
+
+    sup_values: list[float] = field(default_factory=list)
+    differential_min_margin: float = math.inf
+
+
+@dataclass
 class FlowResult:
     config: FlowConfig
     model: FlowModel
@@ -235,6 +255,7 @@ class FlowResult:
     steps: int
     # None when the run has fewer than CENTERED_SNAPSHOTS snapshots.
     identities: PotentialIdentityReport | None = None
+    trace_evolution: TraceEvolutionRecord | None = None  # None when mu is None
 
     @property
     def final(self) -> FlowSnapshot:
@@ -284,7 +305,7 @@ def run_flow(config: FlowConfig) -> FlowResult:
     n = grid.n
     h_inv = model.h.inverse()
     sigma = _initial_sigma(model, h_inv)
-    window = _Window(model, sigma)
+    window = _Window(model, sigma, trace=None if config.mu is None else TraceEvolutionRecord())
     phi = np.zeros(grid.shape)
     t = 0.0
     # g(0) = h, so dphi/dt starts at log det h - log det h = 0.
@@ -306,7 +327,9 @@ def run_flow(config: FlowConfig) -> FlowResult:
         _diagnostics(window, snapshots[-1], ginv, margin, last)
 
     def finish():
-        return FlowResult(config, model, sigma, snapshots, window.rows, steps, window.identities())
+        return FlowResult(
+            config, model, sigma, snapshots, window.rows, steps, window.identities(), window.trace
+        )
 
     def degenerate(message, stop_margin):
         snapshot(last=True)
@@ -370,38 +393,17 @@ def _volume_upper_bound(n: int, sigma: float, t: float) -> float:
     return n * math.log1p(t / sigma)
 
 
-def monotone_quantities(
-    model: FlowModel,
-    t: float,
-    phi: np.ndarray,
-    phidot: np.ndarray,
-    alpha: float = 1.0,
-    beta: float = 1.0,
-    twist_potential: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The fields F and G whose suprema decay along the flow.
+def _monotone_G(model: FlowModel, t: float, log_lam, phidot) -> np.ndarray:
+    """The field G whose supremum decays along the flow, at t > 0,
 
-        F = log tr_g h + (1 + alpha/beta) u - (alpha/beta)(phidot + phi_twist)
-        G = F + (1 + alpha n / beta) log t
+        F = log tr_g h + (1 + alpha/beta) u - (alpha/beta)(phidot + u)
+        G = F + (1 + alpha n / beta) log t,
 
-    ``twist_potential`` (phi_twist) defaults to the twist's own potential u.
-    Only positive times are admissible because of the log t term.
+    from log tr_g h at time t.
     """
-    if t <= 0:
-        raise ValueError("monotone quantities are defined for t > 0 only")
-    g = model.reconstruct(t, phi)
-    g.require_positive("flow metric")
-    log_lam = model.log_trace_h(g.inverse())
-    return _monotone_fields(model, t, log_lam, phidot, alpha, beta, twist_potential)
-
-
-def _monotone_fields(model, t, log_lam, phidot, alpha, beta, twist_potential=None):
-    """F and G of :func:`monotone_quantities` from log tr_g h at time t."""
-    phi_twist = model.u if twist_potential is None else twist_potential
-    r = alpha / beta
-    F = log_lam + (1.0 + r) * model.u - r * (phidot + phi_twist)
-    G = F + (1.0 + r * model.grid.n) * math.log(t)
-    return F, G
+    r = model.config.alpha / model.config.beta
+    F = log_lam + (1.0 + r) * model.u - r * (phidot + model.u)
+    return F + (1.0 + r * model.grid.n) * math.log(t)
 
 
 def _nonuniform_dt(f_prev, f_mid, f_next, a: float, b: float):
@@ -412,15 +414,27 @@ def _nonuniform_dt(f_prev, f_mid, f_next, a: float, b: float):
     return (f_next * a**2 - f_prev * b**2 + f_mid * (b**2 - a**2)) / (a * b * (a + b))
 
 
+def _trace_evolution_field(model: FlowModel, snap: FlowSnapshot, log_lam: np.ndarray):
+    """f = log tr_g h - Q at one snapshot, with Q as in :func:`check_trace_evolution`."""
+    alpha, beta, n = model.config.alpha, model.config.beta, model.grid.n
+    B = alpha * model.config.mu * (n - 1) / (2.0 * n * beta)
+    w = snap.t * snap.phidot - snap.phi - n * snap.t
+    v = (2.0 * beta / alpha) * model.u
+    Q = -B * w - (alpha / (2.0 * beta)) * v
+    Q += (alpha / beta) * (snap.phidot + model.phi_twist - model.u)
+    return log_lam - Q
+
+
 @dataclass
 class _Window:
     """What :func:`_diagnostics` carries from one snapshot to the next.
 
-    ``entries`` holds (snapshot, log tr_g h) for the last CENTERED_SNAPSHOTS
-    snapshots, and ``newest`` the g^-1, tr_g(Ric(h) + eta) and Lap_g phidot
-    of the newest only, for when it becomes the middle.  ``rows`` has one row
-    per snapshot so far; ``middles`` the times of the middles whose identity
-    residuals ``res_phi`` and ``res_phidot`` hold the maxima of.
+    ``entries`` holds (snapshot, log tr_g h, f) for the last
+    CENTERED_SNAPSHOTS snapshots, f the trace-evolution field (None when
+    ``trace`` is), and ``newest`` the g^-1, tr_g(Ric(h) + eta) and Lap_g
+    phidot of the newest only, for when it becomes the middle.  ``rows`` has
+    one row per snapshot so far; ``middles`` the times of the middles whose
+    identity residuals ``res_phi`` and ``res_phidot`` hold the maxima of.
     """
 
     model: FlowModel
@@ -431,6 +445,7 @@ class _Window:
     middles: list[float] = field(default_factory=list)
     res_phi: float = 0.0
     res_phidot: float = 0.0
+    trace: TraceEvolutionRecord | None = None
 
     def identities(self) -> PotentialIdentityReport | None:
         """The identity report, or None before a window has been full."""
@@ -444,10 +459,11 @@ def _diagnostics(
 ) -> None:
     """Analyse one snapshot from g^-1 and the positivity margin of its metric.
 
-    Appends the snapshot's row to ``window.rows``.  A snapshot that fills the
-    window gives the middle row its Schwarz margin and adds the middle to the
-    identity residuals; endpoint rows keep a NaN margin.  At t = 0 phidot is
-    the zero field, so Lap_g phidot is not formed.
+    Appends the snapshot's row to ``window.rows`` and its sup f to
+    ``window.trace``.  A snapshot that fills the window gives the middle row
+    its Schwarz margin and adds the middle to the identity residuals and the
+    trace-evolution margin; endpoint rows keep a NaN margin.  At t = 0 phidot
+    is the zero field, so Lap_g phidot is not formed.
 
     R_h is first read at the third snapshot but computed at the second,
     before that snapshot's fields exist, when the window holds least; ``last``
@@ -459,15 +475,13 @@ def _diagnostics(
     fields the phidot identity compares against.
     """
     model = window.model
-    config = model.config
     if len(window.entries) == 1 and not last:
         model.curvature_h  # computed on this first access and kept on the model
     drift = g_trace(ginv, model._drift)
     log_lam = model.log_trace_h(ginv)
     if snap.t > 0:
         lap_phidot = laplacian(model.grid, ginv, snap.phidot)
-        _, G = _monotone_fields(model, snap.t, log_lam, snap.phidot, config.alpha, config.beta)
-        sup_G = float(G.max())
+        sup_G = float(_monotone_G(model, snap.t, log_lam, snap.phidot).max())
     else:
         lap_phidot, sup_G = 0.0, -math.inf
     window.rows.append(
@@ -481,11 +495,15 @@ def _diagnostics(
             schwarz_min_margin=math.nan,
         )
     )
-    window.entries.append((snap, log_lam))
+    trace, f = window.trace, None
+    if trace is not None:
+        f = _trace_evolution_field(model, snap, log_lam)
+        trace.sup_values.append(float(f.max()))
+    window.entries.append((snap, log_lam, f))
     middle, window.newest = window.newest, (ginv, drift, lap_phidot)
     if len(window.entries) < CENTERED_SNAPSHOTS:
         return
-    (prev, log_prev), (mid, log_mid), (nxt, log_next) = window.entries
+    (prev, log_prev, f_prev), (mid, log_mid, f_mid), (nxt, log_next, f_next) = window.entries
     a, b = mid.t - prev.t, nxt.t - mid.t
     dlog = _nonuniform_dt(log_prev, log_mid, log_next, a, b)
     ginv_mid, drift_mid, lap_mid = middle
@@ -498,6 +516,9 @@ def _diagnostics(
     window.res_phi = max(window.res_phi, float(np.max(np.abs(dphi - mid.phidot))))
     window.res_phidot = max(window.res_phidot, float(np.max(np.abs(dphidot - rhs))))
     window.middles.append(mid.t)
+    if trace is not None:
+        heat = _nonuniform_dt(f_prev, f_mid, f_next, a, b) - laplacian(model.grid, ginv_mid, f_mid)
+        trace.differential_min_margin = min(trace.differential_min_margin, float((-heat).min()))
 
 
 def _schwarz_margins(
@@ -605,12 +626,7 @@ class TraceEvolutionReport:
     ok: bool
 
 
-def check_trace_evolution(
-    result: FlowResult,
-    mu: float,
-    twist_potential: np.ndarray | None = None,
-    tol: float = CHECK_TOL,
-) -> TraceEvolutionReport:
+def check_trace_evolution(result: FlowResult, tol: float = CHECK_TOL) -> TraceEvolutionReport:
     """Telescoped decay of sup(log tr_g h - Q) under the certified hypotheses.
 
     Requires eta to be an exact complex Hessian (c = 0), the twisted Ricci
@@ -618,30 +634,31 @@ def check_trace_evolution(
     mu omega_h + d dbar v with v = (2 beta / alpha) u, and the pointwise
     mixed-curvature level of the background to be certified nonpositive by
     the eigenvalue estimate.  Violations raise :class:`HypothesisError`
-    naming the failing hypothesis.  With
+    naming the failing hypothesis.  mu and phi_twist are the config's ``mu``
+    and ``twist_potential``.  With
 
         B = alpha mu (n - 1) / (2 n beta),   w = t phidot - phi - n t,
         Q = -B w - (alpha / (2 beta)) v + (alpha / beta)(phidot + phi_twist - u),
 
     the supremum of log tr_g h - Q must be non-increasing in t; the
     centered-difference margin of the differential form is reported as well.
+    Both come from ``result.trace_evolution``, recorded by the run, so the
+    check builds no metric.  A run whose config sets no mu raises ValueError.
     """
+    record = result.trace_evolution
+    if record is None:
+        raise ValueError("the run computed no trace-evolution field: its config sets no mu")
     model = result.model
     grid = model.grid
     config = result.config
-    n = grid.n
-    alpha, beta = config.alpha, config.beta
+    alpha, beta, mu = config.alpha, config.beta, config.mu
     if model.c != 0.0:
         raise HypothesisError(
             "eta is an exact complex Hessian",
             f"twist has c = {model.c}, so eta carries a multiple of omega_h",
         )
-    phi_twist = (
-        model.u if twist_potential is None else _real_potential(grid, twist_potential, "twist")
-    )
-    v = (2.0 * beta / alpha) * model.u
-    rho = model.ric_h + dbar_hessian(grid, phi_twist)
-    gap = mu * model.h + dbar_hessian(grid, v) - rho
+    rho = model.ric_h + dbar_hessian(grid, model.phi_twist)
+    gap = mu * model.h + dbar_hessian(grid, (2.0 * beta / alpha) * model.u) - rho
     try:
         gap.require_positive("pointwise gap")
     except DegeneracyError as err:
@@ -655,37 +672,15 @@ def check_trace_evolution(
             "pointwise mixed-curvature level <= 0",
             f"eigenvalue estimate gives sup lambda = {lam_est:.3e}",
         )
-    B = alpha * mu * (n - 1) / (2.0 * n * beta)
-    sup_vals = []
-    diff_margin = math.inf
-    window = deque(maxlen=CENTERED_SNAPSHOTS)
-    for snap in result.snapshots:
-        ginv = model.reconstruct(snap.t, snap.phi).inverse()
-        w = snap.t * snap.phidot - snap.phi - n * snap.t
-        Q = (
-            -B * w
-            - (alpha / (2.0 * beta)) * v
-            + (alpha / beta) * (snap.phidot + phi_twist - model.u)
-        )
-        field_val = model.log_trace_h(ginv) - Q
-        sup_vals.append(float(field_val.max()))
-        window.append((snap.t, ginv, field_val))
-        if len(window) < CENTERED_SNAPSHOTS:
-            continue
-        (t_prev, _, f_prev), (t_mid, ginv_mid, f_mid), (t_next, _, f_next) = window
-        dfield = _nonuniform_dt(f_prev, f_mid, f_next, t_mid - t_prev, t_next - t_mid)
-        heat = dfield - laplacian(grid, ginv_mid, f_mid)
-        diff_margin = min(diff_margin, float((-heat).min()))
-    sup_vals = np.array(sup_vals)
-    times = np.array([snap.t for snap in result.snapshots])
+    sup_vals = np.array(record.sup_values)
     increases = np.diff(sup_vals)
     max_increase = float(increases.max()) if increases.size else 0.0
     scale = 1.0 + float(np.max(np.abs(sup_vals)))
     return TraceEvolutionReport(
-        times=times,
+        times=np.array([row.t for row in result.rows]),
         sup_values=sup_vals,
         max_increase=max_increase,
-        differential_min_margin=diff_margin,
+        differential_min_margin=record.differential_min_margin,
         mu=mu,
         ok=bool(max_increase <= tol * scale),
     )

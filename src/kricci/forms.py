@@ -130,8 +130,10 @@ class HermitianForm:
 class BihermitianForm:
     """A rank-4 coefficient tensor; symmetry is checked via ``validate_symmetries``.
 
-    The container itself stays permissive so that corrupted tensors can be
-    represented, inspected, and repaired by :func:`symmetrize`.
+    The container is permissive about symmetry, so that a tensor without the
+    curvature symmetries can be represented, inspected, and repaired by
+    :func:`symmetrize`.  A NaN or infinite entry is rejected: no symmetrization
+    repairs it, and every value read from it would be non-finite.
     """
 
     entries: np.ndarray
@@ -140,6 +142,8 @@ class BihermitianForm:
         T = np.asarray(self.entries, dtype=complex)
         if T.ndim != 4 or len(set(T.shape)) != 1:
             raise ValueError(f"expected shape (n, n, n, n), got {T.shape}")
+        if not np.isfinite(T).all():
+            raise ValueError("tensor has a NaN or infinite entry")
         self.entries = T
 
     @property

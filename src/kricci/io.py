@@ -213,7 +213,6 @@ class FlowJob:
     """A parsed flow configuration plus the check tolerances riding with it."""
 
     config: FlowConfig
-    mu: float | None
     checks: dict[str, float]
     source: Path
 
@@ -278,6 +277,7 @@ _FLOW_NUMBERS = {
     "cadence": ("diagnostics_every", int),
     "alpha": ("alpha", float),
     "beta": ("beta", float),
+    "mu": ("mu", float),
 }
 
 
@@ -311,18 +311,12 @@ def load_flow_config(path, discretization: str | None = None) -> FlowJob:
             if key in data
         },
     )
-    mu = data.get("mu")
     checks = _json_object(data.get("checks", {}), "checks", path)
     for key in checks:
         if key not in FLOW_CHECK_KEYS:
             raise ValueError(f"{path}: unknown check {key!r} under checks")
     checks = {key: _number(float, v, f"checks.{key}", path) for key, v in checks.items()}
-    return FlowJob(
-        config=config,
-        mu=None if mu is None else _number(float, mu, "mu", path),
-        checks=checks,
-        source=path,
-    )
+    return FlowJob(config=config, checks=checks, source=path)
 
 
 def write_flow_csv(path, rows: list[DiagnosticsRow]) -> None:

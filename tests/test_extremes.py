@@ -414,6 +414,22 @@ class TestCertifyInputs:
         with pytest.raises(ValueError, match="value_tol"):
             CertifyOptions(value_tol=tol)
 
+    @pytest.mark.parametrize("bound", [0.0, np.inf])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_is_inconclusive(self, value, bound, monkeypatch):
+        # A NaN fails every comparison, so the verdict must not rest on
+        # value > bound + value_tol alone.
+        extreme_at = kricci.extremes.k_ricci_extreme_at
+
+        def non_finite(*args):
+            return value, extreme_at(*args)[1]
+
+        monkeypatch.setattr(kricci.extremes, "k_ricci_extreme_at", non_finite)
+        S = random_bihermitian(3, rng(181))
+        cert = certify_k_ricci(S, HermitianForm.identity(3), 1, bound=bound, rng=rng(0))
+        assert cert.n_converged > 0
+        assert cert.status == "inconclusive"
+
     def test_rejects_nan_bound_accepts_inf(self):
         h = HermitianForm.identity(2)
         S = random_bihermitian(2, rng(180))

@@ -28,7 +28,6 @@ from kricci.flow import (
     homogeneous_phi,
     homogeneous_phidot,
     horizon_estimate,
-    monotone_quantities,
     run_flow,
 )
 from kricci.grid import (
@@ -138,13 +137,6 @@ class TestFlatFlow:
             else:
                 assert row.sup_G == pytest.approx(2.0 * math.log(row.t), abs=1e-10)
 
-    def test_monotone_rejects_nonpositive_time(self):
-        config = homogeneous_config(c=0.0, t_final=0.1)
-        model = FlowModel(config)
-        zeros = np.zeros(config.grid.shape)
-        with pytest.raises(ValueError):
-            monotone_quantities(model, 0.0, zeros, zeros)
-
 
 class TestRealPotentials:
     """A complex background or twist potential is rejected, not cut to its
@@ -166,11 +158,10 @@ class TestRealPotentials:
             FlowModel(FlowConfig(grid=grid, twist=twist))
 
     def test_complex_trace_evolution_twist_is_rejected(self):
-        result = run_flow(homogeneous_config(c=0.0, t_final=0.01, dt=5e-3, every=1))
+        grid = PeriodicGrid(1, 8)
+        config = FlowConfig(grid=grid, mu=1.0, twist_potential=self.imaginary_mode(grid))
         with pytest.raises(ValueError, match="twist potential must be real"):
-            check_trace_evolution(
-                result, mu=1.0, twist_potential=self.imaginary_mode(result.config.grid)
-            )
+            FlowModel(config)
 
     @staticmethod
     def planted(grid, value):
@@ -189,11 +180,10 @@ class TestRealPotentials:
             FlowModel(FlowConfig(grid=grid, twist=twist))
 
     def test_non_finite_trace_evolution_twist_is_rejected(self):
-        result = run_flow(homogeneous_config(c=0.0, t_final=0.01, dt=5e-3, every=1))
+        grid = PeriodicGrid(1, 8)
+        config = FlowConfig(grid=grid, mu=1.0, twist_potential=self.planted(grid, np.nan))
         with pytest.raises(ValueError, match="^twist potential must be finite$"):
-            check_trace_evolution(
-                result, mu=1.0, twist_potential=self.planted(result.config.grid, np.nan)
-            )
+            FlowModel(config)
 
 
 class TestDegeneracy:
@@ -381,22 +371,30 @@ class TestTraceEvolution:
             t_final=t_final,
             dt_initial=1e-3,
             diagnostics_every=10,
+            mu=1.0,
+            twist_potential=np.zeros(grid.shape),
         )
 
+    def test_needs_mu(self):
+        result = run_flow(homogeneous_config(c=0.0, t_final=0.1))
+        assert result.trace_evolution is None
+        with pytest.raises(ValueError, match="sets no mu"):
+            check_trace_evolution(result)
+
     def test_rejects_cohomology_twist(self):
-        result = run_flow(homogeneous_config(c=0.5, t_final=0.1))
+        result = run_flow(homogeneous_config(c=0.5, t_final=0.1, mu=1.0))
         with pytest.raises(HypothesisError, match="Hessian"):
-            check_trace_evolution(result, mu=1.0)
+            check_trace_evolution(result)
 
     def test_rejects_unbounded_rho(self):
-        result = run_flow(homogeneous_config(c=0.0, t_final=0.1))
+        result = run_flow(homogeneous_config(c=0.0, t_final=0.1, mu=-1.0))
         with pytest.raises(HypothesisError, match="rho"):
-            check_trace_evolution(result, mu=-1.0)
+            check_trace_evolution(result)
 
     def test_rejects_a_nan_gap(self, monkeypatch):
         # No public input carries a NaN this far, so one is planted in the
         # twist's complex Hessian: the gap's positivity proof must fail on it.
-        result = run_flow(homogeneous_config(c=0.0, t_final=0.1))
+        result = run_flow(homogeneous_config(c=0.0, t_final=0.1, mu=1.0))
         hessian = kricci.flow.dbar_hessian
 
         def planted(grid, f):
@@ -406,7 +404,7 @@ class TestTraceEvolution:
 
         monkeypatch.setattr(kricci.flow, "dbar_hessian", planted)
         with pytest.raises(HypothesisError, match=r"^rho < mu omega_h \+ d dbar v: .* nan$"):
-            check_trace_evolution(result, mu=1.0)
+            check_trace_evolution(result)
 
     def test_rejects_positive_mixed_level(self):
         grid = PeriodicGrid(1, 16)
@@ -417,27 +415,22 @@ class TestTraceEvolution:
             t_final=0.05,
             dt_initial=1e-3,
             diagnostics_every=5,
+            mu=5.0,
         )
         with pytest.raises(HypothesisError, match="level"):
-            check_trace_evolution(run_flow(config), mu=5.0)
+            check_trace_evolution(run_flow(config))
 
     def test_flat_stationary_two_dimensional(self):
         grid = PeriodicGrid(2, 8)
-        config = FlowConfig(grid=grid, t_final=0.1, dt_initial=5e-3, diagnostics_every=4)
-        report = check_trace_evolution(run_flow(config), mu=0.5)
+        config = FlowConfig(grid=grid, t_final=0.1, dt_initial=5e-3, diagnostics_every=4, mu=0.5)
+        report = check_trace_evolution(run_flow(config))
         assert report.ok
         # Q grows linearly through B w, so the supremum strictly decreases.
         assert report.max_increase < 0.0
         assert report.differential_min_margin == pytest.approx(0.25, abs=1e-10)
 
     def test_flat_twisted_supremum_decays(self):
-        config = self.flat_twisted_config()
-        report = check_trace_evolution(
-            run_flow(config),
-            mu=1.0,
-            twist_potential=np.zeros(config.grid.shape),
-            tol=1e-6,
-        )
+        report = check_trace_evolution(run_flow(self.flat_twisted_config()), tol=1e-6)
         assert report.ok
 
 
@@ -481,10 +474,10 @@ def _reference_rows(result):
         drift = g_trace(g.inverse(), model._drift)
         scalar = drift - _laplacian_of_metric(model.grid, g, snap.phidot)
         if snap.t > 0:
-            _, G = monotone_quantities(
-                model, snap.t, snap.phi, snap.phidot, config.alpha, config.beta
-            )
-            sup_G = float(G.max())
+            log_lam = model.log_trace_h(g.inverse())
+            r = config.alpha / config.beta
+            F = log_lam + (1.0 + r) * model.u - r * (snap.phidot + model.u)
+            sup_G = float((F + (1.0 + r * n) * math.log(snap.t)).max())
         else:
             sup_G = -math.inf
         volume = 0.0 if math.isinf(result.sigma) else n * math.log1p(snap.t / result.sigma)
@@ -603,11 +596,10 @@ class TestOnePassAnalysis:
         monkeypatch.setattr(kricci.flow, "_rk2_step", counting_step)
         return reconstructed, attempts
 
-    def test_each_snapshot_metric_is_reconstructed_and_inverted_once(self, monkeypatch):
-        # Each step builds and checks two metrics, the midpoint and the end,
-        # with one lambda_min pass each: the step asks for the proof, and the
-        # metric's log det asks again and reads the recorded margin.  A
-        # snapshot's analysis inverts its step's end metric and builds none.
+    @staticmethod
+    def count_metric_calls(monkeypatch):
+        """Record the metrics MetricField inverts, proves positive, and takes
+        a lambda_min pass of."""
         inverse, require_positive = MetricField.inverse, MetricField.require_positive
         smallest = MetricField.smallest_eigenvalues
         inverted, checked, passes = [], [], []
@@ -624,10 +616,18 @@ class TestOnePassAnalysis:
             passes.append(self)
             return smallest(self)
 
-        reconstructed, _ = self.count_calls(monkeypatch)
         monkeypatch.setattr(MetricField, "inverse", counting_inverse)
         monkeypatch.setattr(MetricField, "require_positive", counting_require_positive)
         monkeypatch.setattr(MetricField, "smallest_eigenvalues", counting_smallest)
+        return inverted, checked, passes
+
+    def test_each_snapshot_metric_is_reconstructed_and_inverted_once(self, monkeypatch):
+        # Each step builds and checks two metrics, the midpoint and the end,
+        # with one lambda_min pass each: the step asks for the proof, and the
+        # metric's log det asks again and reads the recorded margin.  A
+        # snapshot's analysis inverts its step's end metric and builds none.
+        reconstructed, _ = self.count_calls(monkeypatch)
+        inverted, checked, passes = self.count_metric_calls(monkeypatch)
         result = run_flow(self.mixed_config(0.02))
         assert len(result.snapshots) == result.steps + 1 >= 5
         assert len(reconstructed) == 2 * result.steps
@@ -643,6 +643,21 @@ class TestOnePassAnalysis:
         assert sum(g is h for g in checked) == 3
         assert sum(g is h for g in inverted) == 2
         assert sum(g is h for g in passes) == 1
+
+    def test_trace_evolution_reads_no_snapshot_metric(self, monkeypatch):
+        # With mu set the run analyses the trace-evolution field from the
+        # g^-1 its steps built, and the check builds and inverts no metric.
+        config = dataclasses.replace(
+            self.mixed_config(0.0), mu=1.0, twist_potential=np.zeros((8,) * 4)
+        )
+        reconstructed, attempts = self.count_calls(monkeypatch)
+        inverted, _, _ = self.count_metric_calls(monkeypatch)
+        result = run_flow(config)
+        assert check_trace_evolution(result, tol=1e-6).ok
+        assert len(result.snapshots) == result.steps + 1 >= 5
+        assert len(reconstructed) == 2 * len(attempts)
+        h = result.model.h
+        assert [id(g) for g in inverted if g is not h] == [id(g) for g in reconstructed[1::2]]
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_reconstructs_twice_per_step_attempt(self, n, monkeypatch):
@@ -676,17 +691,47 @@ class TestOnePassAnalysis:
         assert not math.isnan(result.rows[-2].schwarz_min_margin)
         _assert_matches_reference(result)
 
-    def test_trace_evolution_matches_reference(self):
-        result = run_flow(self.mixed_config(0.0))
-        zeros = np.zeros(result.config.grid.shape)
-        report = check_trace_evolution(result, mu=1.0, twist_potential=zeros, tol=1e-6)
+    @pytest.mark.parametrize("case", ["n1-fd2", "n2-spectral", "degenerating"])
+    def test_trace_evolution_matches_reference(self, case, monkeypatch):
+        # The n=1 background is curved and phi_twist is u there, so the run
+        # records the field though the check rejects the hypotheses.  The n=2
+        # one is flat, its twist makes g_12 complex and phi_twist is zero, so
+        # the hypotheses hold and the report carries the record.  The
+        # degenerating run reconstructs its last snapshot once, for its row.
+        if case == "n1-fd2":
+            config = dataclasses.replace(self.config(1), mu=1.0)
+        else:
+            config = dataclasses.replace(
+                self.mixed_config(0.0), mu=1.0, twist_potential=np.zeros((8,) * 4)
+            )
+        if case == "degenerating":
+            monkeypatch.setattr(kricci.flow, "MAX_STEPS", 5)
+            config = dataclasses.replace(config, diagnostics_every=2)
+            reconstructed, attempts = self.count_calls(monkeypatch)
+            with pytest.raises(FlowDegenerateError, match="step budget 5") as excinfo:
+                run_flow(config)
+            result = excinfo.value.result
+            assert len(result.snapshots) == 4 and result.final.t == excinfo.value.t
+            assert len(reconstructed) == 2 * len(attempts) + 1
+        else:
+            result = run_flow(config)
         times, sup_vals, max_increase, diff_margin = _reference_trace_evolution(
-            result, 1.0, zeros
+            result, 1.0, result.model.phi_twist
         )
-        np.testing.assert_array_equal(report.times, times)
-        np.testing.assert_array_equal(report.sup_values, sup_vals)
-        assert report.max_increase == max_increase
-        assert report.differential_min_margin == diff_margin
+        record = result.trace_evolution
+        np.testing.assert_array_equal([row.t for row in result.rows], times)
+        np.testing.assert_array_equal(record.sup_values, sup_vals)
+        assert record.differential_min_margin == diff_margin
+        if case == "n1-fd2":
+            with pytest.raises(HypothesisError):
+                check_trace_evolution(result)
+        else:
+            report = check_trace_evolution(result, tol=1e-6)
+            assert report.ok and report.mu == 1.0
+            np.testing.assert_array_equal(report.times, times)
+            np.testing.assert_array_equal(report.sup_values, sup_vals)
+            assert report.max_increase == max_increase
+            assert report.differential_min_margin == diff_margin
 
     def test_twisted_scalar_needs_no_ricci_pass(self, monkeypatch):
         # Ric(g) = Ric(h) - d dbar phidot: the rows match the route through
@@ -724,19 +769,19 @@ class TestNoEinsumPathPlanning:
     einsum contraction path: their kernels are closed-form products."""
 
     def test_flow_and_every_check(self):
-        result = run_flow(TestOnePassAnalysis().mixed_config(0.0))
-        final = result.final
+        config = dataclasses.replace(
+            TestOnePassAnalysis().mixed_config(0.0), mu=1.0, twist_potential=np.zeros((8,) * 4)
+        )
+        result = run_flow(config)
         assert check_scalar_bound(result).ok
         check_potential_identities(result)
         check_schwarz(result)
-        monotone_quantities(result.model, final.t, final.phi, final.phidot)
-        zeros = np.zeros(result.config.grid.shape)
-        assert check_trace_evolution(result, mu=1.0, twist_potential=zeros, tol=1e-6).ok
+        assert check_trace_evolution(result, tol=1e-6).ok
 
     def test_curved_background_reaches_mixed_level_estimate(self):
-        result = run_flow(TestOnePassAnalysis().mixed_config(0.02))
+        config = dataclasses.replace(TestOnePassAnalysis().mixed_config(0.02), mu=20.0)
         with pytest.raises(HypothesisError, match="level"):
-            check_trace_evolution(result, mu=20.0)
+            check_trace_evolution(run_flow(config))
 
 
 class TestHermitianHalfStepPath:
@@ -799,7 +844,7 @@ class TestHermitianHalfStepPath:
 
         monkeypatch.setattr(kricci.flow, "curvature_field", counting)
         grid = PeriodicGrid(2, 8)
-        config = FlowConfig(grid=grid, t_final=0.02, dt_initial=5e-3, diagnostics_every=1)
+        config = FlowConfig(grid=grid, t_final=0.02, dt_initial=5e-3, diagnostics_every=1, mu=0.5)
         result = run_flow(config)
-        assert check_trace_evolution(result, mu=0.5).ok
+        assert check_trace_evolution(result).ok
         assert len(calls) == 1 and calls[0] is result.model.h

@@ -138,6 +138,14 @@ class TestSymmetrize:
         assert not report.ok
         assert report.max_violation >= 0.25
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, complex(0.0, np.nan)])
+    def test_rejects_non_finite_entries(self, value):
+        # symmetrize would spread a NaN over its symmetry orbit, not repair it.
+        T = random_bihermitian(3, rng(5)).entries.copy()
+        T[0, 1, 2, 0] = value
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            BihermitianForm(T)
+
     @given(st.integers(min_value=1, max_value=4), st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=25, deadline=None)
     def test_projection_property(self, n, seed):

@@ -261,7 +261,7 @@ class TestFlowConfig:
         assert job.config.t_final == 0.25
         assert job.config.dt_initial == 5e-4
         assert job.config.diagnostics_every == 4
-        assert job.mu == 1.5
+        assert job.config.mu == 1.5
         assert job.checks == {"schwarz": 1e-3}
         assert np.max(np.abs(job.config.background)) > 0.01
         assert np.max(np.abs(job.config.twist.potential)) > 0.005
@@ -295,7 +295,7 @@ class TestFlowConfig:
         save_json(path, {"grid": {"n": 1, "N": 8}})
         job = load_flow_config(path)
         assert job.config == FlowConfig(grid=PeriodicGrid(1, 8), twist=TwistSpec())
-        assert (job.mu, job.checks) == (None, {})
+        assert (job.config.mu, job.checks) == (None, {})
 
     def test_discretization_override(self, tmp_path):
         path = tmp_path / "flow.json"
@@ -334,7 +334,7 @@ class TestFlowConfig:
             },
         )
         job = load_flow_config(path)
-        assert (job.config.alpha, job.config.beta, job.mu) == (2.0, 0.5, 1.0)
+        assert (job.config.alpha, job.config.beta, job.config.mu) == (2.0, 0.5, 1.0)
 
     def test_non_object_rejected(self, tmp_path):
         path = tmp_path / "flow.json"

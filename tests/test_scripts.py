@@ -18,13 +18,15 @@ SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
     "script, argv",
     [
         ("refinement_study.py", ["--levels", "1", "--base-resolution", "16", "--base-dt", "1e-3"]),
-        ("run_flow_demo.py", ["--resolution", "8", "--dt", "2e-3"]),
         ("run_lemma_suites.py", ["--count", "1", "--n", "2"]),
         ("step_timing.py", ["--n", "1", "--resolution", "8", "--discretization", "fd2",
                             "--steps", "1"]),
         ("step_timing.py", ["--n", "2", "--resolution", "8", "--discretization", "spectral",
                             "--steps", "1"]),
     ],
+    # Fixed ids, so that a case keeps its name when another is removed.
+    ids=["refinement_study.py-argv0", "run_lemma_suites.py-argv2", "step_timing.py-argv3",
+         "step_timing.py-argv4"],
 )
 def test_script_main_exits_zero(script, argv, capsys):
     assert load_script(script).main(argv) == 0
