@@ -1,6 +1,6 @@
 """Time one RK2 step of the potential flow, one complex Hessian, the metric
-positivity and log-det kernels, one g-trace, one background curvature call
-and the per-snapshot diagnostics.
+positivity and log-det kernels, one g-trace, one background curvature call,
+the per-snapshot diagnostics and the Schwarz margin of one snapshot.
 
 Builds a flow model on a background with a mixed-wavevector mode (at n=2 the
 off-diagonal g_12 is complex) and a one-mode twist potential, then prints
@@ -21,8 +21,11 @@ off-diagonal g_12 is complex) and a one-mode twist potential, then prints
     the background metric;
   * the summed wall time of ``_diagnostics`` over the start and the timed
     steps taken as snapshots, each analysed from the g^-1 of the metric its
-    step built, as ``run_flow`` does, with the background curvature already
-    computed.
+    step built, as ``run_flow`` does, with the model's Sym² field
+    R_h + B(h, eta) already computed;
+  * the median wall time of ``_schwarz_margins`` over 20 calls at one middle
+    snapshot: the last timed step's, between the snapshot before it and the
+    step whose tracemalloc peak is taken.
 
 Example:
 
@@ -48,7 +51,9 @@ from kricci.flow import (
     TwistSpec,
     _diagnostics,
     _initial_sigma,
+    _nonuniform_dt,
     _rk2_step,
+    _schwarz_margins,
     _Window,
 )
 from kricci.grid import (
@@ -60,8 +65,9 @@ from kricci.grid import (
     scalar_from_modes,
 )
 
-# Calls per timed kernel (median reported).
+# Calls per timed kernel (median reported), and per timed Schwarz margin.
 KERNEL_CALLS = 200
+SCHWARZ_CALLS = 20
 
 
 def model_for(n, N, discretization):
@@ -122,8 +128,12 @@ def main(argv=None):
     curvature_field(grid, model.h)
     curvature_s = time.perf_counter() - start
     curvature, curvature_peak = peak_mib(lambda: curvature_field(grid, model.h))
-    # A run computes R_h once, at its second snapshot; the timed analysis reuses it.
-    model.curvature_h = curvature
+    # R_h is a dict of Sym² entry fields; its size is theirs together.
+    curvature_mib = sum(entry.nbytes for entry in curvature.values()) / 2**20
+    del curvature
+    # A run computes its Sym² field once, at its second snapshot; the timed
+    # analysis reuses it.
+    model.schwarz_form
 
     h_inv = model.h.inverse()
     window = _Window(model, _initial_sigma(model, h_inv))
@@ -145,8 +155,15 @@ def main(argv=None):
         ginv = g.inverse()
         del g
         diagnostics_s += analyse(FlowSnapshot(t, phi, phidot), ginv, margin)
-        del ginv
-    _, step_peak = peak_mib(lambda: _rk2_step(model, t, phi, dt, phidot))
+    (_, _, _, g_next), step_peak = peak_mib(lambda: _rk2_step(model, t, phi, dt, phidot))
+
+    # The last timed snapshot as a middle: log tr_g h of the snapshot before
+    # it and of the step after it, from the window and from g_next.
+    log_prev, log_mid = (entry[1] for entry in list(window.entries)[-2:])
+    log_next = model.log_trace_h(g_next.inverse())
+    del g_next
+    dlog = _nonuniform_dt(log_prev, log_mid, log_next, dt, dt)
+    schwarz_us = median_us(lambda: _schwarz_margins(model, ginv, dlog, log_mid), SCHWARZ_CALLS)
 
     print(f"n={grid.n} N={grid.N} {grid.discretization} dt={dt:.3e}")
     print(f"rk2 step: median {1e3 * statistics.median(times):.1f} ms over {args.steps} steps, "
@@ -156,11 +173,11 @@ def main(argv=None):
     print(f"positivity+log det: {positivity_us:.1f} µs per metric, "
           f"median over {KERNEL_CALLS} fresh step metrics")
     print(f"g_trace: {trace_us:.1f} µs, median over {KERNEL_CALLS} calls")
-    # R_h is a dict of Sym² entry fields; its size is theirs together.
-    curvature_mib = sum(entry.nbytes for entry in curvature.values()) / 2**20
     print(f"curvature_field: {1e3 * curvature_s:.1f} ms, tracemalloc peak {curvature_peak:.1f} MiB "
           f"for a {curvature_mib:.1f} MiB result")
     print(f"diagnostics: {1e3 * diagnostics_s:.1f} ms over {len(window.rows)} snapshots")
+    print(f"schwarz_margins: median {1e-3 * schwarz_us:.3f} ms over {SCHWARZ_CALLS} calls "
+          f"at one middle snapshot")
     return 0
 
 

@@ -55,10 +55,10 @@ from .grid import (
     curvature_field,
     dbar_hessian,
     g_double_trace,
-    g_pair_trace,
     g_trace,
     laplacian,
     metric_from_potential,
+    model_form,
 )
 
 __all__ = [
@@ -177,10 +177,15 @@ class FlowModel:
         self._drift = self.ric_h + self.eta
 
     @functools.cached_property
-    def curvature_h(self) -> dict:
-        """The background curvature R_h on Sym²(C^n), as the entry fields of
-        :func:`curvature_field`; computed on first use and kept."""
-        return curvature_field(self.grid, self.h)
+    def schwarz_form(self) -> dict:
+        """R_h + B(h, eta) on Sym²(C^n): the background curvature of
+        :func:`curvature_field` with the polarized model form of
+        :func:`model_form` added entry by entry, the one Sym² field a run
+        keeps (see :func:`_schwarz_margins`); computed on first use and kept."""
+        S = curvature_field(self.grid, self.h)
+        for key, entry in model_form(self.h, self.eta).items():
+            S[key] += entry
+        return S
 
     def reconstruct(self, t: float, phi: np.ndarray) -> MetricField:
         """g(t) = h - t (Ric(h) + eta) + d dbar phi, summed entry by entry
@@ -465,9 +470,10 @@ def _diagnostics(
     trace-evolution margin; endpoint rows keep a NaN margin.  At t = 0 phidot
     is the zero field, so Lap_g phidot is not formed.
 
-    R_h is first read at the third snapshot but computed at the second,
-    before that snapshot's fields exist, when the window holds least; ``last``
-    says no third snapshot follows, so then it is not computed at all.
+    The Sym² field R_h + B(h, eta) is first read at the third snapshot but
+    computed at the second, before that snapshot's fields exist, when the
+    window holds least; ``last`` says no third snapshot follows, so then it is
+    not computed at all.
 
     The twisted scalar curvature needs no Ricci form of g: phidot is
     log det g - log det h, so Ric(g) = Ric(h) - d dbar phidot and
@@ -476,7 +482,7 @@ def _diagnostics(
     """
     model = window.model
     if len(window.entries) == 1 and not last:
-        model.curvature_h  # computed on this first access and kept on the model
+        model.schwarz_form  # computed on this first access and kept on the model
     drift = g_trace(ginv, model._drift)
     log_lam = model.log_trace_h(ginv)
     if snap.t > 0:
@@ -507,9 +513,7 @@ def _diagnostics(
     a, b = mid.t - prev.t, nxt.t - mid.t
     dlog = _nonuniform_dt(log_prev, log_mid, log_next, a, b)
     ginv_mid, drift_mid, lap_mid = middle
-    window.rows[-2].schwarz_min_margin = _schwarz_margins(
-        model, ginv_mid, dlog, log_mid, model.curvature_h
-    )
+    window.rows[-2].schwarz_min_margin = _schwarz_margins(model, ginv_mid, dlog, log_mid)
     dphi = _nonuniform_dt(prev.phi, mid.phi, nxt.phi, a, b)
     dphidot = _nonuniform_dt(prev.phidot, mid.phidot, nxt.phidot, a, b)
     rhs = -drift_mid + lap_mid
@@ -522,24 +526,28 @@ def _diagnostics(
 
 
 def _schwarz_margins(
-    model: FlowModel, ginv: MetricField, dlog: np.ndarray, log_lam: np.ndarray, R_h: dict
+    model: FlowModel, ginv: MetricField, dlog: np.ndarray, log_lam: np.ndarray
 ) -> float:
     """Min-over-grid margin of the Schwarz-type inequality at one snapshot.
 
-        (d/dt - Lap_g) log tr_g h  >=  (1/Lam) tr_g tr_g R_h
-                                       + (1/Lam) tr(h g^-1 eta g^-1)
+        (d/dt - Lap_g) log Lam  >=  (tr_g tr_g R_h + tr(g^-1 h g^-1 eta)) / Lam
+                                 =  tr_g tr_g (R_h + B(h, eta)) / Lam - tr_g eta,
 
-    ``ginv`` is g^-1 at the snapshot, ``dlog`` the centered d/dt of
-    ``log_lam`` = log tr_g h, and ``R_h`` the background curvature on Sym².
-    For the continuum flow lhs - rhs = -s, with s >= 0 the Cauchy-Schwarz
-    slack of the Chern-Lu formula for Lap_g log tr_g h.  s vanishes at n=1,
-    so there the margin is zero up to discretization error; at n >= 2 it is not.
+    with Lam = tr_g h.  The second form is what is computed: one double trace
+    (:func:`g_double_trace`) of the model's Sym² field R_h + B(h, eta)
+    (:attr:`FlowModel.schwarz_form`), whose twist part tr_g tr_g B(h, eta) is
+    Lam tr_g eta + tr(g^-1 h g^-1 eta) (:func:`model_form`), and one g-trace
+    of eta.  ``ginv`` is g^-1 at the snapshot and ``dlog`` the centered d/dt
+    of ``log_lam`` = log Lam.  For the continuum flow lhs - rhs = -s, with
+    s >= 0 the Cauchy-Schwarz slack of the Chern-Lu formula for Lap_g log Lam.
+    s vanishes at n=1, so there the margin is zero up to discretization error;
+    at n >= 2 it is not.
     """
     lam = np.exp(log_lam)
     lhs = dlog - laplacian(model.grid, ginv, log_lam)
-    double_trace = g_double_trace(ginv, R_h)
-    twist_trace = g_pair_trace(ginv, model.h, model.eta)
-    rhs = (double_trace + twist_trace) / lam
+    rhs = g_double_trace(ginv, model.schwarz_form)
+    rhs /= lam
+    rhs -= g_trace(ginv, model.eta)
     return float((lhs - rhs).min())
 
 
@@ -700,9 +708,13 @@ def _mixed_level_estimate(model: FlowModel, rho: MetricField, alpha: float, beta
     E = model.h.unitary_frame()
     rho_top = np.linalg.eigvalsh(congruence(E, rho.values))[..., -1]
     pairs, orbits, weights = sym2_index(n)
-    R = model.curvature_h
-    form = np.stack([np.stack([R[P, Q] if P <= Q else np.conj(R[Q, P]) for Q in pairs], -1)
-                     for P in pairs], -2)
+    S, B = model.schwarz_form, model_form(model.h, model.eta)
+
+    def R(P, Q):
+        """R_h[P, Q], as the run's Sym² field less B(h, eta): no second curvature pass."""
+        return S[P, Q] - B[P, Q] if P <= Q else np.conj(S[Q, P] - B[Q, P])
+
+    form = np.stack([np.stack([R(P, Q) for Q in pairs], -1) for P in pairs], -2)
     # V[P, A] = w_A sum of E[i, a] E[k, c] over (i, k) in the orbit of P, so
     # that congruence(V, form)[A, C] = w_A w_C R(E_a, conj E_b, E_c, conj E_d).
     V = np.stack([np.stack([w * sum(E[..., i, a] * E[..., k, c] for i, k in orbit)

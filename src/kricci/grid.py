@@ -48,15 +48,20 @@ records the margin lambda_min it proved, and a second call returns it.  The
 log determinant asks for that proof, so on a field already checked it costs
 no pass over the grid.
 
-The g-traces of Hermitian fields are real, and the kernels compute them in
-real arithmetic from the real and imaginary parts of the entries: no complex
-temporary and no conjugate copy of b is formed.  Their only check is an
-O(1) one, that the diagonal entries are real arrays.
+The g-traces of Hermitian fields are real, and one pairing computes every
+one of them: Re tr(XY) of two Hermitian fields given as their upper
+triangles, in real arithmetic from the real and imaginary parts of the
+entries, with no complex temporary and no conjugate copy of b.  Its callers'
+only check is an O(1) one, that the diagonal entries are real arrays.
 
 The curvature of a metric field is stored the same way, as the upper
 triangle of a Hermitian form on Sym²(C^n) (:func:`curvature_field`): 3 real
 and 3 complex entry fields at n=2, where the rank-4 tensor has 16 complex
-blocks.  Its traces read those entries, and no rank-4 field is built.
+blocks.  Its traces read those entries, and no rank-4 field is built: the
+Ricci-type trace pairs g^-1 with each diagonal block, and the double trace
+is the g-trace of that.  The polarized model form B(h, eta)
+(:func:`model_form`) is a Sym² field too; the flow adds it to R_h, so that
+the twist term of its Schwarz inequality is part of one double trace.
 """
 
 from __future__ import annotations
@@ -82,10 +87,10 @@ __all__ = [
     "flat_metric",
     "g_curvature_trace",
     "g_double_trace",
-    "g_pair_trace",
     "g_trace",
     "laplacian",
     "metric_from_potential",
+    "model_form",
     "ricci_field",
     "ricci_potential",
     "scalar_from_modes",
@@ -311,6 +316,8 @@ class ScalarField:
         v = np.asarray(self.values)
         if v.shape != self.grid.shape:
             raise ValueError(f"expected shape {self.grid.shape}, got {v.shape}")
+        if not np.isfinite(v).all():
+            raise ValueError("scalar field has a NaN or infinite value")
         if np.iscomplexobj(v):
             worst = float(np.max(np.abs(v.imag)))
             if worst > 1e-10 * (1.0 + float(np.max(np.abs(v.real)))):
@@ -517,24 +524,36 @@ def _require_real_diagonal(*fields: MetricField) -> None:
             raise ValueError("g-trace must be real; got a complex diagonal entry")
 
 
-def _real_trace(ginv: MetricField, a, d=None, b=None) -> np.ndarray:
-    """sum_{k,l} g^{l k} A_{k l} for the Hermitian A = [[a, b], [conj(b), d]]
-    (a alone at n=1), in real arithmetic:
+def _triangle(M: MetricField) -> dict:
+    """The upper triangle {(i, j): M_ij}, i <= j, of a :class:`MetricField`,
+    in the key order (0, 0), (0, 1), (1, 1)."""
+    if M.n == 1:
+        return {(0, 0): M.a}
+    return {(0, 0): M.a, (0, 1): M.b, (1, 1): M.d}
 
-        g^{00} a + 2 (Re g^{01} Re b + Im g^{01} Im b) + g^{11} d.
+
+def _pairing(X: dict, Y: dict) -> np.ndarray:
+    """Re tr(XY) = sum_{i,j} X_ij Y_ji of two Hermitian fields given as their
+    upper triangles {(i, j): X_ij}, i <= j, with real diagonal entries.
+
+    Taken in real arithmetic, term by term in the key order of X: a diagonal
+    key adds x y, an off-diagonal key the two conjugate terms together,
+    2 Re(x conj(y)) = 2 (Re x Re y + Im x Im y).
     """
-    out = ginv.a * a
-    if ginv.n == 1:
-        return out
-    q = ginv.b
-    cross = q.real * b.real
-    scratch = np.multiply(q.imag, b.imag)
-    cross += scratch
-    cross *= 2.0
-    out += cross
-    np.multiply(ginv.d, d, out=scratch)
-    out += scratch
-    return out
+    total = None
+    for key, x in X.items():
+        y = Y[key]
+        if key[0] == key[1]:
+            term = x * y
+        else:
+            term = x.real * y.real
+            term += np.multiply(x.imag, y.imag)
+            term *= 2.0
+        if total is None:
+            total = term
+        else:
+            total += term
+    return total
 
 
 def g_trace(ginv: MetricField, A: MetricField) -> np.ndarray:
@@ -542,12 +561,12 @@ def g_trace(ginv: MetricField, A: MetricField) -> np.ndarray:
     form, a real field; ``ginv`` is g^-1 (:meth:`MetricField.inverse`).
 
     The two off-diagonal terms are complex conjugates, so the trace is
-    g^{00} a + 2 Re(g^{01} conj(b)) + g^{11} d, taken in real arithmetic from
-    the real and imaginary parts of the entries.  A complex diagonal entry
-    (a field that is not Hermitian) raises ``ValueError``.
+    g^{00} a + 2 Re(g^{01} conj(b)) + g^{11} d, the pairing Re tr(g^-1 A) of
+    :func:`_pairing`.  A complex diagonal entry (a field that is not
+    Hermitian) raises ``ValueError``.
     """
     _require_real_diagonal(ginv, A)
-    return _real_trace(ginv, *A.entries)
+    return _pairing(_triangle(ginv), _triangle(A))
 
 
 def flat_metric(grid: PeriodicGrid) -> MetricField:
@@ -603,53 +622,6 @@ def _dot(xs, ys):
     for x, y in zip(xs[1:], ys[1:]):
         total += x * y
     return total
-
-
-def g_pair_trace(ginv: MetricField, A: MetricField, B: MetricField) -> np.ndarray:
-    """tr(g^-1 A g^-1 B) = sum_{i,j} X_{ij} Y_{ji}, X = g^-1 A and Y = g^-1 B,
-    at every point, for Hermitian fields A, B in entry form; ``ginv`` is
-    g^-1.  The trace is real and is taken in real arithmetic.
-
-    With p = g^{00}, r = g^{11}, q = g^{01} and M = [[a, b], [conj(b), d]],
-    s + i t = q conj(b):
-
-        (g^-1 M)_00 = p a + s + i t,   (g^-1 M)_11 = s + r d - i t,
-        (g^-1 M)_01 = p b + q d,       (g^-1 M)_10 = conj(q) a + r conj(b),
-
-    so the trace is Re X_00 Re Y_00 + Re X_11 Re Y_11 - 2 t_X t_Y plus, for
-    c each of Re and Im, U_c(A) L_c(B) + L_c(A) U_c(B) with
-    U_c(M) = p c(b) + c(q) d and L_c(M) = c(q) a + r c(b), which are
-    Re and Im of (g^-1 M)_01 and Re and -Im of (g^-1 M)_10.  The terms are
-    formed a group at a time, so few fields exist at once.
-    """
-    _require_real_diagonal(ginv, A, B)
-    p = ginv.a
-    if ginv.n == 1:
-        return (p * A.a) * (p * B.a)
-    r, q = ginv.d, ginv.b
-
-    def diagonal_parts(M):
-        """(Re (g^-1 M)_00, Re (g^-1 M)_11, t)."""
-        br, bi = M.b.real, M.b.imag
-        s = q.real * br
-        s += q.imag * bi
-        t = q.imag * br
-        t -= q.real * bi
-        return p * M.a + s, s + r * M.d, t
-
-    x00, x11, tx = diagonal_parts(A)
-    y00, y11, ty = diagonal_parts(B)
-    out = tx * ty
-    out *= -2.0
-    del tx, ty
-    out += x00 * y00
-    out += x11 * y11
-    del x00, x11, y00, y11
-    for part in (np.real, np.imag):
-        qc, ab, bb = part(q), part(A.b), part(B.b)
-        out += (p * ab + qc * A.d) * (qc * B.a + r * bb)
-        out += (qc * A.a + r * ab) * (p * bb + qc * B.d)
-    return out
 
 
 def curvature_field(grid: PeriodicGrid, g: MetricField) -> dict:
@@ -722,9 +694,9 @@ def g_curvature_trace(ginv: MetricField, S: dict) -> MetricField:
     """The Ricci-type trace sum_{k,l} g^{l k} R_{i jbar k lbar} of a Sym²
     curvature field (:func:`curvature_field`), in entry form.
 
-    A diagonal entry is the real trace (:func:`g_trace`) of g^-1 against the
-    Hermitian block R_{i ibar k lbar}, taken in real arithmetic; the
-    off-diagonal entry at n=2 is complex.
+    A diagonal entry is the real pairing (:func:`_pairing`) of g^-1 with the
+    Hermitian block R_{i ibar k lbar}; the off-diagonal entry at n=2 is
+    complex.
     """
     _require_real_diagonal(ginv)
     n, rows = ginv.n, range(ginv.n)
@@ -733,67 +705,45 @@ def g_curvature_trace(ginv: MetricField, S: dict) -> MetricField:
         P, Q = tuple(sorted((i, k))), tuple(sorted((j, l)))
         return S[P, Q] if P <= Q else np.conj(S[Q, P])
 
-    def block(i):
-        """The entries (a, d, b) of the block R_{i ibar k lbar}; a alone at n=1."""
-        if n == 1:
-            return (entry(i, 0, i, 0),)
-        return entry(i, 0, i, 0), entry(i, 1, i, 1), entry(i, 0, i, 1)
-
-    diagonal = [_real_trace(ginv, *block(i)) for i in rows]
+    G = _triangle(ginv)
+    # The upper triangle of the block R_{i ibar k lbar} over (k, l).
+    diagonal = [_pairing(G, {(k, l): entry(i, k, i, l) for k, l in G}) for i in rows]
     off_diagonal = []
     if n == 2:
-        G = _entry_rows(ginv)
-        off_diagonal = [_dot([G[l][k] for k in rows for l in rows],
+        rows_inv = _entry_rows(ginv)
+        off_diagonal = [_dot([rows_inv[l][k] for k in rows for l in rows],
                              [entry(0, k, 1, l) for k in rows for l in rows])]
     return MetricField._from_entries(ginv.grid, *diagonal, *off_diagonal)
 
 
 def g_double_trace(ginv: MetricField, S: dict) -> np.ndarray:
-    """tr_g tr_g R = sum g^{j i} g^{l k} R_{i jbar k lbar} of a Sym² curvature
-    field, as one Hermitian trace sum_{P,Q} S[P, Q] M[P, Q] against Sym²(g^-1):
-    M[P, Q] sums g^{j i} g^{l k} over (i, k) in the orbit of P and (j, l) in
-    that of Q.  S and M are Hermitian, so each P < Q adds 2 Re(S M); real.
+    """tr_g tr_g R = sum g^{j i} g^{l k} R_{i jbar k lbar} of a Sym² field
+    (:func:`curvature_field`), a real field: the g-trace of its Ricci-type
+    trace (:func:`g_curvature_trace`)."""
+    return g_trace(ginv, g_curvature_trace(ginv, S))
 
-    With p = g^{00}, r = g^{11}, q = g^{01} and the pairs A = (0, 0),
-    B = (0, 1), C = (1, 1) at n=2,
 
-        M_AA = p^2,  M_BB = 2 (p r + |q|^2),  M_CC = r^2,
-        M_AB = 2 p conj(q),  M_BC = 2 r conj(q),  M_AC = conj(q)^2,
+def model_form(h: MetricField, eta: MetricField) -> dict:
+    """The polarized model form B(h, eta) of :func:`kricci.forms.b_form` as a
+    Sym² field (:func:`curvature_field`),
 
-    and the sum is taken in real arithmetic, through
-    Re(S conj(x)) = Re S Re x + Im S Im x for x = q and x = q^2.
+        B_{i jbar k lbar} = (h_ij eta_kl + h_kl eta_ij + h_il eta_kj + h_kj eta_il) / 2,
+
+    for Hermitian fields h, eta in entry form.  B is bihermitian, B(h, h) is
+    the model form B(h), and its double trace is
+
+        tr_g tr_g B(h, eta) = tr_g h tr_g eta + tr(g^-1 h g^-1 eta).
     """
-    _require_real_diagonal(ginv)
-    p = ginv.a
-    if ginv.n == 1:
-        return S[(0, 0), (0, 0)] * (p * p)
-    A, B, C = sym2_index(2)[0]
-    r, qr, qi = ginv.d, ginv.b.real, ginv.b.imag
-
-    def re_conj(s, xr, xi):
-        """Re(s conj(x)) for x = xr + i xi."""
-        out = s.real * xr
-        out += s.imag * xi
-        return out
-
-    total = (p * p) * S[A, A]
-    total += (r * r) * S[C, C]
-    m = p * r
-    m += qr * qr
-    m += qi * qi
-    m *= S[B, B]
-    m *= 2.0
-    total += m
-    # 2 Re(S_AB M_AB) + 2 Re(S_BC M_BC) = 4 (p Re(S_AB conj q) + r Re(S_BC conj q)).
-    m = p * re_conj(S[A, B], qr, qi)
-    m += r * re_conj(S[B, C], qr, qi)
-    m *= 4.0
-    total += m
-    # 2 Re(S_AC conj(q^2)), q^2 = (qr^2 - qi^2) + 2 i qr qi.
-    m = re_conj(S[A, C], qr * qr - qi * qi, 2.0 * qr * qi)
-    m *= 2.0
-    total += m
-    return total
+    H, E = _entry_rows(h), _entry_rows(eta)
+    B = {}
+    for (i, k), (j, l) in itertools.combinations_with_replacement(sym2_index(h.n)[0], 2):
+        # The four (h, eta) index pairs repeat each distinct one 4 / len times.
+        pairs = dict.fromkeys([((i, j), (k, l)), ((k, l), (i, j)), ((i, l), (k, j)),
+                               ((k, j), (i, l))])
+        term = _dot([H[p][q] for (p, q), _ in pairs], [E[r][s] for _, (r, s) in pairs])
+        term *= 2.0 / len(pairs)
+        B[(i, k), (j, l)] = np.ascontiguousarray(term.real) if (i, k) == (j, l) else term
+    return B
 
 
 def laplacian(grid: PeriodicGrid, ginv: MetricField, f: np.ndarray) -> np.ndarray:

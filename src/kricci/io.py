@@ -155,7 +155,7 @@ def save_field(path, field: ScalarField | MetricField) -> None:
 
 
 def load_field(path) -> ScalarField | MetricField:
-    data = load_json(path)
+    data = _json_object(load_json(path), "field file", path)
     try:
         n, N = (_number(int, data[key], key, path) for key in ("n", "N"))
         kind, values = data["kind"], data["values"]
@@ -239,6 +239,8 @@ def _potential_from_spec(spec, grid: PeriodicGrid, path: Path) -> np.ndarray | N
             ) from err
         return scalar_from_modes(grid, modes)
     if isinstance(spec, dict) and "file" in spec:
+        if not isinstance(spec["file"], str):
+            raise ValueError(f"{path}: potential 'file' must be a path, got {spec['file']!r}")
         field = load_field(path.parent / spec["file"])
         if not isinstance(field, ScalarField):
             raise ValueError(f"{spec['file']}: potential reference must be a scalar field")
@@ -345,19 +347,22 @@ def read_flow_csv(path) -> list[DiagnosticsRow]:
 def append_report(path, record: dict) -> dict:
     """Append one run record to a report file; creates the file if needed."""
     path = Path(path)
-    if path.exists():
-        payload = load_json(path)
-        if "runs" not in payload or not isinstance(payload["runs"], list):
-            raise ValueError(f"{path}: existing file is not a report")
-    else:
-        payload = {"runs": []}
+    payload = load_report(path) if path.exists() else {"runs": []}
     payload["runs"].append(record)
     save_json(path, payload)
     return payload
 
 
 def load_report(path) -> dict:
-    payload = load_json(path)
-    if "runs" not in payload:
+    """A report file: a JSON object whose "runs" is a list of JSON objects, a
+    suite run's "summary" among them an object with a numeric "worst_margin".
+    Anything else is a ValueError naming the file."""
+    payload = _json_object(load_json(path), "report file", path)
+    if not isinstance(payload.get("runs"), list):
         raise ValueError(f"{path}: not a report file")
+    for i, record in enumerate(payload["runs"]):
+        if "summary" in _json_object(record, f"run {i}", path):
+            worst = _json_object(record["summary"], f"run {i} summary", path).get("worst_margin")
+            if isinstance(worst, bool) or not isinstance(worst, (int, float)):
+                raise ValueError(f"{path}: run {i} summary has no numeric worst_margin")
     return payload

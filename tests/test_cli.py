@@ -335,6 +335,25 @@ def test_field_file_with_bad_integer_key_exits_2(tmp_path, capsys, header, key):
     assert capsys.readouterr().err.startswith(f"error: {field}: {key} must be")
 
 
+@pytest.mark.parametrize(
+    "spec, referenced, message",
+    [
+        ({"file": "field.json"}, [0.0] * 64, "field.json: field file must be a JSON object"),
+        ({"file": 5}, None, "flow.json: potential 'file' must be a path, got 5"),
+    ],
+    ids=["field-file-list", "file-number"],
+)
+def test_malformed_potential_file_reference_exits_2(tmp_path, capsys, spec, referenced, message):
+    if referenced is not None:
+        save_json(tmp_path / "field.json", referenced)
+    config = tmp_path / "flow.json"
+    save_json(config, {"grid": GRID, "background": spec})
+    assert run_cli("flow", config, "--out", tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {tmp_path}/") and message in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_integral_float_keys_load_as_integers(tmp_path):
     config = tmp_path / "flow.json"
     save_json(config, {"grid": {"n": 1.0, "N": 8.0}, "dt": 1, "t_end": 0.02, "cadence": 2.0})
@@ -504,6 +523,33 @@ class TestReportCommand:
 
     def test_missing_file_is_an_error(self, tmp_path):
         assert run_cli("report", tmp_path / "nope.json") == 2
+
+    def test_json_number_file_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "number.json"
+        path.write_text("5\n")
+        assert run_cli("report", path) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {path}: report file must be a JSON object, got int"
+        )
+
+    def test_verify_out_onto_json_number_file_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "number.json"
+        path.write_text("5\n")
+        assert run_cli("verify", "royden", "--n", 1, "--count", 1, "--out", path) == 2
+        assert f"error: {path}: report file must be a JSON object" in capsys.readouterr().err
+        assert path.read_text() == "5\n"
+
+    def test_suite_record_without_worst_margin_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "runs.json"
+        run_cli("verify", "royden", "--n", 1, "--count", 1, "--out", path)
+        payload = json.loads(path.read_text())
+        del payload["runs"][0]["summary"]["worst_margin"]
+        save_json(path, payload)
+        capsys.readouterr()
+        assert run_cli("report", path) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {path}: run 0 summary has no numeric worst_margin"
+        )
 
 
 class TestParserReuse:

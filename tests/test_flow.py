@@ -7,6 +7,7 @@ horizon extrapolation with exact reference values.
 """
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -36,8 +37,9 @@ from kricci.grid import (
     curvature_field,
     dbar_hessian,
     g_double_trace,
-    g_pair_trace,
     g_trace,
+    laplacian,
+    model_form,
     ricci_field,
     scalar_from_modes,
 )
@@ -359,6 +361,48 @@ class TestSchwarz:
         assert worst[0] < 5e-3
         assert worst[1] < worst[0] / 3.0
 
+    @staticmethod
+    def full_tensor(S, n):
+        """The rank-4 tensor R[..., i, j, k, l] a Sym² field stores."""
+        R = np.empty(S[(0, 0), (0, 0)].shape + (n,) * 4, dtype=complex)
+        for i, j, k, l in itertools.product(range(n), repeat=4):
+            P, Q = tuple(sorted((i, k))), tuple(sorted((j, l)))
+            R[..., i, j, k, l] = S[P, Q] if P <= Q else np.conj(S[Q, P])
+        return R
+
+    @pytest.mark.parametrize("n, disc", [(1, "fd2"), (2, "spectral"), (2, "fd2")])
+    def test_folded_right_hand_side_matches_einsum(self, n, disc):
+        # The right-hand side tr_g tr_g (R_h + B(h, eta)) / Lam - tr_g eta
+        # against (tr_g tr_g R_h + tr(g^-1 h g^-1 eta)) / Lam, contracted by
+        # einsum over full arrays, at a flow metric g != h.  The mixed
+        # wavevectors make g_12, h_12 and eta_12 complex at n=2.
+        grid = PeriodicGrid(n, 8, disc)
+        mixed = (1, 1) if n == 1 else (1, 1, 1, 0)
+        config = FlowConfig(
+            grid=grid,
+            background=scalar_from_modes(grid, [(mixed, 0.02), ((1,) + (0,) * (2 * n - 1), 0.01)]),
+            twist=TwistSpec(c=0.3, potential=perturbed_potential(grid, 0.01, mixed)),
+        )
+        model = FlowModel(config)
+        phi = perturbed_potential(grid, 0.005, (0,) * (2 * n - 1) + (1,))
+        ginv = model.reconstruct(0.05, phi).inverse()
+        if n == 2:
+            for field in (ginv, model.h, model.eta):
+                assert np.abs(field.b.real).max() > 1e-3 and np.abs(field.b.imag).max() > 1e-3
+        G, H, E = ginv.values, model.h.values, model.eta.values
+        R = self.full_tensor(curvature_field(grid, model.h), n)
+        lam = np.einsum("...ji,...ij->...", G, H).real
+        ref = (np.einsum("...ji,...lk,...ijkl->...", G, G, R)
+               + np.einsum("...ij,...jk,...kl,...li->...", G, H, G, E)).real / lam
+        rhs = g_double_trace(ginv, model.schwarz_form) / lam - g_trace(ginv, model.eta)
+        assert rhs.dtype == float
+        assert np.max(np.abs(rhs - ref)) <= 1e-12 * np.max(np.abs(ref))
+        # _schwarz_margins at dlog = 0 is min(-Lap_g log Lam - rhs).
+        log_lam = np.log(lam)
+        expected = float((-laplacian(grid, ginv, log_lam) - ref).min())
+        margin = kricci.flow._schwarz_margins(model, ginv, np.zeros(grid.shape), log_lam)
+        assert abs(margin - expected) <= 1e-12 * (np.max(np.abs(ref)) + abs(expected))
+
 
 class TestTraceEvolution:
     def flat_twisted_config(self, n=1, N=16, amplitude=0.01, t_final=0.2):
@@ -440,13 +484,16 @@ def _laplacian_of_metric(grid, g, f):
 
 
 def _reference_schwarz_margins(result):
-    """Schwarz margins snapshot by snapshot, reconstructing g at every use."""
+    """Schwarz margins snapshot by snapshot, reconstructing g at every use,
+    from a Sym² field R_h + B(h, eta) of their own."""
     model = result.model
     grid = model.grid
     snaps = result.snapshots
 
     lam_logs = [model.log_trace_h(model.reconstruct(s.t, s.phi).inverse()) for s in snaps]
-    R_h = curvature_field(grid, model.h)
+    S = curvature_field(grid, model.h)
+    for key, entry in model_form(model.h, model.eta).items():
+        S[key] += entry
     margins = [math.nan] * len(snaps)
     for i in range(1, len(snaps) - 1):
         a, b = snaps[i].t - snaps[i - 1].t, snaps[i + 1].t - snaps[i].t
@@ -454,9 +501,7 @@ def _reference_schwarz_margins(result):
         g = model.reconstruct(snaps[i].t, snaps[i].phi)
         ginv = g.inverse()
         lhs = dlog - _laplacian_of_metric(grid, g, lam_logs[i])
-        double_trace = g_double_trace(ginv, R_h)
-        twist_trace = g_pair_trace(ginv, model.h, model.eta)
-        rhs = (double_trace + twist_trace.real) / np.exp(lam_logs[i])
+        rhs = g_double_trace(ginv, S) / np.exp(lam_logs[i]) - g_trace(ginv, model.eta)
         margins[i] = float((lhs - rhs).min())
     return margins
 

@@ -7,20 +7,22 @@ from numpy.testing import assert_allclose
 
 from kricci.errors import DegeneracyError
 from kricci.flow import FlowConfig, FlowModel, TwistSpec, _mixed_level_estimate
-from kricci.forms import sym2_index
+from kricci.forms import HermitianForm, sym2_index
+from kricci.forms import b_form as forms_b_form
 from kricci.grid import (
     MetricField,
     PeriodicGrid,
+    ScalarField,
     _derivatives,
     curvature_field,
     dbar_hessian,
     flat_metric,
     g_curvature_trace,
     g_double_trace,
-    g_pair_trace,
     g_trace,
     laplacian,
     metric_from_potential,
+    model_form,
     ricci_field,
     ricci_potential,
     scalar_from_modes,
@@ -200,6 +202,17 @@ class TestHessianAgainstPerAxis:
                 dx, dy = gradient(i)
                 assert np.array_equal(dx, 0.5 * per_axis_d1(grid, f, 2 * i)), (N, i)
                 assert np.array_equal(dy, 0.5 * per_axis_d1(grid, f, 2 * i + 1)), (N, i)
+
+
+class TestScalarField:
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, complex(1.0, np.nan)])
+    def test_rejects_non_finite_value(self, value):
+        # A NaN imaginary part is not dropped with the imaginary part.
+        grid = PeriodicGrid(n=1, N=8)
+        values = np.zeros(grid.shape, dtype=np.asarray(value).dtype)
+        values[2, 5] = value
+        with pytest.raises(ValueError, match="NaN or infinite value"):
+            ScalarField(grid, values)
 
 
 class TestMetricField:
@@ -673,6 +686,42 @@ class TestSym2Oracle:
             traced = g_curvature_trace(ginv, S).values
             assert np.max(np.abs(traced - ref)) <= 1e-12 * np.max(np.abs(ref))
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_model_form_polarizes_b_form(self, n):
+        # B(h, eta) is the polarization of the model form of forms.b_form:
+        # the (i, j)-(k, l) symmetric mean of h_ij eta_kl + h_il eta_kj, with
+        # B(h, h) = B(h), on fields whose off-diagonal entries are complex.
+        grid = PeriodicGrid(n=n, N=8)
+        rng = np.random.default_rng(40 + n)
+        h, eta = (MetricField(grid, random_metric_values(n, grid.shape, rng)) for _ in range(2))
+        H, E = h.values, eta.values
+
+        def b_form(X, Y):
+            return (np.einsum("...ij,...kl->...ijkl", X, Y)
+                    + np.einsum("...il,...kj->...ijkl", X, Y))
+
+        B = full_tensor(model_form(h, eta), n)
+        ref = 0.5 * (b_form(H, E) + b_form(E, H))
+        assert np.max(np.abs(B - ref)) <= 1e-14 * np.max(np.abs(ref))
+        B = full_tensor(model_form(h, h), n)
+        assert np.max(np.abs(B - b_form(H, H))) <= 1e-14 * np.max(np.abs(B))
+        point = (3,) * (2 * n)
+        assert_allclose(B[point], forms_b_form(HermitianForm(H[point])).entries, atol=1e-14)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_model_form_double_trace(self, n):
+        # tr_g tr_g B(h, eta) = tr_g h tr_g eta + tr(g^-1 h g^-1 eta).
+        grid = PeriodicGrid(n=n, N=8)
+        rng = np.random.default_rng(50 + n)
+        g, h, eta = (MetricField(grid, random_metric_values(n, grid.shape, rng)) for _ in range(3))
+        ginv = g.inverse()
+        G, H, E = ginv.values, h.values, eta.values
+        ref = (np.einsum("...ji,...ij->...", G, H) * np.einsum("...ji,...ij->...", G, E)
+               + np.einsum("...ij,...jk,...kl,...li->...", G, H, G, E)).real
+        double = g_double_trace(ginv, model_form(h, eta))
+        assert double.dtype == float
+        assert np.max(np.abs(double - ref)) <= 1e-13 * np.max(np.abs(ref))
+
     @staticmethod
     def pairing_route(model, rho, alpha, beta):
         """The mixed-level estimate through the top eigenvalue of the full
@@ -711,21 +760,6 @@ class TestSym2Oracle:
             ref = self.pairing_route(model, rho, alpha, beta)
             est = _mixed_level_estimate(model, rho, alpha, beta)
             assert abs(est - ref) <= 1e-12 * (1.0 + abs(ref))
-
-
-class TestPairTrace:
-    @pytest.mark.parametrize("n", [1, 2])
-    def test_matches_four_operand_contraction(self, n):
-        grid = PeriodicGrid(n=n, N=8)
-        rng = np.random.default_rng(20 + n)
-        ginv = MetricField(grid, random_metric_values(n, grid.shape, rng)).inverse()
-        A = MetricField(grid, random_metric_values(n, grid.shape, rng))
-        B = MetricField(grid, random_metric_values(n, grid.shape, rng))
-        G = ginv.values
-        ref = np.einsum("...li,...jk,...ij,...kl->...", G, G, A.values, B.values, optimize=True)
-        out = g_pair_trace(ginv, A, B)
-        assert out.dtype == float
-        assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 class TestHermitianHalf:
@@ -780,13 +814,11 @@ class TestHermitianHalf:
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_traces_of_entry_fields_match_full_fields(self, n):
-        g, A, B = self.field(n, 4), self.field(n, 5), self.field(n, 6)
+        g, A = self.field(n, 4), self.field(n, 5)
         ginv = g.inverse()
         G = ginv.values
         ref = np.einsum("...lk,...kl->...", G, A.values)
         assert np.max(np.abs(g_trace(ginv, A) - ref)) <= 1e-14 * np.max(np.abs(ref))
-        ref = np.einsum("...li,...ij,...jk,...kl->...", G, A.values, G, B.values)
-        assert np.max(np.abs(g_pair_trace(ginv, A, B) - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_real_trace_rejects_non_hermitian_full_field(self, n):
@@ -797,8 +829,6 @@ class TestHermitianHalf:
         A.a = A.a + 1j
         with pytest.raises(ValueError, match="g-trace must be real"):
             g_trace(ginv, A)
-        with pytest.raises(ValueError, match="g-trace must be real"):
-            g_pair_trace(ginv, self.field(n, 11), A)
 
 
 class TestLaplacian:

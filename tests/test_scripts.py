@@ -56,6 +56,17 @@ def test_step_timing_prints_the_positivity_and_trace_layers(n, capsys):
     assert float(positivity[0].split()[2]) > 0.0 and float(trace[0].split()[1]) > 0.0
 
 
+@pytest.mark.parametrize("n, disc", [(1, "fd2"), (2, "spectral")])
+def test_step_timing_prints_the_schwarz_layer(n, disc, capsys):
+    argv = ["--n", str(n), "--resolution", "8", "--discretization", disc, "--steps", "1"]
+    assert load_script("step_timing.py").main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    schwarz = [line for line in lines if line.startswith("schwarz_margins: median ")]
+    assert len(schwarz) == 1
+    assert schwarz[0].endswith(" ms over 20 calls at one middle snapshot")
+    assert float(schwarz[0].split()[2]) > 0.0
+
+
 def load_script(script):
     spec = importlib.util.spec_from_file_location(f"script_{Path(script).stem}", SCRIPTS / script)
     module = importlib.util.module_from_spec(spec)
