@@ -2,12 +2,14 @@
 positivity and log-det kernels, one g-trace, one background curvature call,
 the per-snapshot diagnostics and the Schwarz margin of one snapshot.
 
-Builds a flow model on a background with a mixed-wavevector mode (at n=2 the
-off-diagonal g_12 is complex) and a one-mode twist potential, then prints
+Builds a flow config on a background with a mixed-wavevector mode (at n=2 the
+off-diagonal g_12 is complex) and a one-mode twist potential, then times the
+kernels on its model and one ``run_flow`` call to t = (steps + 1) dt, dt the
+explicit step-size limit at the background margin, with a snapshot at every
+step.  It prints
 
-  * the median wall time of ``_rk2_step`` over ``--steps`` consecutive steps
-    at the explicit step-size limit;
-  * the tracemalloc peak of one further step;
+  * the median wall time of the run's first ``--steps`` ``_rk2_step`` calls;
+  * the tracemalloc peak of the run's next step;
   * the median wall time of one ``dbar_hessian`` call on the background
     potential over a fixed 200 calls (the d dbar layer of each step);
   * the median wall time of ``require_positive`` then ``log_determinant``
@@ -19,13 +21,10 @@ off-diagonal g_12 is complex) and a one-mode twist potential, then prints
     inverse of g(dt) over 200 calls (the trace layer of the analysis);
   * the wall time and the tracemalloc peak of one ``curvature_field`` call on
     the background metric;
-  * the summed wall time of ``_diagnostics`` over the start and the timed
-    steps taken as snapshots, each analysed from the g^-1 of the metric its
-    step built, as ``run_flow`` does, with the model's Sym² field
-    R_h + B(h, eta) already computed;
-  * the median wall time of ``_schwarz_margins`` over 20 calls at one middle
-    snapshot: the last timed step's, between the snapshot before it and the
-    step whose tracemalloc peak is taken.
+  * the summed wall time of the run's ``_diagnostics`` calls, less the
+    one-time build of the Sym² field R_h + B(h, eta) they make;
+  * the median wall time of ``_schwarz_margins`` over 20 calls on the run's
+    arguments at the snapshot of the last timed step.
 
 Example:
 
@@ -33,29 +32,20 @@ Example:
 """
 
 import argparse
+import dataclasses
 import statistics
 import sys
 import time
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from kricci.flow import (
-    CFL_SAFETY,
-    FlowConfig,
-    FlowModel,
-    FlowSnapshot,
-    TwistSpec,
-    _diagnostics,
-    _initial_sigma,
-    _nonuniform_dt,
-    _rk2_step,
-    _schwarz_margins,
-    _Window,
-)
+import kricci.flow as flow
+from kricci.flow import CFL_SAFETY, FlowConfig, FlowModel, TwistSpec
 from kricci.grid import (
     MetricField,
     PeriodicGrid,
@@ -70,13 +60,13 @@ KERNEL_CALLS = 200
 SCHWARZ_CALLS = 20
 
 
-def model_for(n, N, discretization):
+def config_for(n, N, discretization):
     grid = PeriodicGrid(n, N, discretization)
     # Touches every complex coordinate, so at n=2 g_12 has real and imaginary parts.
     mixed = (1, 1) if n == 1 else (1, 1, 1, 0)
     background = scalar_from_modes(grid, [(mixed, 0.01), ((1,) + (0,) * (2 * n - 1), 0.005)])
     twist = TwistSpec(c=0.0, potential=scalar_from_modes(grid, [(mixed, 0.002)]))
-    return FlowModel(FlowConfig(grid=grid, background=background, twist=twist))
+    return FlowConfig(grid=grid, background=background, twist=twist)
 
 
 def median_us(fn, calls=KERNEL_CALLS):
@@ -99,6 +89,18 @@ def peak_mib(fn):
         tracemalloc.stop()
 
 
+def timed(fn, seconds):
+    """``fn``, appending the wall time of each call to ``seconds``."""
+
+    def wrapper(*args):
+        start = time.perf_counter()
+        result = fn(*args)
+        seconds.append(time.perf_counter() - start)
+        return result
+
+    return wrapper
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--n", type=int, default=2, choices=(1, 2))
@@ -107,8 +109,9 @@ def main(argv=None):
     parser.add_argument("--steps", type=int, default=5, help="timed steps (median reported)")
     args = parser.parse_args(argv)
 
-    model = model_for(args.n, args.resolution, args.discretization)
-    config, grid = model.config, model.grid
+    config = config_for(args.n, args.resolution, args.discretization)
+    model = FlowModel(config)
+    grid = model.grid
     # The explicit step-size limit of run_flow at the background margin.
     cfl = CFL_SAFETY * grid.spacing**2 / (2.0 * grid.n)
     dt = min(config.dt_initial, cfl * model.h_margin)
@@ -130,44 +133,42 @@ def main(argv=None):
     curvature, curvature_peak = peak_mib(lambda: curvature_field(grid, model.h))
     # R_h is a dict of Sym² entry fields; its size is theirs together.
     curvature_mib = sum(entry.nbytes for entry in curvature.values()) / 2**20
-    del curvature
-    # A run computes its Sym² field once, at its second snapshot; the timed
-    # analysis reuses it.
-    model.schwarz_form
+    del curvature, model
 
-    h_inv = model.h.inverse()
-    window = _Window(model, _initial_sigma(model, h_inv))
-    t, phi, phidot = 0.0, np.zeros(grid.shape), np.zeros(grid.shape)
+    step, schwarz = flow._rk2_step, flow._schwarz_margins
+    step_s, step_peak, diagnostics_s, build_s, schwarz_args = [], [], [], [], []
 
-    def analyse(snap, ginv, margin):
-        start = time.perf_counter()
-        _diagnostics(window, snap, ginv, margin)
-        return time.perf_counter() - start
+    def rk2_step(*step_args):
+        # The timed steps, then the further ones under tracemalloc.
+        if len(step_s) < args.steps:
+            return timed(step, step_s)(*step_args)
+        result, peak = peak_mib(lambda: step(*step_args))
+        step_peak.append(peak)
+        return result
 
-    diagnostics_s = analyse(FlowSnapshot(t, phi, phidot), h_inv, model.h_margin)
-    del h_inv
-    times = []
-    for _ in range(args.steps):
-        start = time.perf_counter()
-        phi, phidot, margin, g = _rk2_step(model, t, phi, dt, phidot)
-        times.append(time.perf_counter() - start)
-        t += dt
-        ginv = g.inverse()
-        del g
-        diagnostics_s += analyse(FlowSnapshot(t, phi, phidot), ginv, margin)
-    (_, _, _, g_next), step_peak = peak_mib(lambda: _rk2_step(model, t, phi, dt, phidot))
+    def schwarz_margins(*margin_args):
+        # Call k has the snapshot of step k as its middle: keep the last
+        # timed step's arguments.
+        schwarz_args.append(margin_args if len(schwarz_args) == args.steps - 1 else None)
+        return schwarz(*margin_args)
 
-    # The last timed snapshot as a middle: log tr_g h of the snapshot before
-    # it and of the step after it, from the window and from g_next.
-    log_prev, log_mid = (entry[1] for entry in list(window.entries)[-2:])
-    log_next = model.log_trace_h(g_next.inverse())
-    del g_next
-    dlog = _nonuniform_dt(log_prev, log_mid, log_next, dt, dt)
-    schwarz_us = median_us(lambda: _schwarz_margins(model, ginv, dlog, log_mid), SCHWARZ_CALLS)
+    # run_flow looks these up in kricci.flow at call time.  A _diagnostics
+    # call builds the Sym² field R_h + B(h, eta) once, from the other two.
+    with mock.patch.multiple(
+        flow,
+        _rk2_step=rk2_step,
+        _diagnostics=timed(flow._diagnostics, diagnostics_s),
+        _schwarz_margins=schwarz_margins,
+        curvature_field=timed(flow.curvature_field, build_s),
+        model_form=timed(flow.model_form, build_s),
+    ):
+        run = dataclasses.replace(config, t_final=(args.steps + 1) * dt, diagnostics_every=1)
+        snapshots = len(flow.run_flow(run).rows)
+    schwarz_us = median_us(lambda: schwarz(*schwarz_args[args.steps - 1]), SCHWARZ_CALLS)
 
     print(f"n={grid.n} N={grid.N} {grid.discretization} dt={dt:.3e}")
-    print(f"rk2 step: median {1e3 * statistics.median(times):.1f} ms over {args.steps} steps, "
-          f"tracemalloc peak {step_peak:.1f} MiB")
+    print(f"rk2 step: median {1e3 * statistics.median(step_s):.1f} ms over {args.steps} steps, "
+          f"tracemalloc peak {step_peak[0]:.1f} MiB")
     print(f"dbar_hessian: median {1e-3 * hessian_us:.3f} ms "
           f"over {KERNEL_CALLS} calls on the background potential")
     print(f"positivity+log det: {positivity_us:.1f} µs per metric, "
@@ -175,7 +176,8 @@ def main(argv=None):
     print(f"g_trace: {trace_us:.1f} µs, median over {KERNEL_CALLS} calls")
     print(f"curvature_field: {1e3 * curvature_s:.1f} ms, tracemalloc peak {curvature_peak:.1f} MiB "
           f"for a {curvature_mib:.1f} MiB result")
-    print(f"diagnostics: {1e3 * diagnostics_s:.1f} ms over {len(window.rows)} snapshots")
+    print(f"diagnostics: {1e3 * (sum(diagnostics_s) - sum(build_s)):.1f} ms "
+          f"over {snapshots} snapshots")
     print(f"schwarz_margins: median {1e-3 * schwarz_us:.3f} ms over {SCHWARZ_CALLS} calls "
           f"at one middle snapshot")
     return 0

@@ -232,10 +232,10 @@ def _cmd_flow(args) -> int:
         "ok": bool(vol_min >= -tol_volume * vol_scale),
     }
 
-    snapshots = len(result.snapshots)
+    # The run records identities from its third snapshot on, and one row per snapshot.
     skipped = (
-        f"needs {CENTERED_SNAPSHOTS} snapshots, the run has {snapshots}"
-        if snapshots < CENTERED_SNAPSHOTS
+        f"needs {CENTERED_SNAPSHOTS} snapshots, the run has {len(result.rows)}"
+        if result.identities is None
         else None
     )
     for name in ("schwarz", "potential_identities"):

@@ -29,12 +29,14 @@ potentials.  Time derivatives are taken with the second-order nonuniform
 Each snapshot is analysed as the run takes it, from the g^-1 and the
 positivity margin of the step that built its metric, so no snapshot metric is
 reconstructed or checked twice; the start snapshot reads h, its margin and
-the h^-1 the barrier scale uses.  A sliding window of three snapshots gives
-every centered derivative the checks need.  Of the window only the newest
-snapshot's g^-1 and traces are kept, for when it becomes the middle; its ends
-keep log tr_g h and, when the config sets mu, the trace-evolution field.  Only
-a run that degenerates between snapshots reconstructs its last accepted state,
-once.  No check reads a snapshot metric after the run.
+the h^-1 the barrier scale uses.  Rows, identity residuals and the
+trace-evolution record go straight into the run's one :class:`FlowResult`.
+A sliding window of three snapshots gives every centered derivative the
+checks need; of it only the newest snapshot's g^-1 and traces are kept, for
+when it becomes the middle, and its ends keep log tr_g h and, when the config
+sets mu, the trace-evolution field.  Only a run that degenerates between
+snapshots reconstructs its last accepted state, once.  No check reads a
+snapshot metric after the run.
 """
 
 from __future__ import annotations
@@ -252,12 +254,15 @@ class TraceEvolutionRecord:
 
 @dataclass
 class FlowResult:
+    """One run's record: :func:`run_flow` builds it before its first step and
+    fills it as it runs, so a degenerating run hands over what it has."""
+
     config: FlowConfig
     model: FlowModel
     sigma: float
-    snapshots: list[FlowSnapshot]
-    rows: list[DiagnosticsRow]
-    steps: int
+    snapshots: list[FlowSnapshot] = field(default_factory=list)
+    rows: list[DiagnosticsRow] = field(default_factory=list)
+    steps: int = 0
     # None when the run has fewer than CENTERED_SNAPSHOTS snapshots.
     identities: PotentialIdentityReport | None = None
     trace_evolution: TraceEvolutionRecord | None = None  # None when mu is None
@@ -309,15 +314,14 @@ def run_flow(config: FlowConfig) -> FlowResult:
     grid = config.grid
     n = grid.n
     h_inv = model.h.inverse()
-    sigma = _initial_sigma(model, h_inv)
-    window = _Window(model, sigma, trace=None if config.mu is None else TraceEvolutionRecord())
+    trace = None if config.mu is None else TraceEvolutionRecord()
+    result = FlowResult(config, model, _initial_sigma(model, h_inv), trace_evolution=trace)
+    snapshots, window = result.snapshots, _Window()
     phi = np.zeros(grid.shape)
     t = 0.0
     # g(0) = h, so dphi/dt starts at log det h - log det h = 0.
     phidot = np.zeros(grid.shape)
     margin = model.h_margin
-    snapshots = []
-    steps = 0
 
     def snapshot(ginv=None, last=False):
         """Take (t, phi, phidot) as a snapshot unless it is one, and analyse it
@@ -329,16 +333,11 @@ def run_flow(config: FlowConfig) -> FlowResult:
             # metric, so it is reconstructed; its margin is the step's.
             ginv = model.reconstruct(t, phi).inverse()
         snapshots.append(FlowSnapshot(t=t, phi=phi, phidot=phidot))
-        _diagnostics(window, snapshots[-1], ginv, margin, last)
-
-    def finish():
-        return FlowResult(
-            config, model, sigma, snapshots, window.rows, steps, window.identities(), window.trace
-        )
+        _diagnostics(result, window, ginv, margin, last)
 
     def degenerate(message, stop_margin):
         snapshot(last=True)
-        return FlowDegenerateError(message, t=t, margin=stop_margin, result=finish())
+        return FlowDegenerateError(message, t=t, margin=stop_margin, result=result)
 
     snapshot(h_inv)
     del h_inv  # the window keeps it while the start is its newest snapshot
@@ -346,7 +345,7 @@ def run_flow(config: FlowConfig) -> FlowResult:
     cfl = CFL_SAFETY * grid.spacing**2 / (2.0 * n)
     done = False
     while not done:
-        if steps >= MAX_STEPS:
+        if result.steps >= MAX_STEPS:
             raise degenerate(f"step budget {MAX_STEPS} exhausted at t={t:.6g}", margin)
         dt = min(config.dt_initial, cfl * margin, config.t_final - t)
         if dt <= dt_floor:
@@ -369,14 +368,14 @@ def run_flow(config: FlowConfig) -> FlowResult:
         phi, phidot, margin, g = accepted
         del accepted
         t += dt
-        steps += 1
+        result.steps += 1
         done = t >= config.t_final * (1.0 - 1e-12)
-        ginv = g.inverse() if steps % config.diagnostics_every == 0 or done else None
+        ginv = g.inverse() if result.steps % config.diagnostics_every == 0 or done else None
         # The analysis reads g^-1 only; g goes before it runs.
         del g
         if ginv is not None:
             snapshot(ginv, last=done)
-    return finish()
+    return result
 
 
 def homogeneous_phi(n: int, c: float, t) -> np.ndarray:
@@ -435,40 +434,26 @@ class _Window:
     """What :func:`_diagnostics` carries from one snapshot to the next.
 
     ``entries`` holds (snapshot, log tr_g h, f) for the last
-    CENTERED_SNAPSHOTS snapshots, f the trace-evolution field (None when
-    ``trace`` is), and ``newest`` the g^-1, tr_g(Ric(h) + eta) and Lap_g
-    phidot of the newest only, for when it becomes the middle.  ``rows`` has
-    one row per snapshot so far; ``middles`` the times of the middles whose
-    identity residuals ``res_phi`` and ``res_phidot`` hold the maxima of.
+    CENTERED_SNAPSHOTS snapshots, f the trace-evolution field (None when the
+    run records none), and ``newest`` the g^-1, tr_g(Ric(h) + eta) and Lap_g
+    phidot of the newest only, for when it becomes the middle.
     """
 
-    model: FlowModel
-    sigma: float
-    rows: list[DiagnosticsRow] = field(default_factory=list)
     entries: deque = field(default_factory=lambda: deque(maxlen=CENTERED_SNAPSHOTS))
     newest: tuple | None = None
-    middles: list[float] = field(default_factory=list)
-    res_phi: float = 0.0
-    res_phidot: float = 0.0
-    trace: TraceEvolutionRecord | None = None
-
-    def identities(self) -> PotentialIdentityReport | None:
-        """The identity report, or None before a window has been full."""
-        if not self.middles:
-            return None
-        return PotentialIdentityReport(np.array(self.middles), self.res_phi, self.res_phidot)
 
 
 def _diagnostics(
-    window: _Window, snap: FlowSnapshot, ginv: MetricField, margin: float, last: bool = False
+    result: FlowResult, window: _Window, ginv: MetricField, margin: float, last: bool = False
 ) -> None:
-    """Analyse one snapshot from g^-1 and the positivity margin of its metric.
+    """Analyse the newest snapshot of ``result`` from g^-1 and its metric's margin.
 
-    Appends the snapshot's row to ``window.rows`` and its sup f to
-    ``window.trace``.  A snapshot that fills the window gives the middle row
-    its Schwarz margin and adds the middle to the identity residuals and the
-    trace-evolution margin; endpoint rows keep a NaN margin.  At t = 0 phidot
-    is the zero field, so Lap_g phidot is not formed.
+    Appends the snapshot's row to ``result.rows`` and its sup f to
+    ``result.trace_evolution``.  A snapshot that fills the window gives the
+    middle row its Schwarz margin and adds the middle to
+    ``result.identities`` and the trace-evolution margin; endpoint rows keep
+    a NaN margin.  At t = 0 phidot is the zero field, so Lap_g phidot is not
+    formed.
 
     The Sym² field R_h + B(h, eta) is first read at the third snapshot but
     computed at the second, before that snapshot's fields exist, when the
@@ -480,7 +465,7 @@ def _diagnostics(
     scal + tr_g eta = tr_g(Ric(h) + eta) - Lap_g phidot, the same two
     fields the phidot identity compares against.
     """
-    model = window.model
+    model, snap = result.model, result.snapshots[-1]
     if len(window.entries) == 1 and not last:
         model.schwarz_form  # computed on this first access and kept on the model
     drift = g_trace(ginv, model._drift)
@@ -490,18 +475,18 @@ def _diagnostics(
         sup_G = float(_monotone_G(model, snap.t, log_lam, snap.phidot).max())
     else:
         lap_phidot, sup_G = 0.0, -math.inf
-    window.rows.append(
+    result.rows.append(
         DiagnosticsRow(
             t=snap.t,
             sup_phidot=float(snap.phidot.max()),
             inf_scalar_plus_tr_eta=float((drift - lap_phidot).min()),
-            bound_volume_upper=_volume_upper_bound(model.grid.n, window.sigma, snap.t),
+            bound_volume_upper=_volume_upper_bound(model.grid.n, result.sigma, snap.t),
             positivity_margin=margin,
             sup_G=sup_G,
             schwarz_min_margin=math.nan,
         )
     )
-    trace, f = window.trace, None
+    trace, f = result.trace_evolution, None
     if trace is not None:
         f = _trace_evolution_field(model, snap, log_lam)
         trace.sup_values.append(float(f.max()))
@@ -513,13 +498,16 @@ def _diagnostics(
     a, b = mid.t - prev.t, nxt.t - mid.t
     dlog = _nonuniform_dt(log_prev, log_mid, log_next, a, b)
     ginv_mid, drift_mid, lap_mid = middle
-    window.rows[-2].schwarz_min_margin = _schwarz_margins(model, ginv_mid, dlog, log_mid)
+    result.rows[-2].schwarz_min_margin = _schwarz_margins(model, ginv_mid, dlog, log_mid)
     dphi = _nonuniform_dt(prev.phi, mid.phi, nxt.phi, a, b)
     dphidot = _nonuniform_dt(prev.phidot, mid.phidot, nxt.phidot, a, b)
     rhs = -drift_mid + lap_mid
-    window.res_phi = max(window.res_phi, float(np.max(np.abs(dphi - mid.phidot))))
-    window.res_phidot = max(window.res_phidot, float(np.max(np.abs(dphidot - rhs))))
-    window.middles.append(mid.t)
+    ids = result.identities
+    if ids is None:
+        ids = result.identities = PotentialIdentityReport(np.empty(0), 0.0, 0.0)
+    ids.times = np.append(ids.times, mid.t)
+    ids.residual_phi = max(ids.residual_phi, float(np.max(np.abs(dphi - mid.phidot))))
+    ids.residual_phidot = max(ids.residual_phidot, float(np.max(np.abs(dphidot - rhs))))
     if trace is not None:
         heat = _nonuniform_dt(f_prev, f_mid, f_next, a, b) - laplacian(model.grid, ginv_mid, f_mid)
         trace.differential_min_margin = min(trace.differential_min_margin, float((-heat).min()))

@@ -81,18 +81,24 @@ def _complex_pairs(values: np.ndarray) -> list:
     return [[float(z.real), float(z.imag)] for z in flat]
 
 
-def _require_finite(arr: np.ndarray, key: str, path) -> None:
-    """``json`` reads NaN and Infinity literals: reject them, naming file and key."""
+def _array(values, shape, key: str, path, pairs: bool = True) -> np.ndarray:
+    """The JSON list ``values`` as an array of ``shape``: a flat list of finite
+    JSON numbers or, when ``pairs``, [re, im] pairs of them, one per entry in
+    row-major order.  Anything else is a ValueError naming the file and key."""
+    size = int(np.prod(shape))
+    items = values if isinstance(values, list) and len(values) == size else []
+    if pairs and all(type(pair) is list and len(pair) == 2 for pair in items):
+        items = [x for pair in items for x in pair]
+    if len(items) != size * (1 + pairs) or not all(type(x) in (int, float) for x in items):
+        what = "[re, im] pairs of numbers" if pairs else "numbers"
+        raise ValueError(f"{path}: {key} must be a flat list of {size} {what}")
+    arr = np.array(items, dtype=float)
+    # json reads the NaN and Infinity literals as floats.
     if not np.isfinite(arr).all():
         raise ValueError(f"{path}: {key} must be finite, got a NaN or infinite value")
-
-
-def _complex_from_pairs(pairs, shape, key: str, path) -> np.ndarray:
-    arr = np.asarray(pairs, dtype=float)
-    if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] != int(np.prod(shape)):
-        raise ValueError(f"{path}: {key}: expected {int(np.prod(shape))} [re, im] pairs")
-    _require_finite(arr, key, path)
-    return (arr[:, 0] + 1j * arr[:, 1]).reshape(shape)
+    if pairs:
+        arr = arr[0::2] + 1j * arr[1::2]
+    return arr.reshape(shape)
 
 
 @dataclass
@@ -125,14 +131,14 @@ def load_tensor(path) -> LoadedTensor:
     if kind is None:
         kind = {n * n: "hermitian", n**4: "bihermitian"}.get(count)
     if kind == "hermitian":
-        raw = _complex_from_pairs(entries, (n, n), "entries", path)
+        raw = _array(entries, (n, n), "entries", path)
         violation = float(np.max(np.abs(raw - raw.conj().T)))
         return LoadedTensor(
             form=HermitianForm(0.5 * (raw + raw.conj().T)),
             pre_projection_violation=violation,
         )
     if kind == "bihermitian":
-        raw = _complex_from_pairs(entries, (n, n, n, n), "entries", path)
+        raw = _array(entries, (n, n, n, n), "entries", path)
         violation = validate_symmetries(raw).max_violation
         return LoadedTensor(form=symmetrize(raw), pre_projection_violation=violation)
     raise ValueError(f"{path}: cannot determine tensor kind from {count} entries")
@@ -166,12 +172,9 @@ def load_field(path) -> ScalarField | MetricField:
         raise ValueError(f"{path}: unknown discretization {discretization!r}")
     grid = PeriodicGrid(n, N, discretization)
     if kind == "scalar":
-        arr = np.asarray(values, dtype=float).reshape(grid.shape)
-        _require_finite(arr, "values", path)
-        return ScalarField(grid, arr)
+        return ScalarField(grid, _array(values, grid.shape, "values", path, pairs=False))
     if kind == "metric":
-        arr = _complex_from_pairs(values, grid.shape + (n, n), "values", path)
-        return MetricField(grid, arr)
+        return MetricField(grid, _array(values, grid.shape + (n, n), "values", path))
     raise ValueError(f"{path}: unknown field kind {kind!r}")
 
 
@@ -202,7 +205,7 @@ def load_certificate(path) -> dict:
     data = load_json(path)
     witness = data.get("witness")
     if witness is not None:
-        witness["columns"] = _complex_from_pairs(
+        witness["columns"] = _array(
             witness["columns"], (int(witness["n"]), int(witness["k"])), "witness.columns", path
         )
     return data

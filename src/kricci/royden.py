@@ -117,15 +117,17 @@ def royden_sum_bruteforce(
     )
 
 
-def _frame_components(S: BihermitianForm, E: np.ndarray):
-    """Mixed diagonal S̃[i,i,k,k] and full diagonal S̃[i,i,i,i] in frame E.
-
-    The mixed diagonal is F A Fᵀ on the pairing matrix A, where row i of F is
-    vec(E_i ⊗ Ē_i) for the frame column E_i.
-    """
+def _frame_traces(S: BihermitianForm, E: np.ndarray) -> tuple[float, float]:
+    """Mixed trace sum_ik S̃[i,i,k,k] and diagonal trace sum_i S̃[i,i,i,i] in
+    frame E, checked real.  The mixed diagonal is F A Fᵀ on the pairing
+    matrix A, where row i of F is vec(E_i ⊗ Ē_i) for the frame column E_i."""
     F = pair_products(E.T)
     mixed = F @ pairing_matrix(S.entries) @ F.T
-    return mixed, np.diagonal(mixed)
+    diag = np.diagonal(mixed)
+    return (
+        require_real(mixed.sum(), scale=np.abs(mixed).max(), what="mixed trace"),
+        require_real(diag.sum(), scale=np.abs(diag).max(), what="diagonal trace"),
+    )
 
 
 @dataclass
@@ -169,10 +171,8 @@ def royden_identity_check(
     """
     brute = royden_sum_bruteforce(S, g, h, rho)
     tau, E = g_unitary_h_diagonal_frame(g, h)
-    mixed, diag = _frame_components(S, E)
+    mixed_sum, diag_sum = _frame_traces(S, E)
     scale = 4.0 ** S.n
-    mixed_sum = require_real(mixed.sum(), scale=np.abs(mixed).max(), what="mixed trace")
-    diag_sum = require_real(diag.sum(), scale=np.abs(diag).max(), what="diagonal trace")
     quartic_closed = scale * (2.0 * mixed_sum - diag_sum)
     tr_gh = float(tau.sum())
     metric_closed = scale * tr_gh**2
@@ -231,9 +231,8 @@ def mixed_trace_bounds(
     Slacks are rhs - lhs; both must be nonnegative (up to tol) for ``ok``.
     """
     tau, E = g_unitary_h_diagonal_frame(g, h)
-    mixed, diag = _frame_components(S, E)
-    lhs = 2.0 * require_real(mixed.sum(), scale=np.abs(mixed).max(), what="mixed trace")
-    diag_sum = require_real(diag.sum(), scale=np.abs(diag).max(), what="diagonal trace")
+    mixed_sum, diag_sum = _frame_traces(S, E)
+    lhs = 2.0 * mixed_sum
     # In the frame E, h is diag(tau).
     rho_diag = np.diagonal(congruence(E, rho.entries)).real
     tr_gh, tr_grho = float(tau.sum()), float(rho_diag.sum())

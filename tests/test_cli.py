@@ -322,6 +322,33 @@ def test_non_finite_metric_and_field_files_exit_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "kind, values, message",
+    [
+        ("hermitian", [[1.0, {}]], "entries must be a flat list of 1 [re, im] pairs of numbers"),
+        ("scalar", [{}] * 64, "values must be a flat list of 64 numbers"),
+        ("bihermitian", [[1.0, None]], "entries must be a flat list of 1 [re, im] pairs"),
+        ("scalar", [0.0] * 63, "values must be a flat list of 64 numbers"),
+        ("scalar", [[0.0]] * 64, "values must be a flat list of 64 numbers"),
+    ],
+    ids=["tensor-entry-object", "field-value-object", "tensor-entry-null", "field-value-missing",
+         "field-value-nested"],
+)
+def test_malformed_numeric_array_exits_2(tmp_path, capsys, kind, values, message):
+    if kind == "scalar":
+        path = tmp_path / "field.json"
+        save_json(path, {"n": 1, "N": 8, "kind": kind, "values": values})
+        config = tmp_path / "flow.json"
+        save_json(config, {"grid": GRID, "background": {"file": "field.json"}})
+        argv = ["flow", config, "--out", tmp_path / "out"]
+    else:
+        path = tmp_path / "form.json"
+        save_json(path, {"kind": kind, "n": 1, "entries": values})
+        argv = ["certify", path]
+    assert run_cli(*argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}: {message}")
+
+
+@pytest.mark.parametrize(
     "header, key",
     [({"n": 1, "N": 8.5}, "N"), ({"n": True, "N": 8}, "n"), ({"n": 1, "N": "8"}, "N")],
     ids=["N-fractional", "n-bool", "N-string"],
@@ -508,6 +535,29 @@ class TestFlow:
             assert entry["skipped"] == "needs 3 snapshots, the run has 1"
         assert record["checks"]["scalar_bound"]["ok"] is True
         assert len(read_flow_csv(out / "flow.csv")) == 1
+
+    def test_two_snapshots_skip_centered_checks(self, tmp_path):
+        # Two steps at cadence 50: the start and the final state only.
+        config = tmp_path / "short.json"
+        save_json(
+            config,
+            {
+                "grid": {"n": 1, "N": 8},
+                "dt": 1e-2,
+                "t_end": 0.01,
+                "cadence": 50,
+                "checks": {"schwarz": 1e-2, "potential_identities": 1e-2},
+            },
+        )
+        out = tmp_path / "out"
+        assert run_cli("flow", config, "--out", out) == 1
+        record = load_report(out / "flow_report.json")["runs"][0]
+        assert "degenerate_at" not in record and record["steps"] >= 2
+        for name in ("schwarz", "potential_identities"):
+            entry = record["checks"][name]
+            assert entry["ok"] is False
+            assert entry["skipped"] == "needs 3 snapshots, the run has 2"
+        assert len(read_flow_csv(out / "flow.csv")) == 2
 
 
 class TestReportCommand:

@@ -32,7 +32,7 @@ from kricci.forms import (
     symmetrize,
     unit_sphere_samples,
 )
-from kricci.royden import _frame_components
+from kricci.royden import _frame_traces
 
 
 def rng(seed=0):
@@ -288,8 +288,11 @@ class TestNoEinsumPathPlanning:
         S = random_bihermitian(n, rng(151))
         X = unit_sphere_samples(h, 11, rng(152))
         assert np.all(np.isfinite(quartic_values(S, X)))
-        mixed, diag = _frame_components(S, cholesky_frame(h)[1])
-        assert mixed.shape == (n, n) and diag.shape == (n,)
+        # The diagonal trace sums S(E_i, Ē_i, E_i, Ē_i) over the frame columns.
+        E = cholesky_frame(h)[1]
+        mixed, diag = _frame_traces(S, E)
+        assert type(mixed) is float and type(diag) is float
+        assert_allclose(diag, quartic_values(S, E.T).sum(), rtol=1e-12)
 
 
 class TestCertify:

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import kricci.flow
 from kricci.io import load_report
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
@@ -65,6 +66,24 @@ def test_step_timing_prints_the_schwarz_layer(n, disc, capsys):
     assert len(schwarz) == 1
     assert schwarz[0].endswith(" ms over 20 calls at one middle snapshot")
     assert float(schwarz[0].split()[2]) > 0.0
+
+
+def test_step_timing_times_one_run_flow(monkeypatch, capsys):
+    # The steps, snapshots and Schwarz margins it times are run_flow's own,
+    # and its timers are gone afterwards.
+    run_flow, step, runs = kricci.flow.run_flow, kricci.flow._rk2_step, []
+
+    def counting_run_flow(config):
+        runs.append(config)
+        return run_flow(config)
+
+    monkeypatch.setattr(kricci.flow, "run_flow", counting_run_flow)
+    argv = ["--n", "1", "--resolution", "8", "--discretization", "fd2", "--steps", "2"]
+    assert load_script("step_timing.py").main(argv) == 0
+    assert len(runs) == 1 and runs[0].diagnostics_every == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert any(line.startswith("rk2 step: median ") and " over 2 steps," in line for line in lines)
+    assert kricci.flow._rk2_step is step
 
 
 def load_script(script):
