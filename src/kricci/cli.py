@@ -29,7 +29,6 @@ from .flow import (
     run_flow,
 )
 from .forms import BihermitianForm, HermitianForm
-from .grid import DISCRETIZATIONS
 from .io import (
     append_report,
     load_flow_config,
@@ -100,7 +99,6 @@ def _build_parser() -> argparse.ArgumentParser:
     flow = sub.add_parser("flow", help="run a flow campaign from a config file")
     flow.add_argument("config", help="flow config JSON")
     flow.add_argument("--out", default=".", help="output directory")
-    flow.add_argument("--discretization", choices=DISCRETIZATIONS, default=None)
     flow.set_defaults(func=_cmd_flow)
 
     report = sub.add_parser("report", help="summarize report files")
@@ -200,7 +198,7 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_flow(args) -> int:
-    job = load_flow_config(args.config, discretization=args.discretization)
+    job = load_flow_config(args.config)
     degenerate = None
     try:
         result = run_flow(job.config)

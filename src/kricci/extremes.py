@@ -341,10 +341,10 @@ def certify_k_ricci(
 
     sweep = unit_sphere_samples(h, opts.presweep, rng)
     scores = _batch_eval(T, H, L, E, sweep, k)[0]
-    X = sweep[np.argsort(scores)[::-1][: opts.starts]].copy()
+    top = np.argsort(scores)[::-1][: opts.starts]
+    X, f = sweep[top], scores[top]
 
     b = X.shape[0]
-    f = _batch_eval(T, H, L, E, X, k)[0]
     step = np.full(b, STEP_INIT)
     converged = np.zeros(b, dtype=bool)
     stalled = np.zeros(b, dtype=bool)

@@ -53,6 +53,7 @@ from .forms import congruence, sym2_index
 from .grid import (
     MetricField,
     PeriodicGrid,
+    _sym2_entry,
     clib_log,
     curvature_field,
     dbar_hessian,
@@ -696,13 +697,10 @@ def _mixed_level_estimate(model: FlowModel, rho: MetricField, alpha: float, beta
     E = model.h.unitary_frame()
     rho_top = np.linalg.eigvalsh(congruence(E, rho.values))[..., -1]
     pairs, orbits, weights = sym2_index(n)
+    # R_h as the run's Sym² field less B(h, eta): no second curvature pass.
     S, B = model.schwarz_form, model_form(model.h, model.eta)
-
-    def R(P, Q):
-        """R_h[P, Q], as the run's Sym² field less B(h, eta): no second curvature pass."""
-        return S[P, Q] - B[P, Q] if P <= Q else np.conj(S[Q, P] - B[Q, P])
-
-    form = np.stack([np.stack([R(P, Q) for Q in pairs], -1) for P in pairs], -2)
+    form = np.stack([np.stack([_sym2_entry(S, P, Q) - _sym2_entry(B, P, Q) for Q in pairs], -1)
+                     for P in pairs], -2)
     # V[P, A] = w_A sum of E[i, a] E[k, c] over (i, k) in the orbit of P, so
     # that congruence(V, form)[A, C] = w_A w_C R(E_a, conj E_b, E_c, conj E_d).
     V = np.stack([np.stack([w * sum(E[..., i, a] * E[..., k, c] for i, k in orbit)

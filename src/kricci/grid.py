@@ -690,6 +690,14 @@ def curvature_field(grid: PeriodicGrid, g: MetricField) -> dict:
     return S
 
 
+def _sym2_entry(S: dict, P: tuple, Q: tuple) -> np.ndarray:
+    """R_{i jbar k lbar} of a Sym² field (:func:`curvature_field`) at the
+    index pairs P = (i, k), Q = (j, l), each in either order: sorted, it is
+    the stored S[P, Q] when P <= Q and conj(S[Q, P]) when P > Q."""
+    P, Q = tuple(sorted(P)), tuple(sorted(Q))
+    return S[P, Q] if P <= Q else np.conj(S[Q, P])
+
+
 def g_curvature_trace(ginv: MetricField, S: dict) -> MetricField:
     """The Ricci-type trace sum_{k,l} g^{l k} R_{i jbar k lbar} of a Sym²
     curvature field (:func:`curvature_field`), in entry form.
@@ -700,19 +708,15 @@ def g_curvature_trace(ginv: MetricField, S: dict) -> MetricField:
     """
     _require_real_diagonal(ginv)
     n, rows = ginv.n, range(ginv.n)
-
-    def entry(i, k, j, l):
-        P, Q = tuple(sorted((i, k))), tuple(sorted((j, l)))
-        return S[P, Q] if P <= Q else np.conj(S[Q, P])
-
     G = _triangle(ginv)
     # The upper triangle of the block R_{i ibar k lbar} over (k, l).
-    diagonal = [_pairing(G, {(k, l): entry(i, k, i, l) for k, l in G}) for i in rows]
+    diagonal = [_pairing(G, {(k, l): _sym2_entry(S, (i, k), (i, l)) for k, l in G})
+                for i in rows]
     off_diagonal = []
     if n == 2:
         rows_inv = _entry_rows(ginv)
         off_diagonal = [_dot([rows_inv[l][k] for k in rows for l in rows],
-                             [entry(0, k, 1, l) for k in rows for l in rows])]
+                             [_sym2_entry(S, (0, k), (1, l)) for k in rows for l in rows])]
     return MetricField._from_entries(ginv.grid, *diagonal, *off_diagonal)
 
 

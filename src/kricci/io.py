@@ -19,13 +19,7 @@ import numpy as np
 from .extremes import Certificate
 from .flow import DiagnosticsRow, FlowConfig, TwistSpec
 from .forms import BihermitianForm, HermitianForm, symmetrize, validate_symmetries
-from .grid import (
-    DISCRETIZATIONS,
-    MetricField,
-    PeriodicGrid,
-    ScalarField,
-    scalar_from_modes,
-)
+from .grid import MetricField, PeriodicGrid, ScalarField, scalar_from_modes
 
 __all__ = [
     "FLOW_CHECK_KEYS",
@@ -160,6 +154,14 @@ def save_field(path, field: ScalarField | MetricField) -> None:
     save_json(path, header)
 
 
+def _grid(n: int, N: int, discretization, path) -> PeriodicGrid:
+    """``PeriodicGrid(n, N, discretization)``, its ValueError naming the file."""
+    try:
+        return PeriodicGrid(n, N, discretization)
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from err
+
+
 def load_field(path) -> ScalarField | MetricField:
     data = _json_object(load_json(path), "field file", path)
     try:
@@ -167,10 +169,7 @@ def load_field(path) -> ScalarField | MetricField:
         kind, values = data["kind"], data["values"]
     except KeyError as err:
         raise ValueError(f"{path}: field file missing key {err}") from err
-    discretization = data.get("discretization", PeriodicGrid.discretization)
-    if discretization not in DISCRETIZATIONS:
-        raise ValueError(f"{path}: unknown discretization {discretization!r}")
-    grid = PeriodicGrid(n, N, discretization)
+    grid = _grid(n, N, data.get("discretization", PeriodicGrid.discretization), path)
     if kind == "scalar":
         return ScalarField(grid, _array(values, grid.shape, "values", path, pairs=False))
     if kind == "metric":
@@ -202,12 +201,14 @@ def save_certificate(path, cert: Certificate) -> None:
 
 
 def load_certificate(path) -> dict:
-    data = load_json(path)
+    data = _json_object(load_json(path), "certificate file", path)
     witness = data.get("witness")
     if witness is not None:
-        witness["columns"] = _array(
-            witness["columns"], (int(witness["n"]), int(witness["k"])), "witness.columns", path
-        )
+        witness = _json_object(witness, "witness", path)
+        if "columns" not in witness:
+            raise ValueError(f"{path}: witness missing key 'columns'")
+        shape = tuple(_number(int, witness.get(key), f"witness.{key}", path) for key in ("n", "k"))
+        witness["columns"] = _array(witness["columns"], shape, "witness.columns", path)
     return data
 
 
@@ -286,7 +287,7 @@ _FLOW_NUMBERS = {
 }
 
 
-def load_flow_config(path, discretization: str | None = None) -> FlowJob:
+def load_flow_config(path) -> FlowJob:
     path = Path(path)
     data = _json_object(load_json(path), "flow config", path)
     for key in data:
@@ -294,10 +295,11 @@ def load_flow_config(path, discretization: str | None = None) -> FlowJob:
             raise ValueError(f"{path}: unknown flow config key {key!r}")
     try:
         grid_spec = _json_object(data["grid"], "grid", path)
-        grid = PeriodicGrid(
+        grid = _grid(
             _number(int, grid_spec["n"], "grid.n", path),
             _number(int, grid_spec["N"], "grid.N", path),
-            discretization or grid_spec.get("discretization", PeriodicGrid.discretization),
+            grid_spec.get("discretization", PeriodicGrid.discretization),
+            path,
         )
     except KeyError as err:
         raise ValueError(f"{path}: flow config missing key {err}") from err

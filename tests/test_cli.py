@@ -450,6 +450,37 @@ class TestFlow:
         err = capsys.readouterr().err
         assert "line 2" in err and "column" in err
 
+    def test_spectral_config_runs_on_the_spectral_grid(self, tmp_path):
+        config = tmp_path / "spectral.json"
+        save_json(
+            config,
+            {
+                "grid": {"n": 2, "N": 8, "discretization": "spectral"},
+                "background": {"modes": [{"k": [1, 1, 1, 0], "amp": 0.002}]},
+                "dt": 1e-3,
+                "t_end": 0.004,
+                "cadence": 1,
+            },
+        )
+        out = tmp_path / "out"
+        assert run_cli("flow", config, "--out", out) == 0
+        record = load_report(out / "flow_report.json")["runs"][0]
+        assert record["discretization"] == "spectral" and record["ok"] is True
+
+    @pytest.mark.parametrize(
+        "grid, message",
+        [
+            ({"n": 3, "N": 8}, "complex dimension must be 1 or 2, got 3"),
+            ({"n": 1, "N": 8, "discretization": "spectra"}, "discretization must be one of"),
+        ],
+        ids=["dimension", "discretization"],
+    )
+    def test_bad_grid_exits_2_naming_the_file(self, tmp_path, capsys, grid, message):
+        config = tmp_path / "grid.json"
+        save_json(config, {"grid": grid})
+        assert run_cli("flow", config, "--out", tmp_path / "out") == 2
+        assert capsys.readouterr().err.startswith(f"error: {config}: {message}")
+
     def test_unknown_config_key_exits_2(self, tmp_path, capsys):
         config = tmp_path / "typo.json"
         save_json(config, {"grid": {"n": 1, "N": 8}, "t_final": 0.2})

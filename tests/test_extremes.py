@@ -247,6 +247,26 @@ class TestNewtonSteps:
         assert cert.n_small_gradient == CertifyOptions().starts
         assert ("_newton_steps" in callers) == (k == 1)
 
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_starts_are_scored_once(self, k, monkeypatch):
+        # The starts keep their presweep scores: with no iterations the
+        # presweep is the only batch evaluation.
+        rows = []
+        evaluate = kricci.extremes._batch_eval
+
+        def counted(T, H, L, E, X, k, **kwargs):
+            rows.append(X.shape[0])
+            return evaluate(T, H, L, E, X, k, **kwargs)
+
+        monkeypatch.setattr(kricci.extremes, "_batch_eval", counted)
+        n = 3
+        h = random_hermitian(n, rng(230 + k), positive=True)
+        S = random_bihermitian(n, rng(233 + k))
+        options = CertifyOptions(max_iter=0)
+        cert = certify_k_ricci(S, h, k, bound=np.inf, options=options, rng=rng(k))
+        assert rows == [options.presweep]
+        assert (cert.iterations, cert.n_converged, cert.status) == (0, 0, "inconclusive")
+
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_passed_frames_give_the_same_steps(self, k):
         n = 3

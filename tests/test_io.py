@@ -95,6 +95,21 @@ class TestFieldFiles:
         assert loaded.grid == grid
         np.testing.assert_allclose(loaded.values, field.values, atol=1e-15)
 
+    @pytest.mark.parametrize(
+        "header, message",
+        [
+            ({"n": 1, "N": 8, "discretization": "spectra"}, "discretization must be one of"),
+            ({"n": 3, "N": 8}, "complex dimension must be 1 or 2, got 3"),
+            ({"n": 1, "N": 7}, "N must be an even integer >= 8, got 7"),
+        ],
+        ids=["discretization", "dimension", "resolution"],
+    )
+    def test_bad_grid_is_a_value_error_naming_the_file(self, tmp_path, header, message):
+        path = tmp_path / "field.json"
+        save_json(path, {**header, "kind": "scalar", "values": []})
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {re.escape(message)}"):
+            load_field(path)
+
     def test_metric_round_trip(self, tmp_path):
         grid = PeriodicGrid(1, 8)
         values = np.ones(grid.shape + (1, 1), dtype=complex)
@@ -238,6 +253,23 @@ class TestCertificates:
         assert data["n_stalled"] == cert.n_stalled
         assert data["n_converged"] == cert.n_small_gradient + cert.n_stalled
 
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ([1, 2], "certificate file must be a JSON object"),
+            ({"witness": 5}, "witness must be a JSON object"),
+            ({"witness": {"n": None, "k": 1, "columns": [[1.0, 0.0]]}},
+             "witness.n must be a number, got None"),
+            ({"witness": {"n": 1, "k": 1}}, "witness missing key 'columns'"),
+        ],
+        ids=["top-level-list", "witness-not-object", "witness-n-null", "witness-no-columns"],
+    )
+    def test_malformed_file_is_a_value_error_naming_it(self, tmp_path, payload, message):
+        path = tmp_path / "cert.json"
+        save_json(path, payload)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {re.escape(message)}"):
+            load_certificate(path)
+
 
 class TestFlowConfig:
     def test_inline_modes(self, tmp_path):
@@ -296,12 +328,6 @@ class TestFlowConfig:
         job = load_flow_config(path)
         assert job.config == FlowConfig(grid=PeriodicGrid(1, 8), twist=TwistSpec())
         assert (job.config.mu, job.checks) == (None, {})
-
-    def test_discretization_override(self, tmp_path):
-        path = tmp_path / "flow.json"
-        save_json(path, {"grid": {"n": 1, "N": 8, "discretization": "fd2"}})
-        job = load_flow_config(path, discretization="spectral")
-        assert job.config.grid.discretization == "spectral"
 
     def test_missing_grid_rejected(self, tmp_path):
         path = tmp_path / "flow.json"

@@ -10,25 +10,27 @@ from pathlib import Path
 import pytest
 
 import kricci.flow
-from kricci.io import load_report
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
+# (id, script, argv): at least one smoke case per script in scripts/.  The ids
+# are fixed, so that a case keeps its name when another is removed.
+SMOKE_CASES = [
+    ("refinement_study.py-argv0", "refinement_study.py",
+     ["--levels", "1", "--base-resolution", "16", "--base-dt", "1e-3"]),
+    ("step_timing.py-argv3", "step_timing.py",
+     ["--n", "1", "--resolution", "8", "--discretization", "fd2", "--steps", "1"]),
+    ("step_timing.py-argv4", "step_timing.py",
+     ["--n", "2", "--resolution", "8", "--discretization", "spectral", "--steps", "1"]),
+]
 
-@pytest.mark.parametrize(
-    "script, argv",
-    [
-        ("refinement_study.py", ["--levels", "1", "--base-resolution", "16", "--base-dt", "1e-3"]),
-        ("run_lemma_suites.py", ["--count", "1", "--n", "2"]),
-        ("step_timing.py", ["--n", "1", "--resolution", "8", "--discretization", "fd2",
-                            "--steps", "1"]),
-        ("step_timing.py", ["--n", "2", "--resolution", "8", "--discretization", "spectral",
-                            "--steps", "1"]),
-    ],
-    # Fixed ids, so that a case keeps its name when another is removed.
-    ids=["refinement_study.py-argv0", "run_lemma_suites.py-argv2", "step_timing.py-argv3",
-         "step_timing.py-argv4"],
-)
+
+def test_every_script_has_a_smoke_case():
+    assert {script for _, script, _ in SMOKE_CASES} == {p.name for p in SCRIPTS.glob("*.py")}
+
+
+@pytest.mark.parametrize("script, argv", [case[1:] for case in SMOKE_CASES],
+                         ids=[case[0] for case in SMOKE_CASES])
 def test_script_main_exits_zero(script, argv, capsys):
     assert load_script(script).main(argv) == 0
     assert capsys.readouterr().out
@@ -91,15 +93,3 @@ def load_script(script):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
-
-
-def test_lemma_suites_keep_the_registry_defaults(tmp_path, capsys):
-    # Without --n each suite runs its own dimensions: royden covers n = 1, 2, 3.
-    report = tmp_path / "suites.json"
-    argv = ["--suite", "royden", "--suite", "berger", "--count", "1", "--samples", "1000",
-            "--out", str(report)]
-    assert load_script("run_lemma_suites.py").main(argv) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert [line.split()[:2] for line in lines] == [["royden", "3"], ["berger", "2"]]
-    runs = load_report(report)["runs"]
-    assert [case["within_z"] for case in runs[1]["cases"]] == [True, True]
