@@ -31,12 +31,11 @@ positivity margin of the step that built its metric, so no snapshot metric is
 reconstructed or checked twice; the start snapshot reads h, its margin and
 the h^-1 the barrier scale uses.  Rows, identity residuals and the
 trace-evolution record go straight into the run's one :class:`FlowResult`.
-A sliding window of three snapshots gives every centered derivative the
-checks need; of it only the newest snapshot's g^-1 and traces are kept, for
-when it becomes the middle, and its ends keep log tr_g h and, when the config
-sets mu, the trace-evolution field.  Only a run that degenerates between
-snapshots reconstructs its last accepted state, once.  No check reads a
-snapshot metric after the run.
+It keeps a row for every snapshot but only the last three snapshots, the
+window every centered derivative needs; beside them the run keeps their
+log tr_g h (and trace-evolution field when mu is set) and the newest one's
+g^-1 and traces.  Only a run that degenerates between snapshots reconstructs
+its last accepted state, once.  No check reads a snapshot metric after the run.
 """
 
 from __future__ import annotations
@@ -127,6 +126,13 @@ class FlowConfig:
     twist_potential: np.ndarray | None = None
 
     def __post_init__(self):
+        numbers = {
+            "t_final": self.t_final, "dt_initial": self.dt_initial, "twist.c": self.twist.c,
+            "alpha": self.alpha, "beta": self.beta, "mu": self.mu,
+        }
+        for name, value in numbers.items():
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if not self.t_final > 0:
             raise ValueError("t_final must be positive")
         if not self.dt_initial > 0:
@@ -256,12 +262,13 @@ class TraceEvolutionRecord:
 @dataclass
 class FlowResult:
     """One run's record: :func:`run_flow` builds it before its first step and
-    fills it as it runs, so a degenerating run hands over what it has."""
+    fills it as it runs, so a degenerating run hands over what it has.  Of its
+    snapshots it keeps the last CENTERED_SNAPSHOTS; ``rows`` counts them all."""
 
     config: FlowConfig
     model: FlowModel
     sigma: float
-    snapshots: list[FlowSnapshot] = field(default_factory=list)
+    snapshots: deque[FlowSnapshot] = field(default_factory=lambda: deque(maxlen=CENTERED_SNAPSHOTS))
     rows: list[DiagnosticsRow] = field(default_factory=list)
     steps: int = 0
     # None when the run has fewer than CENTERED_SNAPSHOTS snapshots.
@@ -434,10 +441,9 @@ def _trace_evolution_field(model: FlowModel, snap: FlowSnapshot, log_lam: np.nda
 class _Window:
     """What :func:`_diagnostics` carries from one snapshot to the next.
 
-    ``entries`` holds (snapshot, log tr_g h, f) for the last
-    CENTERED_SNAPSHOTS snapshots, f the trace-evolution field (None when the
-    run records none), and ``newest`` the g^-1, tr_g(Ric(h) + eta) and Lap_g
-    phidot of the newest only, for when it becomes the middle.
+    ``entries`` holds (log tr_g h, f) of each snapshot the result keeps, f the
+    trace-evolution field or None, and ``newest`` the g^-1, tr_g(Ric(h) + eta)
+    and Lap_g phidot of the newest only, for when it becomes the middle.
     """
 
     entries: deque = field(default_factory=lambda: deque(maxlen=CENTERED_SNAPSHOTS))
@@ -491,11 +497,12 @@ def _diagnostics(
     if trace is not None:
         f = _trace_evolution_field(model, snap, log_lam)
         trace.sup_values.append(float(f.max()))
-    window.entries.append((snap, log_lam, f))
+    window.entries.append((log_lam, f))
     middle, window.newest = window.newest, (ginv, drift, lap_phidot)
     if len(window.entries) < CENTERED_SNAPSHOTS:
         return
-    (prev, log_prev, f_prev), (mid, log_mid, f_mid), (nxt, log_next, f_next) = window.entries
+    prev, mid, nxt = result.snapshots
+    (log_prev, f_prev), (log_mid, f_mid), (log_next, f_next) = window.entries
     a, b = mid.t - prev.t, nxt.t - mid.t
     dlog = _nonuniform_dt(log_prev, log_mid, log_next, a, b)
     ginv_mid, drift_mid, lap_mid = middle

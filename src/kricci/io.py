@@ -55,10 +55,14 @@ def load_json(path) -> dict:
         ) from err
 
 
-def _json_object(value, what: str, path) -> dict:
-    """``value`` if it is a JSON object; otherwise a ValueError naming the file."""
+def _json_object(value, what: str, path, keys=None, noun: str = "key") -> dict:
+    """``value`` if it is a JSON object with no key outside ``keys`` (None:
+    any key); otherwise a ValueError naming the file, and the key."""
     if not isinstance(value, dict):
         raise ValueError(f"{path}: {what} must be a JSON object, got {type(value).__name__}")
+    for key in value if keys is not None else ():
+        if key not in keys:
+            raise ValueError(f"{path}: unknown {noun} {key!r} under {what}")
     return value
 
 
@@ -221,15 +225,19 @@ class FlowJob:
     source: Path
 
 
-def _potential_from_spec(spec, grid: PeriodicGrid, path: Path) -> np.ndarray | None:
+def _potential_from_spec(spec, grid: PeriodicGrid, path: Path, what: str) -> np.ndarray | None:
     """Inline Fourier mode list, file reference (relative to the config file
-    ``path``), or absent."""
+    ``path``), or absent; ``what`` is the spec's key in the config."""
     if spec is None:
         return None
-    if isinstance(spec, dict) and "modes" in spec:
+    if len(_json_object(spec, what, path).keys() & {"modes", "file"}) != 1:
+        raise ValueError(f"{path}: {what} must carry exactly one of 'modes' or 'file'")
+    _json_object(spec, what, path, ("modes", "file"))
+    if "modes" in spec:
         modes = []
         try:
-            for mode in spec["modes"]:
+            for i, mode in enumerate(spec["modes"]):
+                _json_object(mode, f"{what}.modes[{i}]", path, ("k", "amp"))
                 wavevector = tuple(_number(int, c, "k", path) for c in mode["k"])
                 amp = mode["amp"]
                 pair = isinstance(amp, list)
@@ -242,16 +250,14 @@ def _potential_from_spec(spec, grid: PeriodicGrid, path: Path) -> np.ndarray | N
                 "needs an integer wavevector 'k' and an amplitude 'amp', a number or [re, im]"
             ) from err
         return scalar_from_modes(grid, modes)
-    if isinstance(spec, dict) and "file" in spec:
-        if not isinstance(spec["file"], str):
-            raise ValueError(f"{path}: potential 'file' must be a path, got {spec['file']!r}")
-        field = load_field(path.parent / spec["file"])
-        if not isinstance(field, ScalarField):
-            raise ValueError(f"{spec['file']}: potential reference must be a scalar field")
-        if field.grid != grid:
-            raise ValueError(f"{spec['file']}: field grid does not match the flow grid")
-        return field.values
-    raise ValueError(f"{path}: potential spec must carry 'modes' or 'file'")
+    if not isinstance(spec["file"], str):
+        raise ValueError(f"{path}: potential 'file' must be a path, got {spec['file']!r}")
+    field = load_field(path.parent / spec["file"])
+    if not isinstance(field, ScalarField):
+        raise ValueError(f"{spec['file']}: potential reference must be a scalar field")
+    if field.grid != grid:
+        raise ValueError(f"{spec['file']}: field grid does not match the flow grid")
+    return field.values
 
 
 def _number(cast, value, key: str, path):
@@ -294,7 +300,7 @@ def load_flow_config(path) -> FlowJob:
         if key not in FLOW_CONFIG_KEYS:
             raise ValueError(f"{path}: unknown flow config key {key!r}")
     try:
-        grid_spec = _json_object(data["grid"], "grid", path)
+        grid_spec = _json_object(data["grid"], "grid", path, ("n", "N", "discretization"))
         grid = _grid(
             _number(int, grid_spec["n"], "grid.n", path),
             _number(int, grid_spec["N"], "grid.N", path),
@@ -303,14 +309,14 @@ def load_flow_config(path) -> FlowJob:
         )
     except KeyError as err:
         raise ValueError(f"{path}: flow config missing key {err}") from err
-    twist_spec = _json_object(data.get("twist", {}), "twist", path)
+    twist_spec = _json_object(data.get("twist", {}), "twist", path, ("c", "u"))
     twist = TwistSpec()
     if "c" in twist_spec:
         twist.c = _number(float, twist_spec["c"], "twist.c", path)
-    twist.potential = _potential_from_spec(twist_spec.get("u"), grid, path)
+    twist.potential = _potential_from_spec(twist_spec.get("u"), grid, path, "twist.u")
     config = FlowConfig(
         grid=grid,
-        background=_potential_from_spec(data.get("background"), grid, path),
+        background=_potential_from_spec(data.get("background"), grid, path, "background"),
         twist=twist,
         **{
             name: _number(cast, data[key], key, path)
@@ -318,10 +324,7 @@ def load_flow_config(path) -> FlowJob:
             if key in data
         },
     )
-    checks = _json_object(data.get("checks", {}), "checks", path)
-    for key in checks:
-        if key not in FLOW_CHECK_KEYS:
-            raise ValueError(f"{path}: unknown check {key!r} under checks")
+    checks = _json_object(data.get("checks", {}), "checks", path, FLOW_CHECK_KEYS, "check")
     checks = {key: _number(float, v, f"checks.{key}", path) for key, v in checks.items()}
     return FlowJob(config=config, checks=checks, source=path)
 

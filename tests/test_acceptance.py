@@ -274,9 +274,9 @@ def test_criterion_07_expanding_twist_sharp_bounds():
     )
 
 
-def test_criterion_08_flat_stationarity():
+def test_criterion_08_flat_stationarity(snapshot_history):
     result = _homogeneous_run(0.0, 1e-3)
-    drift = max(float(np.max(np.abs(s.phi))) for s in result.snapshots)
+    drift = max(float(np.max(np.abs(s.phi))) for s in snapshot_history(result))
     ok = drift <= 1e-12
     _report(8, "flat stationarity", ok, f"sup_t |phi| = {drift:.3e} over t <= 1")
 

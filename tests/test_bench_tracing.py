@@ -72,6 +72,8 @@ def test_traced_run_feeds_every_hook(tracing, tmp_path):
     for counter in (
         "grid.points_processed",
         "flow.steps",
+        "flow.snapshots",
+        "flow.snapshot_bytes",
         "extremes.batch_eval.rows",
         "extremes.batch_eval_grad.calls",
         "extremes.starts",

@@ -489,6 +489,16 @@ class TestFlow:
         assert "unknown flow config key 't_final'" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_unknown_nested_key_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "typo.json"
+        grid = {"n": 1, "N": 16, "discretisation": "spectral"}
+        save_json(config, {"grid": grid, "twist": {"cc": 0.5}})
+        out = tmp_path / "out"
+        assert run_cli("flow", config, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {config}: unknown key 'discretisation' under grid")
+        assert not out.exists()
+
     def test_trace_evolution_hypothesis_rejection_fails_run(self, tmp_path):
         config = tmp_path / "twisted.json"
         save_json(

@@ -9,6 +9,8 @@ horizon extrapolation with exact reference values.
 import dataclasses
 import itertools
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ import kricci.flow
 import kricci.grid
 from kricci.errors import DegeneracyError, FlowDegenerateError, HypothesisError
 from kricci.flow import (
+    CENTERED_SNAPSHOTS,
     FlowConfig,
     FlowModel,
     TwistSpec,
@@ -69,11 +72,11 @@ class TestHomogeneousTwist:
         exact = homogeneous_phi(1, 0.5, final.t)
         assert np.max(np.abs(final.phi - exact)) < 1e-7
 
-    def test_phidot_is_exact(self):
+    def test_phidot_is_exact(self, snapshot_history):
         # The reconstruction g = (1 - c t) h does not involve phi, so the
         # recorded phidot is exact regardless of integration error.
         result = run_flow(homogeneous_config(c=0.5, t_final=0.5))
-        for snap in result.snapshots:
+        for snap in snapshot_history(result):
             expected = homogeneous_phidot(1, 0.5, snap.t)
             assert np.max(np.abs(snap.phidot - expected)) < 1e-12
 
@@ -138,6 +141,15 @@ class TestFlatFlow:
                 assert row.sup_G == -math.inf
             else:
                 assert row.sup_G == pytest.approx(2.0 * math.log(row.t), abs=1e-10)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["t_final", "dt_initial", "twist.c", "alpha", "beta", "mu"])
+def test_non_finite_config_number_is_rejected(name, value):
+    # inf would pass the positivity checks: t_final=inf steps until MAX_STEPS.
+    numbers = {"twist": TwistSpec(c=value)} if name == "twist.c" else {name: value}
+    with pytest.raises(ValueError, match=f"^{re.escape(name)} must be finite"):
+        FlowConfig(grid=PeriodicGrid(1, 8), **numbers)
 
 
 class TestRealPotentials:
@@ -210,25 +222,28 @@ class TestDegeneracy:
         assert excinfo.value.margin == -1.0
 
 
-    def test_degenerate_error_carries_partial_result(self):
+    def test_degenerate_error_carries_partial_result(self, snapshot_history):
         config = homogeneous_config(c=2.0, t_final=1.0, dt=1e-2)
         with pytest.raises(FlowDegenerateError) as excinfo:
             run_flow(config)
         err = excinfo.value
         result = err.result
+        snaps = snapshot_history(result)
         assert result.steps > 0
-        assert len(result.rows) == len(result.snapshots) > 3
-        # The last accepted state is the final snapshot and row.
-        assert result.final.t == err.t
+        assert len(result.rows) == len(snaps) > 3
+        # The last accepted state is the final snapshot and row, and the
+        # result keeps the window of the last three snapshots only.
+        assert [id(s) for s in result.snapshots] == [id(s) for s in snaps[-CENTERED_SNAPSHOTS:]]
+        assert result.final is snaps[-1] and result.final.t == err.t
         assert result.rows[-1].t == err.t
         assert result.rows[-1].positivity_margin == pytest.approx(err.margin, rel=1e-12)
         times = [row.t for row in result.rows]
         assert times == sorted(times) and times[0] == 0.0
         assert all(row.positivity_margin > 0 for row in result.rows)
         # g(t) = (1 - 2t) h: the rows follow the closed form up to the end.
-        for snap in result.snapshots:
+        for snap in snaps:
             assert np.max(np.abs(snap.phidot - homogeneous_phidot(1, 2.0, snap.t))) < 1e-9
-        assert check_schwarz(result).times.size == len(result.snapshots) - 2
+        assert check_schwarz(result).times.size == len(snaps) - 2
 
     def test_step_budget_exhausted(self, monkeypatch):
         monkeypatch.setattr(kricci.flow, "MAX_STEPS", 3)
@@ -483,12 +498,12 @@ def _laplacian_of_metric(grid, g, f):
     return g_trace(g.inverse(), dbar_hessian(grid, f))
 
 
-def _reference_schwarz_margins(result):
-    """Schwarz margins snapshot by snapshot, reconstructing g at every use,
-    from a Sym² field R_h + B(h, eta) of their own."""
+def _reference_schwarz_margins(result, snaps):
+    """Schwarz margins snapshot by snapshot over ``snaps``, every snapshot of
+    the run, reconstructing g at every use, from a Sym² field R_h + B(h, eta)
+    of their own."""
     model = result.model
     grid = model.grid
-    snaps = result.snapshots
 
     lam_logs = [model.log_trace_h(model.reconstruct(s.t, s.phi).inverse()) for s in snaps]
     S = curvature_field(grid, model.h)
@@ -506,15 +521,15 @@ def _reference_schwarz_margins(result):
     return margins
 
 
-def _reference_rows(result):
-    """Every row's fields, snapshot by snapshot, from the reconstructed and
-    re-checked snapshot metrics; the Schwarz column is
+def _reference_rows(result, snaps):
+    """Every row's fields, snapshot by snapshot over ``snaps``, from the
+    reconstructed and re-checked snapshot metrics; the Schwarz column is
     :func:`_reference_schwarz_margins`."""
     model = result.model
     config = result.config
     n = model.grid.n
     rows = []
-    for snap, schwarz in zip(result.snapshots, _reference_schwarz_margins(result)):
+    for snap, schwarz in zip(snaps, _reference_schwarz_margins(result, snaps)):
         g = model.reconstruct(snap.t, snap.phi)
         drift = g_trace(g.inverse(), model._drift)
         scalar = drift - _laplacian_of_metric(model.grid, g, snap.phidot)
@@ -533,21 +548,21 @@ def _reference_rows(result):
     return rows
 
 
-def _assert_matches_reference(result):
-    """Rows, Schwarz margins and identity residuals bitwise equal the reference."""
+def _assert_matches_reference(result, snaps):
+    """Rows, Schwarz margins and identity residuals bitwise equal the
+    reference over ``snaps``, every snapshot of the run."""
     np.testing.assert_array_equal(
-        [dataclasses.astuple(row) for row in result.rows], _reference_rows(result)
+        [dataclasses.astuple(row) for row in result.rows], _reference_rows(result, snaps)
     )
     report = check_potential_identities(result)
-    times, res_phi, res_phidot = _reference_identities(result)
+    times, res_phi, res_phidot = _reference_identities(result, snaps)
     np.testing.assert_array_equal(report.times, times)
     assert (report.residual_phi, report.residual_phidot) == (res_phi, res_phidot)
 
 
-def _reference_identities(result):
-    """(times, residual_phi, residual_phidot) snapshot by snapshot."""
+def _reference_identities(result, snaps):
+    """(times, residual_phi, residual_phidot) snapshot by snapshot over ``snaps``."""
     model = result.model
-    snaps = result.snapshots
     res_phi = res_phidot = 0.0
     for i in range(1, len(snaps) - 1):
         a, b = snaps[i].t - snaps[i - 1].t, snaps[i + 1].t - snaps[i].t
@@ -561,8 +576,9 @@ def _reference_identities(result):
     return np.array([s.t for s in snaps[1:-1]]), res_phi, res_phidot
 
 
-def _reference_trace_evolution(result, mu, twist_potential):
-    """(times, sup values, max increase, differential margin) in two passes."""
+def _reference_trace_evolution(result, snaps, mu, twist_potential):
+    """(times, sup values, max increase, differential margin) in two passes
+    over ``snaps``, every snapshot of the run."""
     model = result.model
     grid = model.grid
     n = grid.n
@@ -570,7 +586,7 @@ def _reference_trace_evolution(result, mu, twist_potential):
     v = (2.0 * beta / alpha) * model.u
     B = alpha * mu * (n - 1) / (2.0 * n * beta)
     fields = []
-    for snap in result.snapshots:
+    for snap in snaps:
         log_lam = model.log_trace_h(model.reconstruct(snap.t, snap.phi).inverse())
         w = snap.t * snap.phidot - snap.phi - n * snap.t
         Q = (
@@ -579,13 +595,13 @@ def _reference_trace_evolution(result, mu, twist_potential):
             + (alpha / beta) * (snap.phidot + twist_potential - model.u)
         )
         fields.append(log_lam - Q)
-    times = np.array([snap.t for snap in result.snapshots])
+    times = np.array([snap.t for snap in snaps])
     sup_vals = np.array([float(f.max()) for f in fields])
     diff_margin = math.inf
     for i in range(1, len(fields) - 1):
         a, b = times[i] - times[i - 1], times[i + 1] - times[i]
         dfield = _nonuniform_dt(fields[i - 1], fields[i], fields[i + 1], a, b)
-        g = model.reconstruct(times[i], result.snapshots[i].phi)
+        g = model.reconstruct(times[i], snaps[i].phi)
         heat = dfield - _laplacian_of_metric(grid, g, fields[i])
         diff_margin = min(diff_margin, float((-heat).min()))
     return times, sup_vals, float(np.diff(sup_vals).max()), diff_margin
@@ -666,7 +682,9 @@ class TestOnePassAnalysis:
         monkeypatch.setattr(MetricField, "smallest_eigenvalues", counting_smallest)
         return inverted, checked, passes
 
-    def test_each_snapshot_metric_is_reconstructed_and_inverted_once(self, monkeypatch):
+    def test_each_snapshot_metric_is_reconstructed_and_inverted_once(
+        self, monkeypatch, snapshot_history
+    ):
         # Each step builds and checks two metrics, the midpoint and the end,
         # with one lambda_min pass each: the step asks for the proof, and the
         # metric's log det asks again and reads the recorded margin.  A
@@ -674,7 +692,7 @@ class TestOnePassAnalysis:
         reconstructed, _ = self.count_calls(monkeypatch)
         inverted, checked, passes = self.count_metric_calls(monkeypatch)
         result = run_flow(self.mixed_config(0.02))
-        assert len(result.snapshots) == result.steps + 1 >= 5
+        assert len(snapshot_history(result)) == result.steps + 1 >= 5
         assert len(reconstructed) == 2 * result.steps
         h = result.model.h
         twice = [id(g) for g in reconstructed for _ in range(2)]
@@ -689,7 +707,7 @@ class TestOnePassAnalysis:
         assert sum(g is h for g in inverted) == 2
         assert sum(g is h for g in passes) == 1
 
-    def test_trace_evolution_reads_no_snapshot_metric(self, monkeypatch):
+    def test_trace_evolution_reads_no_snapshot_metric(self, monkeypatch, snapshot_history):
         # With mu set the run analyses the trace-evolution field from the
         # g^-1 its steps built, and the check builds and inverts no metric.
         config = dataclasses.replace(
@@ -699,29 +717,29 @@ class TestOnePassAnalysis:
         inverted, _, _ = self.count_metric_calls(monkeypatch)
         result = run_flow(config)
         assert check_trace_evolution(result, tol=1e-6).ok
-        assert len(result.snapshots) == result.steps + 1 >= 5
+        assert len(snapshot_history(result)) == result.steps + 1 >= 5
         assert len(reconstructed) == 2 * len(attempts)
         h = result.model.h
         assert [id(g) for g in inverted if g is not h] == [id(g) for g in reconstructed[1::2]]
 
     @pytest.mark.parametrize("n", [1, 2])
-    def test_reconstructs_twice_per_step_attempt(self, n, monkeypatch):
+    def test_reconstructs_twice_per_step_attempt(self, n, monkeypatch, snapshot_history):
         reconstructed, attempts = self.count_calls(monkeypatch)
         result = run_flow(self.config(n))
-        assert len(result.snapshots) == result.steps + 1 >= 5
+        assert len(snapshot_history(result)) == result.steps + 1 >= 5
         assert len(attempts) >= result.steps
         assert len(reconstructed) == 2 * len(attempts)
 
     @pytest.mark.parametrize("n", [1, 2])
-    def test_matches_snapshot_by_snapshot_reference(self, n):
+    def test_matches_snapshot_by_snapshot_reference(self, n, snapshot_history):
         result = run_flow(self.config(n))
         if n == 2:
             g12 = result.model.reconstruct(result.final.t, result.final.phi).b
             assert np.abs(g12.real).max() > 1e-3 and np.abs(g12.imag).max() > 1e-3
-        _assert_matches_reference(result)
+        _assert_matches_reference(result, snapshot_history(result))
 
     @pytest.mark.parametrize("n", [1, 2])
-    def test_degenerating_run_matches_reference(self, n, monkeypatch):
+    def test_degenerating_run_matches_reference(self, n, monkeypatch, snapshot_history):
         # The budget ends the run one step after the snapshot at step 4, so
         # the last accepted state is reconstructed, once, for the last row.
         monkeypatch.setattr(kricci.flow, "MAX_STEPS", 5)
@@ -731,13 +749,14 @@ class TestOnePassAnalysis:
             run_flow(config)
         result = excinfo.value.result
         assert len(reconstructed) == 2 * len(attempts) + 1
-        assert [snap.t for snap in result.snapshots] == [row.t for row in result.rows]
+        snaps = snapshot_history(result)
+        assert [snap.t for snap in snaps] == [row.t for row in result.rows]
         assert len(result.rows) == 4 and result.rows[-1].t == excinfo.value.t
         assert not math.isnan(result.rows[-2].schwarz_min_margin)
-        _assert_matches_reference(result)
+        _assert_matches_reference(result, snaps)
 
     @pytest.mark.parametrize("case", ["n1-fd2", "n2-spectral", "degenerating"])
-    def test_trace_evolution_matches_reference(self, case, monkeypatch):
+    def test_trace_evolution_matches_reference(self, case, monkeypatch, snapshot_history):
         # The n=1 background is curved and phi_twist is u there, so the run
         # records the field though the check rejects the hypotheses.  The n=2
         # one is flat, its twist makes g_12 complex and phi_twist is zero, so
@@ -756,12 +775,12 @@ class TestOnePassAnalysis:
             with pytest.raises(FlowDegenerateError, match="step budget 5") as excinfo:
                 run_flow(config)
             result = excinfo.value.result
-            assert len(result.snapshots) == 4 and result.final.t == excinfo.value.t
+            assert len(snapshot_history(result)) == 4 and result.final.t == excinfo.value.t
             assert len(reconstructed) == 2 * len(attempts) + 1
         else:
             result = run_flow(config)
         times, sup_vals, max_increase, diff_margin = _reference_trace_evolution(
-            result, 1.0, result.model.phi_twist
+            result, snapshot_history(result), 1.0, result.model.phi_twist
         )
         record = result.trace_evolution
         np.testing.assert_array_equal([row.t for row in result.rows], times)
@@ -778,7 +797,7 @@ class TestOnePassAnalysis:
             assert report.max_increase == max_increase
             assert report.differential_min_margin == diff_margin
 
-    def test_twisted_scalar_needs_no_ricci_pass(self, monkeypatch):
+    def test_twisted_scalar_needs_no_ricci_pass(self, monkeypatch, snapshot_history):
         # Ric(g) = Ric(h) - d dbar phidot: the rows match the route through
         # Ric(g) = -d dbar log det g at roundoff, and no Ricci form is taken,
         # of g or of h (Ric(h) is -d dbar of the model's own log det h).
@@ -786,7 +805,7 @@ class TestOnePassAnalysis:
         reference = run_flow(config)
         model = reference.model
         expected = []
-        for snap in reference.snapshots:
+        for snap in snapshot_history(reference):
             g = model.reconstruct(snap.t, snap.phi)
             ginv = g.inverse()
             scal = g_trace(ginv, ricci_field(model.grid, g))
@@ -800,6 +819,38 @@ class TestOnePassAnalysis:
         monkeypatch.setattr(kricci.flow, "ricci_field", forbidden, raising=False)
         rows = run_flow(config).rows
         assert_allclose([row.inf_scalar_plus_tr_eta for row in rows], expected, rtol=1e-12, atol=0)
+
+    def test_result_keeps_the_window_and_a_row_per_snapshot(self, snapshot_history):
+        result = run_flow(self.mixed_config(0.02))
+        snaps = snapshot_history(result)
+        assert len(result.rows) == len(snaps) == result.steps + 1 >= 5
+        assert [id(s) for s in result.snapshots] == [id(s) for s in snaps[-CENTERED_SNAPSHOTS:]]
+        assert result.final is snaps[-1]
+
+    def test_peak_memory_does_not_grow_with_t_final(self):
+        # n=2 N=16 spectral on a mixed-wavevector background: the run keeps
+        # the window, not its history, so ten times the horizon (5 -> 42
+        # steps, 4 -> 22 snapshots) leaves the tracemalloc peak where it was.
+        # The warm-up run builds what the first run of a process allocates once.
+        grid = PeriodicGrid(2, 16, "spectral")
+        config = FlowConfig(
+            grid=grid,
+            background=scalar_from_modes(grid, [(self.MIXED, 0.01), ((1, 0, 0, 0), 0.005)]),
+            twist=TwistSpec(c=0.0, potential=perturbed_potential(grid, 0.002, self.MIXED)),
+            diagnostics_every=2,
+        )
+
+        def peak(t_final):
+            tracemalloc.start()
+            try:
+                run_flow(dataclasses.replace(config, t_final=t_final))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        run_flow(dataclasses.replace(config, t_final=0.0025))
+        short, long = peak(0.0025), peak(0.025)
+        assert long <= 1.05 * short, (short / 2**20, long / 2**20)
 
     def test_identities_need_three_snapshots(self):
         result = run_flow(homogeneous_config(c=0.0, t_final=0.01, dt=1e-2))

@@ -368,11 +368,35 @@ class TestFlowConfig:
         with pytest.raises(ValueError, match="JSON object"):
             load_flow_config(path)
 
-    @pytest.mark.parametrize("key", ["sigma_init", "t_final"])
-    def test_unknown_key_rejected(self, tmp_path, key):
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ({"sigma_init": 0.5}, "unknown flow config key 'sigma_init'"),
+            ({"t_final": 0.5}, "unknown flow config key 't_final'"),
+            # A misspelt key would otherwise keep the default: fd2, not spectral.
+            (
+                {"grid": {"n": 1, "N": 8, "discretisation": "spectral"}},
+                "unknown key 'discretisation' under grid",
+            ),
+            ({"twist": {"cc": 0.5}}, "unknown key 'cc' under twist"),
+            ({"background": {"modes": [], "scale": 2.0}}, "unknown key 'scale' under background"),
+            ({"twist": {"u": {"file": "u.json", "amp": 1.0}}}, "unknown key 'amp' under twist.u"),
+            (
+                {"background": {"modes": [{"k": [1, 0], "amp": 0.01, "phase": 1.0}]}},
+                "unknown key 'phase' under background.modes[0]",
+            ),
+            (
+                {"background": {"modes": [], "file": "u.json"}},
+                "background must carry exactly one of 'modes' or 'file'",
+            ),
+        ],
+        ids=["sigma_init", "t_final", "grid", "twist", "background", "twist-u", "mode",
+             "modes-and-file"],
+    )
+    def test_unknown_key_rejected(self, tmp_path, payload, message):
         path = tmp_path / "flow.json"
-        save_json(path, {"grid": {"n": 1, "N": 8}, key: 0.5})
-        with pytest.raises(ValueError, match=f"unknown flow config key '{key}'"):
+        save_json(path, {"grid": {"n": 1, "N": 8}, **payload})
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*{re.escape(message)}"):
             load_flow_config(path)
 
     def test_unknown_check_rejected(self, tmp_path):
