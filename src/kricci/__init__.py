@@ -8,6 +8,7 @@ from .errors import (
     HypothesisError,
     RealityError,
     ResourceLimitError,
+    TooFewSnapshotsError,
 )
 from .extremes import (
     Certificate,
@@ -25,6 +26,7 @@ from .flow import (
     check_scalar_bound,
     check_schwarz,
     check_trace_evolution,
+    check_volume_bound,
     horizon_estimate,
     run_flow,
 )

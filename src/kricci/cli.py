@@ -16,18 +16,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FlowDegenerateError, HypothesisError
+from . import flow
+from .errors import FlowDegenerateError, HypothesisError, TooFewSnapshotsError
 from .extremes import CertifyOptions, certify_k_ricci
-from .flow import (
-    CENTERED_SNAPSHOTS,
-    CHECK_TOL,
-    check_potential_identities,
-    check_scalar_bound,
-    check_schwarz,
-    check_trace_evolution,
-    horizon_estimate,
-    run_flow,
-)
+from .flow import FLOW_CHECKS, horizon_estimate, run_flow
 from .forms import BihermitianForm, HermitianForm
 from .io import (
     append_report,
@@ -96,10 +88,10 @@ def _build_parser() -> argparse.ArgumentParser:
     certify.add_argument("--out", default=None, help="certificate file")
     certify.set_defaults(func=_cmd_certify)
 
-    flow = sub.add_parser("flow", help="run a flow campaign from a config file")
-    flow.add_argument("config", help="flow config JSON")
-    flow.add_argument("--out", default=".", help="output directory")
-    flow.set_defaults(func=_cmd_flow)
+    flow_cmd = sub.add_parser("flow", help="run a flow campaign from a config file")
+    flow_cmd.add_argument("config", help="flow config JSON")
+    flow_cmd.add_argument("--out", default=".", help="output directory")
+    flow_cmd.set_defaults(func=_cmd_flow)
 
     report = sub.add_parser("report", help="summarize report files")
     report.add_argument("paths", nargs="+")
@@ -209,79 +201,20 @@ def _cmd_flow(args) -> int:
     csv_path = out / "flow.csv"
     write_flow_csv(csv_path, result.rows)
     checks: dict[str, dict] = {}
-
-    tol_scalar = job.checks.get("scalar_bound", CHECK_TOL)
-    scalar_rep = check_scalar_bound(result, tol=tol_scalar)
-    checks["scalar_bound"] = {
-        "enabled": True,
-        "tolerance": tol_scalar,
-        "min_margin": scalar_rep.min_margin,
-        "ok": scalar_rep.ok,
-    }
-
-    tol_volume = job.checks.get("volume_bound", CHECK_TOL)
-    vol_margins = [row.bound_volume_upper - row.sup_phidot for row in result.rows]
-    vol_scale = 1.0 + max(abs(row.bound_volume_upper) for row in result.rows)
-    vol_min = min(vol_margins)
-    checks["volume_bound"] = {
-        "enabled": True,
-        "tolerance": tol_volume,
-        "min_margin": vol_min,
-        "ok": bool(vol_min >= -tol_volume * vol_scale),
-    }
-
-    # The run records identities from its third snapshot on, and one row per snapshot.
-    skipped = (
-        f"needs {CENTERED_SNAPSHOTS} snapshots, the run has {len(result.rows)}"
-        if result.identities is None
-        else None
-    )
-    for name in ("schwarz", "potential_identities"):
-        if skipped and name in job.checks:
-            checks[name] = {
-                "enabled": True,
-                "tolerance": job.checks[name],
-                "skipped": skipped,
-                "ok": False,
-            }
-
-    if "schwarz" in job.checks and not skipped:
-        schwarz_rep = check_schwarz(result)
-        checks["schwarz"] = {
-            "enabled": True,
-            "tolerance": job.checks["schwarz"],
-            "worst_negative": schwarz_rep.worst_negative,
-            "ok": bool(schwarz_rep.worst_negative <= job.checks["schwarz"]),
-        }
-
-    if "potential_identities" in job.checks and not skipped:
-        tol_pot = job.checks["potential_identities"]
-        pot_rep = check_potential_identities(result)
-        checks["potential_identities"] = {
-            "enabled": True,
-            "tolerance": tol_pot,
-            "residual_phi": pot_rep.residual_phi,
-            "residual_phidot": pot_rep.residual_phidot,
-            "ok": bool(max(pot_rep.residual_phi, pot_rep.residual_phidot) <= tol_pot),
-        }
-
-    if job.config.mu is not None:
-        tol_trace = job.checks.get("trace_evolution", CHECK_TOL)
+    for check in FLOW_CHECKS:
+        tol = check.tolerance(job.config, job.checks)
+        if tol is None:
+            continue
+        entry = checks[check.name] = {"enabled": True, "tolerance": tol}
         try:
-            trace_rep = check_trace_evolution(result, tol=tol_trace)
-            checks["trace_evolution"] = {
-                "enabled": True,
-                "tolerance": tol_trace,
-                "max_increase": trace_rep.max_increase,
-                "ok": trace_rep.ok,
-            }
+            # Looked up in kricci.flow at call time, like the handlers' functions.
+            report = getattr(flow, f"check_{check.name}")(result, tol=tol)
+        except TooFewSnapshotsError as err:
+            entry.update(skipped=str(err), ok=False)
         except HypothesisError as err:
-            checks["trace_evolution"] = {
-                "enabled": True,
-                "tolerance": tol_trace,
-                "hypothesis_rejected": str(err),
-                "ok": False,
-            }
+            entry.update(hypothesis_rejected=str(err), ok=False)
+        else:
+            entry.update({key: getattr(report, key) for key in check.fields}, ok=report.ok)
 
     ok = degenerate is None and all(entry["ok"] for entry in checks.values())
     record = {

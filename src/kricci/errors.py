@@ -39,5 +39,9 @@ class HypothesisError(ValueError):
         self.hypothesis = hypothesis
 
 
+class TooFewSnapshotsError(ValueError):
+    """A check that takes centered time differences ran on too short a run."""
+
+
 class RealityError(ArithmeticError):
     """A quantity forced real by symmetry carried too much imaginary part."""

@@ -24,7 +24,11 @@ bounds in terms of the initial infimum, the identities obeyed by phi and its
 time derivative, the Schwarz-type inequality for log tr_g h, the telescoped
 trace evolution bound, and the monotone combinations of log tr_g h with the
 potentials.  Time derivatives are taken with the second-order nonuniform
-3-point formula, so all residuals shrink at order dt^2.
+3-point formula, so all residuals shrink at order dt^2.  Each check is
+``check_<name>(result, tol)`` and decides its own ``ok``; :data:`FLOW_CHECKS`
+lists them with the report fields a flow report keeps and when each runs, and
+``kricci flow`` runs them from that table.  A check that needs a centered
+window raises :class:`TooFewSnapshotsError` on a shorter run.
 
 Each snapshot is analysed as the run takes it, from the g^-1 and the
 positivity margin of the step that built its metric, so no snapshot metric is
@@ -44,10 +48,11 @@ import functools
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
-from .errors import DegeneracyError, FlowDegenerateError, HypothesisError
+from .errors import DegeneracyError, FlowDegenerateError, HypothesisError, TooFewSnapshotsError
 from .forms import congruence, sym2_index
 from .grid import (
     MetricField,
@@ -64,13 +69,14 @@ from .grid import (
 )
 
 __all__ = [
+    "BoundReport",
     "DiagnosticsRow",
     "FlowConfig",
     "FlowModel",
     "FlowResult",
     "FlowSnapshot",
+    "IdentityRecord",
     "PotentialIdentityReport",
-    "ScalarBoundReport",
     "SchwarzReport",
     "TraceEvolutionRecord",
     "TraceEvolutionReport",
@@ -79,6 +85,7 @@ __all__ = [
     "check_scalar_bound",
     "check_schwarz",
     "check_trace_evolution",
+    "check_volume_bound",
     "homogeneous_phi",
     "homogeneous_phidot",
     "horizon_estimate",
@@ -100,6 +107,36 @@ CENTERED_SNAPSHOTS = 3
 # Relative tolerance of the scalar, volume and trace-evolution bounds, where
 # a flow config gives none.
 CHECK_TOL = 1e-8
+
+
+@dataclass(frozen=True)
+class FlowCheck:
+    """``check_<name>(result, tol)`` of this module, and the ``fields`` of its
+    report a flow report keeps beside ``ok``.  It runs with the tolerance a
+    config gives it, else ``default_tol`` (None: not at all), and only when
+    the FlowConfig field ``requires`` names is set."""
+
+    name: str
+    fields: tuple[str, ...]
+    default_tol: float | None = CHECK_TOL
+    requires: str | None = None
+
+    def tolerance(self, config: FlowConfig, given: dict[str, float]) -> float | None:
+        """Its tolerance under ``config`` and the ``given`` ones, or None if it does not run."""
+        if self.requires is not None and getattr(config, self.requires) is None:
+            return None
+        return given.get(self.name, self.default_tol)
+
+
+# Every check kricci flow runs, in report order; the names are the keys of a
+# flow config's "checks".
+FLOW_CHECKS = (
+    FlowCheck("scalar_bound", ("min_margin",)),
+    FlowCheck("volume_bound", ("min_margin",)),
+    FlowCheck("schwarz", ("worst_negative",), default_tol=None),
+    FlowCheck("potential_identities", ("residual_phi", "residual_phidot"), default_tol=None),
+    FlowCheck("trace_evolution", ("max_increase",), requires="mu"),
+)
 
 
 @dataclass
@@ -137,8 +174,9 @@ class FlowConfig:
             raise ValueError("t_final must be positive")
         if not self.dt_initial > 0:
             raise ValueError("dt_initial must be positive")
-        if self.diagnostics_every < 1:
-            raise ValueError("diagnostics_every must be at least 1")
+        every = self.diagnostics_every
+        if not isinstance(every, Integral) or every < 1:
+            raise ValueError(f"diagnostics_every must be an integer of at least 1, got {every!r}")
         if not (self.alpha > 0 and self.beta > 0):
             raise ValueError("alpha and beta must be positive")
 
@@ -243,7 +281,10 @@ class DiagnosticsRow:
 
 
 @dataclass
-class PotentialIdentityReport:
+class IdentityRecord:
+    """The window middles and the largest residual of each potential identity
+    over them, as a run records them (:func:`check_potential_identities`)."""
+
     times: np.ndarray
     residual_phi: float
     residual_phidot: float
@@ -272,7 +313,7 @@ class FlowResult:
     rows: list[DiagnosticsRow] = field(default_factory=list)
     steps: int = 0
     # None when the run has fewer than CENTERED_SNAPSHOTS snapshots.
-    identities: PotentialIdentityReport | None = None
+    identities: IdentityRecord | None = None
     trace_evolution: TraceEvolutionRecord | None = None  # None when mu is None
 
     @property
@@ -512,7 +553,7 @@ def _diagnostics(
     rhs = -drift_mid + lap_mid
     ids = result.identities
     if ids is None:
-        ids = result.identities = PotentialIdentityReport(np.empty(0), 0.0, 0.0)
+        ids = result.identities = IdentityRecord(np.empty(0), 0.0, 0.0)
     ids.times = np.append(ids.times, mid.t)
     ids.residual_phi = max(ids.residual_phi, float(np.max(np.abs(dphi - mid.phidot))))
     ids.residual_phidot = max(ids.residual_phidot, float(np.max(np.abs(dphidot - rhs))))
@@ -547,8 +588,16 @@ def _schwarz_margins(
     return float((lhs - rhs).min())
 
 
+def _require_window(result: FlowResult) -> None:
+    """Raise :class:`TooFewSnapshotsError` unless the run has a centered window."""
+    if len(result.rows) < CENTERED_SNAPSHOTS:
+        raise TooFewSnapshotsError(
+            f"needs {CENTERED_SNAPSHOTS} snapshots, the run has {len(result.rows)}"
+        )
+
+
 @dataclass
-class ScalarBoundReport:
+class BoundReport:
     times: np.ndarray
     values: np.ndarray
     bounds: np.ndarray
@@ -556,7 +605,15 @@ class ScalarBoundReport:
     ok: bool
 
 
-def check_scalar_bound(result: FlowResult, tol: float = CHECK_TOL) -> ScalarBoundReport:
+def _bound_report(times, values, bounds, margins, tol: float) -> BoundReport:
+    """The rule of both bound checks: the smallest of ``margins``, the signed
+    distances of ``values`` inside ``bounds``, is at least -tol (1 + max|bound|)."""
+    min_margin = float(margins.min())
+    scale = 1.0 + float(np.max(np.abs(bounds)))
+    return BoundReport(times, values, bounds, min_margin, ok=bool(min_margin >= -tol * scale))
+
+
+def check_scalar_bound(result: FlowResult, tol: float = CHECK_TOL) -> BoundReport:
     """Check inf(scal(g_t) + tr_{g_t} eta) >= -n / (t + sigma) along the flow."""
     n = result.config.grid.n
     times = np.array([row.t for row in result.rows])
@@ -565,20 +622,26 @@ def check_scalar_bound(result: FlowResult, tol: float = CHECK_TOL) -> ScalarBoun
         bounds = np.zeros_like(times)
     else:
         bounds = -n / (times + result.sigma)
-    margins = values - bounds
-    scale = 1.0 + float(np.max(np.abs(bounds)))
-    min_margin = float(margins.min())
-    return ScalarBoundReport(
-        times=times,
-        values=values,
-        bounds=bounds,
-        min_margin=min_margin,
-        ok=bool(min_margin >= -tol * scale),
-    )
+    return _bound_report(times, values, bounds, values - bounds, tol)
 
 
-def check_potential_identities(result: FlowResult) -> PotentialIdentityReport:
-    """Residuals of d phi/dt = phidot and the evolution of phidot itself.
+def check_volume_bound(result: FlowResult, tol: float = CHECK_TOL) -> BoundReport:
+    """Check sup dphi/dt <= n log(1 + t / sigma), the volume-ratio bound of each
+    row, along the flow."""
+    times = np.array([row.t for row in result.rows])
+    values = np.array([row.sup_phidot for row in result.rows])
+    bounds = np.array([row.bound_volume_upper for row in result.rows])
+    return _bound_report(times, values, bounds, bounds - values, tol)
+
+
+@dataclass
+class PotentialIdentityReport(IdentityRecord):
+    ok: bool
+
+
+def check_potential_identities(result: FlowResult, tol: float = CHECK_TOL) -> PotentialIdentityReport:
+    """Residuals of d phi/dt = phidot and the evolution of phidot itself;
+    both must be at most ``tol``.
 
     The second identity, d phidot/dt = -tr_g(Ric(h) + eta) + Lap_g phidot,
     holds exactly for the semi-discrete system with the same discrete
@@ -586,9 +649,10 @@ def check_potential_identities(result: FlowResult) -> PotentialIdentityReport:
     shrink at second order in the step size.  The residuals are maxima over
     the interior snapshots, computed by the analysis pass of :func:`run_flow`.
     """
-    if result.identities is None:
-        raise ValueError("need at least three snapshots for centered differences")
-    return result.identities
+    _require_window(result)
+    ids = result.identities
+    ok = bool(max(ids.residual_phi, ids.residual_phidot) <= tol)
+    return PotentialIdentityReport(ids.times, ids.residual_phi, ids.residual_phidot, ok)
 
 
 @dataclass
@@ -597,27 +661,24 @@ class SchwarzReport:
     margins: np.ndarray
     min_margin: float
     worst_negative: float
+    ok: bool
 
 
-def check_schwarz(result: FlowResult) -> SchwarzReport:
-    """Collect the per-snapshot Schwarz margins (interior snapshots only).
+def check_schwarz(result: FlowResult, tol: float = CHECK_TOL) -> SchwarzReport:
+    """Collect the per-snapshot Schwarz margins (interior snapshots only);
+    the most negative may fall at most ``tol`` below zero.
 
     ``worst_negative`` is the magnitude of the most negative margin, zero if
     none are negative.  The negative part is pure discretization error only at
     n=1; at n >= 2 the continuum margin is -s <= 0 (:func:`_schwarz_margins`).
     """
+    _require_window(result)
     rows = [row for row in result.rows if not math.isnan(row.schwarz_min_margin)]
     times = np.array([row.t for row in rows])
     margins = np.array([row.schwarz_min_margin for row in rows])
-    if margins.size == 0:
-        raise ValueError("no interior snapshots with Schwarz margins")
     min_margin = float(margins.min())
-    return SchwarzReport(
-        times=times,
-        margins=margins,
-        min_margin=min_margin,
-        worst_negative=max(0.0, -min_margin),
-    )
+    worst_negative = max(0.0, -min_margin)
+    return SchwarzReport(times, margins, min_margin, worst_negative, ok=bool(worst_negative <= tol))
 
 
 @dataclass

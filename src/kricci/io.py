@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .extremes import Certificate
-from .flow import DiagnosticsRow, FlowConfig, TwistSpec
+from .flow import FLOW_CHECKS, DiagnosticsRow, FlowConfig, TwistSpec
 from .forms import BihermitianForm, HermitianForm, symmetrize, validate_symmetries
 from .grid import MetricField, PeriodicGrid, ScalarField, scalar_from_modes
 
@@ -235,16 +235,21 @@ def _potential_from_spec(spec, grid: PeriodicGrid, path: Path, what: str) -> np.
     _json_object(spec, what, path, ("modes", "file"))
     if "modes" in spec:
         modes = []
+        # A ValueError raised here already names the file and the key.
         try:
             for i, mode in enumerate(spec["modes"]):
-                _json_object(mode, f"{what}.modes[{i}]", path, ("k", "amp"))
-                wavevector = tuple(_number(int, c, "k", path) for c in mode["k"])
+                key = f"{what}.modes[{i}]"
+                _json_object(mode, key, path, ("k", "amp"))
+                wavevector = tuple(_number(int, c, f"{key}.k", path) for c in mode["k"])
+                if len(wavevector) != 2 * grid.n:
+                    raise ValueError(f"{path}: {key}.k must have {2 * grid.n} entries, one per axis")
                 amp = mode["amp"]
-                pair = isinstance(amp, list)
-                parts = [_number(float, a, "amp", path) for a in (amp if pair else [amp])]
-                amplitude = complex(parts[0], parts[1]) if pair else parts[0]
-                modes.append((wavevector, amplitude))
-        except (KeyError, IndexError, TypeError, ValueError) as err:
+                parts = amp if isinstance(amp, list) else [amp, 0.0]
+                if len(parts) != 2:
+                    raise ValueError(f"{path}: {key}.amp must be a number or an [re, im] pair")
+                re_im = [_number(float, a, f"{key}.amp", path) for a in parts]
+                modes.append((wavevector, complex(*re_im)))
+        except (KeyError, TypeError) as err:
             raise ValueError(
                 f"{path}: malformed potential modes ({type(err).__name__}: {err}); each mode "
                 "needs an integer wavevector 'k' and an amplitude 'amp', a number or [re, im]"
@@ -277,9 +282,7 @@ FLOW_CONFIG_KEYS = (
     "grid", "background", "twist", "dt", "t_end", "cadence", "alpha", "beta", "mu", "checks",
 )
 # Keys under "checks": the tolerance of each check the flow command runs.
-FLOW_CHECK_KEYS = (
-    "scalar_bound", "volume_bound", "schwarz", "potential_identities", "trace_evolution",
-)
+FLOW_CHECK_KEYS = tuple(check.name for check in FLOW_CHECKS)
 
 # Numeric flow config keys: the FlowConfig field each sets, and its type.
 # Keys the file leaves out keep FlowConfig's defaults.
@@ -326,6 +329,12 @@ def load_flow_config(path) -> FlowJob:
     )
     checks = _json_object(data.get("checks", {}), "checks", path, FLOW_CHECK_KEYS, "check")
     checks = {key: _number(float, v, f"checks.{key}", path) for key, v in checks.items()}
+    for check in FLOW_CHECKS:
+        if check.name in checks and check.tolerance(config, checks) is None:
+            raise ValueError(
+                f"{path}: checks.{check.name} is given, but the check runs only when "
+                f"{check.requires!r} is set"
+            )
     return FlowJob(config=config, checks=checks, source=path)
 
 

@@ -44,6 +44,7 @@ def test_traced_run_feeds_every_hook(tracing, tmp_path):
             "dt": 1e-3,
             "t_end": 0.01,
             "cadence": 2,
+            "checks": {"schwarz": 1e-2, "potential_identities": 1e-2},
         },
     )
     form = tmp_path / "form.json"
@@ -69,6 +70,9 @@ def test_traced_run_feeds_every_hook(tracing, tmp_path):
     for expected in ("flow.step", "flow.rhs", "grid.dbar_hessian", "grid.smallest_eigenvalues",
                      "suites.case"):
         assert expected in names
+    # kricci flow looks every check up in kricci.flow when it runs.
+    for check in ("scalar_bound", "schwarz", "potential_identities"):
+        assert f"flow.check_{check}" in names, check
     for counter in (
         "grid.points_processed",
         "flow.steps",

@@ -499,6 +499,15 @@ class TestFlow:
         assert err.startswith(f"error: {config}: unknown key 'discretisation' under grid")
         assert not out.exists()
 
+    def test_trace_evolution_tolerance_without_mu_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "no-mu.json"
+        save_json(config, {"grid": {"n": 1, "N": 8}, "checks": {"trace_evolution": 1e-6}})
+        out = tmp_path / "out"
+        assert run_cli("flow", config, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {config}: checks.trace_evolution is given")
+        assert not out.exists()
+
     def test_trace_evolution_hypothesis_rejection_fails_run(self, tmp_path):
         config = tmp_path / "twisted.json"
         save_json(

@@ -18,17 +18,25 @@ from numpy.testing import assert_allclose
 
 import kricci.flow
 import kricci.grid
-from kricci.errors import DegeneracyError, FlowDegenerateError, HypothesisError
+from kricci.errors import (
+    DegeneracyError,
+    FlowDegenerateError,
+    HypothesisError,
+    TooFewSnapshotsError,
+)
 from kricci.flow import (
     CENTERED_SNAPSHOTS,
+    DiagnosticsRow,
     FlowConfig,
     FlowModel,
+    FlowResult,
     TwistSpec,
     _nonuniform_dt,
     check_potential_identities,
     check_scalar_bound,
     check_schwarz,
     check_trace_evolution,
+    check_volume_bound,
     homogeneous_phi,
     homogeneous_phidot,
     horizon_estimate,
@@ -150,6 +158,41 @@ def test_non_finite_config_number_is_rejected(name, value):
     numbers = {"twist": TwistSpec(c=value)} if name == "twist.c" else {name: value}
     with pytest.raises(ValueError, match=f"^{re.escape(name)} must be finite"):
         FlowConfig(grid=PeriodicGrid(1, 8), **numbers)
+
+
+@pytest.mark.parametrize("every", [2.5, math.inf, math.nan, 0])
+def test_diagnostics_every_must_be_a_positive_integer(every):
+    # 2.5 would snapshot every 5 steps, and nan passes an "< 1" test.
+    with pytest.raises(ValueError, match="^diagnostics_every must be an integer of at least 1"):
+        FlowConfig(grid=PeriodicGrid(1, 8), diagnostics_every=every)
+
+
+@pytest.mark.parametrize("slack, ok", [(0.999, True), (1.001, False)])
+@pytest.mark.parametrize("check", [check_scalar_bound, check_volume_bound])
+def test_bound_rule_flips_at_its_tolerance(check, slack, ok):
+    """Both bound checks pass while the smallest margin is at least
+    -tol (1 + max|bound|), and fail just below it."""
+    tol, sigma, times = 1e-3, 1.0, [0.0, 0.5, 1.0]
+    scalar = [-1.0 / (t + sigma) for t in times]  # -n / (t + sigma) at n=1
+    volume = [math.log1p(t / sigma) for t in times]
+    bounds = scalar if check is check_scalar_bound else volume
+    planted = -slack * tol * (1.0 + max(abs(b) for b in bounds))
+    rows = [
+        DiagnosticsRow(
+            t=t,
+            sup_phidot=v - (planted if i == 1 else 0.0),
+            inf_scalar_plus_tr_eta=s + (planted if i == 1 else 0.0),
+            bound_volume_upper=v,
+            positivity_margin=1.0,
+            sup_G=0.0,
+            schwarz_min_margin=math.nan,
+        )
+        for i, (t, s, v) in enumerate(zip(times, scalar, volume))
+    ]
+    result = FlowResult(FlowConfig(grid=PeriodicGrid(1, 8)), None, sigma, rows=rows)
+    report = check(result, tol=tol)
+    assert report.min_margin == pytest.approx(planted, rel=1e-9)
+    assert report.ok is ok
 
 
 class TestRealPotentials:
@@ -855,8 +898,9 @@ class TestOnePassAnalysis:
     def test_identities_need_three_snapshots(self):
         result = run_flow(homogeneous_config(c=0.0, t_final=0.01, dt=1e-2))
         assert len(result.snapshots) == 2 and result.identities is None
-        with pytest.raises(ValueError, match="three snapshots"):
-            check_potential_identities(result)
+        for check in (check_potential_identities, check_schwarz):
+            with pytest.raises(TooFewSnapshotsError, match="^needs 3 snapshots, the run has 2$"):
+                check(result)
 
 
 @pytest.mark.usefixtures("forbid_einsum_path")

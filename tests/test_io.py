@@ -399,6 +399,35 @@ class TestFlowConfig:
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*{re.escape(message)}"):
             load_flow_config(path)
 
+    def test_trace_evolution_tolerance_needs_mu(self, tmp_path):
+        # Without mu the run computes no trace-evolution field, so the check would not run.
+        path = tmp_path / "flow.json"
+        save_json(path, {"grid": {"n": 1, "N": 8}, "checks": {"trace_evolution": 1e-6}})
+        message = f"{path}: checks.trace_evolution is given, but the check runs only when 'mu'"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            load_flow_config(path)
+
+    @pytest.mark.parametrize(
+        "mode, message",
+        [
+            ({"k": [1, 0], "amp": 0.01, "phase": 1.0}, "unknown key 'phase' under background.modes[0]"),
+            ({"k": [1, "0"], "amp": 0.01}, "background.modes[0].k must be a number, got '0'"),
+            ({"k": [1, 0], "amp": [0.01, None]}, "background.modes[0].amp must be a number, got None"),
+            ({"k": [1], "amp": 0.01}, "background.modes[0].k must have 2 entries, one per axis"),
+            (
+                {"k": [1, 0], "amp": [0.01, 0.0, 5.0]},
+                "background.modes[0].amp must be a number or an [re, im] pair",
+            ),
+        ],
+        ids=["unknown-key", "k", "amp", "k-length", "amp-length"],
+    )
+    def test_bad_mode_names_the_file_once(self, tmp_path, mode, message):
+        path = tmp_path / "flow.json"
+        save_json(path, {"grid": {"n": 1, "N": 8}, "background": {"modes": [mode]}})
+        with pytest.raises(ValueError) as err:
+            load_flow_config(path)
+        assert str(err.value) == f"{path}: {message}"
+
     def test_unknown_check_rejected(self, tmp_path):
         path = tmp_path / "flow.json"
         save_json(path, {"grid": {"n": 1, "N": 8}, "checks": {"schwarz": 1e-3, "schwartz": 1e-12}})
