@@ -21,8 +21,8 @@ step.  It prints
     inverse of g(dt) over 200 calls (the trace layer of the analysis);
   * the wall time and the tracemalloc peak of one ``curvature_field`` call on
     the background metric;
-  * the summed wall time of the run's ``_diagnostics`` calls, less the
-    one-time build of the Sym² field R_h + B(h, eta) they make;
+  * the summed wall time of the run's ``_diagnostics`` calls (the Sym² field
+    R_h + B(h, eta) they read is built with the model, before the first);
   * the median wall time of ``_schwarz_margins`` over 20 calls on the run's
     arguments at the snapshot of the last timed step.
 
@@ -136,7 +136,7 @@ def main(argv=None):
     del curvature, model
 
     step, schwarz = flow._rk2_step, flow._schwarz_margins
-    step_s, step_peak, diagnostics_s, build_s, schwarz_args = [], [], [], [], []
+    step_s, step_peak, diagnostics_s, schwarz_args = [], [], [], []
 
     def rk2_step(*step_args):
         # The timed steps, then the further ones under tracemalloc.
@@ -152,15 +152,12 @@ def main(argv=None):
         schwarz_args.append(margin_args if len(schwarz_args) == args.steps - 1 else None)
         return schwarz(*margin_args)
 
-    # run_flow looks these up in kricci.flow at call time.  A _diagnostics
-    # call builds the Sym² field R_h + B(h, eta) once, from the other two.
+    # run_flow looks these up in kricci.flow at call time.
     with mock.patch.multiple(
         flow,
         _rk2_step=rk2_step,
         _diagnostics=timed(flow._diagnostics, diagnostics_s),
         _schwarz_margins=schwarz_margins,
-        curvature_field=timed(flow.curvature_field, build_s),
-        model_form=timed(flow.model_form, build_s),
     ):
         run = dataclasses.replace(config, t_final=(args.steps + 1) * dt, diagnostics_every=1)
         snapshots = len(flow.run_flow(run).rows)
@@ -176,8 +173,7 @@ def main(argv=None):
     print(f"g_trace: {trace_us:.1f} µs, median over {KERNEL_CALLS} calls")
     print(f"curvature_field: {1e3 * curvature_s:.1f} ms, tracemalloc peak {curvature_peak:.1f} MiB "
           f"for a {curvature_mib:.1f} MiB result")
-    print(f"diagnostics: {1e3 * (sum(diagnostics_s) - sum(build_s)):.1f} ms "
-          f"over {snapshots} snapshots")
+    print(f"diagnostics: {1e3 * sum(diagnostics_s):.1f} ms over {snapshots} snapshots")
     print(f"schwarz_margins: median {1e-3 * schwarz_us:.3f} ms over {SCHWARZ_CALLS} calls "
           f"at one middle snapshot")
     return 0

@@ -27,24 +27,27 @@ potentials.  Time derivatives are taken with the second-order nonuniform
 3-point formula, so all residuals shrink at order dt^2.  Each check is
 ``check_<name>(result, tol)`` and decides its own ``ok``; :data:`FLOW_CHECKS`
 lists them with the report fields a flow report keeps and when each runs, and
-``kricci flow`` runs them from that table.  A check that needs a centered
-window raises :class:`TooFewSnapshotsError` on a shorter run.
+``kricci flow`` runs them from that table.  A check that needs more snapshots
+than the run has (a centered window, or two for the trace evolution) raises
+:class:`TooFewSnapshotsError`.
 
-Each snapshot is analysed as the run takes it, from the g^-1 and the
-positivity margin of the step that built its metric, so no snapshot metric is
-reconstructed or checked twice; the start snapshot reads h, its margin and
-the h^-1 the barrier scale uses.  Rows, identity residuals and the
-trace-evolution record go straight into the run's one :class:`FlowResult`.
-It keeps a row for every snapshot but only the last three snapshots, the
-window every centered derivative needs; beside them the run keeps their
-log tr_g h (and trace-evolution field when mu is set) and the newest one's
-g^-1 and traces.  Only a run that degenerates between snapshots reconstructs
-its last accepted state, once.  No check reads a snapshot metric after the run.
+The model builds every background field before the first step, the Sym² field
+R_h + B(h, eta) of the Schwarz margins among them, so the analysis treats
+every snapshot the same way, whatever the run's length.  Each snapshot is
+analysed as the run takes it, from the g^-1 and the positivity margin of the
+step that built its metric, so no snapshot metric is reconstructed or checked
+twice; the start snapshot reads h, its margin and the h^-1 the barrier scale
+uses.  Rows, identity residuals and the trace-evolution record go straight
+into the run's one :class:`FlowResult`.  It keeps a row for every snapshot but
+only the last three snapshots, the window every centered derivative needs;
+beside them the run keeps their log tr_g h (and trace-evolution field when mu
+is set) and the newest one's g^-1 and traces.  Only a run that degenerates
+between snapshots reconstructs its last accepted state, once.  No check reads
+a snapshot metric after the run.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from collections import deque
 from dataclasses import dataclass, field
@@ -202,6 +205,10 @@ class FlowModel:
     h, Ric(h), eta and Ric(h) + eta are kept in entry form only (see
     :class:`MetricField`), and :meth:`reconstruct` sums entry fields, so a
     flow step never builds or validates a full (..., n, n) field.
+    ``schwarz_form`` is R_h + B(h, eta) on Sym²(C^n): the background
+    curvature of :func:`curvature_field` with the polarized model form of
+    :func:`model_form` added entry by entry, the one Sym² field a run keeps
+    (see :func:`_schwarz_margins`).
     """
 
     def __init__(self, config: FlowConfig):
@@ -222,17 +229,9 @@ class FlowModel:
         self.c = float(config.twist.c)
         self.eta = self.c * self.h + dbar_hessian(grid, self.u)
         self._drift = self.ric_h + self.eta
-
-    @functools.cached_property
-    def schwarz_form(self) -> dict:
-        """R_h + B(h, eta) on Sym²(C^n): the background curvature of
-        :func:`curvature_field` with the polarized model form of
-        :func:`model_form` added entry by entry, the one Sym² field a run
-        keeps (see :func:`_schwarz_margins`); computed on first use and kept."""
-        S = curvature_field(self.grid, self.h)
+        self.schwarz_form = curvature_field(grid, self.h)
         for key, entry in model_form(self.h, self.eta).items():
-            S[key] += entry
-        return S
+            self.schwarz_form[key] += entry
 
     def reconstruct(self, t: float, phi: np.ndarray) -> MetricField:
         """g(t) = h - t (Ric(h) + eta) + d dbar phi, summed entry by entry
@@ -312,8 +311,10 @@ class FlowResult:
     snapshots: deque[FlowSnapshot] = field(default_factory=lambda: deque(maxlen=CENTERED_SNAPSHOTS))
     rows: list[DiagnosticsRow] = field(default_factory=list)
     steps: int = 0
-    # None when the run has fewer than CENTERED_SNAPSHOTS snapshots.
-    identities: IdentityRecord | None = None
+    # Empty until the run has CENTERED_SNAPSHOTS snapshots.
+    identities: IdentityRecord = field(
+        default_factory=lambda: IdentityRecord(np.empty(0), 0.0, 0.0)
+    )
     trace_evolution: TraceEvolutionRecord | None = None  # None when mu is None
 
     @property
@@ -372,7 +373,7 @@ def run_flow(config: FlowConfig) -> FlowResult:
     phidot = np.zeros(grid.shape)
     margin = model.h_margin
 
-    def snapshot(ginv=None, last=False):
+    def snapshot(ginv=None):
         """Take (t, phi, phidot) as a snapshot unless it is one, and analyse it
         from g^-1 at t.  Steps make fresh arrays, so they are kept uncopied."""
         if snapshots and abs(snapshots[-1].t - t) <= 1e-15:
@@ -382,10 +383,10 @@ def run_flow(config: FlowConfig) -> FlowResult:
             # metric, so it is reconstructed; its margin is the step's.
             ginv = model.reconstruct(t, phi).inverse()
         snapshots.append(FlowSnapshot(t=t, phi=phi, phidot=phidot))
-        _diagnostics(result, window, ginv, margin, last)
+        _diagnostics(result, window, ginv, margin)
 
     def degenerate(message, stop_margin):
-        snapshot(last=True)
+        snapshot()
         return FlowDegenerateError(message, t=t, margin=stop_margin, result=result)
 
     snapshot(h_inv)
@@ -423,7 +424,7 @@ def run_flow(config: FlowConfig) -> FlowResult:
         # The analysis reads g^-1 only; g goes before it runs.
         del g
         if ginv is not None:
-            snapshot(ginv, last=done)
+            snapshot(ginv)
     return result
 
 
@@ -491,9 +492,7 @@ class _Window:
     newest: tuple | None = None
 
 
-def _diagnostics(
-    result: FlowResult, window: _Window, ginv: MetricField, margin: float, last: bool = False
-) -> None:
+def _diagnostics(result: FlowResult, window: _Window, ginv: MetricField, margin: float) -> None:
     """Analyse the newest snapshot of ``result`` from g^-1 and its metric's margin.
 
     Appends the snapshot's row to ``result.rows`` and its sup f to
@@ -501,12 +500,8 @@ def _diagnostics(
     middle row its Schwarz margin and adds the middle to
     ``result.identities`` and the trace-evolution margin; endpoint rows keep
     a NaN margin.  At t = 0 phidot is the zero field, so Lap_g phidot is not
-    formed.
-
-    The Sym² field R_h + B(h, eta) is first read at the third snapshot but
-    computed at the second, before that snapshot's fields exist, when the
-    window holds least; ``last`` says no third snapshot follows, so then it is
-    not computed at all.
+    formed.  The Schwarz margin reads the model's R_h + B(h, eta), built with
+    the model, so every snapshot is analysed the same way.
 
     The twisted scalar curvature needs no Ricci form of g: phidot is
     log det g - log det h, so Ric(g) = Ric(h) - d dbar phidot and
@@ -514,8 +509,6 @@ def _diagnostics(
     fields the phidot identity compares against.
     """
     model, snap = result.model, result.snapshots[-1]
-    if len(window.entries) == 1 and not last:
-        model.schwarz_form  # computed on this first access and kept on the model
     drift = g_trace(ginv, model._drift)
     log_lam = model.log_trace_h(ginv)
     if snap.t > 0:
@@ -552,8 +545,6 @@ def _diagnostics(
     dphidot = _nonuniform_dt(prev.phidot, mid.phidot, nxt.phidot, a, b)
     rhs = -drift_mid + lap_mid
     ids = result.identities
-    if ids is None:
-        ids = result.identities = IdentityRecord(np.empty(0), 0.0, 0.0)
     ids.times = np.append(ids.times, mid.t)
     ids.residual_phi = max(ids.residual_phi, float(np.max(np.abs(dphi - mid.phidot))))
     ids.residual_phidot = max(ids.residual_phidot, float(np.max(np.abs(dphidot - rhs))))
@@ -588,12 +579,10 @@ def _schwarz_margins(
     return float((lhs - rhs).min())
 
 
-def _require_window(result: FlowResult) -> None:
-    """Raise :class:`TooFewSnapshotsError` unless the run has a centered window."""
-    if len(result.rows) < CENTERED_SNAPSHOTS:
-        raise TooFewSnapshotsError(
-            f"needs {CENTERED_SNAPSHOTS} snapshots, the run has {len(result.rows)}"
-        )
+def _require_window(result: FlowResult, snapshots: int) -> None:
+    """Raise :class:`TooFewSnapshotsError` unless the run has ``snapshots`` snapshots."""
+    if len(result.rows) < snapshots:
+        raise TooFewSnapshotsError(f"needs {snapshots} snapshots, the run has {len(result.rows)}")
 
 
 @dataclass
@@ -649,7 +638,7 @@ def check_potential_identities(result: FlowResult, tol: float = CHECK_TOL) -> Po
     shrink at second order in the step size.  The residuals are maxima over
     the interior snapshots, computed by the analysis pass of :func:`run_flow`.
     """
-    _require_window(result)
+    _require_window(result, CENTERED_SNAPSHOTS)
     ids = result.identities
     ok = bool(max(ids.residual_phi, ids.residual_phidot) <= tol)
     return PotentialIdentityReport(ids.times, ids.residual_phi, ids.residual_phidot, ok)
@@ -672,7 +661,7 @@ def check_schwarz(result: FlowResult, tol: float = CHECK_TOL) -> SchwarzReport:
     none are negative.  The negative part is pure discretization error only at
     n=1; at n >= 2 the continuum margin is -s <= 0 (:func:`_schwarz_margins`).
     """
-    _require_window(result)
+    _require_window(result, CENTERED_SNAPSHOTS)
     rows = [row for row in result.rows if not math.isnan(row.schwarz_min_margin)]
     times = np.array([row.t for row in rows])
     margins = np.array([row.schwarz_min_margin for row in rows])
@@ -708,11 +697,14 @@ def check_trace_evolution(result: FlowResult, tol: float = CHECK_TOL) -> TraceEv
     the supremum of log tr_g h - Q must be non-increasing in t; the
     centered-difference margin of the differential form is reported as well.
     Both come from ``result.trace_evolution``, recorded by the run, so the
-    check builds no metric.  A run whose config sets no mu raises ValueError.
+    check builds no metric.  A run whose config sets no mu raises ValueError,
+    and one with a single snapshot, which has no increase of the supremum,
+    raises :class:`TooFewSnapshotsError`.
     """
     record = result.trace_evolution
     if record is None:
         raise ValueError("the run computed no trace-evolution field: its config sets no mu")
+    _require_window(result, 2)
     model = result.model
     grid = model.grid
     config = result.config
@@ -738,8 +730,7 @@ def check_trace_evolution(result: FlowResult, tol: float = CHECK_TOL) -> TraceEv
             f"eigenvalue estimate gives sup lambda = {lam_est:.3e}",
         )
     sup_vals = np.array(record.sup_values)
-    increases = np.diff(sup_vals)
-    max_increase = float(increases.max()) if increases.size else 0.0
+    max_increase = float(np.diff(sup_vals).max())
     scale = 1.0 + float(np.max(np.abs(sup_vals)))
     return TraceEvolutionReport(
         times=np.array([row.t for row in result.rows]),

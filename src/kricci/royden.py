@@ -411,21 +411,22 @@ def berger_check(
     samples: int = 0,
     rng: np.random.Generator | None = None,
     z: float = 3.0,
+    tol: float = BERGER_TOL,
 ) -> BergerReport:
     """Check 𝒮 = (n(n+1)/2) E[S(Z,Z̄,Z,Z̄)] over the h-unit sphere.
 
     The average is taken exactly by :func:`sphere_quadrature` and must match
-    the scalar curvature to BERGER_TOL (1 + |𝒮|).  With ``samples`` > 0 a
-    Monte Carlo estimate from that many points and its standard error are
-    reported alongside, with ``within_z`` saying whether the exact value sits
-    within z standard errors (plus the same roundoff floor, for constant
-    integrands).  The default, 0, draws nothing from ``rng``.
+    the scalar curvature to ``tol`` (1 + |𝒮|).  With ``samples`` > 0 a Monte
+    Carlo estimate from that many points and its standard error are reported
+    alongside, with ``within_z`` saying whether the exact value sits within z
+    standard errors (plus the same roundoff floor, for constant integrands).
+    The default, 0, draws nothing from ``rng``.
     """
     require_sample_count(samples)
     n = S.n
     factor = n * (n + 1) / 2.0
     exact = scalar(S, h)
-    floor = BERGER_TOL * (1.0 + abs(exact))
+    floor = tol * (1.0 + abs(exact))
     points, weights = sphere_quadrature(h)
     quadrature = factor * float(weights @ quartic_values(S, points))
     estimate = se = within_z = None

@@ -80,6 +80,17 @@ class TestVerify:
         assert run_cli("verify", "royden", "--n", 2, "--count", 1, "--tol", 1e-300) == 1
         assert "FAIL" in capsys.readouterr().out
 
+    def test_berger_reads_the_tolerance(self, capsys):
+        # The n=3 cases deviate from their scalar curvature by about 3e-16,
+        # inside the default 1e-12 and outside 1e-20.
+        argv = ("verify", "berger", "--n", 3, "--count", 3, "--seed", 0)
+        assert run_cli(*argv) == 0
+        assert capsys.readouterr().out.splitlines()[-1].startswith("berger: 3/3 passed")
+        assert run_cli(*argv, "--tol", 1e-20) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert all(line.endswith("FAIL") for line in lines[:3])
+        assert lines[-1].startswith("berger: 0/3 passed") and ", tol 1.0e-20," in lines[-1]
+
     def test_berger_prints_monte_carlo_verdict(self, capsys):
         # Suite seed 14's n=3 case misses 3 standard errors at 1e5 samples.
         argv = ("verify", "berger", "--n", 2, 3, "--count", 1, "--seed", 14)
@@ -585,6 +596,22 @@ class TestFlow:
             assert entry["skipped"] == "needs 3 snapshots, the run has 1"
         assert record["checks"]["scalar_bound"]["ok"] is True
         assert len(read_flow_csv(out / "flow.csv")) == 1
+
+    def test_degenerate_at_start_skips_trace_evolution(self, tmp_path, monkeypatch):
+        # One snapshot gives no increase of sup f to bound.
+        def always_degenerate(self, t, phi):
+            raise DegeneracyError("forced failure", margin=-1.0)
+
+        monkeypatch.setattr(FlowModel, "rhs", always_degenerate)
+        config = tmp_path / "stuck.json"
+        save_json(config, {"grid": {"n": 1, "N": 8}, "dt": 1e-2, "t_end": 0.2, "mu": 1.0})
+        out = tmp_path / "out"
+        assert run_cli("flow", config, "--out", out) == 1
+        record = load_report(out / "flow_report.json")["runs"][0]
+        assert record["degenerate_at"] == 0.0
+        entry = record["checks"]["trace_evolution"]
+        assert entry["ok"] is False and "max_increase" not in entry
+        assert entry["skipped"] == "needs 2 snapshots, the run has 1"
 
     def test_two_snapshots_skip_centered_checks(self, tmp_path):
         # Two steps at cadence 50: the start and the final state only.

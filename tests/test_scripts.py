@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import kricci.flow
+import kricci.grid
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -71,8 +72,9 @@ def test_step_timing_prints_the_schwarz_layer(n, disc, capsys):
 
 
 def test_step_timing_times_one_run_flow(monkeypatch, capsys):
-    # The steps, snapshots and Schwarz margins it times are run_flow's own,
-    # and its timers are gone afterwards.
+    # The steps, snapshots, diagnostics and Schwarz margins it times are
+    # run_flow's own, and its timers are gone afterwards; the curvature and
+    # model-form kernels the model builds with are never patched.
     run_flow, step, runs = kricci.flow.run_flow, kricci.flow._rk2_step, []
 
     def counting_run_flow(config):
@@ -85,7 +87,12 @@ def test_step_timing_times_one_run_flow(monkeypatch, capsys):
     assert len(runs) == 1 and runs[0].diagnostics_every == 1
     lines = capsys.readouterr().out.splitlines()
     assert any(line.startswith("rk2 step: median ") and " over 2 steps," in line for line in lines)
+    diagnostics = [line for line in lines if line.startswith("diagnostics: ")]
+    assert len(diagnostics) == 1 and diagnostics[0].endswith(" ms over 4 snapshots")
+    assert float(diagnostics[0].split()[1]) > 0.0
     assert kricci.flow._rk2_step is step
+    assert kricci.flow.curvature_field is kricci.grid.curvature_field
+    assert kricci.flow.model_form is kricci.grid.model_form
 
 
 def load_script(script):
