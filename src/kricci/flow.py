@@ -60,8 +60,8 @@ from .forms import congruence, sym2_index
 from .grid import (
     MetricField,
     PeriodicGrid,
+    _hessian,
     _sym2_entry,
-    clib_log,
     curvature_field,
     dbar_hessian,
     g_double_trace,
@@ -235,8 +235,8 @@ class FlowModel:
 
     def reconstruct(self, t: float, phi: np.ndarray) -> MetricField:
         """g(t) = h - t (Ric(h) + eta) + d dbar phi, summed entry by entry
-        into the fresh entries of d dbar phi."""
-        g = dbar_hessian(self.grid, phi)
+        into the fresh entries of the unchecked d dbar of the run's own phi."""
+        g = _hessian(self.grid, phi)
         for entry, h, drift in zip(g.entries, self.h.entries, self._drift.entries):
             if entry is not None:
                 background = t * drift
@@ -251,8 +251,8 @@ class FlowModel:
         return out
 
     def log_trace_h(self, ginv: MetricField) -> np.ndarray:
-        """log tr_g h from g^-1, through the same C-library log as log det g."""
-        return clib_log(g_trace(ginv, self.h))
+        """log tr_g h from g^-1, with numpy's log, as log det g."""
+        return np.log(g_trace(ginv, self.h))
 
     def rhs(self, t: float, phi: np.ndarray) -> np.ndarray:
         """dphi/dt at (t, phi); raises DegeneracyError if g(t) is not positive."""

@@ -27,7 +27,8 @@ discrete complex Hessian -s_N * eps * cos(2 pi x) with s_N = sin(pi/N)^2 N^2;
 the spectral operator reproduces the continuum factor pi^2 exactly.
 
 One complex Hessian, :func:`dbar_hessian`, serves every caller: it takes a
-real, grid-shaped field and returns the entry form below.
+real, grid-shaped field, checks it once and returns the entry form below;
+the flow hands its own fields to the unchecked kernel.
 
 A metric field is stored as its Hermitian upper triangle: the real field a
 at n=1, and at n=2 the real fields a, d and the complex field b with
@@ -46,7 +47,8 @@ batched LAPACK calls; they share one determinant per field.  Positivity has
 one proof, :meth:`MetricField.require_positive`, made once per field: it
 records the margin lambda_min it proved, and a second call returns it.  The
 log determinant asks for that proof, so on a field already checked it costs
-no pass over the grid.
+no pass over the grid.  It is numpy's log, whose SIMD loop numpy picks per
+CPU: outputs repeat bitwise on one host and numpy build, not across them.
 
 The g-traces of Hermitian fields are real, and one pairing computes every
 one of them: Re tr(XY) of two Hermitian fields given as their upper
@@ -81,7 +83,6 @@ __all__ = [
     "PeriodicGrid",
     "RicciPotentialReport",
     "ScalarField",
-    "clib_log",
     "curvature_field",
     "dbar_hessian",
     "flat_metric",
@@ -165,19 +166,35 @@ def _d1(grid: PeriodicGrid, f: np.ndarray, axis: int) -> np.ndarray:
     return out
 
 
-def _dd(grid: PeriodicGrid, f: np.ndarray, a: int, b: int) -> np.ndarray:
+def _dd(grid: PeriodicGrid, f: np.ndarray, a: int, b: int, twice=None) -> np.ndarray:
     """fd2 mixed second derivative along real axes a, b.
 
-    On a repeated axis the periodic neighbour sum, minus 2f, scaled by N^2:
-    bitwise (roll(f, -1) + roll(f, 1) - 2f) * N^2.  Across axes the
-    composition of centered first differences.
+    On a repeated axis the periodic neighbour sum, minus 2f (``twice``, if
+    given), scaled by N^2: bitwise (roll(f, -1) + roll(f, 1) - 2f) * N^2.
+    Across axes the composition of centered first differences.
     """
     if a != b:
         return _d1(grid, _d1(grid, f, b), a)
     out = _periodic(np.add, f, a)
-    out -= 2.0 * f
+    out -= 2.0 * f if twice is None else twice
     out *= float(grid.N) ** 2
     return out
+
+
+def _fd2_hessian(grid: PeriodicGrid, f: np.ndarray, k: int, l: int):
+    """The fd2 ``hessian(k, l)`` of :func:`_derivatives`, combined in place
+    in the fresh differenced fields; on the diagonal both share one 2f."""
+    xk, yk, xl, yl = 2 * k, 2 * k + 1, 2 * l, 2 * l + 1
+    twice = 2.0 * f if k == l else None
+    even = _dd(grid, f, xk, xl, twice)
+    even += _dd(grid, f, yk, yl, twice)
+    even *= 0.25
+    if k == l:
+        return even, 0.0
+    odd = _dd(grid, f, xk, yl)
+    odd -= _dd(grid, f, yk, xl)
+    odd *= 0.25
+    return even, odd
 
 
 @functools.lru_cache(maxsize=16)
@@ -207,49 +224,37 @@ def _derivatives(grid: PeriodicGrid, f: np.ndarray):
     field f when asked for.  ``hessian(k, l)``, k <= l, is the real and the
     imaginary part of d_k dbar_l f, (dx_k dx_l + dy_k dy_l) f / 4 and
     (dx_k dy_l - dy_k dx_l) f / 4 (0 for k = l); ``gradient(k)`` is
-    (dx_k f / 2, dy_k f / 2).  Each is a combination of the terms ``d1(a)``
-    and ``dd(a, b)`` made a field by ``finish``: on the spectral grid real
-    Fourier symbols (i times one for ``d1``) on one ``rfftn`` of f, so a field
-    costs one ``irfftn``; on fd2 the differenced fields.
+    (dx_k f / 2, dy_k f / 2).  On fd2 they are differenced fields
+    (:func:`_fd2_hessian`); on the spectral grid real Fourier symbols (i times
+    one for ``d1``) on one ``rfftn`` of f, made a field by one ``irfftn``.
     """
     if grid.discretization == "fd2":
-        d1, dd = functools.partial(_d1, grid, f), functools.partial(_dd, grid, f)
 
-        def finish(value):
-            return value
+        def gradient(k):
+            return 0.5 * _d1(grid, f, 2 * k), 0.5 * _d1(grid, f, 2 * k + 1)
 
-    else:
-        # Imported on first use: scipy serves only the flow side, and the
-        # algebraic side (certify, verify, gen) runs on numpy alone, so a
-        # process that never takes a spectral derivative loads no scipy.
-        from scipy import fft
+        return functools.partial(_fd2_hessian, grid, f), gradient
+    # Imported on first use: scipy serves only spectral derivatives, so the
+    # algebraic side (certify, verify, gen) and fd2 flows run on numpy alone
+    # and load no scipy module.
+    from scipy import fft
 
-        spectrum = fft.rfftn(f)
-        wave, second = _rfft_factors(grid.N, f.ndim)
+    spectrum = fft.rfftn(f)
+    wave, second = _rfft_factors(grid.N, f.ndim)
 
-        def d1(a):
-            return 1j * wave[a]
+    def d1(a):
+        return 1j * wave[a]
 
-        def dd(a, b):
-            return second[a] if a == b else -(wave[a] * wave[b])
+    def dd(a, b):
+        return second[a] if a == b else -(wave[a] * wave[b])
 
-        def finish(symbol):
-            return fft.irfftn(spectrum * symbol, s=grid.shape)
-
-    fd2 = grid.discretization == "fd2"
-
-    def quarter(op, first, second):
-        """op(first, second) / 4, made a field.  fd2 terms are fresh fields,
-        so they are combined and scaled in place; spectral terms may be the
-        cached read-only symbols, so they are combined into a new one."""
-        total = op(first, second, out=first if fd2 else None)
-        total *= 0.25
-        return finish(total)
+    def finish(symbol):
+        return fft.irfftn(spectrum * symbol, s=grid.shape)
 
     def hessian(k, l):
         xk, yk, xl, yl = 2 * k, 2 * k + 1, 2 * l, 2 * l + 1
-        even = quarter(np.add, dd(xk, xl), dd(yk, yl))
-        return even, (0.0 if k == l else quarter(np.subtract, dd(xk, yl), dd(yk, xl)))
+        even = finish(0.25 * (dd(xk, xl) + dd(yk, yl)))
+        return even, (0.0 if k == l else finish(0.25 * (dd(xk, yl) - dd(yk, xl))))
 
     def gradient(k):
         return finish(0.5 * d1(2 * k)), finish(0.5 * d1(2 * k + 1))
@@ -277,32 +282,17 @@ def dbar_hessian(grid: PeriodicGrid, f: np.ndarray) -> MetricField:
         raise ValueError("dbar_hessian takes a real field, got a complex array")
     if f.shape != grid.shape:
         raise ValueError(f"expected shape {grid.shape}, got {f.shape}")
-    hessian = _derivatives(grid, f.astype(float, copy=False))[0]
-    diagonal = [hessian(i, i)[0] for i in range(grid.n)]
-    off_diagonal = [_complex(*hessian(0, 1))] if grid.n == 2 else []
-    return MetricField._from_entries(grid, *diagonal, *off_diagonal)
+    return _hessian(grid, f.astype(float, copy=False))
 
 
-@functools.cache
-def _xlogy():
-    """``scipy.special.xlogy``, imported on first use, like scipy.fft in
-    _derivatives: the certifier and the suites run on numpy alone and load
-    no scipy module."""
-    from scipy.special import xlogy
-
-    return xlogy
-
-
-def clib_log(x: np.ndarray) -> np.ndarray:
-    """Natural log through the C library, as ``scipy.special.xlogy(1, x)``.
-
-    This is the log LAPACK's slogdet used.  numpy's vectorised log differs
-    from it in the last bit on some inputs and CPUs, which the flow's Schwarz
-    margins turn into relative changes near 1e-6, so flow outputs would
-    depend on the host.  ``xlogy`` is resolved once, on the first call, so
-    the flow's many small calls pay no import statement each.
-    """
-    return _xlogy()(1.0, x)
+def _hessian(grid: PeriodicGrid, f: np.ndarray) -> MetricField:
+    """The kernel of :func:`dbar_hessian`, unchecked: f is a real float field
+    of ``grid.shape``."""
+    hessian = _derivatives(grid, f)[0]
+    entries = [hessian(i, i)[0] for i in range(grid.n)]
+    if grid.n == 2:
+        entries.append(_complex(*hessian(0, 1)))
+    return MetricField._from_entries(grid, *entries)
 
 
 @dataclass
@@ -467,14 +457,17 @@ class MetricField:
         """log det g, as a fresh array, of a field :meth:`require_positive`
         proves positive; raises its ``DegeneracyError`` otherwise."""
         self.require_positive()
-        return clib_log(self.det)
+        return np.log(self.det)
 
     def smallest_eigenvalues(self) -> np.ndarray:
         """lambda_min, as det / lambda_max where the mean eigenvalue is
-        positive: this avoids cancellation and keeps the sign of det."""
+        positive: this avoids cancellation and keeps the sign of det.  At
+        n=1 it is a read-only view of a."""
         a, d = self.a, self.d
         if self.n == 1:
-            return a.copy()
+            view = a.view()
+            view.flags.writeable = False
+            return view
         half_trace = 0.5 * (a + d)
         radius = np.hypot(0.5 * (a - d), np.abs(self.b))
         # Elsewhere lambda_min = mean - radius has no cancellation.
@@ -611,7 +604,7 @@ def ricci_field(grid: PeriodicGrid, g: MetricField) -> MetricField:
     Every component has exact zero grid mean (summation by parts), so the
     discrete total Ricci class vanishes identically, matching the torus.
     """
-    return -dbar_hessian(grid, g.log_determinant())
+    return -_hessian(grid, g.log_determinant())
 
 
 def _dot(xs, ys):
@@ -751,8 +744,9 @@ def model_form(h: MetricField, eta: MetricField) -> dict:
 
 
 def laplacian(grid: PeriodicGrid, ginv: MetricField, f: np.ndarray) -> np.ndarray:
-    """The metric Laplacian g^{i jbar} d_i dbar_j f of a real field; ``ginv`` is g^-1."""
-    return g_trace(ginv, dbar_hessian(grid, f))
+    """The metric Laplacian g^{i jbar} d_i dbar_j f of a real float field
+    (unchecked); ``ginv`` is g^-1."""
+    return g_trace(ginv, _hessian(grid, f))
 
 
 @dataclass

@@ -437,6 +437,27 @@ class TestFlow:
         record = load_report(out / "flow_report.json")["runs"][0]
         assert record["ok"] is True
 
+    def test_repeated_run_writes_the_same_csv_bytes(self, tmp_path):
+        # On one host and numpy build a flow repeats bit for bit.
+        config = tmp_path / "flow.json"
+        save_json(
+            config,
+            {
+                "grid": {"n": 1, "N": 16, "discretization": "fd2"},
+                "background": {"modes": [{"k": [1, 1], "amp": 0.01}, {"k": [1, 0], "amp": 0.005}]},
+                "twist": {"u": {"modes": [{"k": [0, 1], "amp": 0.002}]}},
+                "dt": 1e-3,
+                "t_end": 0.01,
+                "cadence": 3,
+            },
+        )
+        csv = []
+        for run in ("first", "second"):
+            assert run_cli("flow", config, "--out", tmp_path / run) == 0
+            csv.append((tmp_path / run / "flow.csv").read_bytes())
+        assert len(csv[0].splitlines()) > 3
+        assert csv[0] == csv[1]
+
     def test_contracting_run_reports_horizon(self, tmp_path):
         config = tmp_path / "contracting.json"
         save_json(

@@ -1,4 +1,5 @@
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -333,6 +334,12 @@ class TestClosedFormKernels:
         _, ref = np.linalg.slogdet(g.values)
         diff = np.abs(g.log_determinant() - ref)
         assert np.all(diff <= 1e-12 * np.maximum(1.0, np.abs(ref)) + 16 * self.EPS * cond)
+
+    def test_log_determinant_is_within_one_ulp_of_the_c_library_log(self, field):
+        # numpy's log of det, no further than 1 ulp from math.log of it.
+        g = field[0]
+        ref = np.array([math.log(x) for x in g.det.ravel()]).reshape(g.det.shape)
+        assert np.all(np.abs(g.log_determinant() - ref) <= np.spacing(np.abs(ref)))
 
     def test_inverse(self, field):
         g, eig, cond = field

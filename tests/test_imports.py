@@ -1,10 +1,10 @@
-"""The algebraic side runs on numpy alone and loads no scipy module.
+"""The algebraic side and fd2 flows run on numpy alone and load no scipy module.
 
 numpy and scipy each ship their own OpenBLAS, and each starts its own thread
 pool.  When tiny linear-algebra calls alternate between the two pools they
 wait on each other's spinning threads, so the certifier and the lemma suites
-keep every call on numpy's LAPACK.  scipy serves only the flow side, through
-``scipy.fft`` and ``scipy.special.xlogy``, both imported on first use.
+keep every call on numpy's LAPACK.  scipy serves only spectral flows, through
+``scipy.fft``, imported on their first derivative.
 """
 
 import json
@@ -40,11 +40,21 @@ out["suites_ok"] = [
 ]
 out["algebra"] = scipy_modules()
 
-import numpy as np
-from kricci.grid import clib_log
+with tempfile.TemporaryDirectory() as tmp:
+    config = Path(tmp) / "flow.json"
+    config.write_text(json.dumps({
+        "grid": {"n": 1, "N": 8, "discretization": "fd2"},
+        "background": {"modes": [{"k": [1, 0], "amp": 0.01}]},
+        "dt": 1e-3, "t_end": 0.01, "cadence": 2,
+    }))
+    out["flow_code"] = kricci.cli.main(["flow", str(config), "--out", str(Path(tmp) / "out")])
+out["after_fd2_flow"] = scipy_modules()
 
-clib_log(np.ones(2))
-out["after_flow_kernel"] = scipy_modules()
+import numpy as np
+from kricci.grid import PeriodicGrid, dbar_hessian
+
+dbar_hessian(PeriodicGrid(1, 8, "spectral"), np.zeros((8, 8)))
+out["after_spectral_hessian"] = scipy_modules()
 print(json.dumps(out))
 """
 
@@ -61,6 +71,8 @@ def test_algebraic_side_loads_no_scipy():
     assert out["cli_codes"] == [0, 0]
     assert out["suites_ok"] == [True] * 6
     assert out["algebra"] == [], "scipy loaded by certify, gen or a lemma suite"
-    # The probe itself sees a module when one is loaded: the flow's log
-    # kernel pulls in scipy.special on first use, by design.
-    assert "scipy.special" in out["after_flow_kernel"]
+    assert out["flow_code"] == 0
+    assert out["after_fd2_flow"] == [], "scipy loaded by an fd2 flow"
+    # The probe itself sees a module when one is loaded: a spectral
+    # derivative pulls in scipy.fft on first use, by design.
+    assert "scipy.fft" in out["after_spectral_hessian"]
