@@ -60,7 +60,6 @@ from .forms import congruence, sym2_index
 from .grid import (
     MetricField,
     PeriodicGrid,
-    _hessian,
     _sym2_entry,
     curvature_field,
     dbar_hessian,
@@ -235,8 +234,8 @@ class FlowModel:
 
     def reconstruct(self, t: float, phi: np.ndarray) -> MetricField:
         """g(t) = h - t (Ric(h) + eta) + d dbar phi, summed entry by entry
-        into the fresh entries of the unchecked d dbar of the run's own phi."""
-        g = _hessian(self.grid, phi)
+        into the fresh entries of d dbar phi."""
+        g = dbar_hessian(self.grid, phi)
         for entry, h, drift in zip(g.entries, self.h.entries, self._drift.entries):
             if entry is not None:
                 background = t * drift

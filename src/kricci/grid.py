@@ -27,8 +27,7 @@ discrete complex Hessian -s_N * eps * cos(2 pi x) with s_N = sin(pi/N)^2 N^2;
 the spectral operator reproduces the continuum factor pi^2 exactly.
 
 One complex Hessian, :func:`dbar_hessian`, serves every caller: it takes a
-real, grid-shaped field, checks it once and returns the entry form below;
-the flow hands its own fields to the unchecked kernel.
+real, grid-shaped field, checks it once and returns the entry form below.
 
 A metric field is stored as its Hermitian upper triangle: the real field a
 at n=1, and at n=2 the real fields a, d and the complex field b with
@@ -166,31 +165,35 @@ def _d1(grid: PeriodicGrid, f: np.ndarray, axis: int) -> np.ndarray:
     return out
 
 
-def _dd(grid: PeriodicGrid, f: np.ndarray, a: int, b: int, twice=None) -> np.ndarray:
-    """fd2 mixed second derivative along real axes a, b.
-
-    On a repeated axis the periodic neighbour sum, minus 2f (``twice``, if
-    given), scaled by N^2: bitwise (roll(f, -1) + roll(f, 1) - 2f) * N^2.
-    Across axes the composition of centered first differences.
-    """
-    if a != b:
-        return _d1(grid, _d1(grid, f, b), a)
+def _d2(grid: PeriodicGrid, f: np.ndarray, a: int, twice: np.ndarray) -> np.ndarray:
+    """fd2 second derivative along real axis a, given ``twice`` = 2f: the
+    periodic neighbour sum, minus 2f, scaled by N^2, bitwise
+    (roll(f, -1) + roll(f, 1) - 2f) * N^2."""
     out = _periodic(np.add, f, a)
-    out -= 2.0 * f if twice is None else twice
+    out -= twice
     out *= float(grid.N) ** 2
     return out
+
+
+def _dd(grid: PeriodicGrid, f: np.ndarray, a: int, b: int) -> np.ndarray:
+    """fd2 mixed second derivative along distinct real axes a, b: the
+    composition of centered first differences."""
+    return _d1(grid, _d1(grid, f, b), a)
 
 
 def _fd2_hessian(grid: PeriodicGrid, f: np.ndarray, k: int, l: int):
     """The fd2 ``hessian(k, l)`` of :func:`_derivatives`, combined in place
     in the fresh differenced fields; on the diagonal both share one 2f."""
     xk, yk, xl, yl = 2 * k, 2 * k + 1, 2 * l, 2 * l + 1
-    twice = 2.0 * f if k == l else None
-    even = _dd(grid, f, xk, xl, twice)
-    even += _dd(grid, f, yk, yl, twice)
-    even *= 0.25
     if k == l:
+        twice = 2.0 * f
+        even = _d2(grid, f, xk, twice)
+        even += _d2(grid, f, yk, twice)
+        even *= 0.25
         return even, 0.0
+    even = _dd(grid, f, xk, xl)
+    even += _dd(grid, f, yk, yl)
+    even *= 0.25
     odd = _dd(grid, f, xk, yl)
     odd -= _dd(grid, f, yk, xl)
     odd *= 0.25
@@ -282,13 +285,7 @@ def dbar_hessian(grid: PeriodicGrid, f: np.ndarray) -> MetricField:
         raise ValueError("dbar_hessian takes a real field, got a complex array")
     if f.shape != grid.shape:
         raise ValueError(f"expected shape {grid.shape}, got {f.shape}")
-    return _hessian(grid, f.astype(float, copy=False))
-
-
-def _hessian(grid: PeriodicGrid, f: np.ndarray) -> MetricField:
-    """The kernel of :func:`dbar_hessian`, unchecked: f is a real float field
-    of ``grid.shape``."""
-    hessian = _derivatives(grid, f)[0]
+    hessian = _derivatives(grid, f.astype(float, copy=False))[0]
     entries = [hessian(i, i)[0] for i in range(grid.n)]
     if grid.n == 2:
         entries.append(_complex(*hessian(0, 1)))
@@ -604,7 +601,7 @@ def ricci_field(grid: PeriodicGrid, g: MetricField) -> MetricField:
     Every component has exact zero grid mean (summation by parts), so the
     discrete total Ricci class vanishes identically, matching the torus.
     """
-    return -_hessian(grid, g.log_determinant())
+    return -dbar_hessian(grid, g.log_determinant())
 
 
 def _dot(xs, ys):
@@ -744,9 +741,8 @@ def model_form(h: MetricField, eta: MetricField) -> dict:
 
 
 def laplacian(grid: PeriodicGrid, ginv: MetricField, f: np.ndarray) -> np.ndarray:
-    """The metric Laplacian g^{i jbar} d_i dbar_j f of a real float field
-    (unchecked); ``ginv`` is g^-1."""
-    return g_trace(ginv, _hessian(grid, f))
+    """The metric Laplacian g^{i jbar} d_i dbar_j f of a real field; ``ginv`` is g^-1."""
+    return g_trace(ginv, dbar_hessian(grid, f))
 
 
 @dataclass
