@@ -47,6 +47,7 @@ __all__ = [
     "random_hermitian",
     "require_real",
     "ricci_trace",
+    "row_blocks",
     "scalar",
     "shift_sigma",
     "sym2_index",
@@ -57,8 +58,10 @@ __all__ = [
 
 REALITY_TOL = 1e-10
 
-# Rows per block of quartic_values.
-QUARTIC_CHUNK = 8192
+# Rows per block of quartic_values and of the 4^n phase enumeration.  A block
+# holds n²-wide temporaries (at n = 6, 512 × 36 complex: 295 KB each), so the
+# peak does not grow with the row count.
+QUARTIC_CHUNK = 512
 
 
 def require_real(value, scale=1.0, tol=REALITY_TOL, what="quantity"):
@@ -351,20 +354,34 @@ def pair_products(X: np.ndarray) -> np.ndarray:
     return (X[:, :, None] * np.conj(X)[:, None, :]).reshape(X.shape[0], -1)
 
 
+def row_blocks(rows: int) -> list[tuple[int, int]]:
+    """The (lo, hi) row ranges of QUARTIC_CHUNK rows that cover ``rows`` rows.
+
+    A one-row remainder joins the block before it: numpy multiplies a single
+    row by another BLAS path, which can differ from the batched value in the
+    last bit, while every multi-row block gives each row the batched value.
+    """
+    starts = list(range(0, rows, QUARTIC_CHUNK))
+    if len(starts) > 1 and rows - starts[-1] == 1:
+        del starts[-1]
+    return list(zip(starts, starts[1:] + [rows]))
+
+
 def quartic_values(S: BihermitianForm, X: np.ndarray) -> np.ndarray:
     """S(X,X̄,X,X̄) for each row of X, batched and checked real.
 
-    Each block of QUARTIC_CHUNK rows is sum (P A) P over the pairing matrix A
-    and the rows P = vec(X ⊗ X̄), so that million-sample Monte Carlo sweeps
-    stay within memory.
+    Each block of :func:`row_blocks` is sum (P A) P over the pairing matrix A
+    and the rows P = vec(X ⊗ X̄), so memory stays at one block's n²-wide
+    temporaries whatever the row count.  The values do not depend on the
+    blocking: each is bitwise the one a single block of all rows gives.
     """
     X = np.asarray(X, dtype=complex)
     out = np.empty(X.shape[0])
     A = pairing_matrix(S.entries)
-    for lo in range(0, X.shape[0], QUARTIC_CHUNK):
-        P = pair_products(X[lo : lo + QUARTIC_CHUNK])
+    for lo, hi in row_blocks(X.shape[0]):
+        P = pair_products(X[lo:hi])
         vals = np.einsum("ai,ai->a", P @ A, P)
-        out[lo : lo + QUARTIC_CHUNK] = _require_real_array(vals, what="diagonal quartic value")
+        out[lo:hi] = _require_real_array(vals, what="diagonal quartic value")
     return out
 
 

