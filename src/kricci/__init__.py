@@ -6,7 +6,6 @@ from .errors import (
     DegeneracyError,
     FlowDegenerateError,
     HypothesisError,
-    RealityError,
     ResourceLimitError,
     TooFewSnapshotsError,
 )

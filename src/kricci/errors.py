@@ -41,7 +41,3 @@ class HypothesisError(ValueError):
 
 class TooFewSnapshotsError(ValueError):
     """A check that takes centered time differences ran on too short a run."""
-
-
-class RealityError(ArithmeticError):
-    """A quantity forced real by symmetry carried too much imaginary part."""

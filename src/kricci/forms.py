@@ -11,7 +11,10 @@ per slot pair.  The two defining symmetries are
     S[i, j, k, l] = S[k, j, i, l]          (swap of the unbarred slots)
     conj(S[i, j, k, l]) = S[j, i, l, k]    (conjugation symmetry)
 
-which together also force ``S[i, j, k, l] = S[i, l, k, j]``.  Holomorphic
+which together also force ``S[i, j, k, l] = S[i, l, k, j]``.  They are
+checked once, when a :class:`BihermitianForm` is built; every quantity they
+force real (quartic values, k-Ricci values, Ricci traces, scalar curvature)
+is then read as the real part of its computed value.  Holomorphic
 sectional curvature is ``S(X, X̄, X, X̄) / |X|_h^4``; "negative curvature"
 means that this quantity is negative.  The sign convention is fixed here once
 and used by every other module.  A frame E has the frame vectors E_a as its
@@ -25,8 +28,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-
-from .errors import RealityError
 
 __all__ = [
     "HermitianForm",
@@ -45,7 +46,6 @@ __all__ = [
     "quartic_values",
     "random_bihermitian",
     "random_hermitian",
-    "require_real",
     "ricci_trace",
     "row_blocks",
     "scalar",
@@ -56,38 +56,10 @@ __all__ = [
     "validate_symmetries",
 ]
 
-REALITY_TOL = 1e-10
-
 # Rows per block of quartic_values and of the 4^n phase enumeration.  A block
 # holds n²-wide temporaries (at n = 6, 512 × 36 complex: 295 KB each), so the
 # peak does not grow with the row count.
 QUARTIC_CHUNK = 512
-
-
-def require_real(value, scale=1.0, tol=REALITY_TOL, what="quantity"):
-    """Assert that a symmetry-forced real scalar is numerically real.
-
-    The imaginary part is compared against ``tol * (|scale| + |Re| + 1)`` and
-    discarded on success; corruption raises instead of being silently dropped.
-    """
-    value = complex(value)
-    if abs(value.imag) > tol * (abs(scale) + abs(value.real) + 1.0):
-        raise RealityError(
-            f"{what} must be real; got imaginary part {value.imag:.3e}"
-        )
-    return value.real
-
-
-def _require_real_array(values, tol=REALITY_TOL, what="quantity"):
-    """Vectorised version of :func:`require_real` for batched evaluations."""
-    values = np.asarray(values)
-    if not np.iscomplexobj(values):
-        return values.astype(float)
-    scale = np.max(np.abs(values.real)) if values.size else 0.0
-    worst = np.max(np.abs(values.imag)) if values.size else 0.0
-    if worst > tol * (scale + 1.0):
-        raise RealityError(f"{what} must be real; worst imaginary part {worst:.3e}")
-    return values.real.copy()
 
 
 @dataclass
@@ -131,12 +103,14 @@ class HermitianForm:
 
 @dataclass
 class BihermitianForm:
-    """A rank-4 coefficient tensor; symmetry is checked via ``validate_symmetries``.
+    """A symmetric bihermitian form given by its rank-4 coefficient tensor.
 
-    The container is permissive about symmetry, so that a tensor without the
-    curvature symmetries can be represented, inspected, and repaired by
-    :func:`symmetrize`.  A NaN or infinite entry is rejected: no symmetrization
-    repairs it, and every value read from it would be non-finite.
+    Both defining symmetries are checked once, here, to 1e-12 max(1, max|T|),
+    as :class:`HermitianForm` checks Hermiticity; the entries are kept as
+    given.  A raw array without the symmetries is inspected by
+    :func:`validate_symmetries` and repaired by :func:`symmetrize`.  A NaN or
+    infinite entry is rejected: no symmetrization repairs it, and every value
+    read from it would be non-finite.
     """
 
     entries: np.ndarray
@@ -147,6 +121,12 @@ class BihermitianForm:
             raise ValueError(f"expected shape (n, n, n, n), got {T.shape}")
         if not np.isfinite(T).all():
             raise ValueError("tensor has a NaN or infinite entry")
+        scale = max(1.0, float(np.max(np.abs(T))) if T.size else 0.0)
+        violation = validate_symmetries(T).max_violation if T.size else 0.0
+        if violation > 1e-12 * scale:
+            raise ValueError(
+                f"tensor is not bihermitian within 1e-12: symmetry violation {violation:.3e}"
+            )
         self.entries = T
 
     @property
@@ -188,7 +168,10 @@ class SubspaceBasis:
     """An h-orthonormal frame spanning a k-dimensional subspace.
 
     ``columns[:, i]`` is the i-th frame vector; orthonormality with respect to
-    ``metric`` is validated to 1e-12 at construction.
+    ``metric`` is validated at construction, to 1e-12 times the roundoff
+    scale sum|cols|² max|H| of the Gram matrix (at least 1).  On an
+    ill-conditioned metric an h-unit frame has large entries, and its Gram
+    matrix carries their roundoff.
     """
 
     columns: np.ndarray
@@ -203,8 +186,10 @@ class SubspaceBasis:
             raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
         if self.metric.n != n:
             raise ValueError("metric dimension does not match the frame")
-        gram = congruence(cols, self.metric.entries)
-        if np.max(np.abs(gram - np.eye(k))) > 1e-12 * max(1.0, np.max(np.abs(gram))):
+        H = self.metric.entries
+        gram = congruence(cols, H)
+        scale = max(1.0, float(np.sum(np.abs(cols) ** 2) * np.max(np.abs(H))))
+        if np.max(np.abs(gram - np.eye(k))) > 1e-12 * scale:
             raise ValueError("columns are not h-orthonormal within 1e-12")
         self.columns = cols
 
@@ -292,7 +277,7 @@ def congruence(E, A):
 
 def norm_h(X, h: HermitianForm) -> float:
     """The h-norm |X|_h."""
-    val = require_real(hermitian_eval(h.entries, X), what="squared h-norm")
+    val = float(hermitian_eval(h.entries, X).real)
     if val < 0:
         raise ValueError("metric evaluated negatively; not positive definite")
     return float(np.sqrt(val))
@@ -368,7 +353,7 @@ def row_blocks(rows: int) -> list[tuple[int, int]]:
 
 
 def quartic_values(S: BihermitianForm, X: np.ndarray) -> np.ndarray:
-    """S(X,X̄,X,X̄) for each row of X, batched and checked real.
+    """S(X,X̄,X,X̄) for each row of X, batched.
 
     Each block of :func:`row_blocks` is sum (P A) P over the pairing matrix A
     and the rows P = vec(X ⊗ X̄), so memory stays at one block's n²-wide
@@ -380,8 +365,7 @@ def quartic_values(S: BihermitianForm, X: np.ndarray) -> np.ndarray:
     A = pairing_matrix(S.entries)
     for lo, hi in row_blocks(X.shape[0]):
         P = pair_products(X[lo:hi])
-        vals = np.einsum("ai,ai->a", P @ A, P)
-        out[lo:hi] = _require_real_array(vals, what="diagonal quartic value")
+        out[lo:hi] = np.einsum("ai,ai->a", P @ A, P).real
     return out
 
 
@@ -391,33 +375,22 @@ def hsc(S: BihermitianForm, h: HermitianForm, X) -> float:
     nrm = norm_h(X, h)
     if nrm <= 1e-300:
         raise ValueError("holomorphic sectional curvature is undefined at X = 0")
-    val = S(X, X, X, X)
-    val = require_real(val, scale=abs(val), tol=1e-12, what="S(X,X̄,X,X̄)")
-    return val / nrm**4
+    return float(S(X, X, X, X).real) / nrm**4
 
 
 def ricci_trace(S: BihermitianForm, h: HermitianForm) -> HermitianForm:
-    """The Ricci form Ric(X, Ȳ) = tr_h S(X, Ȳ, ·, ·).
-
-    Computed both by h-inverse contraction and in an h-unitary frame; the two
-    routes must agree to 1e-12, which guards the index wiring.  The frame is
-    built first, so its factorization proves h positive definite.
-    """
-    E = cholesky_frame(h)[1]
+    """The Ricci form Ric(X, Ȳ) = tr_h S(X, Ȳ, ·, ·), contracted with h⁻¹ once
+    the factorization of :meth:`HermitianForm.require_positive` proves h
+    positive definite."""
+    h.require_positive("metric")
     ric = np.einsum("abkl,lk->ab", S.entries, np.linalg.inv(h.entries))
-    ric_frame = np.einsum("abkl,km,lm->ab", S.entries, E, np.conj(E))
-    scale = max(1.0, float(np.max(np.abs(ric))))
-    if np.max(np.abs(ric - ric_frame)) > 1e-12 * scale:
-        raise RealityError("h-trace routes disagree beyond 1e-12; corrupted input")
     return HermitianForm(0.5 * (ric + ric.conj().T))
 
 
 def scalar(S: BihermitianForm, h: HermitianForm) -> float:
-    """Scalar curvature: the h-trace of the Ricci form (whose frame proves h
-    positive definite)."""
+    """Scalar curvature: the h-trace of the Ricci form."""
     ric = ricci_trace(S, h)
-    val = np.trace(ric.entries @ np.linalg.inv(h.entries))
-    return require_real(val, scale=abs(val), what="scalar curvature")
+    return float(np.trace(ric.entries @ np.linalg.inv(h.entries)).real)
 
 
 def random_bihermitian(n: int, rng: np.random.Generator, scale: float = 1.0) -> BihermitianForm:

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 import kricci.forms
-from kricci.errors import RealityError
 from kricci.forms import (
     BihermitianForm,
     CurvatureParams,
@@ -23,7 +22,6 @@ from kricci.forms import (
     quartic_values,
     random_bihermitian,
     random_hermitian,
-    require_real,
     ricci_trace,
     row_blocks,
     scalar,
@@ -36,18 +34,6 @@ from kricci.forms import (
 
 def rng(seed=0):
     return np.random.default_rng(seed)
-
-
-class TestRequireReal:
-    def test_drops_tiny_imaginary_part(self):
-        assert require_real(3.0 + 1e-14j) == 3.0
-
-    def test_raises_on_large_imaginary_part(self):
-        with pytest.raises(RealityError):
-            require_real(1.0 + 1e-3j)
-
-    def test_scale_widens_tolerance(self):
-        assert require_real(1.0 + 1e-6j, scale=1e6) == 1.0
 
 
 class TestHermitianForm:
@@ -158,6 +144,41 @@ class TestSymmetrize:
         assert_allclose(symmetrize(S).entries, S.entries, atol=1e-12)
 
 
+class TestBihermitianBoundary:
+    """Both symmetries are checked once, when a form is built, to
+    1e-12 max(1, max|T|), and the entries are kept as given."""
+
+    def test_rejects_an_asymmetric_tensor_naming_its_deviation(self):
+        T = random_bihermitian(3, rng(410)).entries.copy()
+        T[0, 1, 2, 0] += 0.5
+        with pytest.raises(ValueError, match=r"not bihermitian .* violation 5\.000e-01$"):
+            BihermitianForm(T)
+
+    def test_rejects_a_tensor_without_the_unbarred_swap(self):
+        # a ⊗ h is Hermitian in each slot pair but not symmetric under i <-> k.
+        h = random_hermitian(3, rng(411), positive=True).entries
+        a = random_hermitian(3, rng(412)).entries
+        T = np.einsum("ij,kl->ijkl", a, h)
+        with pytest.raises(ValueError, match="not bihermitian"):
+            BihermitianForm(T)
+        assert validate_symmetries(symmetrize(T)).ok
+
+    def test_keeps_entries_as_given(self):
+        T = random_bihermitian(3, rng(413)).entries.copy()
+        T[0, 1, 2, 0] += 1e-14
+        assert_array_equal(BihermitianForm(T).entries, T)
+
+    def test_tolerance_scales_with_the_largest_entry(self):
+        S = random_bihermitian(3, rng(414)).entries
+        T = S.copy()
+        T[0, 1, 2, 0] += 1e-9
+        with pytest.raises(ValueError, match="not bihermitian"):
+            BihermitianForm(T)
+        T = 1e6 * S
+        T[0, 1, 2, 0] += 1e-9
+        BihermitianForm(T)
+
+
 class TestBForm:
     def test_identity_entries(self):
         B = b_form(HermitianForm.identity(2))
@@ -176,8 +197,9 @@ class TestBForm:
         h = random_hermitian(3, rng(6), positive=True)
         B = b_form(h)
         X = rng(7).standard_normal(3) + 1j * rng(8).standard_normal(3)
-        val = require_real(B(X, X, X, X))
-        assert_allclose(val, 2.0 * norm_h(X, h) ** 4, rtol=1e-12)
+        val = B(X, X, X, X)
+        assert abs(val.imag) <= 1e-12 * abs(val.real)
+        assert_allclose(val.real, 2.0 * norm_h(X, h) ** 4, rtol=1e-12)
 
     def test_hsc_of_model_is_two(self):
         h = random_hermitian(4, rng(9), positive=True)
@@ -274,6 +296,15 @@ class TestFrames:
         with pytest.raises(ValueError):
             SubspaceBasis(2.0 * E[:, :2], h)
 
+    def test_subspace_basis_rejects_a_slightly_perturbed_frame(self):
+        # The tolerance scales with the frame's roundoff, sum|cols|² max|H|,
+        # which is of order one here: a 1e-6 perturbation still fails.
+        h = random_hermitian(3, rng(64), positive=True)
+        E = cholesky_frame(h)[1][:, :2]
+        P = rng(65).standard_normal(E.shape) + 1j * rng(66).standard_normal(E.shape)
+        with pytest.raises(ValueError, match="not h-orthonormal"):
+            SubspaceBasis(E + 1e-6 * P, h)
+
 
 class TestCongruence:
     @pytest.mark.parametrize("k", [2, 3])
@@ -317,10 +348,9 @@ class TestQuarticValues:
         S = random_bihermitian(3, rng(70))
         X = rng(71).standard_normal((17, 3)) + 1j * rng(72).standard_normal((17, 3))
         vals = quartic_values(S, X)
-        expected = [
-            require_real(S(x, x, x, x), scale=abs(S(x, x, x, x)), tol=1e-12) for x in X
-        ]
-        assert_allclose(vals, expected, rtol=1e-12)
+        expected = np.array([S(x, x, x, x) for x in X])
+        assert np.all(np.abs(expected.imag) <= 1e-12 * np.abs(expected))
+        assert_allclose(vals, expected.real, rtol=1e-12)
 
     def test_pairing_matrix_contracts_like_the_form(self):
         S = random_bihermitian(3, rng(76))

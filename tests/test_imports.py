@@ -7,11 +7,15 @@ keep every call on numpy's LAPACK.  scipy serves only spectral flows, through
 ``scipy.fft``, imported on their first derivative.
 """
 
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import kricci
 
@@ -76,3 +80,17 @@ def test_algebraic_side_loads_no_scipy():
     # The probe itself sees a module when one is loaded: a spectral
     # derivative pulls in scipy.fft on first use, by design.
     assert "scipy.fft" in out["after_spectral_hessian"]
+
+
+MODULES = ["kricci"] + [
+    f"kricci.{m.name}" for m in pkgutil.iter_modules(kricci.__path__) if m.name != "__main__"
+]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_exported_name_resolves(name):
+    # A name left in __all__ after its definition is gone breaks
+    # ``from kricci.<module> import *`` and documents an API that is not there.
+    module = importlib.import_module(name)
+    missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+    assert missing == [], f"{name}.__all__ names undefined {missing}"
