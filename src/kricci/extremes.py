@@ -280,10 +280,12 @@ class Certificate:
     (``n_small_gradient``), its line search backtracked to exhaustion without
     an admissible increase (``n_stalled``), or the iteration budget ran out.
     ``n_converged`` is the first-order exits, ``n_small_gradient + n_stalled``.
-    Near a non-degenerate maximum the Newton steps take the gradient to
-    roundoff, so starts exit by small gradient.  A start stalls where no
-    Newton step is taken, for instance at a maximum that is not isolated, and
-    the Armijo test then compares values that differ only by roundoff.
+    ``"satisfied"`` needs the start that found ``value`` to be one of them;
+    the other starts' exits do not count.  Near a non-degenerate maximum the
+    Newton steps take the gradient to roundoff, so starts exit by small
+    gradient.  A start stalls where no Newton step is taken, for instance at
+    a maximum that is not isolated, and the Armijo test then compares values
+    that differ only by roundoff.
     """
 
     status: str
@@ -318,10 +320,12 @@ def certify_k_ricci(
     drop beyond roundoff; otherwise the start takes the Armijo step.  The
     verdict is ``"violated"`` only when the re-evaluated value exceeds
     ``bound`` by more than ``value_tol``, and ``"inconclusive"`` when that
-    value is not finite or when no start reached a first-order point (small
-    projected gradient, or a line search that backtracked to exhaustion)
-    within the iteration budget.
-    ``bound`` may be +inf but not NaN.
+    value is not finite or when the start that found it did not reach a
+    first-order point (small projected gradient, or a line search that
+    backtracked to exhaustion) within the iteration budget.
+    ``bound`` may be +inf but not NaN.  The ascent runs on S/max|S| and
+    h/max|h| and the witness is re-evaluated on (S, h), so the status and the
+    iteration count do not depend on the units of S and h.
     """
     opts = options or CertifyOptions()
     rng = rng if rng is not None else np.random.default_rng(0)
@@ -333,11 +337,12 @@ def certify_k_ricci(
     bound = float(bound)
     if np.isnan(bound):
         raise ValueError("bound must be a number or +inf, got nan")
-    T = S.entries
-    H = h.entries
-    L, E = cholesky_frame(h)
+    T = S.entries / (np.max(np.abs(S.entries)) or 1.0)
+    unit_h = HermitianForm(h.entries / (np.max(np.abs(h.entries)) or 1.0))
+    H = unit_h.entries
+    L, E = cholesky_frame(unit_h)
 
-    sweep = unit_sphere_samples(h, opts.presweep, rng)
+    sweep = unit_sphere_samples(unit_h, opts.presweep, rng)
     scores = _batch_eval(T, H, L, E, sweep, k)[0]
     top = np.argsort(scores)[::-1][: opts.starts]
     X, f = sweep[top], scores[top]
@@ -414,7 +419,7 @@ def certify_k_ricci(
         status = "inconclusive"
     elif value > bound + opts.value_tol:
         status = "violated"
-    elif n_conv > 0:
+    elif converged[best] or stalled[best]:
         status = "satisfied"
     else:
         status = "inconclusive"

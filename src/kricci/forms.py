@@ -19,7 +19,9 @@ sectional curvature is ``S(X, X̄, X, X̄) / |X|_h^4``; "negative curvature"
 means that this quantity is negative.  The sign convention is fixed here once
 and used by every other module.  A frame E has the frame vectors E_a as its
 columns; the matrix of a Hermitian form A in frame E is ``congruence(E, A)``,
-with entries A(E_a, Ē_b).
+with entries A(E_a, Ē_b).  Every h-trace (Ricci form, scalar curvature) is
+taken in the frame E = L⁻ᵀ of :func:`cholesky_frame`, whose factorization
+proves h positive, with h⁻¹ = conj(E) Eᵀ.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ __all__ = [
     "b_form",
     "cholesky_frame",
     "congruence",
+    "frame_traces",
     "hermitian_eval",
     "hsc",
     "norm_h",
@@ -378,19 +381,27 @@ def hsc(S: BihermitianForm, h: HermitianForm, X) -> float:
     return float(S(X, X, X, X).real) / nrm**4
 
 
+def frame_traces(S: BihermitianForm, E: np.ndarray) -> tuple[float, float]:
+    """Mixed trace sum_ik S(E_i, Ē_i, E_k, Ē_k) and diagonal trace sum_i
+    S(E_i, Ē_i, E_i, Ē_i) over the columns E_i of E: F A Fᵀ on the pairing
+    matrix A, with row i of F the pair product vec(E_i ⊗ Ē_i)."""
+    F = pair_products(E.T)
+    mixed = F @ pairing_matrix(S.entries) @ F.T
+    return float(mixed.sum().real), float(np.diagonal(mixed).sum().real)
+
+
 def ricci_trace(S: BihermitianForm, h: HermitianForm) -> HermitianForm:
-    """The Ricci form Ric(X, Ȳ) = tr_h S(X, Ȳ, ·, ·), contracted with h⁻¹ once
-    the factorization of :meth:`HermitianForm.require_positive` proves h
-    positive definite."""
-    h.require_positive("metric")
-    ric = np.einsum("abkl,lk->ab", S.entries, np.linalg.inv(h.entries))
+    """The Ricci form Ric(X, Ȳ) = tr_h S(X, Ȳ, ·, ·): S contracted with
+    h⁻¹ = conj(E) Eᵀ in the frame E of :func:`cholesky_frame`."""
+    _, E = cholesky_frame(h)
+    ric = np.einsum("abkl,lk->ab", S.entries, np.conj(E) @ E.T)
     return HermitianForm(0.5 * (ric + ric.conj().T))
 
 
 def scalar(S: BihermitianForm, h: HermitianForm) -> float:
-    """Scalar curvature: the h-trace of the Ricci form."""
-    ric = ricci_trace(S, h)
-    return float(np.trace(ric.entries @ np.linalg.inv(h.entries)).real)
+    """Scalar curvature 𝒮 = tr_h Ric: the mixed trace of :func:`frame_traces`
+    in the h-unitary frame of :func:`cholesky_frame`."""
+    return frame_traces(S, cholesky_frame(h)[1])[0]
 
 
 def random_bihermitian(n: int, rng: np.random.Generator, scale: float = 1.0) -> BihermitianForm:

@@ -3,9 +3,10 @@
 Given two positive metrics g, h there is a frame that is g-unitary and
 h-diagonal.  Summing a bihermitian form over the 4^n frame combinations
 Z = sum_i eps_i E_i with eps_i in {1, i, -1, -i} collapses, by independence of
-the phases, to mixed traces of the frame components.  The checks here compare
-that brute-force enumeration against the closed form and evaluate the
-trace-level inequalities that follow from pointwise curvature bounds.
+the phases, to the mixed traces of :func:`forms.frame_traces` in that frame.
+The checks here compare that brute-force enumeration against the closed form
+and evaluate the trace-level inequalities that follow from pointwise
+curvature bounds.
 """
 
 from __future__ import annotations
@@ -21,9 +22,8 @@ from .forms import (
     HermitianForm,
     cholesky_frame,
     congruence,
+    frame_traces,
     hermitian_eval,
-    pair_products,
-    pairing_matrix,
     quartic_values,
     ricci_trace,
     row_blocks,
@@ -143,15 +143,6 @@ def _enumerate(S: BihermitianForm, E: np.ndarray, h: HermitianForm, rho: Hermiti
     )
 
 
-def _frame_traces(S: BihermitianForm, E: np.ndarray) -> tuple[float, float]:
-    """Mixed trace sum_ik S̃[i,i,k,k] and diagonal trace sum_i S̃[i,i,i,i] in
-    frame E.  The mixed diagonal is F A Fᵀ on the pairing matrix A, where
-    row i of F is vec(E_i ⊗ Ē_i) for the frame column E_i."""
-    F = pair_products(E.T)
-    mixed = F @ pairing_matrix(S.entries) @ F.T
-    return float(mixed.sum().real), float(np.diagonal(mixed).sum().real)
-
-
 @dataclass
 class RoydenReport:
     """Brute-force enumeration against the closed mixed-trace forms."""
@@ -194,7 +185,7 @@ def royden_identity_check(
     _require_same_dim(S, g, h, rho)
     tau, E = g_unitary_h_diagonal_frame(g, h)
     brute = _enumerate(S, E, h, rho)
-    mixed_sum, diag_sum = _frame_traces(S, E)
+    mixed_sum, diag_sum = frame_traces(S, E)
     scale = 4.0 ** S.n
     quartic_closed = scale * (2.0 * mixed_sum - diag_sum)
     tr_gh = float(tau.sum())
@@ -254,7 +245,7 @@ def mixed_trace_bounds(
     Slacks are rhs - lhs; both must be nonnegative (up to tol) for ``ok``.
     """
     tau, E = g_unitary_h_diagonal_frame(g, h)
-    mixed_sum, diag_sum = _frame_traces(S, E)
+    mixed_sum, diag_sum = frame_traces(S, E)
     lhs = 2.0 * mixed_sum
     # In the frame E, h is diag(tau).
     rho_diag = np.diagonal(congruence(E, rho.entries)).real
@@ -405,9 +396,10 @@ def sphere_quadrature(h: HermitianForm) -> tuple[np.ndarray, np.ndarray]:
     """Rows Z and weights w with sum_a w_a S(Z_a, Z̄_a, Z_a, Z̄_a) equal to the
     average of S(Z, Z̄, Z, Z̄) over the h-unit sphere, for every bihermitian S.
 
-    In an h-unitary frame (e_i) the rows are e_i with weight (3-n)/(n(n+1))
-    and (e_i + eps e_j)/sqrt(2) for i < j and eps in {1, i, -1, -i} with
-    weight 1/(n(n+1)).
+    In the h-unitary frame (e_i) of :func:`cholesky_frame`, the frame of
+    :func:`scalar`, the rows are e_i with weight (3-n)/(n(n+1)) and
+    (e_i + eps e_j)/sqrt(2) for i < j and eps in {1, i, -1, -i} with weight
+    1/(n(n+1)).
     """
     n = h.n
     frame = cholesky_frame(h)[1].T
@@ -439,10 +431,13 @@ def berger_check(
     """Check 𝒮 = (n(n+1)/2) E[S(Z,Z̄,Z,Z̄)] over the h-unit sphere.
 
     The average is taken exactly by :func:`sphere_quadrature` and must match
-    the scalar curvature to ``tol`` (1 + |𝒮|).  With ``samples`` > 0 a Monte
-    Carlo estimate from that many points and its standard error are reported
-    alongside, with ``within_z`` saying whether the exact value sits within z
-    standard errors (plus the same roundoff floor, for constant integrands).
+    the scalar curvature to ``tol`` (1 + |𝒮|).  Both sides are read in the
+    same Cholesky frame of h, so the check compares Berger's identity, not
+    two factorizations of h, and holds at roundoff at any condition number.
+    With ``samples`` > 0 a Monte Carlo estimate from that many points and its
+    standard error are reported alongside, with ``within_z`` saying whether
+    the exact value sits within z standard errors (plus the same roundoff
+    floor, for constant integrands).
     The default, 0, draws nothing from ``rng``.
     """
     require_sample_count(samples)

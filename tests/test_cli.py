@@ -81,9 +81,9 @@ class TestVerify:
         assert "FAIL" in capsys.readouterr().out
 
     def test_berger_reads_the_tolerance(self, capsys):
-        # The n=3 cases deviate from their scalar curvature by about 3e-16,
-        # inside the default 1e-12 and outside 1e-20.
-        argv = ("verify", "berger", "--n", 3, "--count", 3, "--seed", 0)
+        # The seed-1 n=3 cases deviate from their scalar curvature by 4e-17 to
+        # 2e-16, inside the default 1e-12 and outside 1e-20.
+        argv = ("verify", "berger", "--n", 3, "--count", 3, "--seed", 1)
         assert run_cli(*argv) == 0
         assert capsys.readouterr().out.splitlines()[-1].startswith("berger: 3/3 passed")
         assert run_cli(*argv, "--tol", 1e-20) == 1

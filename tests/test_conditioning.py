@@ -4,7 +4,9 @@ A form is checked for its symmetries once, when it is built, so no kernel
 re-checks the reality of its own output or compares two routes that differ
 only by roundoff.  On n = 3 metrics with condition number 1e6 and 1e8 every
 kernel below returns finite values, and the certifier's witness frame passes
-the h-orthonormality check of ``SubspaceBasis``.
+the h-orthonormality check of ``SubspaceBasis``.  The scalar curvature and
+the sphere quadrature are read in the same Cholesky frame, so Berger's
+identity holds at roundoff at any condition number.
 """
 
 import numpy as np
@@ -22,14 +24,14 @@ CONDS = [1e6, 1e8]
 SEEDS = range(3)
 
 
-def ill_conditioned(cond, seed):
-    """A random n = 3 form and a metric with eigenvalues 1 .. 1/cond in a
-    random unitary frame."""
+def ill_conditioned(cond, seed, n=N):
+    """A random form and a metric with eigenvalues 1 .. 1/cond in a random
+    unitary frame."""
     r = np.random.default_rng(seed)
-    A = r.standard_normal((N, N)) + 1j * r.standard_normal((N, N))
+    A = r.standard_normal((n, n)) + 1j * r.standard_normal((n, n))
     U = np.linalg.qr(A)[0]
-    h = HermitianForm((U * np.geomspace(1.0, 1.0 / cond, N)) @ U.conj().T)
-    return random_bihermitian(N, r), h
+    h = HermitianForm((U * np.geomspace(1.0, 1.0 / cond, n)) @ U.conj().T)
+    return random_bihermitian(n, r), h
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -44,6 +46,15 @@ def test_trace_kernels_return(cond, seed):
     X = np.random.default_rng(seed).standard_normal((4, N)) + 0j
     assert np.isfinite(interpolation_check(S, h, 2, 0.1, X).margins).all()
     assert np.isfinite(ric_scalar_matrix(S, h, 2, 0.1).eigenvalues).all()
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("cond", CONDS)
+def test_berger_identity_holds(cond, n):
+    for seed in range(20):
+        S, h = ill_conditioned(cond, seed, n)
+        report = berger_check(S, h)
+        assert report.ok, (seed, report.scalar, report.quadrature)
 
 
 @pytest.mark.parametrize("k", [1, 2])

@@ -18,9 +18,11 @@ from kricci.extremes import (
     k_ricci_on,
 )
 from kricci.forms import (
+    BihermitianForm,
     HermitianForm,
     b_form,
     cholesky_frame,
+    frame_traces,
     hsc,
     quartic_values,
     random_bihermitian,
@@ -30,7 +32,6 @@ from kricci.forms import (
     symmetrize,
     unit_sphere_samples,
 )
-from kricci.royden import _frame_traces
 
 
 def rng(seed=0):
@@ -309,7 +310,7 @@ class TestNoEinsumPathPlanning:
         assert np.all(np.isfinite(quartic_values(S, X)))
         # The diagonal trace sums S(E_i, Ē_i, E_i, Ē_i) over the frame columns.
         E = cholesky_frame(h)[1]
-        mixed, diag = _frame_traces(S, E)
+        mixed, diag = frame_traces(S, E)
         assert type(mixed) is float and type(diag) is float
         assert_allclose(diag, quartic_values(S, E.T).sum(), rtol=1e-12)
 
@@ -386,8 +387,9 @@ class TestCertify:
         # on the whole projective line orthogonal to u.  The tangent Hessian is
         # singular there, no Newton step is taken near it, and Armijo steps end
         # up comparing values that differ only by roundoff: some starts stall.
-        n, k, sigma, eps = 3, 1, 0.5, -1.0
-        r = rng(0)
+        # Which starts stall turns on roundoff; at seed 7 three of them do.
+        n, k, sigma, eps, seed = 3, 1, 0.5, -1.0, 7
+        r = rng(seed)
         h = random_hermitian(n, r, positive=True)
         u = unit_sphere_samples(h, 1, r)[0]
         w = h.entries @ np.conj(u)
@@ -396,7 +398,7 @@ class TestCertify:
             np.einsum("ij,kl->ijkl", a, h.entries) + np.einsum("ij,kl->ijkl", h.entries, a)
         )
         S = shift_sigma(symmetrize(T), h, -sigma)
-        cert = certify_k_ricci(S, h, k, bound=np.inf, rng=rng(0))
+        cert = certify_k_ricci(S, h, k, bound=np.inf, rng=rng(seed))
         assert_allclose(cert.value, -2 * sigma, rtol=1e-12)
         assert cert.n_small_gradient > 0
         assert cert.n_stalled > 0
@@ -415,6 +417,33 @@ class TestCertify:
             assert cert.n_small_gradient == opts.starts, f"seed {seed}"
             assert cert.n_stalled == 0
             assert cert.iterations < opts.max_iter
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_certificate_does_not_depend_on_units(self, k):
+        # Under S -> λS, h -> μh the values scale by λ/μ²; the ascent runs on
+        # S/max|S| and h/max|h|, so it takes the same path in any units.
+        r = rng(300)
+        S, h = random_bihermitian(3, r), random_hermitian(3, r, positive=True)
+        base = certify_k_ricci(S, h, k, bound=np.inf, rng=rng(0))
+        for lam in (1e-4, 1.0, 1e4):
+            for mu in (1e-4, 1e-2, 1.0, 1e2, 1e4):
+                scaled = (BihermitianForm(lam * S.entries), HermitianForm(mu * h.entries))
+                cert = certify_k_ricci(*scaled, k, bound=np.inf, rng=rng(0))
+                assert (cert.status, cert.iterations) == (base.status, base.iterations)
+                assert (cert.n_small_gradient, cert.n_stalled) == (
+                    base.n_small_gradient, base.n_stalled)
+                assert_allclose(cert.value * mu**2 / lam, base.value, rtol=1e-12)
+
+    def test_satisfied_needs_the_reported_start_to_converge(self):
+        # After 4 iterations one start has converged, but the best value comes
+        # from a start that has not.
+        r = rng(2)
+        S, h = random_bihermitian(3, r), random_hermitian(3, r, positive=True)
+        opts = CertifyOptions(max_iter=4)
+        short = certify_k_ricci(S, h, 1, bound=np.inf, options=opts, rng=rng(2))
+        assert short.n_converged == 1
+        assert short.status == "inconclusive"
+        assert certify_k_ricci(S, h, 1, bound=np.inf, rng=rng(2)).status == "satisfied"
 
     def test_flat_ridge_form_certifies(self):
         # A form whose k=1 maximum plain gradient ascent approaches too slowly
@@ -451,6 +480,12 @@ class TestCertifyInputs:
         cert = certify_k_ricci(S, HermitianForm.identity(3), 1, bound=bound, rng=rng(0))
         assert cert.n_converged > 0
         assert cert.status == "inconclusive"
+
+    def test_zero_form_certifies_zero(self):
+        # The ascent divides S by max|S|, which is 0 for a zero form.
+        S = BihermitianForm(np.zeros((3,) * 4))
+        cert = certify_k_ricci(S, HermitianForm.identity(3), 2, bound=0.0, rng=rng(0))
+        assert (cert.status, cert.value) == ("satisfied", 0.0)
 
     def test_rejects_nan_bound_accepts_inf(self):
         h = HermitianForm.identity(2)

@@ -14,6 +14,7 @@ from kricci.forms import (
     b_form,
     cholesky_frame,
     congruence,
+    frame_traces,
     hermitian_eval,
     hsc,
     norm_h,
@@ -92,7 +93,11 @@ class TestPositivityByCholesky:
         ric = ricci_trace(S, h)
         ref = np.einsum("abkl,lk->ab", S.entries, np.linalg.inv(h.entries))
         assert_allclose(ric.entries, ref, rtol=0, atol=1e-13 * np.max(np.abs(ref)))
-        assert scalar(S, h) == np.trace(ric.entries @ np.linalg.inv(h.entries)).real
+        # 𝒮 is the mixed trace in the Cholesky frame, the frame that proves h
+        # positive; the LU route tr(Ric h⁻¹) agrees to roundoff.
+        assert scalar(S, h) == frame_traces(S, cholesky_frame(h)[1])[0]
+        lu = np.trace(ric.entries @ np.linalg.inv(h.entries)).real
+        assert_allclose(scalar(S, h), lu, rtol=1e-13)
         for kernel in (ricci_trace, scalar):
             with pytest.raises(ValueError, match="^metric must be positive definite$"):
                 kernel(S, HermitianForm(self.INDEFINITE))
