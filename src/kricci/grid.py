@@ -22,7 +22,7 @@ odd derivatives.  Its derivatives of a real field take one real forward
 transform (``scipy.fft.rfftn``); every derivative field is a real-symbol
 combination, finished by one real inverse transform, so the complex Hessian
 costs n^2 of them (the even and the odd part of each off-diagonal entry
-separately).  On the fd2 grid a single cosine mode eps*cos(2 pi x) has
+separately).  The symbols are built once per grid size and kept read-only.  On the fd2 grid a single cosine mode eps*cos(2 pi x) has
 discrete complex Hessian -s_N * eps * cos(2 pi x) with s_N = sin(pi/N)^2 N^2;
 the spectral operator reproduces the continuum factor pi^2 exactly.
 
@@ -48,6 +48,8 @@ records the margin lambda_min it proved, and a second call returns it.  The
 log determinant asks for that proof, so on a field already checked it costs
 no pass over the grid.  It is numpy's log, whose SIMD loop numpy picks per
 CPU: outputs repeat bitwise on one host and numpy build, not across them.
+The smallest eigenvalue takes only correctly rounded +, -, *, / and sqrt,
+so the margins it proves are the same bits on every host.
 
 The g-traces of Hermitian fields are real, and one pairing computes every
 one of them: Re tr(XY) of two Hermitian fields given as their upper
@@ -201,25 +203,42 @@ def _fd2_hessian(grid: PeriodicGrid, f: np.ndarray, k: int, l: int):
 
 
 @functools.lru_cache(maxsize=16)
-def _rfft_factors(N: int, ndim: int) -> tuple[tuple[np.ndarray, ...], ...]:
-    """Per-axis factors over the ``rfftn`` spectrum of an ndim grid array,
-    each shaped to broadcast along its axis.
+def _fourier_symbols(N: int, ndim: int) -> tuple[dict, tuple]:
+    """The real Fourier symbols of the spectral derivatives over the
+    ``rfftn`` spectrum of an ndim grid array, built once per (N, ndim).
 
-    Returns (wave, second): wave[a] is 2 pi k along axis a with the Nyquist
-    mode zeroed (odd derivatives), second[a] = -(2 pi k)^2.  The last axis
-    carries the halved rfft frequencies.  Read-only, as the cache hands the
-    same arrays to every caller.
+    Returns (hessian, gradient).  hessian[k, l], k <= l, is the pair (even,
+    odd) of the ``hessian(k, l)`` of :func:`_derivatives`, with odd None for
+    k = l; gradient[k] is the pair (dx_k / 2, dy_k / 2).  They combine the
+    per-axis factors 2 pi k (Nyquist mode zeroed, as for every odd
+    derivative) and -(2 pi k)^2; the last axis carries the halved rfft
+    frequencies.  Read-only, as the cache hands the same arrays to every
+    caller.
     """
     full, half = np.fft.fftfreq(N, d=1.0 / N), np.fft.rfftfreq(N, d=1.0 / N)
     wave, second = [], []
     for axis in range(ndim):
         freq = half if axis == ndim - 1 else full
         k = 2.0 * np.pi * freq
-        for factor, values in ((wave, np.where(np.abs(freq) == N // 2, 0.0, k)), (second, -k * k)):
-            values = values.reshape([-1 if a == axis else 1 for a in range(ndim)])
-            values.flags.writeable = False
-            factor.append(values)
-    return tuple(wave), tuple(second)
+        shape = [-1 if a == axis else 1 for a in range(ndim)]
+        wave.append(np.where(np.abs(freq) == N // 2, 0.0, k).reshape(shape))
+        second.append((-k * k).reshape(shape))
+
+    def dd(a, b):
+        return second[a] if a == b else -(wave[a] * wave[b])
+
+    hessian, gradient = {}, []
+    for k, l in itertools.combinations_with_replacement(range(ndim // 2), 2):
+        xk, yk, xl, yl = 2 * k, 2 * k + 1, 2 * l, 2 * l + 1
+        hessian[k, l] = (0.25 * (dd(xk, xl) + dd(yk, yl)),
+                         None if k == l else 0.25 * (dd(xk, yl) - dd(yk, xl)))
+    for k in range(ndim // 2):
+        gradient.append((0.5 * (1j * wave[2 * k]), 0.5 * (1j * wave[2 * k + 1])))
+    for pair in (*hessian.values(), *gradient):
+        for symbol in pair:
+            if symbol is not None:
+                symbol.flags.writeable = False
+    return hessian, tuple(gradient)
 
 
 def _derivatives(grid: PeriodicGrid, f: np.ndarray):
@@ -228,8 +247,9 @@ def _derivatives(grid: PeriodicGrid, f: np.ndarray):
     imaginary part of d_k dbar_l f, (dx_k dx_l + dy_k dy_l) f / 4 and
     (dx_k dy_l - dy_k dx_l) f / 4 (0 for k = l); ``gradient(k)`` is
     (dx_k f / 2, dy_k f / 2).  On fd2 they are differenced fields
-    (:func:`_fd2_hessian`); on the spectral grid real Fourier symbols (i times
-    one for ``d1``) on one ``rfftn`` of f, made a field by one ``irfftn``.
+    (:func:`_fd2_hessian`); on the spectral grid the cached symbols of
+    :func:`_fourier_symbols` on one ``rfftn`` of f, each made a field by one
+    ``irfftn``.
     """
     if grid.discretization == "fd2":
 
@@ -243,24 +263,18 @@ def _derivatives(grid: PeriodicGrid, f: np.ndarray):
     from scipy import fft
 
     spectrum = fft.rfftn(f)
-    wave, second = _rfft_factors(grid.N, f.ndim)
-
-    def d1(a):
-        return 1j * wave[a]
-
-    def dd(a, b):
-        return second[a] if a == b else -(wave[a] * wave[b])
+    hessian_symbols, gradient_symbols = _fourier_symbols(grid.N, f.ndim)
 
     def finish(symbol):
         return fft.irfftn(spectrum * symbol, s=grid.shape)
 
     def hessian(k, l):
-        xk, yk, xl, yl = 2 * k, 2 * k + 1, 2 * l, 2 * l + 1
-        even = finish(0.25 * (dd(xk, xl) + dd(yk, yl)))
-        return even, (0.0 if k == l else finish(0.25 * (dd(xk, yl) - dd(yk, xl))))
+        even, odd = hessian_symbols[k, l]
+        return finish(even), (0.0 if odd is None else finish(odd))
 
     def gradient(k):
-        return finish(0.5 * d1(2 * k)), finish(0.5 * d1(2 * k + 1))
+        dx, dy = gradient_symbols[k]
+        return finish(dx), finish(dy)
 
     return hessian, gradient
 
@@ -414,6 +428,17 @@ class MetricField:
     def __rmul__(self, scale: float) -> MetricField:
         return self._entrywise(lambda entry: scale * entry)
 
+    def _b_squared(self) -> np.ndarray:
+        """|b|^2 = Re b Re b + Im b Im b at n=2, in real arithmetic, as a
+        fresh array; det = a d - |b|^2 is kept from it if it is not yet."""
+        b = self.b
+        out = b.real * b.real
+        out += b.imag * b.imag
+        if self._det is None:
+            self._det = self.a * self.d
+            self._det -= out
+        return out
+
     @property
     def det(self) -> np.ndarray:
         """det g = a d - |b|^2 (a at n=1), computed on first access and kept
@@ -422,8 +447,7 @@ class MetricField:
             if self.n == 1:
                 self._det = self.a
             else:
-                b = self.b
-                self._det = self.a * self.d - (b.real**2 + b.imag**2)
+                self._b_squared()
         return self._det
 
     def inverse(self) -> MetricField:
@@ -459,17 +483,33 @@ class MetricField:
     def smallest_eigenvalues(self) -> np.ndarray:
         """lambda_min, as det / lambda_max where the mean eigenvalue is
         positive: this avoids cancellation and keeps the sign of det.  At
-        n=1 it is a read-only view of a."""
+        n=1 it is a read-only view of a.
+
+        At n=2, lambda_max = (a + d)/2 + sqrt(((a - d)/2)^2 + |b|^2), with
+        the one |b|^2 that ``det`` subtracts when det is not yet kept.  Every
+        operation is a correctly rounded +, -, *, / or sqrt, so the bits do
+        not depend on the host's vectorised loops.
+        """
         a, d = self.a, self.d
         if self.n == 1:
             view = a.view()
             view.flags.writeable = False
             return view
-        half_trace = 0.5 * (a + d)
-        radius = np.hypot(0.5 * (a - d), np.abs(self.b))
+        # Besides det and the result, |b|^2 and radius are the only fresh
+        # fields: each costs its page faults, so every later step writes
+        # into one of them.
+        b_squared = self._b_squared()
+        radius = np.subtract(a, d)
+        radius *= 0.5
+        radius *= radius
+        radius += b_squared
+        np.sqrt(radius, out=radius)
+        half_trace = np.add(a, d, out=b_squared)
+        half_trace *= 0.5
         # Elsewhere lambda_min = mean - radius has no cancellation.
         out = half_trace - radius
-        np.divide(self.det, half_trace + radius, out=out, where=half_trace > 0.0)
+        lambda_max = np.add(half_trace, radius, out=radius)
+        np.divide(self._det, lambda_max, out=out, where=half_trace > 0.0)
         return out
 
     def require_positive(self, what: str = "metric") -> float:
@@ -728,15 +768,25 @@ def model_form(h: MetricField, eta: MetricField) -> dict:
 
         tr_g tr_g B(h, eta) = tr_g h tr_g eta + tr(g^-1 h g^-1 eta).
     """
-    H, E = _entry_rows(h), _entry_rows(eta)
+    H, E = _triangle(h), _triangle(eta)
     B = {}
     for (i, k), (j, l) in itertools.combinations_with_replacement(sym2_index(h.n)[0], 2):
-        # The four (h, eta) index pairs repeat each distinct one 4 / len times.
-        pairs = dict.fromkeys([((i, j), (k, l)), ((k, l), (i, j)), ((i, l), (k, j)),
-                               ((k, j), (i, l))])
-        term = _dot([H[p][q] for (p, q), _ in pairs], [E[r][s] for _, (r, s) in pairs])
-        term *= 2.0 / len(pairs)
-        B[(i, k), (j, l)] = np.ascontiguousarray(term.real) if (i, k) == (j, l) else term
+        if (i, k) != (j, l):
+            # Off the diagonal every (h, eta) index pair is upper-triangular,
+            # so no conjugate is read.  The four pairs repeat each distinct
+            # one 4 / len times.
+            pairs = dict.fromkeys([((i, j), (k, l)), ((k, l), (i, j)), ((i, l), (k, j)),
+                                   ((k, j), (i, l))])
+            term = _dot([H[p] for p, _ in pairs], [E[q] for _, q in pairs])
+            term *= 2.0 / len(pairs)
+        elif i == k:
+            term = H[i, i] * E[i, i]
+            term *= 2.0
+        else:
+            # (i, k) = (0, 1), real: (h_00 eta_11 + h_11 eta_00) / 2 + Re(h_01 conj(eta_01)).
+            term = _pairing(H, {(i, i): E[k, k], (i, k): E[i, k], (k, k): E[i, i]})
+            term *= 0.5
+        B[(i, k), (j, l)] = term
     return B
 
 

@@ -24,6 +24,7 @@ from .forms import (
     congruence,
     frame_traces,
     hermitian_eval,
+    pair_products,
     quartic_values,
     ricci_trace,
     row_blocks,
@@ -130,11 +131,14 @@ def _enumerate(S: BihermitianForm, E: np.ndarray, h: HermitianForm, rho: Hermiti
         )
     count = 4**n
     quartic, hz, rz = np.empty(count), np.empty(count), np.empty(count)
+    # h(Z,Z̄) and rho(Z,Z̄) as pair_products(Z) @ vec(.), one matrix product:
+    # unlike einsum's, its rows kept their bits in every multi-row block
+    # tried, so the sums do not depend on the block size.
+    vecs = np.stack([h.entries.ravel(), rho.entries.ravel()], axis=1)
     for lo, hi in row_blocks(count):
         Z = _phase_rows(n, lo, hi) @ E.T
         quartic[lo:hi] = quartic_values(S, Z)
-        hz[lo:hi] = hermitian_eval(h.entries, Z).real
-        rz[lo:hi] = hermitian_eval(rho.entries, Z).real
+        hz[lo:hi], rz[lo:hi] = (pair_products(Z) @ vecs).real.T
     return BruteSums(
         quartic=float(quartic.sum()),
         metric_quartic=float((hz**2).sum()),

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import kricci.grid
 from kricci.errors import DegeneracyError
 from kricci.flow import FlowConfig, FlowModel, TwistSpec, _mixed_level_estimate
 from kricci.forms import HermitianForm, sym2_index
@@ -15,6 +16,7 @@ from kricci.grid import (
     PeriodicGrid,
     ScalarField,
     _derivatives,
+    _fourier_symbols,
     curvature_field,
     dbar_hessian,
     flat_metric,
@@ -205,6 +207,73 @@ class TestHessianAgainstPerAxis:
                 assert np.array_equal(dy, 0.5 * per_axis_d1(grid, f, 2 * i + 1)), (N, i)
 
 
+def per_call_derivatives(grid, f):
+    """The spectral ``_derivatives`` with every symbol built from the
+    per-axis frequencies on each call, in the operation order of the cached
+    table, as reference."""
+    from scipy import fft
+
+    spectrum = fft.rfftn(f)
+
+    def factors(axis):
+        # (2 pi k with the Nyquist mode zeroed, -(2 pi k)^2) along one axis.
+        last = axis == f.ndim - 1
+        freq = (np.fft.rfftfreq if last else np.fft.fftfreq)(grid.N, d=1.0 / grid.N)
+        k = 2.0 * np.pi * freq
+        shape = [-1 if a == axis else 1 for a in range(f.ndim)]
+        return np.where(np.abs(freq) == grid.N // 2, 0.0, k).reshape(shape), (-k * k).reshape(shape)
+
+    def dd(a, b):
+        return factors(a)[1] if a == b else -(factors(a)[0] * factors(b)[0])
+
+    def finish(symbol):
+        return fft.irfftn(spectrum * symbol, s=grid.shape)
+
+    def hessian(k, l):
+        xk, yk, xl, yl = 2 * k, 2 * k + 1, 2 * l, 2 * l + 1
+        even = finish(0.25 * (dd(xk, xl) + dd(yk, yl)))
+        return even, (0.0 if k == l else finish(0.25 * (dd(xk, yl) - dd(yk, xl))))
+
+    def gradient(k):
+        return tuple(finish(0.5 * (1j * factors(axis)[0])) for axis in (2 * k, 2 * k + 1))
+
+    return hessian, gradient
+
+
+class TestFourierSymbols:
+    """The spectral symbols come from one read-only table per (N, ndim)."""
+
+    def test_table_is_read_only_and_the_same_on_every_call(self):
+        for N, ndim in itertools.product((8, 12), (2, 4)):
+            hessian, gradient = table = _fourier_symbols(N, ndim)
+            assert _fourier_symbols(N, ndim) is table
+            assert sorted(hessian) == list(itertools.combinations_with_replacement(
+                range(ndim // 2), 2))
+            assert len(gradient) == ndim // 2
+            symbols = [s for pair in (*hessian.values(), *gradient) for s in pair if s is not None]
+            for symbol in symbols:
+                assert not symbol.flags.writeable
+                with pytest.raises(ValueError):
+                    symbol[(0,) * ndim] = 1.0
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_kernels_are_bitwise_the_per_call_symbols(self, n, monkeypatch):
+        for N in (8, 12):
+            grid = PeriodicGrid(n=n, N=N, discretization="spectral")
+            f = 1e-4 * np.random.default_rng([n, N, 7]).standard_normal(grid.shape)
+            g = metric_from_potential(grid, f)
+            hessian, curvature = dbar_hessian(grid, f), curvature_field(grid, g)
+            with monkeypatch.context() as patch:
+                patch.setattr(kricci.grid, "_derivatives", per_call_derivatives)
+                ref_hessian = dbar_hessian(grid, f)
+                ref_curvature = curvature_field(grid, metric_from_potential(grid, f))
+            for entry, ref in zip(hessian.entries, ref_hessian.entries):
+                assert (entry is None and ref is None) or np.array_equal(entry, ref), (n, N)
+            assert curvature.keys() == ref_curvature.keys()
+            for key, entry in curvature.items():
+                assert np.array_equal(entry, ref_curvature[key]), (n, N, key)
+
+
 class TestScalarField:
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, complex(1.0, np.nan)])
     def test_rejects_non_finite_value(self, value):
@@ -361,6 +430,28 @@ class TestClosedFormKernels:
         diff = np.max(np.abs(E - ref), axis=(-2, -1))
         scale = np.max(np.abs(ref), axis=(-2, -1))
         assert np.all(diff <= (1e-12 + 16 * self.EPS * cond) * scale)
+
+    def test_smallest_eigenvalue_is_bitwise_the_scalar_formula(self):
+        # Every step is a correctly rounded +, -, *, / or sqrt, so a per-point
+        # math.sqrt reference in the same order gives the same bits.  Two
+        # points have a nonpositive mean eigenvalue, which takes mean - radius.
+        grid = PeriodicGrid(n=2, N=8)
+        values = random_metric_values(2, grid.shape, np.random.default_rng(50), 7)
+        values[1, 2, 3, 4] = [[-1.0, 0.5j], [-0.5j, -2.0]]
+        values[5, 6, 7, 0] = [[-0.5, 2.0 + 1.0j], [2.0 - 1.0j, 0.25]]
+        g = MetricField(grid, values)
+        assert np.min(np.abs(g.b.imag)) > 0.0 and np.max(np.abs(g.b.imag)) > 0.1
+        ref = []
+        for a, d, b in zip(g.a.ravel().tolist(), g.d.ravel().tolist(), g.b.ravel().tolist()):
+            b_squared = b.real * b.real + b.imag * b.imag
+            half_difference = 0.5 * (a - d)
+            radius = math.sqrt(half_difference * half_difference + b_squared)
+            half_trace = 0.5 * (a + d)
+            if half_trace > 0.0:
+                ref.append((a * d - b_squared) / (half_trace + radius))
+            else:
+                ref.append(half_trace - radius)
+        assert np.array_equal(g.smallest_eigenvalues(), np.reshape(ref, grid.shape))
 
     def test_smallest_eigenvalue_has_no_cancellation(self):
         # Exact entries with det = 2^-30: lambda_min = 2^-31 (1 - 2^-32) + O(2^-95),

@@ -17,7 +17,7 @@ from kricci.forms import (
     CurvatureParams,
     HermitianForm,
     congruence,
-    hermitian_eval,
+    pair_products,
     quartic_values,
     random_bihermitian,
     random_hermitian,
@@ -45,11 +45,12 @@ def rng(seed=0):
 
 def full_enumeration(S, g, h, rho):
     """Reference for royden_sum_bruteforce: all 4^n phase rows from itertools
-    at once, and their quartic values from one quartic_values call in one block."""
+    at once, their quartic values from one quartic_values call in one block,
+    and h(Z,Z̄), rho(Z,Z̄) from one product of their pair_products rows."""
     _, E = g_unitary_h_diagonal_frame(g, h)
     Z = np.array(list(itertools.product([1, 1j, -1, -1j], repeat=S.n)), dtype=complex) @ E.T
-    hz = hermitian_eval(h.entries, Z).real
-    rz = hermitian_eval(rho.entries, Z).real
+    vecs = np.stack([h.entries.ravel(), rho.entries.ravel()], axis=1)
+    hz, rz = (pair_products(Z) @ vecs).real.T
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(kricci.forms, "QUARTIC_CHUNK", len(Z))
         quartic = quartic_values(S, Z)
@@ -135,12 +136,7 @@ class TestRoydenIdentity:
         with pytest.raises(ResourceLimitError):
             royden_sum_bruteforce(S, g, g, g)
 
-    @pytest.mark.parametrize("n,chunk", [
-        pytest.param(n, chunk, marks=pytest.mark.xfail(
-            n == 2 and chunk == 2, reason="numpy's einsum rounds h(Z,Z̄) of a 2×2 form "
-            "otherwise in blocks of at most two rows; enumeration blocks have 4 or more"))
-        for n in range(1, 7) for chunk in (None, 2, 4)
-    ])
+    @pytest.mark.parametrize("n,chunk", [(n, chunk) for n in range(1, 7) for chunk in (None, 2, 4)])
     def test_streamed_sums_equal_the_full_enumeration(self, monkeypatch, n, chunk):
         # Blocks of 2 or 4 rows split even n = 1 into several blocks.
         if chunk is not None:

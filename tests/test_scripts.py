@@ -49,15 +49,18 @@ def test_step_timing_prints_the_hessian_layer(capsys):
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_step_timing_prints_the_positivity_and_trace_layers(n, capsys):
-    argv = ["--n", str(n), "--resolution", "8", "--discretization", "fd2", "--steps", "1"]
-    assert load_script("step_timing.py").main(argv) == 0
-    lines = capsys.readouterr().out.splitlines()
-    positivity = [line for line in lines if line.startswith("positivity+log det: ")]
-    trace = [line for line in lines if line.startswith("g_trace: ")]
-    assert len(positivity) == len(trace) == 1
-    assert positivity[0].split()[3:6] == ["µs", "per", "metric,"]
-    assert trace[0].split()[2] == "µs,"
-    assert float(positivity[0].split()[2]) > 0.0 and float(trace[0].split()[1]) > 0.0
+    # At n=2 also on the spectral grid, the path the 2x2 kernels serve.
+    for disc in ("fd2",) if n == 1 else ("fd2", "spectral"):
+        argv = ["--n", str(n), "--resolution", "8", "--discretization", disc, "--steps", "1"]
+        assert load_script("step_timing.py").main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith(f"n={n} N=8 {disc} ")
+        positivity = [line for line in lines if line.startswith("positivity+log det: ")]
+        trace = [line for line in lines if line.startswith("g_trace: ")]
+        assert len(positivity) == len(trace) == 1
+        assert positivity[0].split()[3:6] == ["µs", "per", "metric,"]
+        assert trace[0].split()[2] == "µs,"
+        assert float(positivity[0].split()[2]) > 0.0 and float(trace[0].split()[1]) > 0.0
 
 
 @pytest.mark.parametrize("n, disc", [(1, "fd2"), (2, "spectral")])
