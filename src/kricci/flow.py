@@ -37,13 +37,14 @@ every snapshot the same way, whatever the run's length.  Each snapshot is
 analysed as the run takes it, from the g^-1 and the positivity margin of the
 step that built its metric, so no snapshot metric is reconstructed or checked
 twice; the start snapshot reads h, its margin and the h^-1 the barrier scale
-uses.  Rows, identity residuals and the trace-evolution record go straight
-into the run's one :class:`FlowResult`.  It keeps a row for every snapshot but
-only the last three snapshots, the window every centered derivative needs;
-beside them the run keeps their log tr_g h (and trace-evolution field when mu
-is set) and the newest one's g^-1 and traces.  Only a run that degenerates
-between snapshots reconstructs its last accepted state, once.  No check reads
-a snapshot metric after the run.
+uses.  Rows, identity residuals and the trace-evolution suprema and margin
+go straight into the run's one :class:`FlowResult`.  It keeps a row for every
+snapshot but only the last three snapshots, the window every centered
+derivative needs, and that deque is the analysis window: each snapshot carries
+its log tr_g h (and its trace-evolution field when mu is set), and only the
+newest carries its g^-1 and traces, which the next snapshot's analysis takes
+off it.  Only a run that degenerates between snapshots reconstructs its last
+accepted state, once.  No check reads a snapshot metric after the run.
 """
 
 from __future__ import annotations
@@ -77,10 +78,8 @@ __all__ = [
     "FlowModel",
     "FlowResult",
     "FlowSnapshot",
-    "IdentityRecord",
     "PotentialIdentityReport",
     "SchwarzReport",
-    "TraceEvolutionRecord",
     "TraceEvolutionReport",
     "TwistSpec",
     "check_potential_identities",
@@ -265,6 +264,11 @@ class FlowSnapshot:
     t: float
     phi: np.ndarray
     phidot: np.ndarray
+    # Set by _diagnostics: log tr_g h, f of check_trace_evolution when mu is
+    # set, and (g^-1, tr_g(Ric(h) + eta), Lap_g phidot) while it is the newest.
+    log_lam: np.ndarray | None = None
+    trace_field: np.ndarray | None = None
+    pending: tuple | None = None
 
 
 @dataclass
@@ -279,30 +283,11 @@ class DiagnosticsRow:
 
 
 @dataclass
-class IdentityRecord:
-    """The window middles and the largest residual of each potential identity
-    over them, as a run records them (:func:`check_potential_identities`)."""
-
-    times: np.ndarray
-    residual_phi: float
-    residual_phidot: float
-
-
-@dataclass
-class TraceEvolutionRecord:
-    """What a run with mu set records of f = log tr_g h - Q
-    (:func:`check_trace_evolution`): sup f at each snapshot, and the min of
-    -(d/dt - Lap_g) f over the window middles."""
-
-    sup_values: list[float] = field(default_factory=list)
-    differential_min_margin: float = math.inf
-
-
-@dataclass
 class FlowResult:
     """One run's record: :func:`run_flow` builds it before its first step and
     fills it as it runs, so a degenerating run hands over what it has.  Of its
-    snapshots it keeps the last CENTERED_SNAPSHOTS; ``rows`` counts them all."""
+    snapshots it keeps the last CENTERED_SNAPSHOTS, the analysis window;
+    ``rows`` counts them all."""
 
     config: FlowConfig
     model: FlowModel
@@ -310,11 +295,13 @@ class FlowResult:
     snapshots: deque[FlowSnapshot] = field(default_factory=lambda: deque(maxlen=CENTERED_SNAPSHOTS))
     rows: list[DiagnosticsRow] = field(default_factory=list)
     steps: int = 0
-    # Empty until the run has CENTERED_SNAPSHOTS snapshots.
-    identities: IdentityRecord = field(
-        default_factory=lambda: IdentityRecord(np.empty(0), 0.0, 0.0)
-    )
-    trace_evolution: TraceEvolutionRecord | None = None  # None when mu is None
+    # Maxima over the window middles (check_potential_identities).
+    residual_phi: float = 0.0
+    residual_phidot: float = 0.0
+    # Of f = log tr_g h - Q when mu is set (check_trace_evolution): sup f at
+    # each snapshot, and the min of -(d/dt - Lap_g) f over the window middles.
+    trace_sup_values: list[float] = field(default_factory=list)
+    trace_differential_margin: float = math.inf
 
     @property
     def final(self) -> FlowSnapshot:
@@ -363,9 +350,8 @@ def run_flow(config: FlowConfig) -> FlowResult:
     grid = config.grid
     n = grid.n
     h_inv = model.h.inverse()
-    trace = None if config.mu is None else TraceEvolutionRecord()
-    result = FlowResult(config, model, _initial_sigma(model, h_inv), trace_evolution=trace)
-    snapshots, window = result.snapshots, _Window()
+    result = FlowResult(config, model, _initial_sigma(model, h_inv))
+    snapshots = result.snapshots
     phi = np.zeros(grid.shape)
     t = 0.0
     # g(0) = h, so dphi/dt starts at log det h - log det h = 0.
@@ -382,14 +368,14 @@ def run_flow(config: FlowConfig) -> FlowResult:
             # metric, so it is reconstructed; its margin is the step's.
             ginv = model.reconstruct(t, phi).inverse()
         snapshots.append(FlowSnapshot(t=t, phi=phi, phidot=phidot))
-        _diagnostics(result, window, ginv, margin)
+        _diagnostics(result, ginv, margin)
 
     def degenerate(message, stop_margin):
         snapshot()
         return FlowDegenerateError(message, t=t, margin=stop_margin, result=result)
 
     snapshot(h_inv)
-    del h_inv  # the window keeps it while the start is its newest snapshot
+    del h_inv  # the start snapshot keeps it while it is the newest
     dt_floor = config.dt_initial * 2.0**-40
     cfl = CFL_SAFETY * grid.spacing**2 / (2.0 * n)
     done = False
@@ -467,52 +453,42 @@ def _nonuniform_dt(f_prev, f_mid, f_next, a: float, b: float):
     return (f_next * a**2 - f_prev * b**2 + f_mid * (b**2 - a**2)) / (a * b * (a + b))
 
 
-def _trace_evolution_field(model: FlowModel, snap: FlowSnapshot, log_lam: np.ndarray):
-    """f = log tr_g h - Q at one snapshot, with Q as in :func:`check_trace_evolution`."""
+def _trace_evolution_field(model: FlowModel, snap: FlowSnapshot):
+    """f = log tr_g h - Q at an analysed snapshot, with Q as in :func:`check_trace_evolution`."""
     alpha, beta, n = model.config.alpha, model.config.beta, model.grid.n
     B = alpha * model.config.mu * (n - 1) / (2.0 * n * beta)
     w = snap.t * snap.phidot - snap.phi - n * snap.t
     v = (2.0 * beta / alpha) * model.u
     Q = -B * w - (alpha / (2.0 * beta)) * v
     Q += (alpha / beta) * (snap.phidot + model.phi_twist - model.u)
-    return log_lam - Q
+    return snap.log_lam - Q
 
 
-@dataclass
-class _Window:
-    """What :func:`_diagnostics` carries from one snapshot to the next.
-
-    ``entries`` holds (log tr_g h, f) of each snapshot the result keeps, f the
-    trace-evolution field or None, and ``newest`` the g^-1, tr_g(Ric(h) + eta)
-    and Lap_g phidot of the newest only, for when it becomes the middle.
-    """
-
-    entries: deque = field(default_factory=lambda: deque(maxlen=CENTERED_SNAPSHOTS))
-    newest: tuple | None = None
-
-
-def _diagnostics(result: FlowResult, window: _Window, ginv: MetricField, margin: float) -> None:
+def _diagnostics(result: FlowResult, ginv: MetricField, margin: float) -> None:
     """Analyse the newest snapshot of ``result`` from g^-1 and its metric's margin.
 
-    Appends the snapshot's row to ``result.rows`` and its sup f to
-    ``result.trace_evolution``.  A snapshot that fills the window gives the
-    middle row its Schwarz margin and adds the middle to
-    ``result.identities`` and the trace-evolution margin; endpoint rows keep
-    a NaN margin.  At t = 0 phidot is the zero field, so Lap_g phidot is not
-    formed.  The Schwarz margin reads the model's R_h + B(h, eta), built with
-    the model, so every snapshot is analysed the same way.
+    Appends the snapshot's row to ``result.rows`` and, when mu is set, its
+    sup f to ``result.trace_sup_values``.  The snapshot keeps its g^-1 and
+    traces as ``pending``, and the one before it gives its own up.  A
+    snapshot that fills the window gives the middle row its Schwarz margin
+    and folds the middle into the identity residuals and the trace-evolution
+    margin; endpoint rows keep a NaN margin.  At t = 0 phidot is the zero
+    field, so Lap_g phidot is not formed.  The Schwarz margin reads the
+    model's R_h + B(h, eta), built with the model, so every snapshot is
+    analysed the same way.
 
     The twisted scalar curvature needs no Ricci form of g: phidot is
     log det g - log det h, so Ric(g) = Ric(h) - d dbar phidot and
     scal + tr_g eta = tr_g(Ric(h) + eta) - Lap_g phidot, the same two
     fields the phidot identity compares against.
     """
-    model, snap = result.model, result.snapshots[-1]
+    model, snapshots = result.model, result.snapshots
+    snap = snapshots[-1]
     drift = g_trace(ginv, model._drift)
-    log_lam = model.log_trace_h(ginv)
+    snap.log_lam = model.log_trace_h(ginv)
     if snap.t > 0:
         lap_phidot = laplacian(model.grid, ginv, snap.phidot)
-        sup_G = float(_monotone_G(model, snap.t, log_lam, snap.phidot).max())
+        sup_G = float(_monotone_G(model, snap.t, snap.log_lam, snap.phidot).max())
     else:
         lap_phidot, sup_G = 0.0, -math.inf
     result.rows.append(
@@ -526,30 +502,31 @@ def _diagnostics(result: FlowResult, window: _Window, ginv: MetricField, margin:
             schwarz_min_margin=math.nan,
         )
     )
-    trace, f = result.trace_evolution, None
-    if trace is not None:
-        f = _trace_evolution_field(model, snap, log_lam)
-        trace.sup_values.append(float(f.max()))
-    window.entries.append((log_lam, f))
-    middle, window.newest = window.newest, (ginv, drift, lap_phidot)
-    if len(window.entries) < CENTERED_SNAPSHOTS:
+    mu_set = model.config.mu is not None
+    if mu_set:
+        snap.trace_field = _trace_evolution_field(model, snap)
+        result.trace_sup_values.append(float(snap.trace_field.max()))
+    snap.pending = (ginv, drift, lap_phidot)
+    if len(snapshots) == 1:
         return
-    prev, mid, nxt = result.snapshots
-    (log_prev, f_prev), (log_mid, f_mid), (log_next, f_next) = window.entries
+    middle, snapshots[-2].pending = snapshots[-2].pending, None
+    if len(snapshots) < CENTERED_SNAPSHOTS:
+        return
+    prev, mid, nxt = snapshots
     a, b = mid.t - prev.t, nxt.t - mid.t
-    dlog = _nonuniform_dt(log_prev, log_mid, log_next, a, b)
+    dlog = _nonuniform_dt(prev.log_lam, mid.log_lam, nxt.log_lam, a, b)
     ginv_mid, drift_mid, lap_mid = middle
-    result.rows[-2].schwarz_min_margin = _schwarz_margins(model, ginv_mid, dlog, log_mid)
+    result.rows[-2].schwarz_min_margin = _schwarz_margins(model, ginv_mid, dlog, mid.log_lam)
     dphi = _nonuniform_dt(prev.phi, mid.phi, nxt.phi, a, b)
     dphidot = _nonuniform_dt(prev.phidot, mid.phidot, nxt.phidot, a, b)
     rhs = -drift_mid + lap_mid
-    ids = result.identities
-    ids.times = np.append(ids.times, mid.t)
-    ids.residual_phi = max(ids.residual_phi, float(np.max(np.abs(dphi - mid.phidot))))
-    ids.residual_phidot = max(ids.residual_phidot, float(np.max(np.abs(dphidot - rhs))))
-    if trace is not None:
-        heat = _nonuniform_dt(f_prev, f_mid, f_next, a, b) - laplacian(model.grid, ginv_mid, f_mid)
-        trace.differential_min_margin = min(trace.differential_min_margin, float((-heat).min()))
+    result.residual_phi = max(result.residual_phi, float(np.max(np.abs(dphi - mid.phidot))))
+    result.residual_phidot = max(result.residual_phidot, float(np.max(np.abs(dphidot - rhs))))
+    if mu_set:
+        heat = _nonuniform_dt(prev.trace_field, mid.trace_field, nxt.trace_field, a, b)
+        heat -= laplacian(model.grid, ginv_mid, mid.trace_field)
+        heat_margin = float((-heat).min())
+        result.trace_differential_margin = min(result.trace_differential_margin, heat_margin)
 
 
 def _schwarz_margins(
@@ -564,13 +541,13 @@ def _schwarz_margins(
     (:func:`g_double_trace`) of the model's Sym² field R_h + B(h, eta)
     (:attr:`FlowModel.schwarz_form`), whose twist part tr_g tr_g B(h, eta) is
     Lam tr_g eta + tr(g^-1 h g^-1 eta) (:func:`model_form`), and one g-trace
-    of eta.  ``ginv`` is g^-1 at the snapshot and ``dlog`` the centered d/dt
-    of ``log_lam`` = log Lam.  For the continuum flow lhs - rhs = -s, with
-    s >= 0 the Cauchy-Schwarz slack of the Chern-Lu formula for Lap_g log Lam.
-    s vanishes at n=1, so there the margin is zero up to discretization error;
-    at n >= 2 it is not.
+    of eta.  ``ginv`` is g^-1 at the snapshot, Lam is taken from it, and
+    ``dlog`` is the centered d/dt of ``log_lam`` = log Lam.  For the continuum
+    flow lhs - rhs = -s, with s >= 0 the Cauchy-Schwarz slack of the Chern-Lu
+    formula for Lap_g log Lam.  s vanishes at n=1, so there the margin is zero
+    up to discretization error; at n >= 2 it is not.
     """
-    lam = np.exp(log_lam)
+    lam = g_trace(ginv, model.h)
     lhs = dlog - laplacian(model.grid, ginv, log_lam)
     rhs = g_double_trace(ginv, model.schwarz_form)
     rhs /= lam
@@ -623,7 +600,10 @@ def check_volume_bound(result: FlowResult, tol: float = CHECK_TOL) -> BoundRepor
 
 
 @dataclass
-class PotentialIdentityReport(IdentityRecord):
+class PotentialIdentityReport:
+    times: np.ndarray
+    residual_phi: float
+    residual_phidot: float
     ok: bool
 
 
@@ -638,9 +618,9 @@ def check_potential_identities(result: FlowResult, tol: float = CHECK_TOL) -> Po
     the interior snapshots, computed by the analysis pass of :func:`run_flow`.
     """
     _require_window(result, CENTERED_SNAPSHOTS)
-    ids = result.identities
-    ok = bool(max(ids.residual_phi, ids.residual_phidot) <= tol)
-    return PotentialIdentityReport(ids.times, ids.residual_phi, ids.residual_phidot, ok)
+    times = np.array([row.t for row in result.rows[1:-1]])
+    residuals = result.residual_phi, result.residual_phidot
+    return PotentialIdentityReport(times, *residuals, ok=bool(max(residuals) <= tol))
 
 
 @dataclass
@@ -695,18 +675,18 @@ def check_trace_evolution(result: FlowResult, tol: float = CHECK_TOL) -> TraceEv
 
     the supremum of log tr_g h - Q must be non-increasing in t; the
     centered-difference margin of the differential form is reported as well.
-    Both come from ``result.trace_evolution``, recorded by the run, so the
-    check builds no metric.  A run whose config sets no mu raises ValueError,
-    and one with a single snapshot, which has no increase of the supremum,
-    raises :class:`TooFewSnapshotsError`.
+    Both are recorded by the run (``result.trace_sup_values`` and
+    ``trace_differential_margin``), so the check builds no metric.  A run
+    whose config sets no mu raises ValueError, and one with a single
+    snapshot, which has no increase of the supremum, raises
+    :class:`TooFewSnapshotsError`.
     """
-    record = result.trace_evolution
-    if record is None:
+    config = result.config
+    if config.mu is None:
         raise ValueError("the run computed no trace-evolution field: its config sets no mu")
     _require_window(result, 2)
     model = result.model
     grid = model.grid
-    config = result.config
     alpha, beta, mu = config.alpha, config.beta, config.mu
     if model.c != 0.0:
         raise HypothesisError(
@@ -728,14 +708,14 @@ def check_trace_evolution(result: FlowResult, tol: float = CHECK_TOL) -> TraceEv
             "pointwise mixed-curvature level <= 0",
             f"eigenvalue estimate gives sup lambda = {lam_est:.3e}",
         )
-    sup_vals = np.array(record.sup_values)
+    sup_vals = np.array(result.trace_sup_values)
     max_increase = float(np.diff(sup_vals).max())
     scale = 1.0 + float(np.max(np.abs(sup_vals)))
     return TraceEvolutionReport(
         times=np.array([row.t for row in result.rows]),
         sup_values=sup_vals,
         max_increase=max_increase,
-        differential_min_margin=record.differential_min_margin,
+        differential_min_margin=result.trace_differential_margin,
         mu=mu,
         ok=bool(max_increase <= tol * scale),
     )

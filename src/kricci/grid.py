@@ -73,6 +73,7 @@ import functools
 import itertools
 import operator
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -110,6 +111,9 @@ class PeriodicGrid:
     discretization: str = "fd2"
 
     def __post_init__(self):
+        for name, value in (("n", self.n), ("N", self.N)):
+            if not isinstance(value, Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n not in (1, 2):
             raise ValueError(f"complex dimension must be 1 or 2, got {self.n}")
         if self.N < 8 or self.N % 2 != 0:
@@ -615,7 +619,8 @@ def metric_from_potential(grid: PeriodicGrid, potential: np.ndarray) -> MetricFi
 def scalar_from_modes(grid: PeriodicGrid, modes) -> np.ndarray:
     """Real field sum_m Re(amp_m exp(2 pi i k_m . x)) from (k, amp) pairs.
 
-    Each ``k`` is an integer vector over the 2n real axes (x_1, y_1, ...).
+    Each ``k`` is an integer vector over the 2n real axes (x_1, y_1, ...);
+    a non-integer entry, which would break periodicity, raises ValueError.
     The phase k . x is summed over broadcast tick arrays of the axes where k
     is nonzero (a zero term adds +0.0, which changes no exponential), and
     the exponential is taken once per distinct phase value.
@@ -625,9 +630,14 @@ def scalar_from_modes(grid: PeriodicGrid, modes) -> np.ndarray:
     axes = [ticks.reshape((-1,) + (1,) * (ndim - 1 - a)) for a in range(ndim)]
     out = np.zeros(grid.shape)
     for k, amp in modes:
-        k = np.asarray(k, dtype=float)
-        if k.shape != (ndim,):
+        if np.shape(k) != (ndim,):
             raise ValueError(f"mode wavevector must have length {ndim}")
+        for entry in k:
+            if not isinstance(entry, Integral):
+                raise ValueError(
+                    f"mode wavevector entries must be integers, got {entry!r} in {k!r}"
+                )
+        k = np.asarray(k, dtype=float)
         phase = np.asarray(sum(ki * ci for ki, ci in zip(k, axes) if ki))
         values, index = np.unique(phase, return_inverse=True)
         wave = (complex(amp) * np.exp(2j * np.pi * values)).real

@@ -122,6 +122,8 @@ def load_tensor(path) -> LoadedTensor:
         entries = data["entries"]
     except KeyError as err:
         raise ValueError(f"{path}: tensor file missing key {err}") from err
+    if n < 1:
+        raise ValueError(f"{path}: n must be at least 1, got {n}")
     if not isinstance(entries, list):
         raise ValueError(f"{path}: tensor entries must be a list of [re, im] pairs")
     count = len(entries)

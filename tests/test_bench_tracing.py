@@ -67,8 +67,8 @@ def test_traced_run_feeds_every_hook(tracing, tmp_path):
     restored = [getattr(tracing._resolve(owner), attr) for _, owner, attr, _ in tracing.INSTRUMENTS]
     assert all(a is b for a, b in zip(originals, restored))
     names = {span[1] for span in tracer.spans}
-    for expected in ("flow.step", "flow.rhs", "grid.dbar_hessian", "grid.smallest_eigenvalues",
-                     "suites.case"):
+    for expected in ("flow.step", "flow.rhs", "flow.diagnostics", "flow.schwarz_margins",
+                     "grid.dbar_hessian", "grid.smallest_eigenvalues", "suites.case"):
         assert expected in names
     # kricci flow looks every check up in kricci.flow when it runs.
     for check in ("scalar_bound", "schwarz", "potential_identities"):

@@ -479,7 +479,7 @@ class TestTraceEvolution:
 
     def test_needs_mu(self):
         result = run_flow(homogeneous_config(c=0.0, t_final=0.1))
-        assert result.trace_evolution is None
+        assert result.trace_sup_values == [] and result.trace_differential_margin == math.inf
         with pytest.raises(ValueError, match="sets no mu"):
             check_trace_evolution(result)
 
@@ -559,7 +559,7 @@ def _reference_schwarz_margins(result, snaps):
         g = model.reconstruct(snaps[i].t, snaps[i].phi)
         ginv = g.inverse()
         lhs = dlog - _laplacian_of_metric(grid, g, lam_logs[i])
-        rhs = g_double_trace(ginv, S) / np.exp(lam_logs[i]) - g_trace(ginv, model.eta)
+        rhs = g_double_trace(ginv, S) / g_trace(ginv, model.h) - g_trace(ginv, model.eta)
         margins[i] = float((lhs - rhs).min())
     return margins
 
@@ -825,10 +825,9 @@ class TestOnePassAnalysis:
         times, sup_vals, max_increase, diff_margin = _reference_trace_evolution(
             result, snapshot_history(result), 1.0, result.model.phi_twist
         )
-        record = result.trace_evolution
         np.testing.assert_array_equal([row.t for row in result.rows], times)
-        np.testing.assert_array_equal(record.sup_values, sup_vals)
-        assert record.differential_min_margin == diff_margin
+        np.testing.assert_array_equal(result.trace_sup_values, sup_vals)
+        assert result.trace_differential_margin == diff_margin
         if case == "n1-fd2":
             with pytest.raises(HypothesisError):
                 check_trace_evolution(result)
@@ -839,6 +838,28 @@ class TestOnePassAnalysis:
             np.testing.assert_array_equal(report.sup_values, sup_vals)
             assert report.max_increase == max_increase
             assert report.differential_min_margin == diff_margin
+
+    @pytest.mark.parametrize("case", ["n2-spectral-mu", "degenerating"])
+    def test_only_the_final_snapshot_keeps_its_inverse(self, case, monkeypatch):
+        # Each analysis takes g^-1 and its traces off the snapshot before the
+        # newest, so after the run only the final snapshot holds them; the
+        # identities are taken at the interior rows, as the Schwarz margins.
+        config = dataclasses.replace(
+            self.mixed_config(0.0), mu=1.0, twist_potential=np.zeros((8,) * 4)
+        )
+        if case == "degenerating":
+            monkeypatch.setattr(kricci.flow, "MAX_STEPS", 5)
+            with pytest.raises(FlowDegenerateError, match="step budget 5") as excinfo:
+                run_flow(dataclasses.replace(config, diagnostics_every=2))
+            result = excinfo.value.result
+        else:
+            result = run_flow(config)
+        assert len(result.rows) > CENTERED_SNAPSHOTS
+        assert [snap.pending is None for snap in result.snapshots] == [True, True, False]
+        assert isinstance(result.final.pending[0], MetricField)
+        times = check_potential_identities(result).times
+        np.testing.assert_array_equal(times, [row.t for row in result.rows[1:-1]])
+        np.testing.assert_array_equal(times, check_schwarz(result).times)
 
     def test_twisted_scalar_needs_no_ricci_pass(self, monkeypatch, snapshot_history):
         # Ric(g) = Ric(h) - d dbar phidot: the rows match the route through
@@ -901,9 +922,10 @@ class TestOnePassAnalysis:
 
     def test_identities_need_three_snapshots(self):
         result = run_flow(homogeneous_config(c=0.0, t_final=0.01, dt=1e-2))
-        ids = result.identities
-        assert len(result.snapshots) == 2 and ids.times.size == 0
-        assert ids.residual_phi == ids.residual_phidot == 0.0
+        assert len(result.snapshots) == 2
+        assert result.residual_phi == result.residual_phidot == 0.0
+        # The start snapshot gave its g^-1 up when the end was analysed.
+        assert [snap.pending is None for snap in result.snapshots] == [True, False]
         for check in (check_potential_identities, check_schwarz):
             with pytest.raises(TooFewSnapshotsError, match="^needs 3 snapshots, the run has 2$"):
                 check(result)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -47,6 +48,16 @@ class TestGridValidation:
             PeriodicGrid(n=1, N=6)
         with pytest.raises(ValueError):
             PeriodicGrid(n=1, N=9)
+
+    @pytest.mark.parametrize("n, N", [(1, 8.0), (1.0, 8), (2, np.float64(16)), (1, "8")])
+    def test_rejects_non_integer_size(self, n, N):
+        bad = next(value for value in (n, N) if not isinstance(value, int))
+        with pytest.raises(ValueError, match=re.escape(f"must be an integer, got {bad!r}")):
+            PeriodicGrid(n=n, N=N)
+
+    def test_accepts_numpy_integers(self):
+        grid = PeriodicGrid(n=np.int64(1), N=np.int32(8))
+        assert flat_metric(grid).values.shape == (8, 8, 1, 1)
 
     def test_rejects_unknown_discretization(self):
         with pytest.raises(ValueError):
@@ -960,6 +971,19 @@ class TestScalarFromModes:
         grid = PeriodicGrid(n=2, N=8)
         with pytest.raises(ValueError):
             scalar_from_modes(grid, [((1, 0), 1.0)])
+
+    @pytest.mark.parametrize("k", [(0.5, 0), (1, 0.0), np.array([1.0, 0.0])])
+    def test_rejects_non_integer_wavevector(self, k):
+        # k = (0.5, 0) is not periodic on the torus: at N=8 the field jumps
+        # by 1.92 between the last grid point and the first.
+        grid = PeriodicGrid(n=1, N=8)
+        with pytest.raises(ValueError, match="mode wavevector entries must be integers, got"):
+            scalar_from_modes(grid, [(k, 1.0)])
+
+    def test_accepts_numpy_integer_wavevector(self):
+        grid = PeriodicGrid(n=1, N=8)
+        expected = scalar_from_modes(grid, [((1, 2), 0.5)])
+        assert np.array_equal(scalar_from_modes(grid, [(np.array([1, 2]), 0.5)]), expected)
 
     @pytest.mark.parametrize("n, N", list(itertools.product((1, 2), (8, 12, 16))))
     def test_matches_the_full_grid_formula_bitwise(self, n, N):

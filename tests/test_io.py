@@ -76,6 +76,14 @@ class TestTensorFiles:
         path.write_text(json.dumps(data))
         assert isinstance(load_tensor(path).form, HermitianForm)
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_rejects_n_below_one(self, tmp_path, n):
+        path = tmp_path / "form.json"
+        path.write_text(json.dumps({"kind": "bihermitian", "n": n, "entries": [[1.0, 0.0]]}))
+        message = f"{path}: n must be at least 1, got {n}"
+        with pytest.raises(ValueError, match="^" + re.escape(message)):
+            load_tensor(path)
+
     def test_missing_key_is_reported(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text(json.dumps({"entries": []}))
